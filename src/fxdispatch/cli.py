@@ -11,7 +11,7 @@ import json
 import os
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -206,8 +206,6 @@ def cmd_oracle(config: RunConfig, out=None) -> int:
 
 
 def _apply_overrides(config: RunConfig, args) -> RunConfig:
-    from dataclasses import replace
-
     params = config.params
     if args.dt is not None:
         params = replace(params, dt=args.dt)
@@ -216,9 +214,7 @@ def _apply_overrides(config: RunConfig, args) -> RunConfig:
     disturbance = config.disturbance
     if args.seed is not None:
         disturbance = replace(disturbance, seed=args.seed)
-    return RunConfig(generators=config.generators, loss=config.loss,
-                     topology=config.topology, params=params,
-                     disturbance=disturbance, output=config.output, z0=config.z0)
+    return replace(config, params=params, disturbance=disturbance)
 
 
 def main(argv=None) -> int:

@@ -7,8 +7,10 @@ which keeps total generation equal to demand plus losses by construction.
 
 The integrator is fixed-step classical Runge-Kutta (4 stages), each stage
 re-solving the implicit power equation by warm-started fixed-point
-iteration with a Newton fallback. A numba-compiled kernel carries long
-runs; `step` is the plain-NumPy reference the kernel must agree with.
+iteration with a Newton fallback. One NumPy RK4 core carries both the
+public `step` (which adds the monitors) and `run` (which forms the
+residual every step, cost and loss only on emitted rows). When numba
+imports, `run` uses a compiled kernel instead, checked against `step`.
 """
 
 from __future__ import annotations
@@ -103,12 +105,17 @@ def disturbance_params(spec: DisturbanceSpec, n: int):
     return omega, theta
 
 
+def _disturbance_fn(spec: DisturbanceSpec, n: int):
+    """t -> w(t), with the seeded frequencies and phases drawn once."""
+    if not spec.enabled or spec.amplitude == 0.0:
+        return lambda t: np.zeros(n)
+    omega, theta = disturbance_params(spec, n)
+    return lambda t: spec.amplitude * np.sin(omega * t + theta)
+
+
 def make_disturbance(spec: DisturbanceSpec, n: int, t: float) -> np.ndarray:
     """Disturbance vector w(t); zero when disabled or amplitude is zero."""
-    if not spec.enabled or spec.amplitude == 0.0:
-        return np.zeros(n)
-    omega, theta = disturbance_params(spec, n)
-    return spec.amplitude * np.sin(omega * t + theta)
+    return _disturbance_fn(spec, n)(t)
 
 
 @dataclass
@@ -176,37 +183,50 @@ def solve_power(z, system: DispatchSystem, prev_P=None, fp_tol: float = 1e-10, f
     residual if the iteration stalls; raises StepFailure if both fail.
     """
     z = np.asarray(z, dtype=float)
-    cons = system.adjacency @ z - system.degree * z
+    base = system.adjacency @ z - system.degree * z + system.d0
     loss = system.loss
     P = np.asarray(prev_P, dtype=float).copy() if prev_P is not None else system.d0.copy()
     for _ in range(fp_max_iter):
-        g = cons + system.d0 + loss.generator_losses(P)
-        err = np.max(np.abs(g - P))
+        g = base + loss._losses(P)
+        err = np.abs(g - P).max()
         P = g
         if err < fp_tol:
             return P
-    B, B0 = loss.B, loss.B0
     for _ in range(50):
-        g = cons + system.d0 + loss.generator_losses(P)
-        r = g - P
-        if np.max(np.abs(r)) < fp_tol:
+        r = base + loss._losses(P) - P
+        if np.abs(r).max() < fp_tol:
             return P
-        J = B * P[:, None]
-        np.fill_diagonal(J, B @ P + np.diag(B) * P + B0)
+        J = loss.B * P[:, None]
+        np.fill_diagonal(J, loss._own_gradient(P))
         P = P + np.linalg.solve(np.eye(system.n) - J, r)
     raise StepFailure(
         "implicit power equation did not converge; own-loss gradient likely >= 1 at current state"
     )
 
 
-def make_state(t: float, z, system: DispatchSystem, prev_P=None, params: AlgorithmParams | None = None) -> SimulationState:
-    """Solve the power equation at z and assemble all monitors."""
-    fp_tol = params.fp_tol if params else 1e-10
-    fp_max_iter = params.fp_max_iter if params else 200
-    P = solve_power(z, system, prev_P=prev_P, fp_tol=fp_tol, fp_max_iter=fp_max_iter)
+def _h_lambda(P: np.ndarray, system: DispatchSystem):
+    """Marginal costs lam, loss factors H = 1 + own-loss gradient, and H * lam."""
     lam = 2.0 * system.c_coef * P + system.b_coef
-    H = 1.0 + system.loss.own_loss_gradient(P)
-    hl = H * lam
+    H = 1.0 + system.loss._own_gradient(P)
+    return lam, H, H * lam
+
+
+def _residual(hl: np.ndarray) -> float:
+    """Consensus residual max_i |H_i lam_i - mean(H lam)|."""
+    return float(np.max(np.abs(hl - hl.mean())))
+
+
+def _z_dot(hl: np.ndarray, system: DispatchSystem, params: AlgorithmParams, w) -> np.ndarray:
+    r = system.adjacency @ hl - system.degree * hl
+    dz = -params.k1 * _sig_vec(r, params.mu) - params.k2 * _sig_vec(r, params.nu)
+    if w is not None:
+        dz = dz + np.asarray(w, dtype=float)
+    return dz
+
+
+def _state(t: float, z: np.ndarray, P: np.ndarray, system: DispatchSystem) -> SimulationState:
+    """Assemble all monitors at a solved (z, P)."""
+    lam, H, hl = _h_lambda(P, system)
     return SimulationState(
         t=t,
         z=np.asarray(z, dtype=float).copy(),
@@ -216,19 +236,48 @@ def make_state(t: float, z, system: DispatchSystem, prev_P=None, params: Algorit
         cost=total_cost(system.gens, P),
         loss=system.loss.total_loss(P),
         total_power=float(P.sum()),
-        residual=float(np.max(np.abs(hl - hl.mean()))),
+        residual=_residual(hl),
     )
+
+
+def make_state(t: float, z, system: DispatchSystem, prev_P=None, params: AlgorithmParams | None = None) -> SimulationState:
+    """Solve the power equation at z and assemble all monitors."""
+    fp_tol = params.fp_tol if params else 1e-10
+    fp_max_iter = params.fp_max_iter if params else 200
+    P = solve_power(z, system, prev_P=prev_P, fp_tol=fp_tol, fp_max_iter=fp_max_iter)
+    return _state(t, z, P, system)
 
 
 def z_derivative(state: SimulationState, system: DispatchSystem, params: AlgorithmParams, w=None) -> np.ndarray:
     """dz_i/dt = -k1 sig(r_i)^mu - k2 sig(r_i)^nu + w_i with
     r_i = sum_j a_ij (H_j lam_j - H_i lam_i)."""
-    hl = state.H * state.lam
-    r = system.adjacency @ hl - system.degree * hl
-    dz = -params.k1 * _sig_vec(r, params.mu) - params.k2 * _sig_vec(r, params.nu)
-    if w is not None:
-        dz = dz + np.asarray(w, dtype=float)
-    return dz
+    return _z_dot(state.H * state.lam, system, params, w)
+
+
+def _rk4(system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec):
+    """The RK4 advance (t, z, P) -> (t + dt, z', P') shared by step() and run().
+
+    P is the solved power at (t, z) and warm-starts stage 1, which
+    re-solves it; each later stage and the end-of-step solve warm-start
+    from the stage before. Only P and dz are formed per stage.
+    """
+    dt, fp_tol, fp_max_iter = params.dt, params.fp_tol, params.fp_max_iter
+    w_at = _disturbance_fn(disturbance, system.n)
+
+    def deriv(z, warm, w):
+        P = solve_power(z, system, warm, fp_tol, fp_max_iter)
+        return _z_dot(_h_lambda(P, system)[2], system, params, w), P
+
+    def advance(t, z, P):
+        w_half = w_at(t + dt / 2.0)
+        k1v, P1 = deriv(z, P, w_at(t))
+        k2v, P2 = deriv(z + dt / 2.0 * k1v, P1, w_half)
+        k3v, P3 = deriv(z + dt / 2.0 * k2v, P2, w_half)
+        k4v, P4 = deriv(z + dt * k3v, P3, w_at(t + dt))
+        z_new = z + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        return t + dt, z_new, solve_power(z_new, system, P4, fp_tol, fp_max_iter)
+
+    return advance
 
 
 def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None = None) -> SimulationState:
@@ -237,23 +286,10 @@ def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams
     Each stage re-solves the implicit power equation (warm-started from
     the previous stage); the returned state carries fresh monitors.
     """
-    dt = params.dt
     dist = disturbance if disturbance is not None else DisturbanceSpec()
-
-    def w_at(t):
-        return make_disturbance(dist, system.n, t)
-
-    def deriv(t, z, warm):
-        s = make_state(t, z, system, prev_P=warm, params=params)
-        return z_derivative(s, system, params, w=w_at(t)), s.P
-
-    z, t = state.z, state.t
-    k1v, P1 = deriv(t, z, state.P)
-    k2v, P2 = deriv(t + dt / 2.0, z + dt / 2.0 * k1v, P1)
-    k3v, P3 = deriv(t + dt / 2.0, z + dt / 2.0 * k2v, P2)
-    k4v, P4 = deriv(t + dt, z + dt * k3v, P3)
-    z_new = z + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-    return make_state(t + dt, z_new, system, prev_P=P4, params=params)
+    advance = _rk4(system, params, dist)
+    t, z, P = advance(state.t, np.asarray(state.z, dtype=float), np.asarray(state.P, dtype=float))
+    return _state(t, z, P, system)
 
 
 def lyapunov_value(state: SimulationState, c_star: float) -> float:
@@ -497,43 +533,42 @@ def run(system: DispatchSystem, params: AlgorithmParams,
         terminal = make_state(float(traj.t[-1]), z_fin, system, prev_P=P_fin, params=params)
         settled = settle_time >= 0.0
     else:
+        advance = _rk4(system, params, dist)
         state = make_state(0.0, z0, system, params=params)
-        rows_t, rows_z, rows_p, rows_pl, rows_c, rows_r = [0.0], [state.z.copy()], [state.P.copy()], [state.loss], [state.cost], [state.residual]
-        below = 1 if state.residual < params.settle_tol else 0
+        t, z, P, res = state.t, state.z, state.P, state.residual
+        rows = [(t, z, P, state.loss, state.cost, res)]
+
+        def emit():
+            rows.append((t, z, P, system.loss.total_loss(P), total_cost(system.gens, P), res))
+
+        below = 1 if res < params.settle_tol else 0
         settled, settle_time, status, fail_step = False, -1.0, 0, None
         for i in range(nsteps):
             try:
-                state = step(state, system, params, dist)
+                t, z, P = advance(t, z, P)
             except StepFailure:
                 status, fail_step = 1, i
                 break
-            if (i + 1) % stride == 0:
-                rows_t.append(state.t)
-                rows_z.append(state.z.copy())
-                rows_p.append(state.P.copy())
-                rows_pl.append(state.loss)
-                rows_c.append(state.cost)
-                rows_r.append(state.residual)
-            if state.residual < params.settle_tol:
+            res = _residual(_h_lambda(P, system)[2])
+            on_stride = (i + 1) % stride == 0
+            if on_stride:
+                emit()
+            if res < params.settle_tol:
                 below += 1
                 if below > window_steps:
                     settled = True
                     settle_time = (i + 1 - below + 1) * params.dt
-                    if (i + 1) % stride != 0:
-                        rows_t.append(state.t)
-                        rows_z.append(state.z.copy())
-                        rows_p.append(state.P.copy())
-                        rows_pl.append(state.loss)
-                        rows_c.append(state.cost)
-                        rows_r.append(state.residual)
+                    if not on_stride:
+                        emit()
                     break
             else:
                 below = 0
+        rows_t, rows_z, rows_p, rows_pl, rows_c, rows_r = zip(*rows)
         traj = Trajectory(
             t=np.array(rows_t), z=np.array(rows_z), P=np.array(rows_p),
             loss=np.array(rows_pl), cost=np.array(rows_c), residual=np.array(rows_r),
         )
-        terminal = state
+        terminal = _state(t, z, P, system)
 
     if c_star is None:
         c_star = terminal.cost

@@ -94,6 +94,7 @@ class KronLossModel:
         self.B0 = B0
         self.B00 = float(B00)
         self.n = n
+        self._diag = np.diag(B).copy()
 
     def _check_len(self, P: np.ndarray) -> np.ndarray:
         P = np.asarray(P, dtype=float)
@@ -115,7 +116,10 @@ class KronLossModel:
 
     def generator_losses(self, P) -> np.ndarray:
         """Vector of per-generator losses (vectorized generator_loss)."""
-        P = self._check_len(P)
+        return self._losses(self._check_len(P))
+
+    def _losses(self, P: np.ndarray) -> np.ndarray:
+        # unchecked generator_losses for the integrator's inner loop
         return P * (self.B @ P) + P * self.B0 + self.B00 / self.n
 
     def dloss_total_dPi(self, P, i: int) -> float:
@@ -139,8 +143,11 @@ class KronLossModel:
 
     def own_loss_gradient(self, P) -> np.ndarray:
         """Vector of dloss_own_dPi; 1 + this is the loss-augmentation factor H."""
-        P = self._check_len(P)
-        return self.B @ P + np.diag(self.B) * P + self.B0
+        return self._own_gradient(self._check_len(P))
+
+    def _own_gradient(self, P: np.ndarray) -> np.ndarray:
+        # unchecked own_loss_gradient for the integrator's inner loop
+        return self.B @ P + self._diag * P + self.B0
 
 
 def marginal_cost(gen: GeneratorSpec, p: float) -> float:

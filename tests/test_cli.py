@@ -1,4 +1,6 @@
+import argparse
 import copy
+import dataclasses
 import io
 import json
 import pathlib
@@ -11,6 +13,7 @@ from fxdispatch import ConfigurationError, load_config, save_config
 from fxdispatch.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
+    _apply_overrides,
     cmd_bound,
     cmd_check,
     cmd_oracle,
@@ -224,6 +227,21 @@ class TestMain:
         assert code == EXIT_OK
         assert (tmp_path / "trajectory.csv").exists()
         assert (tmp_path / "report.json").exists()
+
+    def test_overrides_reach_config_and_keep_other_fields(self, base_dict):
+        base_dict["initial"] = {"z0": [0.5, -0.25, 0.0, 1.0]}
+        base_dict["output"].update(directory="elsewhere", stride=7)
+        config = config_from_dict(base_dict)
+        args = argparse.Namespace(dt=2e-3, t_end=3.5, seed=42)
+        new = _apply_overrides(config, args)
+        assert new.params == dataclasses.replace(config.params, dt=2e-3, t_end=3.5)
+        assert new.disturbance == dataclasses.replace(config.disturbance, seed=42)
+        assert new.z0 == (0.5, -0.25, 0.0, 1.0)
+        assert new.output == config.output
+        assert new.generators is config.generators and new.loss is config.loss
+        assert new.topology is config.topology
+        unchanged = _apply_overrides(config, argparse.Namespace(dt=None, t_end=None, seed=None))
+        assert unchanged == config
 
     def test_missing_config_path(self, capsys):
         assert main(["check", "--config", "/nonexistent/nope.yaml"]) == EXIT_VALIDATION

@@ -182,6 +182,63 @@ class TestStep:
         assert fast.terminal.cost == pytest.approx(slow.terminal.cost, rel=1e-12)
 
 
+def step_loop(system, params, disturbance, nsteps):
+    """States 0..nsteps from public step() calls, starting at z = 0."""
+    states = [make_state(0.0, np.zeros(system.n), system, params=params)]
+    for _ in range(nsteps):
+        states.append(step(states[-1], system, params, disturbance))
+    return states
+
+
+def assert_rows_are_states(traj, states):
+    assert np.array_equal(traj.t, [s.t for s in states])
+    assert np.array_equal(traj.z, np.stack([s.z for s in states]))
+    assert np.array_equal(traj.P, np.stack([s.P for s in states]))
+    assert np.array_equal(traj.loss, [s.loss for s in states])
+    assert np.array_equal(traj.cost, [s.cost for s in states])
+    assert np.array_equal(traj.residual, [s.residual for s in states])
+
+
+def assert_same_state(a, b):
+    for f in dataclasses.fields(SimulationState):
+        assert np.array_equal(getattr(a, f.name), getattr(b, f.name)), f.name
+
+
+class TestRunMatchesStep:
+    """run()'s NumPy loop must reproduce public step() calls bit for bit."""
+
+    @pytest.mark.parametrize("disturbance, fp_max_iter", [
+        (None, 200),
+        (DisturbanceSpec(enabled=True, amplitude=0.5, seed=21), 200),
+        # one fixed-point sweep: every solve that does not start converged
+        # finishes on the Newton fallback
+        (None, 1),
+    ], ids=["plain", "disturbed", "newton"])
+    def test_rows_and_terminal_bit_identical(self, ref_system, disturbance, fp_max_iter):
+        params = dataclasses.replace(REF_PARAMS, t_end=0.1, fp_max_iter=fp_max_iter)
+        res = run(ref_system, params, disturbance=disturbance, stride=1, use_kernel=False)
+        states = step_loop(ref_system, params, disturbance, 100)
+        assert_rows_are_states(res.trajectory, states)
+        assert_same_state(res.terminal, states[-1])
+
+    def test_settling_rows_and_time(self):
+        system = lossless_pair(split=(110.0, 90.0))
+        params = dataclasses.replace(REF_PARAMS, t_end=5.0, settle_window=0.05)
+        window = int(round(params.settle_window / params.dt))
+        stride = 7
+        res = run(system, params, stride=stride, use_kernel=False)
+        states = step_loop(system, params, None, 1500)
+        below = np.array([s.residual < params.settle_tol for s in states])
+        # first index that opens window + 1 consecutive states below settle_tol
+        first = next(k for k in range(len(states) - window) if below[k:k + window + 1].all())
+        last = first + window
+        assert res.settled
+        assert res.settle_time == first * params.dt
+        emitted = list(range(0, last + 1, stride)) + ([last] if last % stride else [])
+        assert_rows_are_states(res.trajectory, [states[k] for k in emitted])
+        assert_same_state(res.terminal, states[last])
+
+
 class TestDisturbance:
     def test_disabled_gives_zero(self):
         assert np.array_equal(make_disturbance(DisturbanceSpec(), 4, 1.0), np.zeros(4))
