@@ -42,7 +42,6 @@ from .grid_model import (
     GeneratorSpec,
     KronLossModel,
     cost_summary,
-    marginal_cost,
     total_cost,
 )
 from .oracle import (

@@ -150,10 +150,6 @@ class KronLossModel:
         return self.B @ P + self._diag * P + self.B0
 
 
-def marginal_cost(gen: GeneratorSpec, p: float) -> float:
-    return gen.marginal_cost(p)
-
-
 def total_cost(gens, P) -> float:
     P = np.asarray(P, dtype=float)
     if len(gens) != P.shape[0]:

@@ -21,7 +21,7 @@ from fxdispatch import (
     step,
     z_derivative,
 )
-from fxdispatch.dynamics import make_state
+from fxdispatch.dynamics import _disturbance_fn, make_state
 from fxdispatch.topology import laplacian
 from tests.conftest import REF_DEMAND, REF_P0
 
@@ -173,14 +173,6 @@ class TestStep:
         drift = np.abs(res.trajectory.P.sum(axis=1) - ref_system.dbar - res.trajectory.loss)
         assert drift.max() <= 4.0 * params.fp_tol
 
-    def test_kernel_matches_reference_steps(self, ref_system):
-        params = dataclasses.replace(REF_PARAMS, t_end=0.2)
-        fast = run(ref_system, params, stride=1, use_kernel=True)
-        slow = run(ref_system, params, stride=1, use_kernel=False)
-        assert np.max(np.abs(fast.trajectory.z - slow.trajectory.z)) < 1e-9
-        assert np.max(np.abs(fast.trajectory.P - slow.trajectory.P)) < 1e-9
-        assert fast.terminal.cost == pytest.approx(slow.terminal.cost, rel=1e-12)
-
 
 def step_loop(system, params, disturbance, nsteps):
     """States 0..nsteps from public step() calls, starting at z = 0."""
@@ -205,7 +197,7 @@ def assert_same_state(a, b):
 
 
 class TestRunMatchesStep:
-    """run()'s NumPy loop must reproduce public step() calls bit for bit."""
+    """run() must reproduce public step() calls bit for bit."""
 
     @pytest.mark.parametrize("disturbance, fp_max_iter", [
         (None, 200),
@@ -216,7 +208,7 @@ class TestRunMatchesStep:
     ], ids=["plain", "disturbed", "newton"])
     def test_rows_and_terminal_bit_identical(self, ref_system, disturbance, fp_max_iter):
         params = dataclasses.replace(REF_PARAMS, t_end=0.1, fp_max_iter=fp_max_iter)
-        res = run(ref_system, params, disturbance=disturbance, stride=1, use_kernel=False)
+        res = run(ref_system, params, disturbance=disturbance, stride=1)
         states = step_loop(ref_system, params, disturbance, 100)
         assert_rows_are_states(res.trajectory, states)
         assert_same_state(res.terminal, states[-1])
@@ -226,7 +218,7 @@ class TestRunMatchesStep:
         params = dataclasses.replace(REF_PARAMS, t_end=5.0, settle_window=0.05)
         window = int(round(params.settle_window / params.dt))
         stride = 7
-        res = run(system, params, stride=stride, use_kernel=False)
+        res = run(system, params, stride=stride)
         states = step_loop(system, params, None, 1500)
         below = np.array([s.residual < params.settle_tol for s in states])
         # first index that opens window + 1 consecutive states below settle_tol
@@ -255,7 +247,8 @@ class TestDisturbance:
     def test_near_zero_mean_over_horizon(self):
         spec = DisturbanceSpec(enabled=True, amplitude=0.5, seed=7)
         t = np.linspace(0.0, 200.0, 200_001)
-        w = np.stack([make_disturbance(spec, 4, ti) for ti in t])
+        w_at = _disturbance_fn(spec, 4)  # make_disturbance(spec, 4, t) is w_at(t)
+        w = np.stack([w_at(ti) for ti in t])
         assert np.max(np.abs(w.mean(axis=0))) < 0.005
 
     def test_seed_determinism(self):

@@ -10,7 +10,6 @@ from fxdispatch import (
     GeneratorSpec,
     KronLossModel,
     cost_summary,
-    marginal_cost,
     total_cost,
 )
 from tests.conftest import REF_COST, REF_P0
@@ -152,15 +151,15 @@ class TestLossGradients:
 class TestCosts:
     def test_marginal_cost_at_zero_is_linear_coefficient(self):
         g1 = GeneratorSpec(a=53.0, b=1.21, c=0.094)
-        assert marginal_cost(g1, 0.0) == 1.21
+        assert g1.marginal_cost(0.0) == 1.21
 
     def test_marginal_cost_root(self):
         g = GeneratorSpec(a=0.0, b=-4.0, c=0.5)
-        assert marginal_cost(g, 4.0) == 0.0
+        assert g.marginal_cost(4.0) == 0.0
 
     def test_marginal_cost_hand_value(self):
         g2 = GeneratorSpec(a=34.0, b=3.47, c=0.082)
-        assert marginal_cost(g2, 100.0) == pytest.approx(19.87)
+        assert g2.marginal_cost(100.0) == pytest.approx(19.87)
 
     def test_total_cost_at_zero_sums_offsets(self, ref_gens):
         assert total_cost(ref_gens, np.zeros(4)) == pytest.approx(210.0)
