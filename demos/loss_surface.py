@@ -37,6 +37,6 @@ for i in range(4):
     e = np.zeros(4)
     e[i] = h
     fd = (model.total_loss(P + e) - model.total_loss(P - e)) / (2 * h)
-    analytic = model.dloss_total_dPi(P, i)
+    analytic = model.total_loss_gradient(P)[i]
     print(f"dP_L/dP_{i + 1}: analytic {analytic:.8f}  central-diff {fd:.8f}  "
           f"|err| {abs(fd - analytic):.1e}")

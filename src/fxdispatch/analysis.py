@@ -17,9 +17,12 @@ from .grid_model import (
     AssumptionViolation,
     CostSummary,
     KronLossModel,
+    cost_summary,
     marginal_costs,
 )
+# imported by name: perfbench/spans.py patches analysis.jacobi_eigenvalues
 from .linalg import jacobi_eigenvalues
+from .topology import check_connected
 
 #: roundoff slack for element-wise bound checks
 BOUND_SLACK = 1e-12
@@ -169,8 +172,6 @@ def verify_lemma3_bounds(model: KronLossModel, gens, P, summary: CostSummary | N
     if (P < 0).any():
         raise AssumptionViolation("bounds are only claimed for nonnegative powers")
     if summary is None:
-        from .grid_model import cost_summary
-
         summary = cost_summary(gens)
     sigma, delta = summary.sigma, summary.delta
     B, B0 = model.B, model.B0
@@ -252,9 +253,6 @@ def assemble_assumption_report(model: KronLossModel, gens, top, P_ref=None) -> A
     own-loss-gradient condition is evaluated; the sufficient row-sum
     condition uses the total demand dbar = sum d0.
     """
-    from .grid_model import cost_summary
-    from .topology import check_connected
-
     summary = cost_summary(gens)
     dbar = float(sum(g.d0 for g in gens))
     if P_ref is None:

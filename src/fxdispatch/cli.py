@@ -39,7 +39,6 @@ class Gates:
 
 
 def evaluate_gates(config: RunConfig) -> Gates:
-    system = config.system()
     report = analysis.assemble_assumption_report(config.loss, config.generators, config.topology)
     phi2 = spectrum(config.topology).phi2
     sm = analysis.build_s_matrix(config.loss, cost_summary(config.generators))

@@ -107,42 +107,24 @@ class KronLossModel:
         P = self._check_len(P)
         return float(P @ self.B @ P + self.B0 @ P + self.B00)
 
-    def generator_loss(self, P, i: int) -> float:
-        """Loss attributed to generator i; sums to total_loss over i."""
-        P = self._check_len(P)
-        if not 0 <= i < self.n:
-            raise IndexError(f"generator index {i} out of range 0..{self.n - 1}")
-        return float(P[i] * (self.B[i] @ P) + P[i] * self.B0[i] + self.B00 / self.n)
-
     def generator_losses(self, P) -> np.ndarray:
-        """Vector of per-generator losses (vectorized generator_loss)."""
+        """Loss attributed to each generator; the entries sum to total_loss."""
         return self._losses(self._check_len(P))
 
     def _losses(self, P: np.ndarray) -> np.ndarray:
         # unchecked generator_losses for the integrator's inner loop
         return P * (self.B @ P) + P * self.B0 + self.B00 / self.n
 
-    def dloss_total_dPi(self, P, i: int) -> float:
-        """Gradient of the total loss: 2 sum_j B_ij P_j + B_i0."""
-        P = self._check_len(P)
-        if not 0 <= i < self.n:
-            raise IndexError(f"generator index {i} out of range 0..{self.n - 1}")
-        return float(2.0 * (self.B[i] @ P) + self.B0[i])
-
-    def dloss_own_dPi(self, P, i: int) -> float:
-        """Gradient of generator i's own loss: sum_{j!=i} B_ij P_j + 2 B_ii P_i + B_i0."""
-        P = self._check_len(P)
-        if not 0 <= i < self.n:
-            raise IndexError(f"generator index {i} out of range 0..{self.n - 1}")
-        return float(self.B[i] @ P + self.B[i, i] * P[i] + self.B0[i])
-
     def total_loss_gradient(self, P) -> np.ndarray:
-        """Vector of dloss_total_dPi."""
+        """Gradient of the total loss: entry i is 2 sum_j B_ij P_j + B_i0."""
         P = self._check_len(P)
         return 2.0 * (self.B @ P) + self.B0
 
     def own_loss_gradient(self, P) -> np.ndarray:
-        """Vector of dloss_own_dPi; 1 + this is the loss-augmentation factor H."""
+        """Entry i is generator i's own-loss gradient sum_{j!=i} B_ij P_j + 2 B_ii P_i + B_i0.
+
+        1 + this is the loss-augmentation factor H.
+        """
         return self._own_gradient(self._check_len(P))
 
     def _own_gradient(self, P: np.ndarray) -> np.ndarray:

@@ -1,8 +1,8 @@
-"""Small dense symmetric eigensolver (cyclic Jacobi rotations).
+"""Eigenvalues of the small dense symmetric matrices the analysis meets.
 
-Adequate for the matrix sizes this library meets (N <= 100). Kept
-in-package so the test suite can cross-check it against LAPACK as an
-independent route.
+LAPACK (numpy.linalg.eigvalsh) does the work; this module adds only the
+shape and exact-symmetry checks that eigvalsh, which reads one triangle,
+does not make.
 """
 
 from __future__ import annotations
@@ -10,40 +10,11 @@ from __future__ import annotations
 import numpy as np
 
 
-def jacobi_eigenvalues(A, tol: float = 1e-12, max_sweeps: int = 100) -> np.ndarray:
-    """Sorted eigenvalues of a symmetric matrix by cyclic Jacobi rotation.
-
-    Iterates sweeps of (p, q) rotations until the off-diagonal Frobenius
-    norm falls below tol relative to the matrix norm.
-    """
-    A = np.array(A, dtype=float)
+def jacobi_eigenvalues(A) -> np.ndarray:
+    """Ascending eigenvalues of a square, exactly symmetric matrix."""
+    A = np.asarray(A, dtype=float)
     if A.ndim != 2 or A.shape[0] != A.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {A.shape}")
-    if not np.allclose(A, A.T, atol=0.0, rtol=0.0, equal_nan=False):
+    if not np.array_equal(A, A.T):
         raise ValueError("matrix is not symmetric")
-    n = A.shape[0]
-    if n == 1:
-        return A.diagonal().copy()
-    scale = max(np.linalg.norm(A), 1.0)
-    for _ in range(max_sweeps):
-        off = np.sqrt(max(np.sum(A**2) - np.sum(A.diagonal() ** 2), 0.0))
-        if off <= tol * scale:
-            break
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                apq = A[p, q]
-                if abs(apq) <= tol * scale / (n * n):
-                    continue
-                theta = (A[q, q] - A[p, p]) / (2.0 * apq)
-                t = np.sign(theta) / (abs(theta) + np.sqrt(theta * theta + 1.0))
-                if theta == 0.0:
-                    t = 1.0
-                c = 1.0 / np.sqrt(t * t + 1.0)
-                s = t * c
-                rp, rq = A[p, :].copy(), A[q, :].copy()
-                A[p, :] = c * rp - s * rq
-                A[q, :] = s * rp + c * rq
-                cp, cq = A[:, p].copy(), A[:, q].copy()
-                A[:, p] = c * cp - s * cq
-                A[:, q] = s * cp + c * cq
-    return np.sort(A.diagonal())
+    return np.linalg.eigvalsh(A)

@@ -62,90 +62,72 @@ def _damped_newton(residual_fn, jacobian_fn, x0, tol=1e-12, max_iter=100, max_ha
     raise NewtonFailure(f"not converged in {max_iter} iterations (residual {rnorm:.3e})", x)
 
 
-def _package(gens, model: KronLossModel, P, mu, d_total, iterations, weight_fn) -> EquilibriumSolution:
-    lam = marginal_costs(gens, P)
-    w = weight_fn(P)
+def _solve_weighted(gens, model: KronLossModel, d_total: float, tol: float, weight) -> EquilibriumSolution:
+    """Damped Newton on (P, mu) for {w_i lam_i = mu for all i, sum P = d_total + P_L(P)}.
+
+    weight(P) returns (w, dw): the per-generator weights and their
+    derivatives with respect to the own-loss gradient, whose Jacobian is
+    B + diag(B_ii). Starts from a uniform demand split.
+    """
+    n = len(gens)
+    b = np.array([g.b for g in gens])
+    c = np.array([g.c for g in gens])
+    B, B0 = model.B, model.B0
+    own_grad_jac = B + np.diag(np.diag(B))
+
+    def residual(x):
+        P, mu = x[:n], x[n]
+        lam = 2.0 * c * P + b
+        w, _ = weight(P)
+        return np.concatenate([w * lam - mu, [P.sum() - d_total - model.total_loss(P)]])
+
+    def jacobian(x):
+        P = x[:n]
+        lam = 2.0 * c * P + b
+        w, dw = weight(P)
+        J = np.zeros((n + 1, n + 1))
+        # d(w_i lam_i)/dP_j = dw_i (B_ij + delta_ij B_ii) lam_i + delta_ij w_i 2 c_i
+        J[:n, :n] = own_grad_jac * (lam * dw)[:, None]
+        J[np.arange(n), np.arange(n)] += w * 2.0 * c
+        J[:n, n] = -1.0
+        J[n, :n] = 1.0 - (2.0 * B @ P + B0)
+        return J
+
+    P0 = np.full(n, d_total / n)
+    mu0 = float(np.mean(marginal_costs(gens, P0)))
+    x, its = _damped_newton(residual, jacobian, np.concatenate([P0, [mu0]]), tol=tol)
+    P, r = x[:n], residual(x)
     return EquilibriumSolution(
         P_star=P,
-        mu_star=float(mu),
+        mu_star=float(x[n]),
         cost_star=total_cost(gens, P),
         loss_star=model.total_loss(P),
-        constraint_residual=float(abs(P.sum() - d_total - model.total_loss(P))),
-        consensus_residual=float(np.max(np.abs(w * lam - mu))),
-        iterations=iterations,
+        constraint_residual=float(abs(r[n])),
+        consensus_residual=float(np.max(np.abs(r[:n]))),
+        iterations=its,
     )
 
 
 def solve_equilibrium(gens, model: KronLossModel, d_total: float, tol: float = 1e-12) -> EquilibriumSolution:
     """Root-solve {H_i lam_i = mu for all i, sum P = d_total + P_L(P)}.
 
-    This is the stationary point of the consensus dynamics; damped
-    Newton on (P, mu) from a uniform demand split.
+    This is the stationary point of the consensus dynamics, with
+    H_i = 1 + dP_Li/dP_i.
     """
-    n = len(gens)
-    b = np.array([g.b for g in gens])
-    c = np.array([g.c for g in gens])
     B, B0 = model.B, model.B0
     dB = np.diag(B)
-
-    def residual(x):
-        P, mu = x[:n], x[n]
-        lam = 2.0 * c * P + b
-        H = 1.0 + B @ P + dB * P + B0
-        return np.concatenate([H * lam - mu, [P.sum() - d_total - model.total_loss(P)]])
-
-    def jacobian(x):
-        P, mu = x[:n], x[n]
-        lam = 2.0 * c * P + b
-        H = 1.0 + B @ P + dB * P + B0
-        J = np.zeros((n + 1, n + 1))
-        # d(H_i lam_i)/dP_j = (B_ij + delta_ij B_ii) lam_i + delta_ij H_i 2 c_i
-        J[:n, :n] = (B + np.diag(dB)) * lam[:, None]
-        J[np.arange(n), np.arange(n)] += H * 2.0 * c
-        J[:n, n] = -1.0
-        J[n, :n] = 1.0 - (2.0 * B @ P + B0)
-        return J
-
-    P0 = np.full(n, d_total / n)
-    mu0 = float(np.mean(marginal_costs(gens, P0)))
-    x, its = _damped_newton(residual, jacobian, np.concatenate([P0, [mu0]]), tol=tol)
-    H = lambda P: 1.0 + B @ P + dB * P + B0
-    return _package(gens, model, x[:n], x[n], d_total, its, H)
+    # kept in this association: re-associating H moves the last bits of the oracle points
+    return _solve_weighted(gens, model, d_total, tol, lambda P: (1.0 + B @ P + dB * P + B0, 1.0))
 
 
 def kkt_penalty_solution(gens, model: KronLossModel, d_total: float, tol: float = 1e-12) -> EquilibriumSolution:
     """Classical coordination: lam_i / (1 - dP_Li/dP_i) equal, plus balance."""
-    n = len(gens)
-    b = np.array([g.b for g in gens])
-    c = np.array([g.c for g in gens])
-    B, B0 = model.B, model.B0
-    dB = np.diag(B)
 
-    def own_grad(P):
-        return B @ P + dB * P + B0
+    def penalty_factor(P):
+        pf = 1.0 / (1.0 - model._own_gradient(P))
+        return pf, pf**2
 
-    def residual(x):
-        P, mu = x[:n], x[n]
-        lam = 2.0 * c * P + b
-        pf = 1.0 / (1.0 - own_grad(P))
-        return np.concatenate([lam * pf - mu, [P.sum() - d_total - model.total_loss(P)]])
-
-    def jacobian(x):
-        P, mu = x[:n], x[n]
-        lam = 2.0 * c * P + b
-        g = own_grad(P)
-        pf = 1.0 / (1.0 - g)
-        J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = (B + np.diag(dB)) * (lam * pf**2)[:, None]
-        J[np.arange(n), np.arange(n)] += pf * 2.0 * c
-        J[:n, n] = -1.0
-        J[n, :n] = 1.0 - (2.0 * B @ P + B0)
-        return J
-
-    P0 = np.full(n, d_total / n)
-    mu0 = float(np.mean(marginal_costs(gens, P0)))
-    x, its = _damped_newton(residual, jacobian, np.concatenate([P0, [mu0]]), tol=tol)
-    return _package(gens, model, x[:n], x[n], d_total, its, lambda P: 1.0 / (1.0 - own_grad(P)))
+    return _solve_weighted(gens, model, d_total, tol, penalty_factor)
 
 
 def _close_constraint(P_partial, model: KronLossModel, d_total, i_last, tol=1e-12, max_iter=500):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid_model import AssumptionViolation, ConfigurationError
+# imported by name: perfbench/spans.py patches topology.jacobi_eigenvalues
 from .linalg import jacobi_eigenvalues
 
 
@@ -85,7 +86,7 @@ def laplacian(top: LocalTopology) -> np.ndarray:
 
 
 def spectrum(top: LocalTopology) -> SpectralSummary:
-    """Full sorted Laplacian spectrum via cyclic Jacobi rotations.
+    """Full ascending Laplacian spectrum (LAPACK, via numpy.linalg.eigvalsh).
 
     Raises AssumptionViolation when the second eigenvalue is numerically
     zero, which for a valid Laplacian means a disconnected graph.

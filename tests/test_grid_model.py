@@ -74,11 +74,11 @@ class TestTotalLoss:
 class TestGeneratorLoss:
     def test_zero_own_power_gives_constant_share(self, ref_model):
         P = np.array([0.0, 50.0, 60.0, 70.0])
-        assert ref_model.generator_loss(P, 0) == pytest.approx(1.0)  # B00 / 4
+        assert ref_model.generator_losses(P)[0] == pytest.approx(1.0)  # B00 / 4
 
     def test_shares_sum_to_total_reference(self, ref_model):
         P = np.array([161.4, 171.3, 170.4, 138.1])
-        total = sum(ref_model.generator_loss(P, i) for i in range(4))
+        total = sum(ref_model.generator_losses(P)[i] for i in range(4))
         assert total == pytest.approx(41.2, abs=0.05)
         assert total == pytest.approx(ref_model.total_loss(P), rel=1e-12)
 
@@ -87,22 +87,18 @@ class TestGeneratorLoss:
         rng = np.random.default_rng(n)
         model = random_model(rng, n)
         P = rng.uniform(0.0, 300.0, size=n)
-        total = sum(model.generator_loss(P, i) for i in range(n))
+        total = sum(model.generator_losses(P)[i] for i in range(n))
         assert total == pytest.approx(model.total_loss(P), rel=1e-12)
-
-    def test_index_out_of_range(self, ref_model):
-        with pytest.raises(IndexError):
-            ref_model.generator_loss(np.zeros(4), 4)
 
 
 class TestLossGradients:
     def test_total_gradient_at_origin_is_linear_coefficient(self, ref_model):
         for i in range(4):
-            assert ref_model.dloss_total_dPi(np.zeros(4), i) == ref_model.B0[i]
+            assert ref_model.total_loss_gradient(np.zeros(4))[i] == ref_model.B0[i]
 
     def test_own_gradient_at_origin_is_linear_coefficient(self, ref_model):
         for i in range(4):
-            assert ref_model.dloss_own_dPi(np.zeros(4), i) == ref_model.B0[i]
+            assert ref_model.own_loss_gradient(np.zeros(4))[i] == ref_model.B0[i]
 
     def test_total_gradient_matches_finite_difference(self, ref_model):
         h = 1e-4
@@ -110,18 +106,18 @@ class TestLossGradients:
             e = np.zeros(4)
             e[i] = h
             fd = (ref_model.total_loss(REF_P0 + e) - ref_model.total_loss(REF_P0 - e)) / (2 * h)
-            assert ref_model.dloss_total_dPi(REF_P0, i) == pytest.approx(fd, abs=1e-8)
+            assert ref_model.total_loss_gradient(REF_P0)[i] == pytest.approx(fd, abs=1e-8)
 
     def test_diagonal_only_model(self):
         model = KronLossModel(np.diag([2e-4, 3e-4]), np.array([1e-3, 2e-3]), 0.0)
         P = np.array([50.0, 80.0])
         for i in range(2):
-            assert model.dloss_total_dPi(P, i) == pytest.approx(2 * model.B[i, i] * P[i] + model.B0[i])
-            assert model.dloss_own_dPi(P, i) == pytest.approx(2 * model.B[i, i] * P[i] + model.B0[i])
+            assert model.total_loss_gradient(P)[i] == pytest.approx(2 * model.B[i, i] * P[i] + model.B0[i])
+            assert model.own_loss_gradient(P)[i] == pytest.approx(2 * model.B[i, i] * P[i] + model.B0[i])
 
     def test_own_gradient_direct_evaluation(self, ref_model):
         # frozen from an independent evaluation of the own-loss gradient row
-        assert ref_model.dloss_own_dPi(REF_P0, 1) == pytest.approx(0.065036, abs=1e-12)
+        assert ref_model.own_loss_gradient(REF_P0)[1] == pytest.approx(0.065036, abs=1e-12)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=50, deadline=None)
@@ -132,8 +128,8 @@ class TestLossGradients:
         model = random_model(rng, n)
         P = rng.uniform(0.0, 400.0, size=n)
         for i in range(n):
-            lhs = model.dloss_own_dPi(P, i)
-            rhs = 0.5 * model.dloss_total_dPi(P, i) + model.B[i, i] * P[i] + model.B0[i] / 2.0
+            lhs = model.own_loss_gradient(P)[i]
+            rhs = 0.5 * model.total_loss_gradient(P)[i] + model.B[i, i] * P[i] + model.B0[i] / 2.0
             assert abs(lhs - rhs) < 1e-12
 
     @pytest.mark.parametrize("h", [1e-2, 1e-3, 1e-4])
@@ -145,7 +141,7 @@ class TestLossGradients:
             e = np.zeros(4)
             e[i] = h
             fd = (ref_model.total_loss(REF_P0 + e) - ref_model.total_loss(REF_P0 - e)) / (2 * h)
-            assert abs(fd - ref_model.dloss_total_dPi(REF_P0, i)) <= K * h * h
+            assert abs(fd - ref_model.total_loss_gradient(REF_P0)[i]) <= K * h * h
 
 
 class TestCosts:

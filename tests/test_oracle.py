@@ -101,6 +101,12 @@ class TestPenaltyCoordination:
         b = kkt_penalty_solution(TWO_GENS, lossless(2), TWO_D)
         assert np.max(np.abs(a.P_star - b.P_star)) < 1e-10
 
+    def test_reference_case_frozen(self, ref_gens, ref_model):
+        # frozen: the own-loss penalty-factor point of the reference case
+        sol = kkt_penalty_solution(ref_gens, ref_model, REF_DEMAND)
+        assert sol.P_star == pytest.approx([165.273216, 171.843481, 168.310811, 135.440523], abs=1e-6)
+        assert sol.cost_star == pytest.approx(11080.161847, abs=1e-6)
+
     def test_reference_case_gap_is_small_but_nonzero(self, ref_gens, ref_model):
         a = solve_equilibrium(ref_gens, ref_model, REF_DEMAND)
         b = kkt_penalty_solution(ref_gens, ref_model, REF_DEMAND)
