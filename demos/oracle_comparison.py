@@ -22,10 +22,11 @@ from fxdispatch import (
     kkt_penalty_solution,
     load_config,
     solve_equilibrium,
+    total_demand,
 )
 
 config = load_config(str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference_case.yaml"))
-demand = sum(g.d0 for g in config.generators)
+demand = total_demand(config.generators)
 
 eq = solve_equilibrium(config.generators, config.loss, demand)
 pf = kkt_penalty_solution(config.generators, config.loss, demand)

@@ -15,7 +15,7 @@ import pathlib
 
 import numpy as np
 
-from fxdispatch import load_config, run, solve_equilibrium
+from fxdispatch import load_config, run, solve_equilibrium, total_demand
 
 parser = argparse.ArgumentParser(description=__doc__)
 parser.add_argument("--t-end", type=float, default=20.0)
@@ -25,7 +25,7 @@ args = parser.parse_args()
 config = load_config(str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference_case.yaml"))
 params = dataclasses.replace(config.params, dt=args.dt, t_end=args.t_end)
 
-eq = solve_equilibrium(config.generators, config.loss, sum(g.d0 for g in config.generators))
+eq = solve_equilibrium(config.generators, config.loss, total_demand(config.generators))
 result = run(config.system(), params, c_star=eq.cost_star)
 
 term = result.terminal

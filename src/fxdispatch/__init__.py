@@ -43,6 +43,7 @@ from .grid_model import (
     KronLossModel,
     cost_summary,
     total_cost,
+    total_demand,
 )
 from .oracle import (
     EquilibriumSolution,

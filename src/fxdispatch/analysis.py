@@ -19,6 +19,7 @@ from .grid_model import (
     KronLossModel,
     cost_summary,
     marginal_costs,
+    total_demand,
 )
 # imported by name: perfbench/spans.py patches analysis.jacobi_eigenvalues
 from .linalg import jacobi_eigenvalues
@@ -146,13 +147,11 @@ def curvature_matrices(model: KronLossModel, gens, P):
     """
     P = np.asarray(P, dtype=float)
     lam = marginal_costs(gens, P)
-    curv = np.array([g.curvature(p) for g, p in zip(gens, P)])
-    B, B0 = model.B, model.B0
-    dB = np.diag(B)
-    total_grad = 2.0 * (B @ P) + B0
-    grad_F = 2.0 * B * lam[:, None]
-    np.fill_diagonal(grad_F, 2.0 * dB * lam + total_grad * curv)
-    grad_M = np.diag(dB * lam + (dB * P + B0 / 2.0) * curv)
+    curv = 2.0 * np.array([g.c for g in gens])
+    dB = np.diag(model.B)
+    grad_F = 2.0 * model.B * lam[:, None]
+    np.fill_diagonal(grad_F, 2.0 * dB * lam + model.total_loss_gradient(P) * curv)
+    grad_M = np.diag(dB * lam + (dB * P + model.B0 / 2.0) * curv)
     Q = np.diag(curv) + 0.5 * grad_F + grad_M
     return grad_F, grad_M, Q
 
@@ -254,7 +253,7 @@ def assemble_assumption_report(model: KronLossModel, gens, top, P_ref=None) -> A
     condition uses the total demand dbar = sum d0.
     """
     summary = cost_summary(gens)
-    dbar = float(sum(g.d0 for g in gens))
+    dbar = total_demand(gens)
     if P_ref is None:
         P_ref = np.array([g.d0 for g in gens], dtype=float)
     own_grad = model.own_loss_gradient(np.asarray(P_ref, dtype=float))

@@ -18,7 +18,7 @@ import numpy as np
 from . import analysis, dynamics, oracle
 from .analysis import AssumptionReport, settling_bound
 from .config import RunConfig, atomic_write_text, load_config
-from .grid_model import AssumptionViolation, ConfigurationError, cost_summary
+from .grid_model import AssumptionViolation, cost_summary, total_demand
 from .oracle import NewtonFailure
 from .topology import spectrum
 
@@ -106,7 +106,7 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False, 
     except AssumptionViolation:
         ts_bound = None
 
-    dbar = float(sum(gen.d0 for gen in config.generators))
+    dbar = total_demand(config.generators)
     eq = pf = None
     try:
         eq = oracle.solve_equilibrium(config.generators, config.loss, dbar)
@@ -186,7 +186,7 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False, 
 
 def cmd_oracle(config: RunConfig, out=None) -> int:
     out = out if out is not None else sys.stdout
-    dbar = float(sum(g.d0 for g in config.generators))
+    dbar = total_demand(config.generators)
     try:
         eq = oracle.solve_equilibrium(config.generators, config.loss, dbar)
         pf = oracle.kkt_penalty_solution(config.generators, config.loss, dbar)
@@ -230,16 +230,19 @@ def main(argv=None) -> int:
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the YAML run file")
-        p.add_argument("--out", default=None, help="output directory (run only)")
-        p.add_argument("--force", action="store_true", help="run despite failed gates")
-        p.add_argument("--seed", type=int, default=None, help="disturbance seed override")
-        p.add_argument("--dt", type=float, default=None, help="integrator step override (s)")
-        p.add_argument("--t-end", type=float, default=None, help="horizon override (s)")
+    run = sub.choices["run"]
+    run.add_argument("--out", default=None, help="output directory")
+    run.add_argument("--force", action="store_true", help="run despite failed gates")
+    run.add_argument("--seed", type=int, default=None, help="disturbance seed override")
+    run.add_argument("--dt", type=float, default=None, help="integrator step override (s)")
+    run.add_argument("--t-end", type=float, default=None, help="horizon override (s)")
     args = parser.parse_args(argv)
 
     try:
-        config = _apply_overrides(load_config(args.config), args)
-    except (ConfigurationError, AssumptionViolation, OSError) as e:
+        config = load_config(args.config)
+        if args.command == "run":
+            config = _apply_overrides(config, args)
+    except (ValueError, OSError) as e:  # ConfigurationError, or a rejected override
         print(f"config error: {e}", file=sys.stderr)
         return EXIT_VALIDATION
 

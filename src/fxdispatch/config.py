@@ -2,16 +2,21 @@
 
 A run file has sections `generators`, `loss`, `topology`, `params`,
 `disturbance`, `output`, and optionally `initial`. Powers are MW, costs
-$/h. A generator entry may omit `d0`, in which case its demand share is
-derived as p0 - P_Li(P(0)) so that the stated initial powers satisfy the
-balance equation exactly.
+$/h. The fields of `GeneratorSpec`, `AlgorithmParams`, `DisturbanceSpec`
+and `OutputSpec` are the keys, types, defaults and written order of a
+generator entry and of the last three sections. A generator entry may
+omit `d0`, in which case its demand share is derived as p0 - P_Li(P(0))
+so that the stated initial powers satisfy the balance equation exactly.
+An unknown key or a value a constructor rejects raises ConfigurationError
+naming the file and the section.
 """
 
 from __future__ import annotations
 
+import contextlib
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 import yaml
@@ -59,9 +64,7 @@ class RunConfig:
 
     def to_dict(self) -> dict:
         return {
-            "generators": [
-                {"a": g.a, "b": g.b, "c": g.c, "p0": g.p0, "d0": g.d0} for g in self.generators
-            ],
+            "generators": [asdict(g) for g in self.generators],
             "loss": {
                 "b_matrix": self.loss.B.tolist(),
                 "b0": self.loss.B0.tolist(),
@@ -71,22 +74,9 @@ class RunConfig:
                 "nodes": self.topology.n,
                 "edges": [[i, j, w] for i, j, w in self.topology.edges],
             },
-            "params": {
-                "k1": self.params.k1, "k2": self.params.k2,
-                "mu": self.params.mu, "nu": self.params.nu,
-                "dt": self.params.dt, "t_end": self.params.t_end,
-                "fp_tol": self.params.fp_tol, "fp_max_iter": self.params.fp_max_iter,
-                "settle_tol": self.params.settle_tol, "settle_window": self.params.settle_window,
-            },
-            "disturbance": {
-                "enabled": self.disturbance.enabled, "amplitude": self.disturbance.amplitude,
-                "seed": self.disturbance.seed, "kind": self.disturbance.kind,
-            },
-            "output": {
-                "directory": self.output.directory, "stride": self.output.stride,
-                "write_trajectory": self.output.write_trajectory,
-                "write_report": self.output.write_report,
-            },
+            "params": asdict(self.params),
+            "disturbance": asdict(self.disturbance),
+            "output": asdict(self.output),
             **({"initial": {"z0": list(self.z0)}} if self.z0 is not None else {}),
         }
 
@@ -94,74 +84,79 @@ class RunConfig:
         return isinstance(other, RunConfig) and self.to_dict() == other.to_dict()
 
 
-def _section(data: dict, name: str, path: str) -> dict:
-    if name not in data:
-        raise ConfigurationError(f"{path}: missing section '{name}'")
-    sec = data[name]
+@contextlib.contextmanager
+def _errors(path: str, where: str):
+    """Re-raise a KeyError, TypeError or ValueError from the body as a
+    ConfigurationError naming the file and the section."""
+    try:
+        yield
+    except KeyError as e:
+        raise ConfigurationError(f"{path}: {where}: missing key {e}") from e
+    except (TypeError, ValueError) as e:
+        raise ConfigurationError(f"{path}: {where}: {e}") from e
+
+
+def _mapping(sec, keys, where: str, path: str) -> dict:
+    """sec, after checking that it is a mapping and that keys name all its keys."""
     if not isinstance(sec, dict):
-        raise ConfigurationError(f"{path}: section '{name}' must be a mapping")
+        raise ConfigurationError(f"{path}: {where} is missing or not a mapping")
+    unknown = [k for k in sec if k not in keys]
+    if unknown:
+        raise ConfigurationError(f"{path}: {where}: unknown key(s) {', '.join(map(repr, unknown))}")
     return sec
 
 
-def _derive_demand_shares(gens_raw, loss: KronLossModel):
-    """Fill missing d0 entries as p0 - P_Li(P(0))."""
-    p0 = np.array([g["p0"] for g in gens_raw], dtype=float)
-    own = loss.generator_losses(p0)
-    out = []
-    for k, g in enumerate(gens_raw):
-        d0 = g.get("d0")
-        out.append(float(d0) if d0 is not None else float(p0[k] - own[k]))
-    return out
+def _as_bool(value) -> bool:
+    if not isinstance(value, bool):
+        raise TypeError(f"expected true or false, got {value!r}")
+    return value
+
+
+#: run-file value -> field value, by the field's annotation (a string: the spec
+#: modules use postponed evaluation of annotations)
+_CONVERT = {"float": float, "int": int, "str": str, "bool": _as_bool}
+
+
+def _spec(cls, sec, where: str, path: str):
+    """Build a spec dataclass from its run-file mapping; keys, types and
+    defaults come from the dataclass fields."""
+    convert = {f.name: _CONVERT[f.type] for f in fields(cls)}
+    kwargs = {}
+    for key, value in _mapping(sec, convert, where, path).items():
+        with _errors(path, f"{where}.{key}"):
+            kwargs[key] = convert[key](value)
+    with _errors(path, where):
+        return cls(**kwargs)
 
 
 def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
+    sections = ("generators", "loss", "topology", "params", "disturbance", "output", "initial")
+    _mapping(data, sections, "top level", path)
     gens_sec = data.get("generators")
     if not isinstance(gens_sec, list) or not gens_sec:
         raise ConfigurationError(f"{path}: 'generators' must be a non-empty list")
-    loss_sec = _section(data, "loss", path)
-    try:
+    loss_sec = _mapping(data.get("loss"), ("b_matrix", "b0", "b00"), "loss", path)
+    with _errors(path, "loss"):
         loss = KronLossModel(loss_sec["b_matrix"], loss_sec["b0"], loss_sec.get("b00", 0.0))
-    except KeyError as e:
-        raise ConfigurationError(f"{path}: loss section missing field {e}") from e
 
-    d0s = _derive_demand_shares(gens_sec, loss)
-    gens = []
-    for k, (g, d0) in enumerate(zip(gens_sec, d0s)):
-        try:
-            gens.append(GeneratorSpec(a=float(g["a"]), b=float(g["b"]), c=float(g["c"]),
-                                      p0=float(g.get("p0", 0.0)), d0=d0))
-        except KeyError as e:
-            raise ConfigurationError(f"{path}: generator {k} missing field {e}") from e
+    gens = [_spec(GeneratorSpec, g, f"generators[{k}]", path) for k, g in enumerate(gens_sec)]
+    with _errors(path, "generators"):
+        own = loss.generator_losses(np.array([g.p0 for g in gens]))
+    gens = [g if "d0" in raw else replace(g, d0=float(g.p0 - own[k]))
+            for k, (g, raw) in enumerate(zip(gens, gens_sec))]
 
-    topo_sec = _section(data, "topology", path)
-    topology = LocalTopology(int(topo_sec.get("nodes", len(gens))),
-                             [tuple(e) for e in topo_sec.get("edges", [])])
+    topo_sec = _mapping(data.get("topology"), ("nodes", "edges"), "topology", path)
+    with _errors(path, "topology"):
+        topology = LocalTopology(int(topo_sec.get("nodes", len(gens))),
+                                 [tuple(e) for e in topo_sec.get("edges", [])])
 
-    params_sec = _section(data, "params", path)
-    try:
-        params = AlgorithmParams(**{k: (int(v) if k == "fp_max_iter" else float(v))
-                                    for k, v in params_sec.items()})
-    except TypeError as e:
-        raise ConfigurationError(f"{path}: bad params section: {e}") from e
+    params = _spec(AlgorithmParams, data.get("params"), "params", path)
+    disturbance = _spec(DisturbanceSpec, data.get("disturbance") or {}, "disturbance", path)
+    output = _spec(OutputSpec, data.get("output") or {}, "output", path)
 
-    dist_sec = data.get("disturbance", {})
-    disturbance = DisturbanceSpec(
-        enabled=bool(dist_sec.get("enabled", False)),
-        amplitude=float(dist_sec.get("amplitude", 0.0)),
-        seed=int(dist_sec.get("seed", 0)),
-        kind=str(dist_sec.get("kind", "sinusoid")),
-    )
-
-    out_sec = data.get("output", {})
-    output = OutputSpec(
-        directory=str(out_sec.get("directory", "out")),
-        stride=int(out_sec.get("stride", 100)),
-        write_trajectory=bool(out_sec.get("write_trajectory", True)),
-        write_report=bool(out_sec.get("write_report", True)),
-    )
-
-    init_sec = data.get("initial", {}) or {}
-    z0 = tuple(float(v) for v in init_sec["z0"]) if "z0" in init_sec else None
+    init_sec = _mapping(data.get("initial") or {}, ("z0",), "initial", path)
+    with _errors(path, "initial"):
+        z0 = tuple(float(v) for v in init_sec["z0"]) if "z0" in init_sec else None
 
     return RunConfig(generators=tuple(gens), loss=loss, topology=topology,
                      params=params, disturbance=disturbance, output=output, z0=z0)
@@ -175,8 +170,6 @@ def load_config(path: str) -> RunConfig:
             data = yaml.safe_load(fh)
         except yaml.YAMLError as e:
             raise ConfigurationError(f"{path}: parse error: {e}") from e
-    if not isinstance(data, dict):
-        raise ConfigurationError(f"{path}: top level must be a mapping")
     return config_from_dict(data, path)
 
 

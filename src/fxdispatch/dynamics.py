@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .grid_model import GeneratorSpec, KronLossModel, total_cost
+from .grid_model import KronLossModel, total_cost
 from .topology import LocalTopology
 
 logger = logging.getLogger(__name__)
@@ -60,10 +60,10 @@ class AlgorithmParams:
         if not (0 < self.mu < 1 < self.nu):
             raise ValueError(f"need 0 < mu < 1 < nu, got mu={self.mu}, nu={self.nu}")
         for name in ("k1", "k2", "dt", "fp_tol"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:  # also rejects NaN
                 raise ValueError(f"{name} must be positive")
-        if self.t_end < 0:
-            raise ValueError("t_end must be >= 0")
+        if not 0 <= self.t_end < math.inf:
+            raise ValueError("t_end must be finite and >= 0")
 
 
 @dataclass(frozen=True)
@@ -78,7 +78,7 @@ class DisturbanceSpec:
     def __post_init__(self) -> None:
         if self.kind != "sinusoid":
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
-        if self.amplitude < 0:
+        if not self.amplitude >= 0:
             raise ValueError("amplitude must be >= 0")
 
 
@@ -118,16 +118,16 @@ class DispatchSystem:
         if self.top.n != n:
             raise ValueError(f"{n} generators but topology has {self.top.n} nodes")
         self.n = n
-        self.a_coef = np.array([g.a for g in self.gens])
         self.b_coef = np.array([g.b for g in self.gens])
         self.c_coef = np.array([g.c for g in self.gens])
         self.d0 = np.array([g.d0 for g in self.gens])
-        self.p0 = np.array([g.p0 for g in self.gens])
         self.adjacency = self.top.adjacency()
         self.degree = self.adjacency.sum(axis=1)
 
     @property
     def dbar(self) -> float:
+        # NumPy's pairwise sum, which can differ from grid_model.total_demand in the
+        # last bit; the benchmark's oracle and drift checks are pinned to this value
         return float(self.d0.sum())
 
 

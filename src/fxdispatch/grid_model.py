@@ -38,21 +38,14 @@ class GeneratorSpec:
     d0: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.c <= 0:
+        if not self.c > 0:  # also rejects NaN
             raise ConfigurationError(f"quadratic coefficient must be > 0, got c={self.c}")
-        if self.p0 < 0:
+        if not self.p0 >= 0:
             raise ConfigurationError(f"initial power must be >= 0, got p0={self.p0}")
-
-    def cost(self, p: float) -> float:
-        return self.c * p * p + self.b * p + self.a
 
     def marginal_cost(self, p: float) -> float:
         """dC/dP = 2cp + b, the generator's incremental cost in $/MWh."""
         return 2.0 * self.c * p + self.b
-
-    def curvature(self, p: float) -> float:
-        """d2C/dP2; constant 2c for a quadratic."""
-        return 2.0 * self.c
 
 
 @dataclass(frozen=True)
@@ -140,6 +133,11 @@ def total_cost(gens, P) -> float:
     b = np.array([g.b for g in gens])
     c = np.array([g.c for g in gens])
     return float(np.sum(c * P * P + b * P + a))
+
+
+def total_demand(gens) -> float:
+    """The fleet's total demand, the sum of the demand shares d0 (MW)."""
+    return float(sum(g.d0 for g in gens))
 
 
 def marginal_costs(gens, P) -> np.ndarray:

@@ -70,27 +70,24 @@ def _solve_weighted(gens, model: KronLossModel, d_total: float, tol: float, weig
     B + diag(B_ii). Starts from a uniform demand split.
     """
     n = len(gens)
-    b = np.array([g.b for g in gens])
     c = np.array([g.c for g in gens])
-    B, B0 = model.B, model.B0
-    own_grad_jac = B + np.diag(np.diag(B))
+    own_grad_jac = model.B + np.diag(np.diag(model.B))
 
     def residual(x):
         P, mu = x[:n], x[n]
-        lam = 2.0 * c * P + b
         w, _ = weight(P)
-        return np.concatenate([w * lam - mu, [P.sum() - d_total - model.total_loss(P)]])
+        return np.concatenate([w * marginal_costs(gens, P) - mu, [P.sum() - d_total - model.total_loss(P)]])
 
     def jacobian(x):
         P = x[:n]
-        lam = 2.0 * c * P + b
+        lam = marginal_costs(gens, P)
         w, dw = weight(P)
         J = np.zeros((n + 1, n + 1))
         # d(w_i lam_i)/dP_j = dw_i (B_ij + delta_ij B_ii) lam_i + delta_ij w_i 2 c_i
         J[:n, :n] = own_grad_jac * (lam * dw)[:, None]
         J[np.arange(n), np.arange(n)] += w * 2.0 * c
         J[:n, n] = -1.0
-        J[n, :n] = 1.0 - (2.0 * B @ P + B0)
+        J[n, :n] = 1.0 - model.total_loss_gradient(P)
         return J
 
     P0 = np.full(n, d_total / n)

@@ -9,7 +9,14 @@ import numpy as np
 import pytest
 import yaml
 
-from fxdispatch import ConfigurationError, load_config, save_config
+from fxdispatch import (
+    AlgorithmParams,
+    ConfigurationError,
+    DisturbanceSpec,
+    GeneratorSpec,
+    load_config,
+    save_config,
+)
 from fxdispatch.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
@@ -20,7 +27,7 @@ from fxdispatch.cli import (
     cmd_run,
     main,
 )
-from fxdispatch.config import config_from_dict
+from fxdispatch.config import OutputSpec, config_from_dict
 
 CONFIG_PATH = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference_case.yaml"
 
@@ -53,6 +60,28 @@ class TestLoadConfig:
         save_config(reference_config, str(path))
         assert load_config(str(path)) == reference_config
 
+    def test_round_trip_of_non_default_fields(self, base_dict, tmp_path):
+        base_dict["disturbance"].update(enabled=True, amplitude=0.5, seed=11)
+        base_dict["output"] = {"directory": "elsewhere", "stride": 7,
+                               "write_trajectory": False, "write_report": False}
+        base_dict["initial"] = {"z0": [0.5, -0.25, 0.0, 1.0]}
+        base_dict["params"]["fp_max_iter"] = 50
+        del base_dict["generators"][2]["d0"]
+        config = config_from_dict(base_dict)
+        path = tmp_path / "rt.yaml"
+        save_config(config, str(path))
+        assert load_config(str(path)) == config
+        saved = yaml.safe_load(path.read_text())
+        for section, cls in (("params", AlgorithmParams), ("disturbance", DisturbanceSpec),
+                             ("output", OutputSpec)):
+            assert list(saved[section]) == [f.name for f in dataclasses.fields(cls)]
+        gen_keys = [f.name for f in dataclasses.fields(GeneratorSpec)]
+        assert all(list(g) == gen_keys for g in saved["generators"])
+        assert saved["params"]["fp_max_iter"] == 50
+        assert saved["disturbance"] == {"enabled": True, "amplitude": 0.5, "seed": 11, "kind": "sinusoid"}
+        assert saved["output"] == base_dict["output"]
+        assert saved["initial"] == base_dict["initial"]
+
     def test_empty_generators_rejected(self, base_dict):
         base_dict["generators"] = []
         with pytest.raises(ConfigurationError):
@@ -82,6 +111,17 @@ class TestLoadConfig:
         own = config.loss.generator_losses(p0)
         d0 = np.array([g.d0 for g in config.generators])
         assert d0 == pytest.approx(p0 - own, abs=1e-12)
+
+    @pytest.mark.parametrize("d0", [None, 5.0])
+    def test_generator_without_p0_starts_at_zero(self, base_dict, d0):
+        gen = base_dict["generators"][0]
+        del gen["p0"], gen["d0"]
+        if d0 is not None:
+            gen["d0"] = d0
+        config = config_from_dict(base_dict)
+        assert config.generators[0].p0 == 0.0
+        # without d0 the share is p0 - P_L1(P(0)) = 0 - B00/N
+        assert config.generators[0].d0 == (d0 if d0 is not None else -1.0)
 
     def test_parse_error_reported(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -247,7 +287,64 @@ class TestMain:
         assert main(["check", "--config", "/nonexistent/nope.yaml"]) == EXIT_VALIDATION
         assert "config error" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command", ["check", "bound", "oracle"])
+    def test_run_options_rejected_by_other_commands(self, command, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", str(CONFIG_PATH), "--dt", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --dt 1" in capsys.readouterr().err
+
+    def test_rejected_override_is_a_config_error(self, tmp_path, capsys):
+        code = main(["run", "--config", str(CONFIG_PATH), "--out", str(tmp_path), "--dt", "-1"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "config error: dt must be positive\n"
+
     def test_invalid_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump({"generators": []}))
         assert main(["check", "--config", str(bad)]) == EXIT_VALIDATION
+
+
+def _set_edge(d):
+    d["topology"]["edges"][0] = [0, 1]
+
+
+#: (edit of the reference run file, the section and key the error must name)
+MALFORMED = [
+    pytest.param(lambda d: d["params"].update(mu=1.5), r"params: .*mu=1\.5", id="mu-out-of-range"),
+    pytest.param(lambda d: d["params"].update(dt=-1e-3), "params: dt must be positive", id="negative-dt"),
+    pytest.param(lambda d: d["params"].update(dt=float("nan")), "params: dt must be positive", id="nan-dt"),
+    pytest.param(lambda d: d["params"].update(t_end=float("inf")), "params: t_end must be finite", id="infinite-t-end"),
+    pytest.param(lambda d: d["params"].update(k1="abc"), r"params\.k1: could not convert", id="k1-not-a-number"),
+    pytest.param(lambda d: d["disturbance"].update(amplitude=-1), "disturbance: amplitude must be >= 0",
+                 id="negative-amplitude"),
+    pytest.param(lambda d: d["disturbance"].update(enabled="no"), r"disturbance\.enabled: expected true or false",
+                 id="string-boolean"),
+    pytest.param(_set_edge, "topology: .*expected 3, got 2", id="two-element-edge"),
+    pytest.param(lambda d: d["disturbance"].update(amplitud=0.5), "disturbance: unknown key.*'amplitud'",
+                 id="disturbance-typo"),
+    pytest.param(lambda d: d["output"].update(strid=7), "output: unknown key.*'strid'", id="output-typo"),
+    pytest.param(lambda d: d["loss"].update(b000=1.0), "loss: unknown key.*'b000'", id="loss-typo"),
+    pytest.param(lambda d: d["generators"][1].update(d=1.0), r"generators\[1\]: unknown key.*'d'",
+                 id="generator-typo"),
+    pytest.param(lambda d: d.update(paramz={}), "top level.*unknown key.*'paramz'", id="top-level-typo"),
+]
+
+
+class TestMalformedRunFile:
+    @pytest.mark.parametrize("edit, message", MALFORMED)
+    def test_raises_configuration_error_naming_file_section_and_key(self, base_dict, edit, message):
+        edit(base_dict)
+        with pytest.raises(ConfigurationError, match="^run.yaml: " + message):
+            config_from_dict(base_dict, "run.yaml")
+
+    @pytest.mark.parametrize("edit, message", MALFORMED)
+    def test_cli_exits_1_with_config_error(self, base_dict, edit, message, tmp_path, capsys):
+        edit(base_dict)
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(base_dict, sort_keys=False))
+        assert main(["check", "--config", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"config error: {path}: ")
+        assert "Traceback" not in captured.err
