@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import logging
 import os
 import sys
 import time
@@ -25,6 +26,7 @@ from .topology import spectrum
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
+LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 
 @dataclass
@@ -123,7 +125,7 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False, 
     )
     wall = time.perf_counter() - t0
 
-    term = result.terminal
+    term, iters = result.terminal, result.implicit_newton_iters
     within = (result.settle_time is not None and ts_bound is not None
               and result.settle_time <= ts_bound) if g.all_ok else None
     report = {
@@ -168,6 +170,11 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False, 
             "t_end": config.params.t_end,
             "steps_emitted": int(len(result.trajectory.t)),
             "stride": config.output.stride,
+        },
+        "solver": {
+            "steps": result.steps,
+            "switch_time": result.switch_time,
+            "implicit_newton_iters": {"mean": iters[0], "max": iters[1]} if iters else None,
         },
     }
 
@@ -230,6 +237,10 @@ def main(argv=None) -> int:
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the YAML run file")
+        p.add_argument("--log-level", choices=LOG_LEVELS, default=None,
+                       help="log fxdispatch messages at this level and above to stderr")
+        p.add_argument("-v", dest="log_level", action="store_const", const="INFO",
+                       help="same as --log-level INFO")
     run = sub.choices["run"]
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--force", action="store_true", help="run despite failed gates")
@@ -237,6 +248,9 @@ def main(argv=None) -> int:
     run.add_argument("--dt", type=float, default=None, help="integrator step override (s)")
     run.add_argument("--t-end", type=float, default=None, help="horizon override (s)")
     args = parser.parse_args(argv)
+    if args.log_level is not None:
+        logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
+    logging.getLogger("fxdispatch").setLevel(args.log_level or logging.NOTSET)
 
     try:
         config = load_config(args.config)

@@ -167,7 +167,7 @@ def load_config(path: str) -> RunConfig:
     field context on any structural problem."""
     with open(path) as fh:
         try:
-            data = yaml.safe_load(fh)
+            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
         except yaml.YAMLError as e:
             raise ConfigurationError(f"{path}: parse error: {e}") from e
     return config_from_dict(data, path)
@@ -189,4 +189,5 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def save_config(config: RunConfig, path: str) -> None:
-    atomic_write_text(path, yaml.safe_dump(config.to_dict(), sort_keys=False))
+    dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+    atomic_write_text(path, yaml.dump(config.to_dict(), Dumper=dumper, sort_keys=False))

@@ -124,6 +124,13 @@ class KronLossModel:
         # unchecked own_loss_gradient for the integrator's inner loop
         return self.B @ P + self._diag * P + self.B0
 
+    def _jacobian(self, P: np.ndarray) -> np.ndarray:
+        """Jacobian of generator_losses: entry (i, j) is P_i B_ij off the
+        diagonal and the own-loss gradient on it."""
+        J = self.B * P[:, None]
+        np.fill_diagonal(J, self._own_gradient(P))
+        return J
+
 
 def total_cost(gens, P) -> float:
     P = np.asarray(P, dtype=float)

@@ -16,6 +16,7 @@ from fxdispatch import (
     GeneratorSpec,
     load_config,
     save_config,
+    solve_equilibrium,
 )
 from fxdispatch.cli import (
     EXIT_OK,
@@ -28,6 +29,7 @@ from fxdispatch.cli import (
     main,
 )
 from fxdispatch.config import OutputSpec, config_from_dict
+from fxdispatch.topology import laplacian
 
 CONFIG_PATH = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference_case.yaml"
 
@@ -123,11 +125,51 @@ class TestLoadConfig:
         # without d0 the share is p0 - P_L1(P(0)) = 0 - B00/N
         assert config.generators[0].d0 == (d0 if d0 is not None else -1.0)
 
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
+    def test_libyaml_loader_parses_like_the_python_loader(self, tmp_path):
+        fleet = tmp_path / "fleet.yaml"
+        save_config(config_from_dict(fleet_dict(64)), str(fleet))
+        for path in (CONFIG_PATH, fleet):
+            text = path.read_text()
+            assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
+
+    def test_saved_bytes_match_the_python_dumper(self, reference_config, tmp_path):
+        for config in (reference_config, config_from_dict(fleet_dict(64))):
+            path = tmp_path / "saved.yaml"
+            save_config(config, str(path))
+            assert path.read_text() == yaml.dump(config.to_dict(), Dumper=yaml.SafeDumper, sort_keys=False)
+
+    def test_falls_back_to_the_python_loader_without_libyaml(self, reference_config, tmp_path, monkeypatch):
+        expected = tmp_path / "expected.yaml"
+        save_config(reference_config, str(expected))
+        monkeypatch.delattr(yaml, "CSafeLoader")
+        monkeypatch.delattr(yaml, "CSafeDumper")
+        assert load_config(str(CONFIG_PATH)) == reference_config
+        path = tmp_path / "saved.yaml"
+        save_config(reference_config, str(path))
+        assert path.read_bytes() == expected.read_bytes()
+
     def test_parse_error_reported(self, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text("generators: [}{")
         with pytest.raises(ConfigurationError, match="parse error"):
             load_config(str(bad))
+
+
+def fleet_dict(n):
+    """A seeded n-generator run file on a ring; it need not pass the gates."""
+    rng = np.random.default_rng(n)
+    p0 = rng.uniform(10.0, 45.0, n)
+    off = rng.uniform(0.0, 8e-6, (n, n))
+    B = (off + off.T) / 2.0
+    np.fill_diagonal(B, rng.uniform(2e-5, 4e-5, n))
+    return {
+        "generators": [{"a": float(rng.uniform(30.0, 80.0)), "b": float(rng.uniform(1.5, 3.5)),
+                        "c": float(rng.uniform(0.05, 0.12)), "p0": float(p), "d0": float(p)} for p in p0],
+        "loss": {"b_matrix": B.tolist(), "b0": rng.uniform(0.0, 2e-3, n).tolist(), "b00": 1.5},
+        "topology": {"nodes": n, "edges": [[i, (i + 1) % n, 1.0] for i in range(n)]},
+        "params": {"k1": 5.0, "k2": 5.0, "mu": 0.5, "nu": 2.0, "dt": 1e-3, "t_end": 0.2},
+    }
 
 
 def run_cmd(fn, config, **kwargs):
@@ -283,6 +325,38 @@ class TestMain:
         unchanged = _apply_overrides(config, argparse.Namespace(dt=None, t_end=None, seed=None))
         assert unchanged == config
 
+    def test_solver_counters_in_report_and_switch_logged(self, base_dict, tmp_path, caplog):
+        # start near consensus so the run switches and settles within about 1.2 s
+        config = config_from_dict(base_dict)
+        sol = solve_equilibrium(config.generators, config.loss, 600.0)
+        cons = sol.P_star - np.array([g.d0 for g in config.generators]) - config.loss.generator_losses(sol.P_star)
+        z_eq = -np.linalg.pinv(laplacian(config.topology)) @ cons
+        base_dict["initial"] = {"z0": (z_eq + 0.03 * np.array([1.0, -1.0, 1.0, -1.0])).tolist()}
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(base_dict, sort_keys=False))
+        outputs, logged = [], []
+        for sub, flags in (("quiet", []), ("verbose", ["-v"])):
+            caplog.clear()
+            assert main(["run", *flags, "--config", str(path), "--out", str(tmp_path / sub)]) == EXIT_OK
+            logged.append([r.getMessage() for r in caplog.records if r.levelname == "INFO"])
+            outputs.append(((tmp_path / sub / "trajectory.csv").read_bytes(),
+                            (tmp_path / sub / "report.json").read_bytes()))
+        assert outputs[0] == outputs[1]
+        report = json.loads(outputs[1][1])
+        solver = report["solver"]
+        assert report["settled"] is True
+        assert solver["steps"] == round(report["measured_settling_time"] / 1e-3) + 1000
+        assert 0.0 < solver["switch_time"] < report["measured_settling_time"]
+        assert 0.0 < solver["implicit_newton_iters"]["mean"] <= solver["implicit_newton_iters"]["max"] <= 10
+        assert logged[0] == []
+        assert len(logged[1]) == 1
+        assert logged[1][0].startswith(f"implicit step took over at t = {solver['switch_time']:.3f} s")
+
+    def test_rk4_only_run_reports_no_switch(self, tmp_path):
+        assert main(["run", "--config", str(CONFIG_PATH), "--out", str(tmp_path), "--t-end", "0.1"]) == EXIT_OK
+        solver = json.loads((tmp_path / "report.json").read_text())["solver"]
+        assert solver == {"steps": 100, "switch_time": None, "implicit_newton_iters": None}
+
     def test_missing_config_path(self, capsys):
         assert main(["check", "--config", "/nonexistent/nope.yaml"]) == EXIT_VALIDATION
         assert "config error" in capsys.readouterr().err
@@ -328,6 +402,18 @@ MALFORMED = [
     pytest.param(lambda d: d["generators"][1].update(d=1.0), r"generators\[1\]: unknown key.*'d'",
                  id="generator-typo"),
     pytest.param(lambda d: d.update(paramz={}), "top level.*unknown key.*'paramz'", id="top-level-typo"),
+    pytest.param(lambda d: d["params"].update(settle_tol=0.0), "params: settle_tol must be positive",
+                 id="zero-settle-tol"),
+    pytest.param(lambda d: d["params"].update(settle_tol=float("nan")), "params: settle_tol must be positive",
+                 id="nan-settle-tol"),
+    pytest.param(lambda d: d["params"].update(settle_window=-1.0), "params: settle_window must be finite and >= 0",
+                 id="negative-settle-window"),
+    pytest.param(lambda d: d["params"].update(settle_window=float("nan")),
+                 "params: settle_window must be finite and >= 0", id="nan-settle-window"),
+    pytest.param(lambda d: d["params"].update(fp_max_iter=0), "params: fp_max_iter must be >= 1",
+                 id="zero-fp-max-iter"),
+    pytest.param(lambda d: d["params"].update(fp_max_iter=float("nan")), r"params\.fp_max_iter: cannot convert",
+                 id="nan-fp-max-iter"),
 ]
 
 

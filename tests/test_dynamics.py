@@ -21,7 +21,15 @@ from fxdispatch import (
     step,
     z_derivative,
 )
-from fxdispatch.dynamics import _disturbance_fn, make_state
+from fxdispatch.dynamics import (
+    IMPLICIT_SWITCH,
+    _disturbance_fn,
+    _h_lambda,
+    _implicit,
+    _residual,
+    _rk4,
+    make_state,
+)
 from fxdispatch.topology import laplacian
 from tests.conftest import REF_DEMAND, REF_P0
 
@@ -32,6 +40,13 @@ def lossless_pair(d=100.0, split=(100.0, 100.0)):
     gens = tuple(GeneratorSpec(a=1.0, b=2.0, c=0.05, p0=s, d0=s) for s in split)
     model = KronLossModel(np.zeros((2, 2)), np.zeros(2), 0.0)
     return DispatchSystem(gens=gens, loss=model, top=path_topology(2))
+
+
+def equilibrium_z(system):
+    """A z whose solved power is solve_equilibrium's consensus point."""
+    sol = solve_equilibrium(system.gens, system.loss, REF_DEMAND)
+    cons = sol.P_star - system.d0 - system.loss.generator_losses(sol.P_star)
+    return -np.linalg.pinv(laplacian(system.top)) @ cons
 
 
 class TestParams:
@@ -48,6 +63,22 @@ class TestParams:
     def test_rejects_negative_horizon(self):
         with pytest.raises(ValueError):
             AlgorithmParams(k1=1.0, k2=1.0, mu=0.5, nu=2.0, t_end=-1.0)
+
+    @pytest.mark.parametrize("field, value, message", [
+        ("settle_tol", 0.0, "settle_tol must be positive"),
+        ("settle_tol", float("nan"), "settle_tol must be positive"),
+        ("settle_window", -1.0, "settle_window must be finite and >= 0"),
+        ("settle_window", float("nan"), "settle_window must be finite and >= 0"),
+        ("settle_window", float("inf"), "settle_window must be finite and >= 0"),
+        ("fp_max_iter", 0, "fp_max_iter must be >= 1"),
+        ("fp_max_iter", float("nan"), "fp_max_iter must be >= 1"),
+    ])
+    def test_rejects_out_of_range_solver_settings(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            AlgorithmParams(k1=1.0, k2=1.0, mu=0.5, nu=2.0, **{field: value})
+
+    def test_zero_settle_window_allowed(self):
+        assert AlgorithmParams(k1=1.0, k2=1.0, mu=0.5, nu=2.0, settle_window=0.0).settle_window == 0.0
 
 
 class TestSigPow:
@@ -145,10 +176,7 @@ class TestStep:
         assert nxt.P == pytest.approx(state.P, abs=1e-14)
 
     def test_near_stationary_at_solved_equilibrium(self, ref_system):
-        sol = solve_equilibrium(ref_system.gens, ref_system.loss, REF_DEMAND)
-        cons = sol.P_star - ref_system.d0 - ref_system.loss.generator_losses(sol.P_star)
-        z = -np.linalg.pinv(laplacian(ref_system.top)) @ cons
-        state = make_state(0.0, z, ref_system, params=REF_PARAMS)
+        state = make_state(0.0, equilibrium_z(ref_system), ref_system, params=REF_PARAMS)
         nxt = step(state, ref_system, REF_PARAMS)
         assert np.max(np.abs(nxt.z - state.z)) < 1e-5 * REF_PARAMS.dt / 1e-3
 
@@ -174,9 +202,10 @@ class TestStep:
         assert drift.max() <= 4.0 * params.fp_tol
 
 
-def step_loop(system, params, disturbance, nsteps):
-    """States 0..nsteps from public step() calls, starting at z = 0."""
-    states = [make_state(0.0, np.zeros(system.n), system, params=params)]
+def step_loop(system, params, disturbance, nsteps, z0=None):
+    """States 0..nsteps from public step() calls, starting at z0 (default 0)."""
+    z0 = np.zeros(system.n) if z0 is None else z0
+    states = [make_state(0.0, z0, system, params=params)]
     for _ in range(nsteps):
         states.append(step(states[-1], system, params, disturbance))
     return states
@@ -213,6 +242,17 @@ class TestRunMatchesStep:
         assert_rows_are_states(res.trajectory, states)
         assert_same_state(res.terminal, states[-1])
 
+    def test_rows_and_terminal_bit_identical_across_the_switch(self, ref_system):
+        # from near consensus RK4 takes the first 94 steps, the implicit step the rest
+        z0 = equilibrium_z(ref_system) + 0.03 * np.array([1.0, -1.0, 1.0, -1.0])
+        params = dataclasses.replace(REF_PARAMS, t_end=0.15)
+        res = run(ref_system, params, z0=z0, stride=1)
+        states = step_loop(ref_system, params, None, 150, z0=z0)
+        assert res.switch_time == states[94].t
+        assert res.trajectory.residual[93] >= IMPLICIT_SWITCH * params.dt ** 2 > res.trajectory.residual[94]
+        assert_rows_are_states(res.trajectory, states)
+        assert_same_state(res.terminal, states[-1])
+
     def test_settling_rows_and_time(self):
         system = lossless_pair(split=(110.0, 90.0))
         params = dataclasses.replace(REF_PARAMS, t_end=5.0, settle_window=0.05)
@@ -229,6 +269,66 @@ class TestRunMatchesStep:
         emitted = list(range(0, last + 1, stride)) + ([last] if last % stride else [])
         assert_rows_are_states(res.trajectory, [states[k] for k in emitted])
         assert_same_state(res.terminal, states[last])
+
+
+def symmetric_lossy_pair():
+    gens = tuple(GeneratorSpec(a=1.0, b=2.0, c=0.05, p0=100.0, d0=100.0) for _ in range(2))
+    model = KronLossModel(np.array([[1e-4, 2e-5], [2e-5, 1e-4]]), np.full(2, 1e-3), 1.0)
+    return DispatchSystem(gens=gens, loss=model, top=path_topology(2))
+
+
+def implicit_step(system, params, disturbance=None):
+    return _implicit(system, params, _disturbance_fn(disturbance or DisturbanceSpec(), system.n))
+
+
+class TestImplicitStep:
+    @pytest.mark.parametrize("system", [lossless_pair(), symmetric_lossy_pair()], ids=["lossless", "lossy"])
+    def test_exact_consensus_is_a_fixed_point(self, system):
+        state = make_state(0.0, np.array([0.5, 0.5]), system, params=REF_PARAMS)
+        assert state.residual == 0.0
+        t, z, P, iters = implicit_step(system, REF_PARAMS)(state.t, state.z, state.P)
+        assert np.array_equal(z, state.z)
+        assert iters == 0
+
+    def test_rk4_floor_lies_below_the_switch(self, ref_system):
+        # RK4 started at consensus climbs to its chatter floor and stays there
+        params = REF_PARAMS
+        advance = _rk4(ref_system, params, _disturbance_fn(DisturbanceSpec(), 4))
+        state = make_state(0.0, equilibrium_z(ref_system), ref_system, params=params)
+        t, z, P = state.t, state.z, state.P
+        floor = []
+        for k in range(200):
+            t, z, P = advance(t, z, P)
+            if k >= 100:
+                floor.append(_residual(_h_lambda(P, ref_system)[2]))
+        dt2 = params.dt ** 2
+        assert min(floor) > params.settle_tol
+        assert max(floor) == pytest.approx(3.15 * dt2, rel=0.01)
+        assert max(floor) < IMPLICIT_SWITCH * dt2 / 50.0
+
+    def test_reference_case_reaches_the_equilibrium_at_the_shipped_dt(self, ref_system):
+        params = dataclasses.replace(REF_PARAMS, t_end=10.0)
+        res = run(ref_system, params)
+        sol = solve_equilibrium(ref_system.gens, ref_system.loss, REF_DEMAND)
+        assert res.settled and 5.0 <= res.settle_time <= 5.02
+        assert res.terminal.residual < 1e-12
+        assert np.max(np.abs(res.terminal.P - sol.P_star)) < 1e-9
+        assert res.steps == 6009
+        mean_iters, max_iters = res.implicit_newton_iters
+        assert 0.0 < mean_iters <= max_iters <= 10
+
+    def test_newton_non_convergence_raises(self, ref_system, monkeypatch):
+        z = equilibrium_z(ref_system) + 1e-4 * np.array([1.0, -1.0, 1.0, -1.0])
+        state = make_state(0.0, z, ref_system, params=REF_PARAMS)
+        assert state.residual < IMPLICIT_SWITCH * REF_PARAMS.dt ** 2
+        step_fn = implicit_step(ref_system, REF_PARAMS)
+        assert step_fn(state.t, state.z, state.P)[3] > 0  # converges as is
+        # a Newton update that never moves
+        monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (np.zeros_like(b), None, 0, None))
+        with pytest.raises(StepFailure, match="50 Newton iterations"):
+            step_fn(state.t, state.z, state.P)
+        with pytest.raises(StepFailure):
+            step(state, ref_system, REF_PARAMS)
 
 
 class TestDisturbance:
