@@ -26,7 +26,6 @@ from .topology import spectrum
 EXIT_OK = 0
 EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
-LOG_LEVELS = ("DEBUG", "INFO", "WARNING", "ERROR")
 
 
 @dataclass
@@ -237,10 +236,8 @@ def main(argv=None) -> int:
     ]:
         p = sub.add_parser(name, help=helptext)
         p.add_argument("--config", required=True, help="path to the YAML run file")
-        p.add_argument("--log-level", choices=LOG_LEVELS, default=None,
-                       help="log fxdispatch messages at this level and above to stderr")
-        p.add_argument("-v", dest="log_level", action="store_const", const="INFO",
-                       help="same as --log-level INFO")
+        p.add_argument("-v", "--verbose", action="store_true",
+                       help="log fxdispatch messages at INFO and above to stderr")
     run = sub.choices["run"]
     run.add_argument("--out", default=None, help="output directory")
     run.add_argument("--force", action="store_true", help="run despite failed gates")
@@ -248,9 +245,9 @@ def main(argv=None) -> int:
     run.add_argument("--dt", type=float, default=None, help="integrator step override (s)")
     run.add_argument("--t-end", type=float, default=None, help="horizon override (s)")
     args = parser.parse_args(argv)
-    if args.log_level is not None:
+    if args.verbose:
         logging.basicConfig(format="%(levelname)s %(name)s: %(message)s")
-    logging.getLogger("fxdispatch").setLevel(args.log_level or logging.NOTSET)
+        logging.getLogger("fxdispatch").setLevel(logging.INFO)
 
     try:
         config = load_config(args.config)

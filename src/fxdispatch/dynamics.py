@@ -9,14 +9,15 @@ The integrator is fixed-step. While the consensus residual is large it
 takes classical Runge-Kutta steps (4 stages), each stage re-solving the
 implicit power equation by warm-started fixed-point iteration with a
 Newton fallback. Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term
-chatters at a residual of about 3.15 dt^2, so once the residual is below
-IMPLICIT_SWITCH * dt^2 (100 times that floor) it takes linearly implicit,
+chatters once the disagreement r is of order (g k1 dt)^(1/(1 - mu)), g
+being the loop gain, so below IMPLICIT_SWITCH times that scale (30 times
+the floor of the reference case) it takes linearly implicit,
 chattering-free steps instead (backward Euler on the consensus law, after
-Acary & Brogliato 2010 and Polyakov, Efimov & Brogliato 2019), which
-reach consensus to roundoff. The choice depends only on the state, and
-one NumPy advance carries both the public `step` (which adds the
-monitors) and `run` (which forms the residual every step, cost and loss
-only on emitted rows).
+Acary & Brogliato 2010 and Polyakov, Efimov & Brogliato 2019), which reach
+consensus to roundoff. The choice depends only on the state, and one
+NumPy advance carries both the public `step` (which adds the monitors)
+and `run` (which forms the residual every step, cost and loss only on
+emitted rows).
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -36,13 +38,23 @@ logger = logging.getLogger(__name__)
 _HAVE_NUMBA = False
 
 
-#: The consensus residual below which a step is linearly implicit, in units of
-#: dt^2. Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term stops converging
-#: at a residual of about 3.15 dt^2 and chatters there (measured on the
-#: reference case: 1.26e-5, 3.15e-6, 7.87e-7 and 1.97e-7 at dt = 2e-3, 1e-3,
-#: 5e-4 and 2.5e-4). Switching at 100 times that floor leaves the transient to
-#: RK4 and hands over before the chatter.
-IMPLICIT_SWITCH = 100 * 3.15
+#: The disagreement max|r| below which a step is linearly implicit, in units
+#: of the chatter scale (g k1 dt)^(1/(1 - mu)). Near consensus r moves as
+#: dr/dt = -M k1 sig(r)^mu (M from _sensitivity), and an explicit step of
+#: width dt overshoots once g k1 dt |r|^(mu - 1) is of order one, with the loop
+#: gain g = ||M||_inf taken at P = d0. Explicit RK4 stops converging and
+#: chatters at max|r| = c(mu) (g k1 dt)^(1/(1 - mu)); measured c is at most
+#: 0.134, 0.092, 0.061 and 0.028 at mu = 0.2, 0.35, 0.5 and 0.65, over
+#: k1 = 5 and 50, dt = 1e-3 and 2e-3, the reference case with its link weights
+#: scaled by 0.3, 1 and 3 (g from 0.27 to 27) and a lossless pair. Switching at
+#: 1.5 times the scale is 30 times the floor of the reference case (k1 = 5,
+#: mu = 0.5, where it is a residual of 3.15 dt^2) and at least 11 times any
+#: floor measured for mu >= 0.2, so the switch comes before the chatter. It
+#: is set no higher: an earlier switch does not settle sooner (the reference
+#: case settles at 5.009-5.010 s with the switch anywhere from 10 to 1000
+#: times its floor), and an implicit step costs more than an RK4 step (about
+#: 10 times as much on a 64-unit fleet, mostly its least-squares solves).
+IMPLICIT_SWITCH = 1.5
 #: Newton on the implicit step stops when its residual is this fraction of
 #: its value at s = 0, or within the roundoff of the disagreement it is
 #: solved from; it fails after _IMPLICIT_MAX_ITER iterations.
@@ -159,6 +171,12 @@ class DispatchSystem:
         # NumPy's pairwise sum, which can differ from grid_model.total_demand in the
         # last bit; the benchmark's oracle and drift checks are pinned to this value
         return float(self.d0.sum())
+
+    @cached_property
+    def loop_gain(self) -> float:
+        """g = ||M||_inf at P = d0 (M from _sensitivity), the gain with which
+        the disagreement answers the consensus law near consensus."""
+        return float(np.abs(_sensitivity(self.d0, self)).sum(axis=1).max())
 
 
 @dataclass
@@ -288,12 +306,29 @@ def _rk4(system: DispatchSystem, params: AlgorithmParams, w_at):
     return advance
 
 
+def _sensitivity(P: np.ndarray, system: DispatchSystem) -> np.ndarray:
+    """M = L K (I - J)^-1 L at P, with which the disagreement r = -L (H lam)
+    moves with z as dr = M dz: K = d(H lam)/dP, J the Jacobian of the
+    generator losses and L the Laplacian."""
+    lam, H, _ = _h_lambda(P, system)
+    loss, lap = system.loss, system.laplacian
+    K = lam[:, None] * (loss.B + np.diag(loss._diag)) + np.diag(2.0 * system.c_coef * H)
+    return lap @ K @ np.linalg.solve(np.eye(system.n) - loss._jacobian(P), lap)
+
+
+def _switch_level(system: DispatchSystem, params: AlgorithmParams) -> float:
+    """The max|r| below which a step is linearly implicit:
+    IMPLICIT_SWITCH (g k1 dt)^(1/(1 - mu)) with g = system.loop_gain.
+    Once g k1 dt >= 1 an explicit step overshoots at any disagreement, so
+    every step is implicit."""
+    x = system.loop_gain * params.k1 * params.dt
+    return IMPLICIT_SWITCH * x ** (1.0 / (1.0 - params.mu)) if x < 1.0 else math.inf
+
+
 def _implicit(system: DispatchSystem, params: AlgorithmParams, w_at):
     """The linearly implicit advance (t, z, P) -> (t + dt, z', P', Newton iterations).
 
-    The disagreement r = -L (H lam) moves with z as dr = M dz, where
-    M = L K (I - J)^-1 L at P: K = d(H lam)/dP, J the Jacobian of the
-    generator losses and L the Laplacian. The step solves
+    With M = _sensitivity(P) the step solves
     y = r + M dz, dz = -dt (k1 sig(y)^mu + k2 sig(y)^nu) + dt w(t + dt)
     for the next disagreement y, which is backward Euler on the consensus law
     linearised at P, so it has no chatter: exact consensus is its fixed
@@ -302,15 +337,12 @@ def _implicit(system: DispatchSystem, params: AlgorithmParams, w_at):
     One solve_power at z + dz then restores the balance exactly.
     """
     dt, k1, k2, mu, nu = params.dt, params.k1, params.k2, params.mu, params.nu
-    lap, eye, loss = system.laplacian, np.eye(system.n), system.loss
-    dH = loss.B + np.diag(loss._diag)  # dH/dP
     deg_max = system.degree.max()
 
     def advance(t, z, P):
-        lam, H, hl = _h_lambda(P, system)
+        hl = _h_lambda(P, system)[2]
         r = _disagreement(hl, system)
-        K = lam[:, None] * dH + np.diag(2.0 * system.c_coef * H)
-        M = lap @ K @ np.linalg.solve(eye - loss._jacobian(P), lap)
+        M = _sensitivity(P, system)
         dtw = dt * w_at(t + dt)
         tol = max(_IMPLICIT_RTOL * np.abs(r + M @ dtw).max(), _EPS * deg_max * np.abs(hl).max())
         s = sig_pow(r, mu)
@@ -331,20 +363,20 @@ def _implicit(system: DispatchSystem, params: AlgorithmParams, w_at):
 
 
 def _advance(system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None):
-    """The advance (t, z, P, res) -> (t + dt, z', P', Newton iterations) shared
-    by step() and run(); res is the consensus residual at P.
+    """The advance (t, z, P, hl) -> (t + dt, z', P', Newton iterations) shared
+    by step() and run(); hl is H * lam at P.
 
-    RK4 while res is at least IMPLICIT_SWITCH * dt^2, the implicit step
-    below it (its Newton iteration count; None for an RK4 step). The choice
-    depends only on the state passed in.
+    RK4 while the disagreement max|r| is at least _switch_level, the
+    implicit step below it (its Newton iteration count; None for an RK4
+    step). The choice depends only on the state passed in.
     """
     w_at = _disturbance_fn(disturbance if disturbance is not None else DisturbanceSpec(), system.n)
     rk4 = _rk4(system, params, w_at)
     implicit = _implicit(system, params, w_at)
-    switch = IMPLICIT_SWITCH * params.dt ** 2
+    switch = _switch_level(system, params)
 
-    def advance(t, z, P, res):
-        if res < switch:
+    def advance(t, z, P, hl):
+        if np.abs(_disagreement(hl, system)).max() < switch:
             return implicit(t, z, P)
         return (*rk4(t, z, P), None)
 
@@ -353,15 +385,15 @@ def _advance(system: DispatchSystem, params: AlgorithmParams, disturbance: Distu
 
 def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None = None) -> SimulationState:
     """One step of width dt on z: classical 4-stage Runge-Kutta, or the
-    linearly implicit step once the consensus residual at state.P is below
-    IMPLICIT_SWITCH * dt^2.
+    linearly implicit step once the disagreement at state.P is below
+    _switch_level.
 
     Each RK4 stage re-solves the implicit power equation (warm-started
     from the previous stage); the returned state carries fresh monitors.
     """
     P = np.asarray(state.P, dtype=float)
     advance = _advance(system, params, disturbance)
-    t, z, P, _ = advance(state.t, np.asarray(state.z, dtype=float), P, _residual(_h_lambda(P, system)[2]))
+    t, z, P, _ = advance(state.t, np.asarray(state.z, dtype=float), P, _h_lambda(P, system)[2])
     return _state(t, z, P, system)
 
 
@@ -420,6 +452,7 @@ def run(system: DispatchSystem, params: AlgorithmParams,
 
     state = make_state(0.0, z0, system, params=params)
     t, z, P, res = state.t, state.z, state.P, state.residual
+    hl = state.H * state.lam
     rows = [(t, z, P, state.loss, state.cost, res)]
 
     def emit():
@@ -431,7 +464,7 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     for i in range(nsteps):
         t_n = t
         try:
-            t, z, P, iters = advance(t, z, P, res)
+            t, z, P, iters = advance(t, z, P, hl)
         except StepFailure:
             fail_step = steps = i
             break
@@ -440,7 +473,8 @@ def run(system: DispatchSystem, params: AlgorithmParams,
                 switch_time = t_n
                 logger.info("implicit step took over at t = %.3f s (residual %.3g)", t_n, res)
             newton_iters.append(iters)
-        res = _residual(_h_lambda(P, system)[2])
+        hl = _h_lambda(P, system)[2]
+        res = _residual(hl)
         on_stride = (i + 1) % stride == 0
         if on_stride:
             emit()

@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import io
 import json
+import logging
 import pathlib
 
 import numpy as np
@@ -334,13 +335,21 @@ class TestMain:
         base_dict["initial"] = {"z0": (z_eq + 0.03 * np.array([1.0, -1.0, 1.0, -1.0])).tolist()}
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump(base_dict, sort_keys=False))
-        outputs, logged = [], []
-        for sub, flags in (("quiet", []), ("verbose", ["-v"])):
-            caplog.clear()
-            assert main(["run", *flags, "--config", str(path), "--out", str(tmp_path / sub)]) == EXIT_OK
-            logged.append([r.getMessage() for r in caplog.records if r.levelname == "INFO"])
-            outputs.append(((tmp_path / sub / "trajectory.csv").read_bytes(),
-                            (tmp_path / sub / "report.json").read_bytes()))
+        # a level set by the caller is kept unless -v asks for INFO
+        package_logger = logging.getLogger("fxdispatch")
+        caller_level = package_logger.level
+        package_logger.setLevel(logging.WARNING)
+        outputs, logged, levels = [], [], []
+        try:
+            for sub, flags in (("quiet", []), ("verbose", ["-v"])):
+                caplog.clear()
+                assert main(["run", *flags, "--config", str(path), "--out", str(tmp_path / sub)]) == EXIT_OK
+                logged.append([r.getMessage() for r in caplog.records if r.levelname == "INFO"])
+                levels.append(package_logger.level)
+                outputs.append(((tmp_path / sub / "trajectory.csv").read_bytes(),
+                                (tmp_path / sub / "report.json").read_bytes()))
+        finally:
+            package_logger.setLevel(caller_level)
         assert outputs[0] == outputs[1]
         report = json.loads(outputs[1][1])
         solver = report["solver"]
@@ -348,6 +357,7 @@ class TestMain:
         assert solver["steps"] == round(report["measured_settling_time"] / 1e-3) + 1000
         assert 0.0 < solver["switch_time"] < report["measured_settling_time"]
         assert 0.0 < solver["implicit_newton_iters"]["mean"] <= solver["implicit_newton_iters"]["max"] <= 10
+        assert levels == [logging.WARNING, logging.INFO]
         assert logged[0] == []
         assert len(logged[1]) == 1
         assert logged[1][0].startswith(f"implicit step took over at t = {solver['switch_time']:.3f} s")

@@ -22,12 +22,14 @@ from fxdispatch import (
     z_derivative,
 )
 from fxdispatch.dynamics import (
-    IMPLICIT_SWITCH,
+    _disagreement,
     _disturbance_fn,
     _h_lambda,
     _implicit,
     _residual,
     _rk4,
+    _state,
+    _switch_level,
     make_state,
 )
 from fxdispatch.topology import laplacian
@@ -40,6 +42,11 @@ def lossless_pair(d=100.0, split=(100.0, 100.0)):
     gens = tuple(GeneratorSpec(a=1.0, b=2.0, c=0.05, p0=s, d0=s) for s in split)
     model = KronLossModel(np.zeros((2, 2)), np.zeros(2), 0.0)
     return DispatchSystem(gens=gens, loss=model, top=path_topology(2))
+
+
+def disagreement(state, system):
+    """max |r| at a state, the quantity the implicit switch is decided on."""
+    return float(np.abs(_disagreement(state.H * state.lam, system)).max())
 
 
 def equilibrium_z(system):
@@ -243,13 +250,14 @@ class TestRunMatchesStep:
         assert_same_state(res.terminal, states[-1])
 
     def test_rows_and_terminal_bit_identical_across_the_switch(self, ref_system):
-        # from near consensus RK4 takes the first 94 steps, the implicit step the rest
+        # from near consensus RK4 takes the first 76 steps, the implicit step the rest
         z0 = equilibrium_z(ref_system) + 0.03 * np.array([1.0, -1.0, 1.0, -1.0])
         params = dataclasses.replace(REF_PARAMS, t_end=0.15)
         res = run(ref_system, params, z0=z0, stride=1)
         states = step_loop(ref_system, params, None, 150, z0=z0)
-        assert res.switch_time == states[94].t
-        assert res.trajectory.residual[93] >= IMPLICIT_SWITCH * params.dt ** 2 > res.trajectory.residual[94]
+        assert res.switch_time == states[76].t
+        level = _switch_level(ref_system, params)
+        assert disagreement(states[75], ref_system) >= level > disagreement(states[76], ref_system)
         assert_rows_are_states(res.trajectory, states)
         assert_same_state(res.terminal, states[-1])
 
@@ -290,21 +298,33 @@ class TestImplicitStep:
         assert np.array_equal(z, state.z)
         assert iters == 0
 
-    def test_rk4_floor_lies_below_the_switch(self, ref_system):
+    @pytest.mark.parametrize("weight, k1, mu", [
+        (1.0, 5.0, 0.5), (1.0, 50.0, 0.2), (3.0, 5.0, 0.35), (0.3, 50.0, 0.65),
+    ], ids=["reference", "k1=50,mu=0.2", "weights*3,mu=0.35", "weights*0.3,k1=50,mu=0.65"])
+    def test_rk4_floor_lies_below_the_switch(self, ref_system, weight, k1, mu):
         # RK4 started at consensus climbs to its chatter floor and stays there
-        params = REF_PARAMS
-        advance = _rk4(ref_system, params, _disturbance_fn(DisturbanceSpec(), 4))
-        state = make_state(0.0, equilibrium_z(ref_system), ref_system, params=params)
-        t, z, P = state.t, state.z, state.P
+        system = DispatchSystem(gens=ref_system.gens, loss=ref_system.loss, top=path_topology(4, weight))
+        params = dataclasses.replace(REF_PARAMS, k1=k1, mu=mu)
+        advance = _rk4(system, params, _disturbance_fn(DisturbanceSpec(), 4))
+        state = make_state(0.0, equilibrium_z(system), system, params=params)
         floor = []
-        for k in range(200):
-            t, z, P = advance(t, z, P)
-            if k >= 100:
-                floor.append(_residual(_h_lambda(P, ref_system)[2]))
-        dt2 = params.dt ** 2
-        assert min(floor) > params.settle_tol
-        assert max(floor) == pytest.approx(3.15 * dt2, rel=0.01)
-        assert max(floor) < IMPLICIT_SWITCH * dt2 / 50.0
+        for k in range(400):
+            state = _state(*advance(state.t, state.z, state.P), system)
+            if k >= 200:
+                floor.append(state)
+        r_floor = [disagreement(s, system) for s in floor]
+        assert 0.0 < max(r_floor) < _switch_level(system, params) / 10.0
+        if (weight, k1, mu) == (1.0, 5.0, 0.5):
+            dt2 = params.dt ** 2
+            assert min(s.residual for s in floor) > params.settle_tol
+            assert max(s.residual for s in floor) == pytest.approx(3.15 * dt2, rel=0.01)
+
+    @pytest.mark.parametrize("k1, mu", [(50.0, 0.2), (20.0, 0.35)])
+    def test_other_gains_and_exponents_reach_consensus(self, ref_system, k1, mu):
+        params = dataclasses.replace(REF_PARAMS, k1=k1, mu=mu, t_end=3.0)
+        res = run(ref_system, params)
+        assert res.settled and res.switch_time < res.settle_time
+        assert res.terminal.residual < 1e-12
 
     def test_reference_case_reaches_the_equilibrium_at_the_shipped_dt(self, ref_system):
         params = dataclasses.replace(REF_PARAMS, t_end=10.0)
@@ -314,13 +334,14 @@ class TestImplicitStep:
         assert res.terminal.residual < 1e-12
         assert np.max(np.abs(res.terminal.P - sol.P_star)) < 1e-9
         assert res.steps == 6009
+        assert res.switch_time < res.settle_time
         mean_iters, max_iters = res.implicit_newton_iters
         assert 0.0 < mean_iters <= max_iters <= 10
 
     def test_newton_non_convergence_raises(self, ref_system, monkeypatch):
-        z = equilibrium_z(ref_system) + 1e-4 * np.array([1.0, -1.0, 1.0, -1.0])
+        z = equilibrium_z(ref_system) + 3e-5 * np.array([1.0, -1.0, 1.0, -1.0])
         state = make_state(0.0, z, ref_system, params=REF_PARAMS)
-        assert state.residual < IMPLICIT_SWITCH * REF_PARAMS.dt ** 2
+        assert disagreement(state, ref_system) < _switch_level(ref_system, REF_PARAMS)
         step_fn = implicit_step(ref_system, REF_PARAMS)
         assert step_fn(state.t, state.z, state.P)[3] > 0  # converges as is
         # a Newton update that never moves
