@@ -27,13 +27,10 @@ from .dynamics import (
     RunResult,
     SimulationState,
     StepFailure,
-    lyapunov_value,
-    make_disturbance,
     run,
     sig_pow,
     solve_power,
     step,
-    z_derivative,
 )
 from .grid_model import (
     AssumptionViolation,

@@ -106,15 +106,13 @@ def check_a1(model: KronLossModel, dbar: float) -> np.ndarray:
     """Sufficient per-generator condition keeping own-loss gradients below 1.
 
     True for generator i iff sum_{j!=i} B_ij + 2 B_ii + B_i0/dbar < 1/dbar,
-    where dbar is the total demand. Guarantees dP_Li/dP_i < 1 whenever
+    where dbar is the total demand; the sum is row i of the own-loss
+    gradient's Jacobian B + diag(B_ii). Guarantees dP_Li/dP_i < 1 whenever
     every power stays below dbar.
     """
     if dbar <= 0:
         raise AssumptionViolation(f"total demand must be positive, got {dbar}")
-    B, B0 = model.B, model.B0
-    offdiag_rowsum = B.sum(axis=1) - np.diag(B)
-    lhs = offdiag_rowsum + 2.0 * np.diag(B) + B0 / dbar
-    return lhs < 1.0 / dbar
+    return model.own_grad_jac.sum(axis=1) + model.B0 / dbar < 1.0 / dbar
 
 
 def check_a2(model: KronLossModel, summary: CostSummary) -> A2Report:
@@ -130,10 +128,9 @@ def check_a2(model: KronLossModel, summary: CostSummary) -> A2Report:
 
 
 def build_s_matrix(model: KronLossModel, summary: CostSummary) -> SMatrix:
-    """S_ii = (1+B_i0)sigma + 2 B_ii delta, S_ij = B_ij delta; tau sorted."""
-    B, B0 = model.B, model.B0
-    S = B * summary.delta
-    np.fill_diagonal(S, (1.0 + B0) * summary.sigma + 2.0 * np.diag(B) * summary.delta)
+    """S = delta (B + diag(B_ii)) + diag((1+B_i0) sigma); tau sorted."""
+    S = model.own_grad_jac * summary.delta
+    S[np.diag_indices(model.n)] += (1.0 + model.B0) * summary.sigma
     return SMatrix(S=S, tau=jacobi_eigenvalues(S))
 
 
@@ -146,8 +143,9 @@ def curvature_matrices(model: KronLossModel, gens, P):
     Q = diag(2c) + 0.5 grad_F + grad_M.
     """
     P = np.asarray(P, dtype=float)
-    lam = marginal_costs(gens, P)
-    curv = 2.0 * np.array([g.c for g in gens])
+    c = np.array([g.c for g in gens])
+    lam = marginal_costs(np.array([g.b for g in gens]), c, P)
+    curv = 2.0 * c
     dB = np.diag(model.B)
     grad_F = 2.0 * model.B * lam[:, None]
     np.fill_diagonal(grad_F, 2.0 * dB * lam + model.total_loss_gradient(P) * curv)
@@ -196,7 +194,7 @@ def verify_lemma3_bounds(model: KronLossModel, gens, P, summary: CostSummary | N
 
     diag_sorted = np.sort(sigma * (1.0 + B0))
     gap = sm.tau - diag_sorted
-    pert_eig = delta * jacobi_eigenvalues(B + np.diag(dB))
+    pert_eig = delta * jacobi_eigenvalues(model.own_grad_jac)
     lo, hi = float(pert_eig.min()), float(pert_eig.max())
     r5 = bool(((gap >= lo - slack) & (gap <= hi + slack)).all())
 

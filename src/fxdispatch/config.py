@@ -157,6 +157,8 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
     init_sec = _mapping(data.get("initial") or {}, ("z0",), "initial", path)
     with _errors(path, "initial"):
         z0 = tuple(float(v) for v in init_sec["z0"]) if "z0" in init_sec else None
+        if z0 is not None and not np.isfinite(z0).all():
+            raise ValueError("z0 must be finite")
 
     return RunConfig(generators=tuple(gens), loss=loss, topology=topology,
                      params=params, disturbance=disturbance, output=output, z0=z0)

@@ -29,7 +29,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid_model import KronLossModel, total_cost
+from .grid_model import KronLossModel, marginal_costs, total_cost, weighted_cost_jacobian
 from .topology import LocalTopology, laplacian
 
 logger = logging.getLogger(__name__)
@@ -92,11 +92,11 @@ class AlgorithmParams:
     settle_window: float = 1.0
 
     def __post_init__(self) -> None:
-        if not (0 < self.mu < 1 < self.nu):
-            raise ValueError(f"need 0 < mu < 1 < nu, got mu={self.mu}, nu={self.nu}")
+        if not (0 < self.mu < 1 < self.nu < math.inf):
+            raise ValueError(f"need 0 < mu < 1 < nu < inf, got mu={self.mu}, nu={self.nu}")
         for name in ("k1", "k2", "dt", "fp_tol"):
-            if not getattr(self, name) > 0:  # also rejects NaN
-                raise ValueError(f"{name} must be positive")
+            if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
+                raise ValueError(f"{name} must be {'finite' if getattr(self, name) == math.inf else 'positive'}")
         if not 0 <= self.t_end < math.inf:
             raise ValueError("t_end must be finite and >= 0")
         if not self.settle_tol > 0:
@@ -121,6 +121,8 @@ class DisturbanceSpec:
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
         if not self.amplitude >= 0:
             raise ValueError("amplitude must be >= 0")
+        if self.amplitude == math.inf:
+            raise ValueError("amplitude must be finite")
 
 
 def _disturbance_fn(spec: DisturbanceSpec, n: int):
@@ -136,11 +138,6 @@ def _disturbance_fn(spec: DisturbanceSpec, n: int):
     omega = rng.uniform(1.0, 2.0 * np.pi, size=n)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     return lambda t: spec.amplitude * np.sin(omega * t + theta)
-
-
-def make_disturbance(spec: DisturbanceSpec, n: int, t: float) -> np.ndarray:
-    """Disturbance vector w(t); zero when disabled or amplitude is zero."""
-    return _disturbance_fn(spec, n)(t)
 
 
 @dataclass
@@ -199,7 +196,8 @@ def sig_pow(x, m: float):
     return np.sign(x) * np.abs(x) ** m
 
 
-def solve_power(z, system: DispatchSystem, prev_P=None, fp_tol: float = 1e-10, fp_max_iter: int = 200) -> np.ndarray:
+def solve_power(z, system: DispatchSystem, prev_P=None, fp_tol: float = AlgorithmParams.fp_tol,
+                fp_max_iter: int = AlgorithmParams.fp_max_iter) -> np.ndarray:
     """Solve P_i = sum_j a_ij (z_j - z_i) + D_i0 + P_Li(P) for P.
 
     Warm-started fixed-point iteration; the map is contractive whenever
@@ -207,7 +205,7 @@ def solve_power(z, system: DispatchSystem, prev_P=None, fp_tol: float = 1e-10, f
     residual if the iteration stalls; raises StepFailure if both fail.
     """
     z = np.asarray(z, dtype=float)
-    base = system.adjacency @ z - system.degree * z + system.d0
+    base = _disagreement(z, system) + system.d0
     loss = system.loss
     P = np.asarray(prev_P, dtype=float).copy() if prev_P is not None else system.d0.copy()
     for _ in range(fp_max_iter):
@@ -228,7 +226,7 @@ def solve_power(z, system: DispatchSystem, prev_P=None, fp_tol: float = 1e-10, f
 
 def _h_lambda(P: np.ndarray, system: DispatchSystem):
     """Marginal costs lam, loss factors H = 1 + own-loss gradient, and H * lam."""
-    lam = 2.0 * system.c_coef * P + system.b_coef
+    lam = marginal_costs(system.b_coef, system.c_coef, P)
     H = 1.0 + system.loss._own_gradient(P)
     return lam, H, H * lam
 
@@ -238,12 +236,15 @@ def _residual(hl: np.ndarray) -> float:
     return float(np.max(np.abs(hl - hl.mean())))
 
 
-def _disagreement(hl: np.ndarray, system: DispatchSystem) -> np.ndarray:
-    """r_i = sum_j a_ij (H_j lam_j - H_i lam_i), that is -L (H lam)."""
-    return system.adjacency @ hl - system.degree * hl
+def _disagreement(x: np.ndarray, system: DispatchSystem) -> np.ndarray:
+    """-L x, entry i being sum_j a_ij (x_j - x_i): the disagreement
+    r = -L (H lam) for x = H lam, and the consensus term of the power
+    equation for x = z."""
+    return system.adjacency @ x - system.degree * x
 
 
 def _z_dot(hl: np.ndarray, system: DispatchSystem, params: AlgorithmParams, w) -> np.ndarray:
+    """dz_i/dt = -k1 sig(r_i)^mu - k2 sig(r_i)^nu + w_i with r = -L hl, hl = H lam."""
     r = _disagreement(hl, system)
     dz = -params.k1 * sig_pow(r, params.mu) - params.k2 * sig_pow(r, params.nu)
     if w is not None:
@@ -268,17 +269,10 @@ def _state(t: float, z: np.ndarray, P: np.ndarray, system: DispatchSystem) -> Si
 
 
 def make_state(t: float, z, system: DispatchSystem, prev_P=None, params: AlgorithmParams | None = None) -> SimulationState:
-    """Solve the power equation at z and assemble all monitors."""
-    fp_tol = params.fp_tol if params else 1e-10
-    fp_max_iter = params.fp_max_iter if params else 200
-    P = solve_power(z, system, prev_P=prev_P, fp_tol=fp_tol, fp_max_iter=fp_max_iter)
-    return _state(t, z, P, system)
-
-
-def z_derivative(state: SimulationState, system: DispatchSystem, params: AlgorithmParams, w=None) -> np.ndarray:
-    """dz_i/dt = -k1 sig(r_i)^mu - k2 sig(r_i)^nu + w_i with
-    r_i = sum_j a_ij (H_j lam_j - H_i lam_i)."""
-    return _z_dot(state.H * state.lam, system, params, w)
+    """Solve the power equation at z and assemble all monitors; the
+    solver settings are those of params, or their defaults without it."""
+    fp = (params.fp_tol, params.fp_max_iter) if params else ()
+    return _state(t, z, solve_power(z, system, prev_P, *fp), system)
 
 
 def _rk4(system: DispatchSystem, params: AlgorithmParams, w_at):
@@ -311,9 +305,9 @@ def _sensitivity(P: np.ndarray, system: DispatchSystem) -> np.ndarray:
     moves with z as dr = M dz: K = d(H lam)/dP, J the Jacobian of the
     generator losses and L the Laplacian."""
     lam, H, _ = _h_lambda(P, system)
-    loss, lap = system.loss, system.laplacian
-    K = lam[:, None] * (loss.B + np.diag(loss._diag)) + np.diag(2.0 * system.c_coef * H)
-    return lap @ K @ np.linalg.solve(np.eye(system.n) - loss._jacobian(P), lap)
+    K = weighted_cost_jacobian(system.loss, system.c_coef, lam, H, 1.0)
+    lap = system.laplacian
+    return lap @ K @ np.linalg.solve(np.eye(system.n) - system.loss._jacobian(P), lap)
 
 
 def _switch_level(system: DispatchSystem, params: AlgorithmParams) -> float:
@@ -397,14 +391,9 @@ def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams
     return _state(t, z, P, system)
 
 
-def lyapunov_value(state: SimulationState, c_star: float) -> float:
-    """Half the squared cost gap to the optimum: 0.5 (C - C*)^2."""
-    return 0.5 * (state.cost - c_star) ** 2
-
-
 @dataclass
 class Trajectory:
-    """Strided simulation history; V is filled in once C* is known."""
+    """Strided simulation history, with the Lyapunov column V = 0.5 (C - C*)^2."""
 
     t: np.ndarray
     z: np.ndarray
@@ -412,7 +401,7 @@ class Trajectory:
     loss: np.ndarray
     cost: np.ndarray
     residual: np.ndarray
-    V: np.ndarray | None = None
+    V: np.ndarray
 
 
 @dataclass
@@ -443,8 +432,11 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     Settling is declared when the consensus residual stays below
     settle_tol for settle_window seconds; the settling time recorded is
     the start of that window and integration stops once it is confirmed.
-    c_star (for the Lyapunov column) defaults to the terminal cost.
+    Every stride-th step is a trajectory row. The Lyapunov column is
+    V = 0.5 (C - c_star)^2, with c_star defaulting to the terminal cost.
     """
+    if stride < 1:
+        raise ValueError("stride must be >= 1")
     advance = _advance(system, params, disturbance)
     z0 = np.zeros(system.n) if z0 is None else np.asarray(z0, dtype=float)
     nsteps = int(round(params.t_end / params.dt))
@@ -488,16 +480,14 @@ def run(system: DispatchSystem, params: AlgorithmParams,
                 break
         else:
             below = 0
+    terminal = _state(t, z, P, system)
+    c_star = terminal.cost if c_star is None else c_star
     rows_t, rows_z, rows_p, rows_pl, rows_c, rows_r = zip(*rows)
+    cost = np.array(rows_c)
     traj = Trajectory(
         t=np.array(rows_t), z=np.array(rows_z), P=np.array(rows_p),
-        loss=np.array(rows_pl), cost=np.array(rows_c), residual=np.array(rows_r),
+        loss=np.array(rows_pl), cost=cost, residual=np.array(rows_r), V=0.5 * (cost - c_star) ** 2,
     )
-    terminal = _state(t, z, P, system)
-
-    if c_star is None:
-        c_star = terminal.cost
-    traj.V = 0.5 * (traj.cost - c_star) ** 2
     neg = bool((traj.P < 0).any())
     if neg:
         logger.warning("negative transient powers observed; delta = min b is only valid on P >= 0")

@@ -2,7 +2,8 @@
 
 Quadratic generation costs C_i(P_i) = c_i P_i^2 + b_i P_i + a_i and the
 B-coefficient loss surface P_L = P'BP + B0'P + B00, together with every
-first-order derivative the dispatch algorithm and its analysis need.
+first-order derivative the dispatch algorithm and its analysis need; the
+dynamics, the oracle and the analysis all take them from here.
 All powers are in MW, costs in $/h; B entries carry 1/MW so losses come
 out in MW.
 """
@@ -38,14 +39,13 @@ class GeneratorSpec:
     d0: float = 0.0
 
     def __post_init__(self) -> None:
-        if not self.c > 0:  # also rejects NaN
+        for name in ("a", "b", "c", "p0", "d0"):
+            if not np.isfinite(getattr(self, name)):
+                raise ConfigurationError(f"{name} must be finite, got {name}={getattr(self, name)}")
+        if not self.c > 0:
             raise ConfigurationError(f"quadratic coefficient must be > 0, got c={self.c}")
         if not self.p0 >= 0:
             raise ConfigurationError(f"initial power must be >= 0, got p0={self.p0}")
-
-    def marginal_cost(self, p: float) -> float:
-        """dC/dP = 2cp + b, the generator's incremental cost in $/MWh."""
-        return 2.0 * self.c * p + self.b
 
 
 @dataclass(frozen=True)
@@ -72,11 +72,14 @@ class KronLossModel:
     def __init__(self, B, B0, B00: float):
         B = np.asarray(B, dtype=float)
         B0 = np.asarray(B0, dtype=float)
+        B00 = float(B00)
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise ConfigurationError(f"B must be square, got shape {B.shape}")
         n = B.shape[0]
         if B0.shape != (n,):
             raise ConfigurationError(f"B0 length {B0.shape} does not match B ({n}x{n})")
+        if not (np.isfinite(B).all() and np.isfinite(B0).all() and np.isfinite(B00)):
+            raise ConfigurationError("all entries of B and B0, and B00, must be finite")
         bad = np.argwhere(B != B.T)
         if bad.size:
             i, j = bad[0]
@@ -85,9 +88,11 @@ class KronLossModel:
             raise ConfigurationError("all entries of B and B0 must be >= 0")
         self.B = B
         self.B0 = B0
-        self.B00 = float(B00)
+        self.B00 = B00
         self.n = n
         self._diag = np.diag(B).copy()
+        #: Jacobian of own_loss_gradient, B + diag(B_ii); constant, as the loss is quadratic
+        self.own_grad_jac = B + np.diag(self._diag)
 
     def _check_len(self, P: np.ndarray) -> np.ndarray:
         P = np.asarray(P, dtype=float)
@@ -147,11 +152,18 @@ def total_demand(gens) -> float:
     return float(sum(g.d0 for g in gens))
 
 
-def marginal_costs(gens, P) -> np.ndarray:
-    P = np.asarray(P, dtype=float)
-    b = np.array([g.b for g in gens])
-    c = np.array([g.c for g in gens])
+def marginal_costs(b, c, P):
+    """lam = dC/dP = 2cP + b, the incremental costs in $/MWh, from the
+    linear and quadratic cost coefficients b and c."""
     return 2.0 * c * P + b
+
+
+def weighted_cost_jacobian(model: KronLossModel, c, lam, w, dw) -> np.ndarray:
+    """d(w lam)/dP at marginal costs lam, for weights w(g) of the own-loss gradient g with
+    dw = dw/dg: entry (i, j) is lam_i dw_i (B_ij + delta_ij B_ii) + delta_ij w_i 2 c_i."""
+    J = model.own_grad_jac * (lam * dw)[:, None]
+    J[np.diag_indices(model.n)] += w * 2.0 * c
+    return J
 
 
 def cost_summary(gens) -> CostSummary:

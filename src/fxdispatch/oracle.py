@@ -4,8 +4,10 @@ Two stationary characterizations are computed side by side: the
 consensus equilibrium the dynamics actually converge to (all H_i
 lambda_i equal, with H_i = 1 + dP_Li/dP_i), and the classical
 penalty-factor coordination point (lambda_i / (1 - dP_Li/dP_i) equal).
-Both share the balance constraint sum P = demand + losses. A brute-force
-grid scan provides a solver-free cross-check for small fleets.
+Both share the balance constraint sum P = demand + losses. The marginal
+costs and the Jacobian of the weighted marginal costs are grid_model's,
+the ones the dynamics use too. A brute-force grid scan provides a
+solver-free cross-check for small fleets.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_model import KronLossModel, marginal_costs, total_cost
+from .grid_model import KronLossModel, marginal_costs, total_cost, weighted_cost_jacobian
 
 
 class NewtonFailure(RuntimeError):
@@ -66,32 +68,29 @@ def _solve_weighted(gens, model: KronLossModel, d_total: float, tol: float, weig
     """Damped Newton on (P, mu) for {w_i lam_i = mu for all i, sum P = d_total + P_L(P)}.
 
     weight(P) returns (w, dw): the per-generator weights and their
-    derivatives with respect to the own-loss gradient, whose Jacobian is
-    B + diag(B_ii). Starts from a uniform demand split.
+    derivatives with respect to the own-loss gradient (see
+    grid_model.weighted_cost_jacobian). Starts from a uniform demand split.
     """
     n = len(gens)
+    b = np.array([g.b for g in gens])
     c = np.array([g.c for g in gens])
-    own_grad_jac = model.B + np.diag(np.diag(model.B))
 
     def residual(x):
         P, mu = x[:n], x[n]
         w, _ = weight(P)
-        return np.concatenate([w * marginal_costs(gens, P) - mu, [P.sum() - d_total - model.total_loss(P)]])
+        return np.concatenate([w * marginal_costs(b, c, P) - mu, [P.sum() - d_total - model.total_loss(P)]])
 
     def jacobian(x):
         P = x[:n]
-        lam = marginal_costs(gens, P)
         w, dw = weight(P)
         J = np.zeros((n + 1, n + 1))
-        # d(w_i lam_i)/dP_j = dw_i (B_ij + delta_ij B_ii) lam_i + delta_ij w_i 2 c_i
-        J[:n, :n] = own_grad_jac * (lam * dw)[:, None]
-        J[np.arange(n), np.arange(n)] += w * 2.0 * c
+        J[:n, :n] = weighted_cost_jacobian(model, c, marginal_costs(b, c, P), w, dw)
         J[:n, n] = -1.0
         J[n, :n] = 1.0 - model.total_loss_gradient(P)
         return J
 
     P0 = np.full(n, d_total / n)
-    mu0 = float(np.mean(marginal_costs(gens, P0)))
+    mu0 = float(np.mean(marginal_costs(b, c, P0)))
     x, its = _damped_newton(residual, jacobian, np.concatenate([P0, [mu0]]), tol=tol)
     P, r = x[:n], residual(x)
     return EquilibriumSolution(
@@ -111,10 +110,8 @@ def solve_equilibrium(gens, model: KronLossModel, d_total: float, tol: float = 1
     This is the stationary point of the consensus dynamics, with
     H_i = 1 + dP_Li/dP_i.
     """
-    B, B0 = model.B, model.B0
-    dB = np.diag(B)
-    # kept in this association: re-associating H moves the last bits of the oracle points
-    return _solve_weighted(gens, model, d_total, tol, lambda P: (1.0 + B @ P + dB * P + B0, 1.0))
+    # H is kept in this association, not 1 + own_loss_gradient: that moves the last bits of the oracle points
+    return _solve_weighted(gens, model, d_total, tol, lambda P: (1.0 + model.B @ P + model._diag * P + model.B0, 1.0))
 
 
 def kkt_penalty_solution(gens, model: KronLossModel, d_total: float, tol: float = 1e-12) -> EquilibriumSolution:

@@ -38,8 +38,8 @@ class LocalTopology:
                 raise ConfigurationError(f"self-loop at node {i}")
             if not (0 <= i < n and 0 <= j < n):
                 raise ConfigurationError(f"edge ({i},{j}) outside node range 0..{n - 1}")
-            if w <= 0:
-                raise ConfigurationError(f"edge ({i},{j}) has non-positive weight {w}")
+            if not 0 < w < np.inf:
+                raise ConfigurationError(f"edge ({i},{j}) weight must be finite and > 0, got {w}")
             norm_edges.append((min(i, j), max(i, j), w))
         self.n = n
         self.edges = tuple(sorted(norm_edges))

@@ -17,6 +17,7 @@ from fxdispatch import (
     verify_lemma3_bounds,
 )
 from fxdispatch.analysis import curvature_matrices
+from fxdispatch.grid_model import marginal_costs
 from tests.conftest import REF_B, REF_DEMAND, REF_P0
 
 REF_SUMMARY = CostSummary(sigma=0.164, delta=1.21)
@@ -128,14 +129,13 @@ class TestLemma3Bounds:
         for _ in range(10):
             model, gens, P = random_case(rng, int(rng.integers(2, 6)))
             grad_F, grad_M, _ = curvature_matrices(model, gens, P)
+            b, c = np.array([g.b for g in gens]), np.array([g.c for g in gens])
 
             def F_vec(P):
-                lam = np.array([g.marginal_cost(p) for g, p in zip(gens, P)])
-                return model.total_loss_gradient(P) * lam
+                return model.total_loss_gradient(P) * marginal_costs(b, c, P)
 
             def M_vec(P):
-                lam = np.array([g.marginal_cost(p) for g, p in zip(gens, P)])
-                return (np.diag(model.B) * P + model.B0 / 2.0) * lam
+                return (np.diag(model.B) * P + model.B0 / 2.0) * marginal_costs(b, c, P)
 
             n = len(P)
             for j in range(n):

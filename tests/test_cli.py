@@ -424,6 +424,30 @@ MALFORMED = [
                  id="zero-fp-max-iter"),
     pytest.param(lambda d: d["params"].update(fp_max_iter=float("nan")), r"params\.fp_max_iter: cannot convert",
                  id="nan-fp-max-iter"),
+    pytest.param(lambda d: d["loss"].update(b00=float("nan")), "loss: .*must be finite", id="nan-b00"),
+    pytest.param(lambda d: d["loss"]["b_matrix"][0].__setitem__(0, float("inf")), "loss: .*must be finite",
+                 id="infinite-b-entry"),
+    pytest.param(lambda d: d["loss"]["b0"].__setitem__(1, float("nan")), "loss: .*must be finite", id="nan-b0-entry"),
+    pytest.param(lambda d: d["generators"][0].update(a=float("nan")), r"generators\[0\]: a must be finite",
+                 id="nan-cost-offset"),
+    pytest.param(lambda d: d["generators"][0].update(b=float("inf")), r"generators\[0\]: b must be finite",
+                 id="infinite-linear-cost"),
+    pytest.param(lambda d: d["generators"][2].update(d0=float("-inf")), r"generators\[2\]: d0 must be finite",
+                 id="infinite-demand-share"),
+    pytest.param(lambda d: d["topology"]["edges"][0].__setitem__(2, float("nan")),
+                 r"topology: edge \(0,1\) weight must be finite and > 0", id="nan-edge-weight"),
+    pytest.param(lambda d: d["topology"]["edges"][1].__setitem__(2, float("inf")),
+                 r"topology: edge \(1,2\) weight must be finite and > 0", id="infinite-edge-weight"),
+    pytest.param(lambda d: d["params"].update(k1=float("inf")), "params: k1 must be finite", id="infinite-k1"),
+    pytest.param(lambda d: d["params"].update(k2=float("inf")), "params: k2 must be finite", id="infinite-k2"),
+    pytest.param(lambda d: d["params"].update(nu=float("inf")), r"params: .*nu=inf", id="infinite-nu"),
+    pytest.param(lambda d: d["params"].update(dt=float("inf")), "params: dt must be finite", id="infinite-dt"),
+    pytest.param(lambda d: d["params"].update(fp_tol=float("inf")), "params: fp_tol must be finite",
+                 id="infinite-fp-tol"),
+    pytest.param(lambda d: d["disturbance"].update(enabled=True, amplitude=float("inf")),
+                 "disturbance: amplitude must be finite", id="infinite-amplitude"),
+    pytest.param(lambda d: d.update(initial={"z0": [float("nan"), 0.0, 0.0, 0.0]}), "initial: z0 must be finite",
+                 id="nan-z0"),
 ]
 
 

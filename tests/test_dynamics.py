@@ -11,15 +11,12 @@ from fxdispatch import (
     KronLossModel,
     SimulationState,
     StepFailure,
-    lyapunov_value,
-    make_disturbance,
     path_topology,
     run,
     sig_pow,
     solve_power,
     solve_equilibrium,
     step,
-    z_derivative,
 )
 from fxdispatch.dynamics import (
     _disagreement,
@@ -30,6 +27,7 @@ from fxdispatch.dynamics import (
     _rk4,
     _state,
     _switch_level,
+    _z_dot,
     make_state,
 )
 from fxdispatch.topology import laplacian
@@ -144,7 +142,7 @@ class TestZDerivative:
     def test_zero_at_consensus(self):
         system = lossless_pair(split=(100.0, 100.0))
         state = make_state(0.0, np.zeros(2), system)
-        dz = z_derivative(state, system, REF_PARAMS)
+        dz = _z_dot(state.H * state.lam, system, REF_PARAMS, None)
         assert np.array_equal(dz, np.zeros(2))
 
     def test_two_node_hand_case(self):
@@ -157,20 +155,20 @@ class TestZDerivative:
             cost=0.0, loss=0.0, total_power=1.0, residual=0.5,
         )
         params = AlgorithmParams(k1=1.0, k2=1.0, mu=0.5, nu=2.0)
-        dz = z_derivative(state, system, params)
+        dz = _z_dot(state.H * state.lam, system, params, None)
         assert dz == pytest.approx([-2.0, 2.0], abs=1e-15)
 
     def test_disturbance_none_equals_zero_vector(self, ref_system):
         state = make_state(0.0, np.zeros(4), ref_system)
-        a = z_derivative(state, ref_system, REF_PARAMS)
-        b = z_derivative(state, ref_system, REF_PARAMS, w=np.zeros(4))
+        a = _z_dot(state.H * state.lam, ref_system, REF_PARAMS, None)
+        b = _z_dot(state.H * state.lam, ref_system, REF_PARAMS, np.zeros(4))
         assert np.array_equal(a, b)
 
     def test_disturbance_adds(self, ref_system):
         state = make_state(0.0, np.zeros(4), ref_system)
         w = np.array([0.1, -0.2, 0.3, 0.0])
-        a = z_derivative(state, ref_system, REF_PARAMS)
-        b = z_derivative(state, ref_system, REF_PARAMS, w=w)
+        a = _z_dot(state.H * state.lam, ref_system, REF_PARAMS, None)
+        b = _z_dot(state.H * state.lam, ref_system, REF_PARAMS, w)
         assert b == pytest.approx(a + w, abs=1e-15)
 
 
@@ -354,28 +352,29 @@ class TestImplicitStep:
 
 class TestDisturbance:
     def test_disabled_gives_zero(self):
-        assert np.array_equal(make_disturbance(DisturbanceSpec(), 4, 1.0), np.zeros(4))
+        assert np.array_equal(_disturbance_fn(DisturbanceSpec(), 4)(1.0), np.zeros(4))
 
     def test_zero_amplitude_gives_zero(self):
         spec = DisturbanceSpec(enabled=True, amplitude=0.0, seed=3)
-        assert np.array_equal(make_disturbance(spec, 4, 1.0), np.zeros(4))
+        assert np.array_equal(_disturbance_fn(spec, 4)(1.0), np.zeros(4))
 
     def test_bounded(self):
         spec = DisturbanceSpec(enabled=True, amplitude=0.5, seed=7)
+        w_at = _disturbance_fn(spec, 4)
         for t in np.linspace(0.0, 200.0, 500):
-            assert np.max(np.abs(make_disturbance(spec, 4, t))) <= 0.5
+            assert np.max(np.abs(w_at(t))) <= 0.5
 
     def test_near_zero_mean_over_horizon(self):
         spec = DisturbanceSpec(enabled=True, amplitude=0.5, seed=7)
         t = np.linspace(0.0, 200.0, 200_001)
-        w_at = _disturbance_fn(spec, 4)  # make_disturbance(spec, 4, t) is w_at(t)
+        w_at = _disturbance_fn(spec, 4)
         w = np.stack([w_at(ti) for ti in t])
         assert np.max(np.abs(w.mean(axis=0))) < 0.005
 
     def test_seed_determinism(self):
-        a = make_disturbance(DisturbanceSpec(enabled=True, amplitude=0.5, seed=9), 4, 3.3)
-        b = make_disturbance(DisturbanceSpec(enabled=True, amplitude=0.5, seed=9), 4, 3.3)
-        c = make_disturbance(DisturbanceSpec(enabled=True, amplitude=0.5, seed=10), 4, 3.3)
+        a = _disturbance_fn(DisturbanceSpec(enabled=True, amplitude=0.5, seed=9), 4)(3.3)
+        b = _disturbance_fn(DisturbanceSpec(enabled=True, amplitude=0.5, seed=9), 4)(3.3)
+        c = _disturbance_fn(DisturbanceSpec(enabled=True, amplitude=0.5, seed=10), 4)(3.3)
         assert np.array_equal(a, b)
         assert not np.array_equal(a, c)
 
@@ -389,6 +388,10 @@ class TestDisturbance:
 
 
 class TestRun:
+    def test_rejects_zero_stride(self, ref_system):
+        with pytest.raises(ValueError, match="stride must be >= 1"):
+            run(ref_system, REF_PARAMS, stride=0)
+
     def test_zero_horizon_single_row(self, ref_system):
         params = dataclasses.replace(REF_PARAMS, t_end=0.0)
         res = run(ref_system, params)
@@ -429,10 +432,18 @@ class TestRun:
 
 
 class TestLyapunov:
+    PARAMS = dataclasses.replace(REF_PARAMS, t_end=0.05)
+
     def test_zero_at_optimum(self, ref_system):
-        state = make_state(0.0, np.zeros(4), ref_system)
-        assert lyapunov_value(state, state.cost) == 0.0
+        # c_star defaults to the terminal cost, so V is 0 at the terminal row
+        res = run(ref_system, self.PARAMS, stride=10)
+        assert res.trajectory.t[-1] == res.terminal.t
+        assert res.c_star == res.terminal.cost
+        assert res.trajectory.V[-1] == 0.0
+        assert np.array_equal(res.trajectory.V, 0.5 * (res.trajectory.cost - res.c_star) ** 2)
 
     def test_cost_gap_two(self, ref_system):
-        state = make_state(0.0, np.zeros(4), ref_system)
-        assert lyapunov_value(state, state.cost - 2.0) == pytest.approx(2.0)
+        c0 = make_state(0.0, np.zeros(4), ref_system).cost
+        res = run(ref_system, self.PARAMS, c_star=c0 - 2.0, stride=10)
+        assert np.array_equal(res.trajectory.V, 0.5 * (res.trajectory.cost - (c0 - 2.0)) ** 2)
+        assert res.trajectory.V[0] == pytest.approx(2.0)

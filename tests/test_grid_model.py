@@ -12,6 +12,7 @@ from fxdispatch import (
     cost_summary,
     total_cost,
 )
+from fxdispatch.grid_model import marginal_costs, weighted_cost_jacobian
 from tests.conftest import REF_COST, REF_P0
 
 
@@ -29,6 +30,12 @@ class TestGeneratorSpec:
     def test_rejects_negative_initial_power(self):
         with pytest.raises(ConfigurationError):
             GeneratorSpec(a=1.0, b=1.0, c=1.0, p0=-1.0)
+
+    @pytest.mark.parametrize("field", ["a", "b", "c", "p0", "d0"])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(ConfigurationError, match=f"{field} must be finite"):
+            GeneratorSpec(**{"a": 1.0, "b": 1.0, "c": 1.0, field: value})
 
 
 class TestLossModelConstruction:
@@ -115,6 +122,20 @@ class TestLossGradients:
             assert model.total_loss_gradient(P)[i] == pytest.approx(2 * model.B[i, i] * P[i] + model.B0[i])
             assert model.own_loss_gradient(P)[i] == pytest.approx(2 * model.B[i, i] * P[i] + model.B0[i])
 
+    @pytest.mark.parametrize("seed", range(5))
+    def test_own_gradient_jacobian_matches_finite_differences(self, seed):
+        # the own-loss gradient is linear in P, so central differences are exact up to roundoff
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        model = random_model(rng, n)
+        P = rng.uniform(0.0, 400.0, size=n)
+        h = 1e-2
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = h
+            fd = (model.own_loss_gradient(P + e) - model.own_loss_gradient(P - e)) / (2 * h)
+            assert np.max(np.abs(fd - model.own_grad_jac[:, j])) <= 1e-11
+
     def test_own_gradient_direct_evaluation(self, ref_model):
         # frozen from an independent evaluation of the own-loss gradient row
         assert ref_model.own_loss_gradient(REF_P0)[1] == pytest.approx(0.065036, abs=1e-12)
@@ -146,16 +167,13 @@ class TestLossGradients:
 
 class TestCosts:
     def test_marginal_cost_at_zero_is_linear_coefficient(self):
-        g1 = GeneratorSpec(a=53.0, b=1.21, c=0.094)
-        assert g1.marginal_cost(0.0) == 1.21
+        assert marginal_costs(1.21, 0.094, 0.0) == 1.21
 
     def test_marginal_cost_root(self):
-        g = GeneratorSpec(a=0.0, b=-4.0, c=0.5)
-        assert g.marginal_cost(4.0) == 0.0
+        assert marginal_costs(-4.0, 0.5, 4.0) == 0.0
 
     def test_marginal_cost_hand_value(self):
-        g2 = GeneratorSpec(a=34.0, b=3.47, c=0.082)
-        assert g2.marginal_cost(100.0) == pytest.approx(19.87)
+        assert marginal_costs(3.47, 0.082, 100.0) == pytest.approx(19.87)
 
     def test_total_cost_at_zero_sums_offsets(self, ref_gens):
         assert total_cost(ref_gens, np.zeros(4)) == pytest.approx(210.0)
@@ -167,6 +185,41 @@ class TestCosts:
     def test_total_cost_single_generator(self):
         g = GeneratorSpec(a=2.0, b=3.0, c=4.0)
         assert total_cost([g], [1.0]) == pytest.approx(9.0)
+
+
+def penalty_factor(model, P):
+    """The classical coordination weight pf = 1 / (1 - own-loss gradient)
+    and its derivative pf^2 with respect to that gradient."""
+    pf = 1.0 / (1.0 - model.own_loss_gradient(P))
+    return pf, pf**2
+
+
+def consensus_weight(model, P):
+    """The consensus weight H = 1 + own-loss gradient, of derivative 1."""
+    return 1.0 + model.own_loss_gradient(P), 1.0
+
+
+class TestWeightedCostJacobian:
+    @pytest.mark.parametrize("weight", [consensus_weight, penalty_factor])
+    @pytest.mark.parametrize("seed", range(5))
+    def test_matches_finite_differences(self, weight, seed):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(2, 7))
+        model = random_model(rng, n)
+        b, c = rng.uniform(0.5, 5.0, size=n), rng.uniform(0.01, 0.2, size=n)
+        P = rng.uniform(0.0, 60.0, size=n)  # own-loss gradients stay below 1
+
+        def w_lam(P):
+            return weight(model, P)[0] * marginal_costs(b, c, P)
+
+        w, dw = weight(model, P)
+        J = weighted_cost_jacobian(model, c, marginal_costs(b, c, P), w, dw)
+        h = 1e-3
+        for j in range(n):
+            e = np.zeros(n)
+            e[j] = h
+            fd = (w_lam(P + e) - w_lam(P - e)) / (2 * h)
+            assert fd == pytest.approx(J[:, j], rel=1e-6, abs=1e-9)
 
 
 class TestCostSummary:
