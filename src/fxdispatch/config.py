@@ -21,7 +21,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 import yaml
 
-from .dynamics import AlgorithmParams, DisturbanceSpec, DispatchSystem
+from .dynamics import AlgorithmParams, DisturbanceSpec, DispatchSystem, _check_sizes
 from .grid_model import ConfigurationError, GeneratorSpec, KronLossModel
 from .topology import LocalTopology
 
@@ -47,17 +47,6 @@ class RunConfig:
     disturbance: DisturbanceSpec = field(default_factory=DisturbanceSpec)
     output: OutputSpec = field(default_factory=OutputSpec)
     z0: tuple | None = None
-
-    def __post_init__(self) -> None:
-        n = len(self.generators)
-        if n == 0:
-            raise ConfigurationError("generator list is empty")
-        if self.loss.n != n:
-            raise ConfigurationError(f"{n} generators but loss matrix is {self.loss.n}x{self.loss.n}")
-        if self.topology.n != n:
-            raise ConfigurationError(f"{n} generators but topology has {self.topology.n} nodes")
-        if self.z0 is not None and len(self.z0) != n:
-            raise ConfigurationError(f"z0 has length {len(self.z0)}, expected {n}")
 
     def system(self) -> DispatchSystem:
         return DispatchSystem(gens=self.generators, loss=self.loss, top=self.topology)
@@ -138,6 +127,7 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
     loss_sec = _mapping(data.get("loss"), ("b_matrix", "b0", "b00"), "loss", path)
     with _errors(path, "loss"):
         loss = KronLossModel(loss_sec["b_matrix"], loss_sec["b0"], loss_sec.get("b00", 0.0))
+        _check_sizes(len(gens_sec), loss=loss)
 
     gens = [_spec(GeneratorSpec, g, f"generators[{k}]", path) for k, g in enumerate(gens_sec)]
     with _errors(path, "generators"):
@@ -149,6 +139,7 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
     with _errors(path, "topology"):
         topology = LocalTopology(int(topo_sec.get("nodes", len(gens))),
                                  [tuple(e) for e in topo_sec.get("edges", [])])
+        _check_sizes(len(gens), top=topology)
 
     params = _spec(AlgorithmParams, data.get("params"), "params", path)
     disturbance = _spec(DisturbanceSpec, data.get("disturbance") or {}, "disturbance", path)
@@ -159,6 +150,8 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
         z0 = tuple(float(v) for v in init_sec["z0"]) if "z0" in init_sec else None
         if z0 is not None and not np.isfinite(z0).all():
             raise ValueError("z0 must be finite")
+        if z0 is not None and len(z0) != len(gens):
+            raise ValueError(f"z0 has length {len(z0)}, expected {len(gens)}")
 
     return RunConfig(generators=tuple(gens), loss=loss, topology=topology,
                      params=params, disturbance=disturbance, output=output, z0=z0)

@@ -6,9 +6,10 @@ implicitly at every instant by P_i = consensus_term_i + D_i0 + P_Li(P),
 which keeps total generation equal to demand plus losses by construction.
 
 The integrator is fixed-step. While the consensus residual is large it
-takes classical Runge-Kutta steps (4 stages), each stage re-solving the
-implicit power equation by warm-started fixed-point iteration with a
-Newton fallback. Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term
+takes classical Runge-Kutta steps (4 stages); stage 1 is the state the
+step starts from, each later stage solves the implicit power equation by
+warm-started fixed-point iteration with a Newton fallback, and every
+solved P has its H lam formed once. Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term
 chatters once the disagreement r is of order (g k1 dt)^(1/(1 - mu)), g
 being the loop gain, so below IMPLICIT_SWITCH times that scale (30 times
 the floor of the reference case) it takes linearly implicit,
@@ -140,6 +141,14 @@ def _disturbance_fn(spec: DisturbanceSpec, n: int):
     return lambda t: spec.amplitude * np.sin(omega * t + theta)
 
 
+def _check_sizes(n: int, loss: KronLossModel | None = None, top: LocalTopology | None = None) -> None:
+    """Raise ValueError unless the loss model and topology given fit n generators."""
+    if loss is not None and loss.n != n:
+        raise ValueError(f"{n} generators but loss matrix is {loss.n}x{loss.n}")
+    if top is not None and top.n != n:
+        raise ValueError(f"{n} generators but topology has {top.n} nodes")
+
+
 @dataclass
 class DispatchSystem:
     """A fleet, its loss model, and the local communication graph."""
@@ -151,10 +160,7 @@ class DispatchSystem:
     def __post_init__(self) -> None:
         self.gens = tuple(self.gens)
         n = len(self.gens)
-        if self.loss.n != n:
-            raise ValueError(f"{n} generators but loss model is {self.loss.n}x{self.loss.n}")
-        if self.top.n != n:
-            raise ValueError(f"{n} generators but topology has {self.top.n} nodes")
+        _check_sizes(n, self.loss, self.top)
         self.n = n
         self.b_coef = np.array([g.b for g in self.gens])
         self.c_coef = np.array([g.c for g in self.gens])
@@ -173,7 +179,7 @@ class DispatchSystem:
     def loop_gain(self) -> float:
         """g = ||M||_inf at P = d0 (M from _sensitivity), the gain with which
         the disagreement answers the consensus law near consensus."""
-        return float(np.abs(_sensitivity(self.d0, self)).sum(axis=1).max())
+        return float(np.abs(_sensitivity(self.d0, *_h_lambda(self.d0, self)[:2], self)).sum(axis=1).max())
 
 
 @dataclass
@@ -207,7 +213,8 @@ def solve_power(z, system: DispatchSystem, prev_P=None, fp_tol: float = Algorith
     z = np.asarray(z, dtype=float)
     base = _disagreement(z, system) + system.d0
     loss = system.loss
-    P = np.asarray(prev_P, dtype=float).copy() if prev_P is not None else system.d0.copy()
+    # every sweep and Newton update builds a new array: prev_P is never written to or returned
+    P = np.asarray(prev_P, dtype=float) if prev_P is not None else system.d0
     for _ in range(fp_max_iter):
         g = base + loss._losses(P)
         err = np.abs(g - P).max()
@@ -243,9 +250,8 @@ def _disagreement(x: np.ndarray, system: DispatchSystem) -> np.ndarray:
     return system.adjacency @ x - system.degree * x
 
 
-def _z_dot(hl: np.ndarray, system: DispatchSystem, params: AlgorithmParams, w) -> np.ndarray:
-    """dz_i/dt = -k1 sig(r_i)^mu - k2 sig(r_i)^nu + w_i with r = -L hl, hl = H lam."""
-    r = _disagreement(hl, system)
+def _z_dot(r: np.ndarray, params: AlgorithmParams, w) -> np.ndarray:
+    """dz_i/dt = -k1 sig(r_i)^mu - k2 sig(r_i)^nu + w_i at the disagreement r = -L (H lam)."""
     dz = -params.k1 * sig_pow(r, params.mu) - params.k2 * sig_pow(r, params.nu)
     if w is not None:
         dz = dz + np.asarray(w, dtype=float)
@@ -276,22 +282,22 @@ def make_state(t: float, z, system: DispatchSystem, prev_P=None, params: Algorit
 
 
 def _rk4(system: DispatchSystem, params: AlgorithmParams, w_at):
-    """The RK4 advance (t, z, P) -> (t + dt, z', P').
+    """The RK4 advance (t, z, P, r) -> (t + dt, z', P').
 
-    P is the solved power at (t, z) and warm-starts stage 1, which
-    re-solves it; each later stage and the end-of-step solve warm-start
-    from the stage before. Only P and dz are formed per stage.
+    P is the solved power at (t, z) and r the disagreement there, which
+    give stage 1; each later stage and the end-of-step solve warm-start
+    from the stage before. Only P, r and dz are formed per stage.
     """
     dt, fp_tol, fp_max_iter = params.dt, params.fp_tol, params.fp_max_iter
 
     def deriv(z, warm, w):
         P = solve_power(z, system, warm, fp_tol, fp_max_iter)
-        return _z_dot(_h_lambda(P, system)[2], system, params, w), P
+        return _z_dot(_disagreement(_h_lambda(P, system)[2], system), params, w), P
 
-    def advance(t, z, P):
+    def advance(t, z, P, r):
         w_half = w_at(t + dt / 2.0)
-        k1v, P1 = deriv(z, P, w_at(t))
-        k2v, P2 = deriv(z + dt / 2.0 * k1v, P1, w_half)
+        k1v = _z_dot(r, params, w_at(t))
+        k2v, P2 = deriv(z + dt / 2.0 * k1v, P, w_half)
         k3v, P3 = deriv(z + dt / 2.0 * k2v, P2, w_half)
         k4v, P4 = deriv(z + dt * k3v, P3, w_at(t + dt))
         z_new = z + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
@@ -300,11 +306,10 @@ def _rk4(system: DispatchSystem, params: AlgorithmParams, w_at):
     return advance
 
 
-def _sensitivity(P: np.ndarray, system: DispatchSystem) -> np.ndarray:
+def _sensitivity(P: np.ndarray, lam: np.ndarray, H: np.ndarray, system: DispatchSystem) -> np.ndarray:
     """M = L K (I - J)^-1 L at P, with which the disagreement r = -L (H lam)
     moves with z as dr = M dz: K = d(H lam)/dP, J the Jacobian of the
-    generator losses and L the Laplacian."""
-    lam, H, _ = _h_lambda(P, system)
+    generator losses and L the Laplacian; lam and H are those of _h_lambda at P."""
     K = weighted_cost_jacobian(system.loss, system.c_coef, lam, H, 1.0)
     lap = system.laplacian
     return lap @ K @ np.linalg.solve(np.eye(system.n) - system.loss._jacobian(P), lap)
@@ -320,9 +325,9 @@ def _switch_level(system: DispatchSystem, params: AlgorithmParams) -> float:
 
 
 def _implicit(system: DispatchSystem, params: AlgorithmParams, w_at):
-    """The linearly implicit advance (t, z, P) -> (t + dt, z', P', Newton iterations).
+    """The linearly implicit advance (t, z, P, h, r) -> (t + dt, z', P', Newton iterations).
 
-    With M = _sensitivity(P) the step solves
+    With h = _h_lambda(P), r the disagreement at P and M = _sensitivity(P) it solves
     y = r + M dz, dz = -dt (k1 sig(y)^mu + k2 sig(y)^nu) + dt w(t + dt)
     for the next disagreement y, which is backward Euler on the consensus law
     linearised at P, so it has no chatter: exact consensus is its fixed
@@ -333,10 +338,9 @@ def _implicit(system: DispatchSystem, params: AlgorithmParams, w_at):
     dt, k1, k2, mu, nu = params.dt, params.k1, params.k2, params.mu, params.nu
     deg_max = system.degree.max()
 
-    def advance(t, z, P):
-        hl = _h_lambda(P, system)[2]
-        r = _disagreement(hl, system)
-        M = _sensitivity(P, system)
+    def advance(t, z, P, h, r):
+        lam, H, hl = h
+        M = _sensitivity(P, lam, H, system)
         dtw = dt * w_at(t + dt)
         tol = max(_IMPLICIT_RTOL * np.abs(r + M @ dtw).max(), _EPS * deg_max * np.abs(hl).max())
         s = sig_pow(r, mu)
@@ -357,8 +361,8 @@ def _implicit(system: DispatchSystem, params: AlgorithmParams, w_at):
 
 
 def _advance(system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None):
-    """The advance (t, z, P, hl) -> (t + dt, z', P', Newton iterations) shared
-    by step() and run(); hl is H * lam at P.
+    """The advance (t, z, P, h) -> (t + dt, z', P', Newton iterations) shared
+    by step() and run(); h is _h_lambda at P, (lam, H, H * lam).
 
     RK4 while the disagreement max|r| is at least _switch_level, the
     implicit step below it (its Newton iteration count; None for an RK4
@@ -369,10 +373,11 @@ def _advance(system: DispatchSystem, params: AlgorithmParams, disturbance: Distu
     implicit = _implicit(system, params, w_at)
     switch = _switch_level(system, params)
 
-    def advance(t, z, P, hl):
-        if np.abs(_disagreement(hl, system)).max() < switch:
-            return implicit(t, z, P)
-        return (*rk4(t, z, P), None)
+    def advance(t, z, P, h):
+        r = _disagreement(h[2], system)
+        if np.abs(r).max() < switch:
+            return implicit(t, z, P, h, r)
+        return (*rk4(t, z, P, r), None)
 
     return advance
 
@@ -382,12 +387,13 @@ def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams
     linearly implicit step once the disagreement at state.P is below
     _switch_level.
 
-    Each RK4 stage re-solves the implicit power equation (warm-started
-    from the previous stage); the returned state carries fresh monitors.
+    Stage 1 is state (its P, lam and H); each later RK4 stage solves the
+    implicit power equation (warm-started from the stage before). The
+    returned state carries fresh monitors.
     """
-    P = np.asarray(state.P, dtype=float)
+    h = (state.lam, state.H, state.H * state.lam)
     advance = _advance(system, params, disturbance)
-    t, z, P, _ = advance(state.t, np.asarray(state.z, dtype=float), P, _h_lambda(P, system)[2])
+    t, z, P, _ = advance(state.t, np.asarray(state.z, dtype=float), np.asarray(state.P, dtype=float), h)
     return _state(t, z, P, system)
 
 
@@ -444,7 +450,7 @@ def run(system: DispatchSystem, params: AlgorithmParams,
 
     state = make_state(0.0, z0, system, params=params)
     t, z, P, res = state.t, state.z, state.P, state.residual
-    hl = state.H * state.lam
+    h = (state.lam, state.H, state.H * state.lam)
     rows = [(t, z, P, state.loss, state.cost, res)]
 
     def emit():
@@ -456,7 +462,7 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     for i in range(nsteps):
         t_n = t
         try:
-            t, z, P, iters = advance(t, z, P, hl)
+            t, z, P, iters = advance(t, z, P, h)
         except StepFailure:
             fail_step = steps = i
             break
@@ -465,8 +471,8 @@ def run(system: DispatchSystem, params: AlgorithmParams,
                 switch_time = t_n
                 logger.info("implicit step took over at t = %.3f s (residual %.3g)", t_n, res)
             newton_iters.append(iters)
-        hl = _h_lambda(P, system)[2]
-        res = _residual(hl)
+        h = _h_lambda(P, system)
+        res = _residual(h[2])
         on_stride = (i + 1) % stride == 0
         if on_stride:
             emit()

@@ -448,6 +448,13 @@ MALFORMED = [
                  "disturbance: amplitude must be finite", id="infinite-amplitude"),
     pytest.param(lambda d: d.update(initial={"z0": [float("nan"), 0.0, 0.0, 0.0]}), "initial: z0 must be finite",
                  id="nan-z0"),
+    pytest.param(lambda d: d.update(initial={"z0": [0.0, 0.0, 0.0]}), "initial: z0 has length 3, expected 4",
+                 id="short-z0"),
+    pytest.param(lambda d: d["topology"].update(nodes=5, edges=d["topology"]["edges"] + [[3, 4, 1.0]]),
+                 "topology: 4 generators but topology has 5 nodes", id="connected-five-node-topology"),
+    pytest.param(lambda d: d["loss"].update(b_matrix=[row[:3] for row in d["loss"]["b_matrix"][:3]],
+                                            b0=d["loss"]["b0"][:3]),
+                 r"loss: 4 generators but loss matrix is 3x3", id="three-by-three-loss"),
 ]
 
 

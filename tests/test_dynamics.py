@@ -18,6 +18,7 @@ from fxdispatch import (
     solve_equilibrium,
     step,
 )
+from fxdispatch import dynamics
 from fxdispatch.dynamics import (
     _disagreement,
     _disturbance_fn,
@@ -42,9 +43,14 @@ def lossless_pair(d=100.0, split=(100.0, 100.0)):
     return DispatchSystem(gens=gens, loss=model, top=path_topology(2))
 
 
+def state_r(state, system):
+    """The disagreement r = -L (H lam) at a state."""
+    return _disagreement(state.H * state.lam, system)
+
+
 def disagreement(state, system):
     """max |r| at a state, the quantity the implicit switch is decided on."""
-    return float(np.abs(_disagreement(state.H * state.lam, system)).max())
+    return float(np.abs(state_r(state, system)).max())
 
 
 def equilibrium_z(system):
@@ -142,7 +148,7 @@ class TestZDerivative:
     def test_zero_at_consensus(self):
         system = lossless_pair(split=(100.0, 100.0))
         state = make_state(0.0, np.zeros(2), system)
-        dz = _z_dot(state.H * state.lam, system, REF_PARAMS, None)
+        dz = _z_dot(state_r(state, system), REF_PARAMS, None)
         assert np.array_equal(dz, np.zeros(2))
 
     def test_two_node_hand_case(self):
@@ -155,20 +161,20 @@ class TestZDerivative:
             cost=0.0, loss=0.0, total_power=1.0, residual=0.5,
         )
         params = AlgorithmParams(k1=1.0, k2=1.0, mu=0.5, nu=2.0)
-        dz = _z_dot(state.H * state.lam, system, params, None)
+        dz = _z_dot(state_r(state, system), params, None)
         assert dz == pytest.approx([-2.0, 2.0], abs=1e-15)
 
     def test_disturbance_none_equals_zero_vector(self, ref_system):
         state = make_state(0.0, np.zeros(4), ref_system)
-        a = _z_dot(state.H * state.lam, ref_system, REF_PARAMS, None)
-        b = _z_dot(state.H * state.lam, ref_system, REF_PARAMS, np.zeros(4))
+        a = _z_dot(state_r(state, ref_system), REF_PARAMS, None)
+        b = _z_dot(state_r(state, ref_system), REF_PARAMS, np.zeros(4))
         assert np.array_equal(a, b)
 
     def test_disturbance_adds(self, ref_system):
         state = make_state(0.0, np.zeros(4), ref_system)
         w = np.array([0.1, -0.2, 0.3, 0.0])
-        a = _z_dot(state.H * state.lam, ref_system, REF_PARAMS, None)
-        b = _z_dot(state.H * state.lam, ref_system, REF_PARAMS, w)
+        a = _z_dot(state_r(state, ref_system), REF_PARAMS, None)
+        b = _z_dot(state_r(state, ref_system), REF_PARAMS, w)
         assert b == pytest.approx(a + w, abs=1e-15)
 
 
@@ -284,7 +290,9 @@ def symmetric_lossy_pair():
 
 
 def implicit_step(system, params, disturbance=None):
-    return _implicit(system, params, _disturbance_fn(disturbance or DisturbanceSpec(), system.n))
+    """The implicit advance as a function of a state: its (P, (lam, H, H lam), r) start the step."""
+    advance = _implicit(system, params, _disturbance_fn(disturbance or DisturbanceSpec(), system.n))
+    return lambda s: advance(s.t, s.z, s.P, (s.lam, s.H, s.H * s.lam), state_r(s, system))
 
 
 class TestImplicitStep:
@@ -292,7 +300,7 @@ class TestImplicitStep:
     def test_exact_consensus_is_a_fixed_point(self, system):
         state = make_state(0.0, np.array([0.5, 0.5]), system, params=REF_PARAMS)
         assert state.residual == 0.0
-        t, z, P, iters = implicit_step(system, REF_PARAMS)(state.t, state.z, state.P)
+        t, z, P, iters = implicit_step(system, REF_PARAMS)(state)
         assert np.array_equal(z, state.z)
         assert iters == 0
 
@@ -307,7 +315,7 @@ class TestImplicitStep:
         state = make_state(0.0, equilibrium_z(system), system, params=params)
         floor = []
         for k in range(400):
-            state = _state(*advance(state.t, state.z, state.P), system)
+            state = _state(*advance(state.t, state.z, state.P, state_r(state, system)), system)
             if k >= 200:
                 floor.append(state)
         r_floor = [disagreement(s, system) for s in floor]
@@ -341,13 +349,53 @@ class TestImplicitStep:
         state = make_state(0.0, z, ref_system, params=REF_PARAMS)
         assert disagreement(state, ref_system) < _switch_level(ref_system, REF_PARAMS)
         step_fn = implicit_step(ref_system, REF_PARAMS)
-        assert step_fn(state.t, state.z, state.P)[3] > 0  # converges as is
+        assert step_fn(state)[3] > 0  # converges as is
         # a Newton update that never moves
         monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (np.zeros_like(b), None, 0, None))
         with pytest.raises(StepFailure, match="50 Newton iterations"):
-            step_fn(state.t, state.z, state.P)
+            step_fn(state)
         with pytest.raises(StepFailure):
             step(state, ref_system, REF_PARAMS)
+
+
+class TestWorkPerStep:
+    def test_one_power_solve_and_one_h_lambda_per_stage(self, ref_system, monkeypatch):
+        # stage 1 of an RK4 step is the state the step starts from, so an RK4
+        # step solves P at its three later stages and at its end; an implicit
+        # step solves once, and each solved P gets one H lam
+        counts = {"solve_power": 0, "_h_lambda": 0}
+
+        def counted(name):
+            real = getattr(dynamics, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            return wrapper
+
+        for name in counts:
+            monkeypatch.setattr(dynamics, name, counted(name))
+        entries = []  # the counts when each step starts, and its Newton iterations
+        real_advance = dynamics._advance
+
+        def counting_advance(*args):
+            advance = real_advance(*args)
+
+            def wrapper(*step_args):
+                start = dict(counts)
+                out = advance(*step_args)
+                entries.append((start, out[3]))
+                return out
+            return wrapper
+
+        monkeypatch.setattr(dynamics, "_advance", counting_advance)
+        res = run(ref_system, dataclasses.replace(REF_PARAMS, t_end=5.2))
+        assert res.steps == len(entries) == 5200 and 4.9 < res.switch_time < 5.0
+        per_step = {"rk4": set(), "implicit": set()}
+        for (start, iters), (end, _) in zip(entries, entries[1:]):
+            kind = "rk4" if iters is None else "implicit"
+            per_step[kind].add((end["solve_power"] - start["solve_power"], end["_h_lambda"] - start["_h_lambda"]))
+        assert per_step == {"rk4": {(4, 4)}, "implicit": {(1, 1)}}
 
 
 class TestDisturbance:
