@@ -124,7 +124,7 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False, 
     )
     wall = time.perf_counter() - t0
 
-    term, iters = result.terminal, result.implicit_newton_iters
+    term, iters, solves = result.terminal, result.implicit_newton_iters, result.power_solve_iters
     within = (result.settle_time is not None and ts_bound is not None
               and result.settle_time <= ts_bound) if g.all_ok else None
     report = {
@@ -174,6 +174,8 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False, 
             "steps": result.steps,
             "switch_time": result.switch_time,
             "implicit_newton_iters": {"mean": iters[0], "max": iters[1]} if iters else None,
+            "power_solve_iters": {"mean": solves[0], "max": solves[1]},
+            "newton_fallbacks": result.newton_fallbacks,
         },
     }
 

@@ -8,8 +8,9 @@ which keeps total generation equal to demand plus losses by construction.
 The integrator is fixed-step. While the consensus residual is large it
 takes classical Runge-Kutta steps (4 stages); stage 1 is the state the
 step starts from, each later stage solves the implicit power equation by
-warm-started fixed-point iteration with a Newton fallback, and every
-solved P has its H lam formed once. Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term
+a warm-started chord (simplified Newton) iteration on one loss-Jacobian
+factor per step, with a Newton fallback, and every solved P has its
+H lam formed once. Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term
 chatters once the disagreement r is of order (g k1 dt)^(1/(1 - mu)), g
 being the loop gain, so below IMPLICIT_SWITCH times that scale (30 times
 the floor of the reference case) it takes linearly implicit,
@@ -76,7 +77,8 @@ class AlgorithmParams:
 
     k1, k2: consensus gains (> 0); mu in (0, 1) and nu > 1 are the signed
     power exponents; dt: step (s); t_end: horizon (s); fp_tol: residual
-    tolerance of the implicit power solve (MW); settle_tol: consensus
+    tolerance of the implicit power solve (MW); fp_max_iter: cap on its
+    chord iterations before the Newton fallback; settle_tol: consensus
     residual threshold; settle_window: seconds the residual must stay
     below settle_tol before settling is declared.
     """
@@ -176,10 +178,21 @@ class DispatchSystem:
         return float(self.d0.sum())
 
     @cached_property
+    def loss_jac0(self) -> np.ndarray:
+        """J0, the Jacobian of the generator losses at P = d0."""
+        return self.loss._jacobian(self.d0)
+
+    @cached_property
+    def chord0(self) -> np.ndarray:
+        """A0 = (I - J0)^-1, the power solve's chord factor linearised at P = d0."""
+        return np.linalg.inv(np.eye(self.n) - self.loss_jac0)
+
+    @cached_property
     def loop_gain(self) -> float:
         """g = ||M||_inf at P = d0 (M from _sensitivity), the gain with which
         the disagreement answers the consensus law near consensus."""
-        return float(np.abs(_sensitivity(self.d0, *_h_lambda(self.d0, self)[:2], self)).sum(axis=1).max())
+        M = _sensitivity(*_h_lambda(self.d0, self)[:2], self, self.chord0)
+        return float(np.abs(M).sum(axis=1).max())
 
 
 @dataclass
@@ -206,29 +219,62 @@ def solve_power(z, system: DispatchSystem, prev_P=None, fp_tol: float = Algorith
                 fp_max_iter: int = AlgorithmParams.fp_max_iter) -> np.ndarray:
     """Solve P_i = sum_j a_ij (z_j - z_i) + D_i0 + P_Li(P) for P.
 
-    Warm-started fixed-point iteration; the map is contractive whenever
-    the own-loss gradients stay below 1. Falls back to Newton on the
-    residual if the iteration stalls; raises StepFailure if both fail.
+    Warm-started (from d0 without prev_P) chord iteration on the factor
+    system.chord0 = (I - J(d0))^-1; see _solve_power. Falls back to Newton
+    on the residual if the iteration stalls; raises StepFailure if both fail.
     """
-    z = np.asarray(z, dtype=float)
+    P = np.asarray(prev_P, dtype=float) if prev_P is not None else system.d0
+    return _solve_power(np.asarray(z, dtype=float), system, P, system.chord0, fp_tol, fp_max_iter)[0]
+
+
+def _solve_power(z: np.ndarray, system: DispatchSystem, P: np.ndarray, A: np.ndarray,
+                 fp_tol: float, fp_max_iter: int) -> tuple[np.ndarray, int, bool]:
+    """Solve P = base + P_L(P), base = -L z + d0, from P; return (P, loss
+    evaluations, whether the Newton fallback finished it).
+
+    Each of at most fp_max_iter chord iterations forms g = base + P_L(P)
+    and moves P <- P + A (g - P), with A close to (I - J)^-1 and J the
+    Jacobian of the generator losses. Once max|g - P| < fp_tol it returns g,
+    whose balance residual is one sweep below fp_tol. Otherwise full Newton
+    on the residual takes over; StepFailure if it fails too.
+    """
     base = _disagreement(z, system) + system.d0
     loss = system.loss
-    # every sweep and Newton update builds a new array: prev_P is never written to or returned
-    P = np.asarray(prev_P, dtype=float) if prev_P is not None else system.d0
-    for _ in range(fp_max_iter):
+    # every update builds a new array: the P passed in is never written to or returned
+    for k in range(fp_max_iter):
         g = base + loss._losses(P)
-        err = np.abs(g - P).max()
-        P = g
-        if err < fp_tol:
-            return P
-    for _ in range(50):
+        d = g - P
+        if np.abs(d).max() < fp_tol:
+            return g, k + 1, False
+        P = P + A @ d
+    for k in range(50):
         r = base + loss._losses(P) - P
         if np.abs(r).max() < fp_tol:
-            return P
+            return P, fp_max_iter + k + 1, True
         P = P + np.linalg.solve(np.eye(system.n) - loss._jacobian(P), r)
     raise StepFailure(
         "implicit power equation did not converge; own-loss gradient likely >= 1 at current state"
     )
+
+
+@dataclass
+class _SolveTally:
+    """The power solves of a run: count, loss evaluations (total and per
+    solve at most) and Newton fallbacks."""
+
+    solves: int = 0
+    evals: int = 0
+    max_evals: int = 0
+    fallbacks: int = 0
+
+    def solve(self, z, system: DispatchSystem, P, A, params: AlgorithmParams) -> np.ndarray:
+        """solve_power at z from P with chord factor A, counted."""
+        P, evals, fell_back = _solve_power(z, system, P, A, params.fp_tol, params.fp_max_iter)
+        self.solves += 1
+        self.evals += evals
+        self.max_evals = max(self.max_evals, evals)
+        self.fallbacks += fell_back
+        return P
 
 
 def _h_lambda(P: np.ndarray, system: DispatchSystem):
@@ -281,38 +327,44 @@ def make_state(t: float, z, system: DispatchSystem, prev_P=None, params: Algorit
     return _state(t, z, solve_power(z, system, prev_P, *fp), system)
 
 
-def _rk4(system: DispatchSystem, params: AlgorithmParams, w_at):
+def _rk4(system: DispatchSystem, params: AlgorithmParams, w_at, tally: _SolveTally | None = None):
     """The RK4 advance (t, z, P, r) -> (t + dt, z', P').
 
     P is the solved power at (t, z) and r the disagreement there, which
     give stage 1; each later stage and the end-of-step solve warm-start
-    from the stage before. Only P, r and dz are formed per stage.
+    from the stage before. Only P, r and dz are formed per stage. The
+    solves share one chord factor, (I - J(P))^-1 to first order about
+    system.chord0: A0 + A0 (J(P) - J0) A0. Solves are counted in tally.
     """
-    dt, fp_tol, fp_max_iter = params.dt, params.fp_tol, params.fp_max_iter
+    dt = params.dt
+    solve = (tally or _SolveTally()).solve
+    a0, j0 = system.chord0, system.loss_jac0
 
-    def deriv(z, warm, w):
-        P = solve_power(z, system, warm, fp_tol, fp_max_iter)
+    def deriv(z, warm, w, A):
+        P = solve(z, system, warm, A, params)
         return _z_dot(_disagreement(_h_lambda(P, system)[2], system), params, w), P
 
     def advance(t, z, P, r):
+        A = a0 + a0 @ (system.loss._jacobian(P) - j0) @ a0
         w_half = w_at(t + dt / 2.0)
         k1v = _z_dot(r, params, w_at(t))
-        k2v, P2 = deriv(z + dt / 2.0 * k1v, P, w_half)
-        k3v, P3 = deriv(z + dt / 2.0 * k2v, P2, w_half)
-        k4v, P4 = deriv(z + dt * k3v, P3, w_at(t + dt))
+        k2v, P2 = deriv(z + dt / 2.0 * k1v, P, w_half, A)
+        k3v, P3 = deriv(z + dt / 2.0 * k2v, P2, w_half, A)
+        k4v, P4 = deriv(z + dt * k3v, P3, w_at(t + dt), A)
         z_new = z + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        return t + dt, z_new, solve_power(z_new, system, P4, fp_tol, fp_max_iter)
+        return t + dt, z_new, solve(z_new, system, P4, A, params)
 
     return advance
 
 
-def _sensitivity(P: np.ndarray, lam: np.ndarray, H: np.ndarray, system: DispatchSystem) -> np.ndarray:
+def _sensitivity(lam: np.ndarray, H: np.ndarray, system: DispatchSystem, jinv: np.ndarray) -> np.ndarray:
     """M = L K (I - J)^-1 L at P, with which the disagreement r = -L (H lam)
     moves with z as dr = M dz: K = d(H lam)/dP, J the Jacobian of the
-    generator losses and L the Laplacian; lam and H are those of _h_lambda at P."""
+    generator losses and L the Laplacian; lam and H are those of _h_lambda
+    at P, and jinv is (I - J)^-1 there."""
     K = weighted_cost_jacobian(system.loss, system.c_coef, lam, H, 1.0)
     lap = system.laplacian
-    return lap @ K @ np.linalg.solve(np.eye(system.n) - system.loss._jacobian(P), lap)
+    return lap @ K @ jinv @ lap
 
 
 def _switch_level(system: DispatchSystem, params: AlgorithmParams) -> float:
@@ -324,26 +376,33 @@ def _switch_level(system: DispatchSystem, params: AlgorithmParams) -> float:
     return IMPLICIT_SWITCH * x ** (1.0 / (1.0 - params.mu)) if x < 1.0 else math.inf
 
 
-def _implicit(system: DispatchSystem, params: AlgorithmParams, w_at):
+def _implicit(system: DispatchSystem, params: AlgorithmParams, w_at, tally: _SolveTally | None = None):
     """The linearly implicit advance (t, z, P, h, r) -> (t + dt, z', P', Newton iterations).
 
-    With h = _h_lambda(P), r the disagreement at P and M = _sensitivity(P) it solves
+    With h = _h_lambda(P), r the disagreement at P and M = _sensitivity at P it solves
     y = r + M dz, dz = -dt (k1 sig(y)^mu + k2 sig(y)^nu) + dt w(t + dt)
     for the next disagreement y, which is backward Euler on the consensus law
     linearised at P, so it has no chatter: exact consensus is its fixed
     point. Newton runs in s = sig(y)^mu, in which the equation is smooth at
-    consensus, and solves with lstsq because M has the null vector 1.
-    One solve_power at z + dz then restores the balance exactly.
+    consensus, and solves with lstsq because M has the null vector 1; it
+    starts from s = 0 (no iteration) when s = 0 already solves the equation
+    within tolerance, else from sig(r)^mu. (I - J(P))^-1 is formed once, for
+    M and as the chord factor of the one power solve at z + dz that then
+    restores the balance exactly. Solves are counted in tally.
     """
     dt, k1, k2, mu, nu = params.dt, params.k1, params.k2, params.mu, params.nu
     deg_max = system.degree.max()
+    eye = np.eye(system.n)
+    solve = (tally or _SolveTally()).solve
 
     def advance(t, z, P, h, r):
         lam, H, hl = h
-        M = _sensitivity(P, lam, H, system)
+        jinv = np.linalg.inv(eye - system.loss._jacobian(P))
+        M = _sensitivity(lam, H, system, jinv)
         dtw = dt * w_at(t + dt)
-        tol = max(_IMPLICIT_RTOL * np.abs(r + M @ dtw).max(), _EPS * deg_max * np.abs(hl).max())
-        s = sig_pow(r, mu)
+        f0 = np.abs(r + M @ dtw).max()  # max|F| at s = 0
+        tol = max(_IMPLICIT_RTOL * f0, _EPS * deg_max * np.abs(hl).max())
+        s = sig_pow(r, mu) if f0 > tol else np.zeros(system.n)
         for iters in range(_IMPLICIT_MAX_ITER + 1):
             dz = dtw - dt * (k1 * s + k2 * sig_pow(s, nu / mu))
             F = sig_pow(s, 1.0 / mu) - r - M @ dz
@@ -355,22 +414,24 @@ def _implicit(system: DispatchSystem, params: AlgorithmParams, w_at):
             jac = np.diag(a ** (1.0 / mu - 1.0) / mu) + dt * M * (k1 + k2 * nu / mu * a ** (nu / mu - 1.0))
             s = s - np.linalg.lstsq(jac, F, rcond=None)[0]
         z_new = z + dz
-        return t + dt, z_new, solve_power(z_new, system, P, params.fp_tol, params.fp_max_iter), iters
+        return t + dt, z_new, solve(z_new, system, P, jinv, params), iters
 
     return advance
 
 
-def _advance(system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None):
+def _advance(system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None,
+             tally: _SolveTally | None = None):
     """The advance (t, z, P, h) -> (t + dt, z', P', Newton iterations) shared
-    by step() and run(); h is _h_lambda at P, (lam, H, H * lam).
+    by step() and run(); h is _h_lambda at P, (lam, H, H * lam). Its power
+    solves are counted in tally.
 
     RK4 while the disagreement max|r| is at least _switch_level, the
     implicit step below it (its Newton iteration count; None for an RK4
     step). The choice depends only on the state passed in.
     """
     w_at = _disturbance_fn(disturbance if disturbance is not None else DisturbanceSpec(), system.n)
-    rk4 = _rk4(system, params, w_at)
-    implicit = _implicit(system, params, w_at)
+    rk4 = _rk4(system, params, w_at, tally)
+    implicit = _implicit(system, params, w_at, tally)
     switch = _switch_level(system, params)
 
     def advance(t, z, P, h):
@@ -414,8 +475,10 @@ class Trajectory:
 class RunResult:
     """A run's trajectory, terminal state and verdicts, with its solver
     counters: steps taken, the time of the first implicit step (None if
-    RK4 did every step), and the mean and max Newton iterations of the
-    implicit steps (None if there were none)."""
+    RK4 did every step), the mean and max Newton iterations of the
+    implicit steps (None if there were none), and over every power solve of
+    the run the mean and max loss evaluations per solve and how many solves
+    ended on the Newton fallback."""
 
     trajectory: Trajectory
     terminal: SimulationState
@@ -428,6 +491,8 @@ class RunResult:
     steps: int = 0
     switch_time: float | None = None
     implicit_newton_iters: tuple[float, int] | None = None
+    power_solve_iters: tuple[float, int] | None = None
+    newton_fallbacks: int = 0
 
 
 def run(system: DispatchSystem, params: AlgorithmParams,
@@ -443,12 +508,13 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    advance = _advance(system, params, disturbance)
+    tally = _SolveTally()
+    advance = _advance(system, params, disturbance, tally)
     z0 = np.zeros(system.n) if z0 is None else np.asarray(z0, dtype=float)
     nsteps = int(round(params.t_end / params.dt))
     window_steps = int(round(params.settle_window / params.dt))
 
-    state = make_state(0.0, z0, system, params=params)
+    state = _state(0.0, z0, tally.solve(z0, system, system.d0, system.chord0, params), system)
     t, z, P, res = state.t, state.z, state.P, state.residual
     h = (state.lam, state.H, state.H * state.lam)
     rows = [(t, z, P, state.loss, state.cost, res)]
@@ -504,4 +570,6 @@ def run(system: DispatchSystem, params: AlgorithmParams,
         c_star=float(c_star), negative_power_seen=neg, fail_step=fail_step,
         steps=steps, switch_time=switch_time,
         implicit_newton_iters=(sum(newton_iters) / len(newton_iters), max(newton_iters)) if newton_iters else None,
+        power_solve_iters=(tally.evals / tally.solves, tally.max_evals),
+        newton_fallbacks=tally.fallbacks,
     )

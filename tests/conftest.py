@@ -24,6 +24,22 @@ REF_EQ_COST = 11080.832237274592
 REF_EQ_LOSS = 40.910279226665146
 
 
+def fleet_dict(n):
+    """A seeded n-generator run file on a ring; it need not pass the gates."""
+    rng = np.random.default_rng(n)
+    p0 = rng.uniform(10.0, 45.0, n)
+    off = rng.uniform(0.0, 8e-6, (n, n))
+    B = (off + off.T) / 2.0
+    np.fill_diagonal(B, rng.uniform(2e-5, 4e-5, n))
+    return {
+        "generators": [{"a": float(rng.uniform(30.0, 80.0)), "b": float(rng.uniform(1.5, 3.5)),
+                        "c": float(rng.uniform(0.05, 0.12)), "p0": float(p), "d0": float(p)} for p in p0],
+        "loss": {"b_matrix": B.tolist(), "b0": rng.uniform(0.0, 2e-3, n).tolist(), "b00": 1.5},
+        "topology": {"nodes": n, "edges": [[i, (i + 1) % n, 1.0] for i in range(n)]},
+        "params": {"k1": 5.0, "k2": 5.0, "mu": 0.5, "nu": 2.0, "dt": 1e-3, "t_end": 0.2},
+    }
+
+
 @pytest.fixture(scope="session")
 def ref_model():
     return KronLossModel(REF_B, REF_B0, REF_B00)

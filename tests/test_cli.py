@@ -31,6 +31,7 @@ from fxdispatch.cli import (
 )
 from fxdispatch.config import OutputSpec, config_from_dict
 from fxdispatch.topology import laplacian
+from tests.conftest import fleet_dict
 
 CONFIG_PATH = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference_case.yaml"
 
@@ -155,22 +156,6 @@ class TestLoadConfig:
         bad.write_text("generators: [}{")
         with pytest.raises(ConfigurationError, match="parse error"):
             load_config(str(bad))
-
-
-def fleet_dict(n):
-    """A seeded n-generator run file on a ring; it need not pass the gates."""
-    rng = np.random.default_rng(n)
-    p0 = rng.uniform(10.0, 45.0, n)
-    off = rng.uniform(0.0, 8e-6, (n, n))
-    B = (off + off.T) / 2.0
-    np.fill_diagonal(B, rng.uniform(2e-5, 4e-5, n))
-    return {
-        "generators": [{"a": float(rng.uniform(30.0, 80.0)), "b": float(rng.uniform(1.5, 3.5)),
-                        "c": float(rng.uniform(0.05, 0.12)), "p0": float(p), "d0": float(p)} for p in p0],
-        "loss": {"b_matrix": B.tolist(), "b0": rng.uniform(0.0, 2e-3, n).tolist(), "b00": 1.5},
-        "topology": {"nodes": n, "edges": [[i, (i + 1) % n, 1.0] for i in range(n)]},
-        "params": {"k1": 5.0, "k2": 5.0, "mu": 0.5, "nu": 2.0, "dt": 1e-3, "t_end": 0.2},
-    }
 
 
 def run_cmd(fn, config, **kwargs):
@@ -365,7 +350,9 @@ class TestMain:
     def test_rk4_only_run_reports_no_switch(self, tmp_path):
         assert main(["run", "--config", str(CONFIG_PATH), "--out", str(tmp_path), "--t-end", "0.1"]) == EXIT_OK
         solver = json.loads((tmp_path / "report.json").read_text())["solver"]
-        assert solver == {"steps": 100, "switch_time": None, "implicit_newton_iters": None}
+        solves = solver.pop("power_solve_iters")
+        assert solver == {"steps": 100, "switch_time": None, "implicit_newton_iters": None, "newton_fallbacks": 0}
+        assert 1.0 <= solves["mean"] <= solves["max"] <= 10
 
     def test_missing_config_path(self, capsys):
         assert main(["check", "--config", "/nonexistent/nope.yaml"]) == EXIT_VALIDATION

@@ -19,6 +19,7 @@ from fxdispatch import (
     step,
 )
 from fxdispatch import dynamics
+from fxdispatch.config import config_from_dict
 from fxdispatch.dynamics import (
     _disagreement,
     _disturbance_fn,
@@ -32,7 +33,7 @@ from fxdispatch.dynamics import (
     make_state,
 )
 from fxdispatch.topology import laplacian
-from tests.conftest import REF_DEMAND, REF_P0
+from tests.conftest import REF_DEMAND, REF_P0, fleet_dict
 
 REF_PARAMS = AlgorithmParams(k1=5.0, k2=5.0, mu=0.5, nu=2.0)
 
@@ -133,6 +134,29 @@ class TestSolvePower:
         system = DispatchSystem(gens=gens, loss=ref_model, top=ref_top)
         P = solve_power(np.zeros(4), system, fp_tol=1e-12)
         assert np.max(np.abs(P - REF_P0)) < 1e-9
+
+    @pytest.mark.parametrize("fleet", ["reference", "16 units"])
+    def test_chord_result_is_the_newton_root(self, ref_system, fleet):
+        system = ref_system if fleet == "reference" else config_from_dict(fleet_dict(16)).system()
+        tol = AlgorithmParams.fp_tol
+        rng = np.random.default_rng(5)
+        for z in [np.zeros(system.n), *rng.normal(scale=10.0, size=(3, system.n))]:
+            base = _disagreement(z, system) + system.d0
+            for warm in (system.d0, 0.5 * system.d0, 2.0 * system.d0):
+                P = solve_power(z, system, prev_P=warm)
+                assert np.abs(base + system.loss._losses(P) - P).max() < tol
+                root = P
+                for _ in range(3):  # Newton polish
+                    r = base + system.loss._losses(root) - root
+                    root = root + np.linalg.solve(np.eye(system.n) - system.loss._jacobian(root), r)
+                assert np.abs(P - root).max() < tol
+
+    def test_one_chord_iteration_ends_on_the_newton_fallback(self, ref_system):
+        params = dataclasses.replace(REF_PARAMS, t_end=0.1)
+        assert run(ref_system, params).newton_fallbacks == 0
+        res = run(ref_system, dataclasses.replace(params, fp_max_iter=1))
+        assert res.newton_fallbacks > 0
+        assert res.power_solve_iters[1] >= 2
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_infeasible_losses_raise(self):
@@ -363,7 +387,7 @@ class TestWorkPerStep:
         # stage 1 of an RK4 step is the state the step starts from, so an RK4
         # step solves P at its three later stages and at its end; an implicit
         # step solves once, and each solved P gets one H lam
-        counts = {"solve_power": 0, "_h_lambda": 0}
+        counts = {"_solve_power": 0, "_h_lambda": 0}
 
         def counted(name):
             real = getattr(dynamics, name)
@@ -394,8 +418,46 @@ class TestWorkPerStep:
         per_step = {"rk4": set(), "implicit": set()}
         for (start, iters), (end, _) in zip(entries, entries[1:]):
             kind = "rk4" if iters is None else "implicit"
-            per_step[kind].add((end["solve_power"] - start["solve_power"], end["_h_lambda"] - start["_h_lambda"]))
+            per_step[kind].add((end["_solve_power"] - start["_solve_power"], end["_h_lambda"] - start["_h_lambda"]))
         assert per_step == {"rk4": {(4, 4)}, "implicit": {(1, 1)}}
+
+    def test_at_most_three_loss_evaluations_per_power_solve(self, ref_system, monkeypatch):
+        # the chord iteration needs about 2.5; the plain fixed-point sweep needed about 6
+        counts = {"_losses": 0, "_solve_power": 0}
+
+        def counted(owner, name):
+            real = getattr(owner, name)
+
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return real(*args, **kwargs)
+            monkeypatch.setattr(owner, name, wrapper)
+
+        counted(KronLossModel, "_losses")
+        counted(dynamics, "_solve_power")
+        res = run(ref_system, dataclasses.replace(REF_PARAMS, t_end=5.2))
+        mean = counts["_losses"] / counts["_solve_power"]
+        assert mean <= 3.0
+        assert res.power_solve_iters[0] == pytest.approx(mean, rel=1e-12)
+        assert res.newton_fallbacks == 0
+
+    @pytest.mark.parametrize("mu, expected", [
+        (0.5, [(5.009, 4.930, 6009), (4.692, 4.612, 5692), (5.680, 5.604, 6680)]),
+        (0.2, [(3.377, 3.322, 4377), (3.050, 2.995, 4050), (4.078, 4.024, 5078)]),
+    ])
+    def test_verdicts_of_the_demand_splits(self, ref_system, mu, expected):
+        # criterion 4's splits at the shipped dt: (settle_time, switch_time, steps)
+        params = dataclasses.replace(REF_PARAMS, mu=mu, t_end=20.0)
+        splits = [(170.0, 110.0, 140.0, 180.0), (150.0, 150.0, 150.0, 150.0), (300.0, 100.0, 100.0, 100.0)]
+        for shares, (settle_time, switch_time, steps) in zip(splits, expected):
+            gens = tuple(dataclasses.replace(g, p0=s, d0=s) for g, s in zip(ref_system.gens, shares))
+            res = run(DispatchSystem(gens=gens, loss=ref_system.loss, top=ref_system.top), params)
+            assert res.settled
+            assert res.settle_time == pytest.approx(settle_time, abs=1e-9)
+            assert res.switch_time == pytest.approx(switch_time, abs=1e-9)
+            assert res.steps == steps
+            # the settle window's steps start at s = 0, which already solves them
+            assert res.implicit_newton_iters[0] < 0.3
 
 
 class TestDisturbance:
