@@ -172,6 +172,7 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False, 
         },
         "solver": {
             "steps": result.steps,
+            "rejected_steps": result.rejected_steps,
             "switch_time": result.switch_time,
             "implicit_newton_iters": {"mean": iters[0], "max": iters[1]} if iters else None,
             "power_solve_iters": {"mean": solves[0], "max": solves[1]},

@@ -5,21 +5,29 @@ the loss-weighted marginal costs H_i * lambda_i; the powers P are defined
 implicitly at every instant by P_i = consensus_term_i + D_i0 + P_Li(P),
 which keeps total generation equal to demand plus losses by construction.
 
-The integrator is fixed-step. While the consensus residual is large it
-takes classical Runge-Kutta steps (4 stages); stage 1 is the state the
-step starts from, each later stage solves the implicit power equation by
-a warm-started chord (simplified Newton) iteration on one loss-Jacobian
-factor per step, with a Newton fallback, and every solved P has its
-H lam formed once. Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term
-chatters once the disagreement r is of order (g k1 dt)^(1/(1 - mu)), g
-being the loop gain, so below IMPLICIT_SWITCH times that scale (30 times
-the floor of the reference case) it takes linearly implicit,
-chattering-free steps instead (backward Euler on the consensus law, after
-Acary & Brogliato 2010 and Polyakov, Efimov & Brogliato 2019), which reach
-consensus to roundoff. The choice depends only on the state, and one
-NumPy advance carries both the public `step` (which adds the monitors)
-and `run` (which forms the residual every step, cost and loss only on
-emitted rows).
+The integrator picks its own steps. While the consensus residual is
+large it takes classical Runge-Kutta steps (4 stages) whose width is set by
+error control: stage 1 is the state the step starts from and also closes
+the step before (first same as last), so the order-3 embedded solution
+with weights (1/6, 1/3, 1/3, 0, 1/6) on (k1, ..., k4, k1 of the next step)
+gives a free error estimate, and a step is accepted when it is within
+STEP_TOL (Hairer, Norsett & Wanner, Solving ODEs I, II.4). Each later stage
+solves the implicit power equation by a warm-started chord (simplified
+Newton) iteration on one loss-Jacobian factor per step, with a Newton
+fallback, and every solved P has its H lam formed once. Explicit RK4 on
+the non-Lipschitz k1 sig(r)^mu term chatters once the disagreement r is of
+order (g k1 h)^(1/(1 - mu)) at width h, g being the loop gain, so RK4's
+width is capped near consensus and below IMPLICIT_SWITCH times the scale at
+width dt (30 times the floor of the reference case) the integrator takes
+linearly implicit, chattering-free steps of width dt instead
+(backward Euler on the consensus law, after Acary & Brogliato 2010 and
+Polyakov, Efimov & Brogliato 2019), which reach consensus to roundoff; once
+an undisturbed run is below settle_tol each implicit step doubles its
+width, so the settle window is confirmed in about ten steps. The kind of
+step depends only on the state, and one NumPy advance, given the state
+and a width, carries both the public `step` (width dt, which adds the
+monitors) and `run` (which forms the residual every step, cost and loss
+only on emitted rows).
 """
 
 from __future__ import annotations
@@ -28,6 +36,7 @@ import logging
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,22 +50,46 @@ _HAVE_NUMBA = False
 
 
 #: The disagreement max|r| below which a step is linearly implicit, in units
-#: of the chatter scale (g k1 dt)^(1/(1 - mu)). Near consensus r moves as
-#: dr/dt = -M k1 sig(r)^mu (M from _sensitivity), and an explicit step of
-#: width dt overshoots once g k1 dt |r|^(mu - 1) is of order one, with the loop
-#: gain g = ||M||_inf taken at P = d0. Explicit RK4 stops converging and
-#: chatters at max|r| = c(mu) (g k1 dt)^(1/(1 - mu)); measured c is at most
-#: 0.134, 0.092, 0.061 and 0.028 at mu = 0.2, 0.35, 0.5 and 0.65, over
-#: k1 = 5 and 50, dt = 1e-3 and 2e-3, the reference case with its link weights
-#: scaled by 0.3, 1 and 3 (g from 0.27 to 27) and a lossless pair. Switching at
-#: 1.5 times the scale is 30 times the floor of the reference case (k1 = 5,
-#: mu = 0.5, where it is a residual of 3.15 dt^2) and at least 11 times any
-#: floor measured for mu >= 0.2, so the switch comes before the chatter. It
-#: is set no higher: an earlier switch does not settle sooner (the reference
-#: case settles at 5.009-5.010 s with the switch anywhere from 10 to 1000
-#: times its floor), and an implicit step costs more than an RK4 step (about
-#: 10 times as much on a 64-unit fleet, mostly its least-squares solves).
+#: of the chatter scale (g k1 dt)^(1/(1 - mu)), dt being the width of the
+#: implicit steps (and of the first RK4 step; error control sizes the rest).
+#: Near consensus r moves as dr/dt = -M k1 sig(r)^mu (M from _sensitivity),
+#: and an explicit step of width h overshoots once g k1 h |r|^(mu - 1) is of
+#: order one, with the loop gain g = ||M||_inf taken at P = d0. Explicit RK4
+#: at width dt stops converging and chatters at max|r| = c(mu) (g k1 dt)^(1/(1 - mu));
+#: measured c is at most 0.134, 0.092, 0.061 and 0.028 at mu = 0.2, 0.35, 0.5
+#: and 0.65, over k1 = 5 and 50, dt = 1e-3 and 2e-3, the reference case with
+#: its link weights scaled by 0.3, 1 and 3 (g from 0.27 to 27) and a lossless
+#: pair. Switching at 1.5 times the scale is 30 times the floor of the
+#: reference case (k1 = 5, mu = 0.5, where it is a residual of 3.15 dt^2) and
+#: at least 11 times any floor measured for mu >= 0.2, so the switch comes
+#: before the chatter. It is set no higher: an earlier switch does not settle
+#: sooner (at a fixed step of dt the reference case settles at 5.009-5.010 s
+#: with the switch anywhere from 10 to 1000 times its floor), and an implicit
+#: step is narrower than the RK4 steps error control takes and costs more
+#: (about 10 times as much on a 64-unit fleet, mostly its least-squares solves).
 IMPLICIT_SWITCH = 1.5
+#: An RK4 step of width h chatters at max|r| = c(mu) (g k1 h)^(1/(1 - mu)), so
+#: under error control alone a wide step can stall above the switch level:
+#: at dt = 2.5e-4 the reference case chattered at max|r| = 2.25e-5 against a
+#: level of 2.05e-5, in accepted steps of 1.4 ms, until t_end. At a
+#: disagreement r an RK4 step is therefore at most
+#: _CHATTER_WIDTH dt (max|r| / level)^(1 - mu) wide (dt wide at the level), a
+#: width whose floor is at most 0.43 max|r| for every c above (0.37 at
+#: mu = 0.5).
+_CHATTER_WIDTH = 3.0
+#: The embedded error estimate (MW on z) below which an RK4 step is accepted.
+#: Measured on the reference case with criterion 4's demand splits at the
+#: shipped gains and their doubling (P at t = 0.5 s against fixed-step RK4 at
+#: dt = 1e-5) and on the benchmark's seeded 64-unit fleets (t_end = 0.2 s):
+#: at 1e-5 the transients are within 4.3e-5 MW, but seed 4 makes 945 power
+#: solves where 200 fixed steps make 801; at 3e-5 they are within 4.7e-5 MW
+#: in at most 577 solves; at 1e-4 the worst error grows to 2.4e-4 MW.
+STEP_TOL = 3e-5
+#: Widths are scaled by at most _GROWTH and at least _SHRINK per step (with the
+#: safety factor _SAFETY on the error-optimal scale); a step that fails at a
+#: width below _MIN_STEP dt ends the run.
+_GROWTH, _SHRINK, _SAFETY = 4.0, 0.2, 0.9
+_MIN_STEP = 1e-6
 #: Newton on the implicit step stops when its residual is this fraction of
 #: its value at s = 0, or within the roundoff of the disagreement it is
 #: solved from; it fails after _IMPLICIT_MAX_ITER iterations.
@@ -66,9 +99,10 @@ _EPS = float(np.finfo(float).eps)
 
 
 class StepFailure(RuntimeError):
-    """Implicit power equation failed to converge (signals the gradient
-    condition dP_Li/dP_i < 1 is violated at the current state), or the
-    Newton iteration of the implicit step did."""
+    """The implicit power equation or the Newton iteration of the implicit
+    step failed to converge. run() retries a failed RK4 step narrower, down
+    to _MIN_STEP dt, and a failed widened settle-window step at dt; any
+    other failure ends the run."""
 
 
 @dataclass(frozen=True)
@@ -119,6 +153,11 @@ class DisturbanceSpec:
     seed: int = 0
     kind: str = "sinusoid"
 
+    @property
+    def active(self) -> bool:
+        """Whether w(t) is anything but zero."""
+        return self.enabled and self.amplitude != 0.0
+
     def __post_init__(self) -> None:
         if self.kind != "sinusoid":
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
@@ -135,7 +174,7 @@ def _disturbance_fn(spec: DisturbanceSpec, n: int):
     Frequencies are kept >= 1 rad/s so the running mean over any horizon
     of tens of seconds stays far below amplitude/100.
     """
-    if not spec.enabled or spec.amplitude == 0.0:
+    if not spec.active:
         return lambda t: np.zeros(n)
     rng = np.random.default_rng(spec.seed)
     omega = rng.uniform(1.0, 2.0 * np.pi, size=n)
@@ -235,25 +274,36 @@ def _solve_power(z: np.ndarray, system: DispatchSystem, P: np.ndarray, A: np.nda
     Each of at most fp_max_iter chord iterations forms g = base + P_L(P)
     and moves P <- P + A (g - P), with A close to (I - J)^-1 and J the
     Jacobian of the generator losses. Once max|g - P| < fp_tol it returns g,
-    whose balance residual is one sweep below fp_tol. Otherwise full Newton
-    on the residual takes over; StepFailure if it fails too.
+    whose balance residual is one sweep below fp_tol. Otherwise, or as soon
+    as max|g - P| grows or is not finite, full Newton on the residual takes
+    over; StepFailure if it fails too or its residual grows, so a diverging
+    iterate stops long before it overflows.
     """
     base = _disagreement(z, system) + system.d0
     loss = system.loss
+    warm, evals, last = P, 0, math.inf
     # every update builds a new array: the P passed in is never written to or returned
-    for k in range(fp_max_iter):
+    for _ in range(fp_max_iter):
         g = base + loss._losses(P)
         d = g - P
-        if np.abs(d).max() < fp_tol:
-            return g, k + 1, False
-        P = P + A @ d
-    for k in range(50):
+        size, evals = np.abs(d).max(), evals + 1
+        if size < fp_tol:
+            return g, evals, False
+        if not size < last:
+            break
+        P, last = P + A @ d, size
+    last = math.inf
+    for _ in range(50):
         r = base + loss._losses(P) - P
-        if np.abs(r).max() < fp_tol:
-            return P, fp_max_iter + k + 1, True
-        P = P + np.linalg.solve(np.eye(system.n) - loss._jacobian(P), r)
+        size, evals = np.abs(r).max(), evals + 1
+        if size < fp_tol:
+            return P, evals, True
+        if not size < last:
+            break
+        P, last = P + np.linalg.solve(np.eye(system.n) - loss._jacobian(P), r), size
     raise StepFailure(
-        "implicit power equation did not converge; own-loss gradient likely >= 1 at current state"
+        f"power solve did not converge; the largest own-loss gradient at its warm start is "
+        f"{loss._own_gradient(warm).max():.3g}"
     )
 
 
@@ -304,9 +354,10 @@ def _z_dot(r: np.ndarray, params: AlgorithmParams, w) -> np.ndarray:
     return dz
 
 
-def _state(t: float, z: np.ndarray, P: np.ndarray, system: DispatchSystem) -> SimulationState:
-    """Assemble all monitors at a solved (z, P)."""
-    lam, H, hl = _h_lambda(P, system)
+def _state(t: float, z: np.ndarray, P: np.ndarray, system: DispatchSystem, h=None) -> SimulationState:
+    """Assemble all monitors at a solved (z, P); h is _h_lambda at P if
+    already formed."""
+    lam, H, hl = _h_lambda(P, system) if h is None else h
     return SimulationState(
         t=t,
         z=np.asarray(z, dtype=float).copy(),
@@ -328,31 +379,43 @@ def make_state(t: float, z, system: DispatchSystem, prev_P=None, params: Algorit
 
 
 def _rk4(system: DispatchSystem, params: AlgorithmParams, w_at, tally: _SolveTally | None = None):
-    """The RK4 advance (t, z, P, r) -> (t + dt, z', P').
+    """The RK4 advance (t, z, P, r, dt) -> (z', P', k4) over a step of width dt.
 
     P is the solved power at (t, z) and r the disagreement there, which
     give stage 1; each later stage and the end-of-step solve warm-start
-    from the stage before. Only P, r and dz are formed per stage. The
-    solves share one chord factor, (I - J(P))^-1 to first order about
-    system.chord0: A0 + A0 (J(P) - J0) A0. Solves are counted in tally.
+    from the chord step off the stage before, P + A (-L (z' - z)), which
+    needs no loss evaluation. Only P, r and dz are formed per stage; k4 is
+    returned for the error estimate. The solves share one chord factor A,
+    (I - J(P))^-1 to first order about system.chord0: A0 + A0 (J(P) - J0) A0.
+    Solves are counted in tally; a failed one raises StepFailure naming the
+    stage, t and dt.
     """
-    dt = params.dt
-    solve = (tally or _SolveTally()).solve
+    tally = tally or _SolveTally()
     a0, j0 = system.chord0, system.loss_jac0
 
-    def deriv(z, warm, w, A):
-        P = solve(z, system, warm, A, params)
-        return _z_dot(_disagreement(_h_lambda(P, system)[2], system), params, w), P
-
-    def advance(t, z, P, r):
+    def advance(t, z, P, r, dt):
         A = a0 + a0 @ (system.loss._jacobian(P) - j0) @ a0
-        w_half = w_at(t + dt / 2.0)
+
+        def solve(stage, z, z_from, P_from):
+            try:
+                return tally.solve(z, system, P_from + A @ _disagreement(z - z_from, system), A, params)
+            except StepFailure as e:
+                raise StepFailure(f"RK4 {stage} at t = {t:.9g} s, width {dt:.3g} s: {e}") from e
+
+        def deriv(stage, z, z_from, P_from, w):
+            P = solve(stage, z, z_from, P_from)
+            return _z_dot(_disagreement(_h_lambda(P, system)[2], system), params, w), P
+
+        w_half, w_end = w_at(t + dt / 2.0), w_at(t + dt)
         k1v = _z_dot(r, params, w_at(t))
-        k2v, P2 = deriv(z + dt / 2.0 * k1v, P, w_half, A)
-        k3v, P3 = deriv(z + dt / 2.0 * k2v, P2, w_half, A)
-        k4v, P4 = deriv(z + dt * k3v, P3, w_at(t + dt), A)
+        z2 = z + dt / 2.0 * k1v
+        k2v, P2 = deriv("stage 2", z2, z, P, w_half)
+        z3 = z + dt / 2.0 * k2v
+        k3v, P3 = deriv("stage 3", z3, z2, P2, w_half)
+        z4 = z + dt * k3v
+        k4v, P4 = deriv("stage 4", z4, z3, P3, w_end)
         z_new = z + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        return t + dt, z_new, solve(z_new, system, P4, A, params)
+        return z_new, solve("end-of-step solve", z_new, z4, P4), k4v
 
     return advance
 
@@ -377,7 +440,8 @@ def _switch_level(system: DispatchSystem, params: AlgorithmParams) -> float:
 
 
 def _implicit(system: DispatchSystem, params: AlgorithmParams, w_at, tally: _SolveTally | None = None):
-    """The linearly implicit advance (t, z, P, h, r) -> (t + dt, z', P', Newton iterations).
+    """The linearly implicit advance (t, z, P, h, r, dt) -> (z', P', Newton
+    iterations) over a step of width dt.
 
     With h = _h_lambda(P), r the disagreement at P and M = _sensitivity at P it solves
     y = r + M dz, dz = -dt (k1 sig(y)^mu + k2 sig(y)^nu) + dt w(t + dt)
@@ -390,12 +454,12 @@ def _implicit(system: DispatchSystem, params: AlgorithmParams, w_at, tally: _Sol
     M and as the chord factor of the one power solve at z + dz that then
     restores the balance exactly. Solves are counted in tally.
     """
-    dt, k1, k2, mu, nu = params.dt, params.k1, params.k2, params.mu, params.nu
+    k1, k2, mu, nu = params.k1, params.k2, params.mu, params.nu
     deg_max = system.degree.max()
     eye = np.eye(system.n)
     solve = (tally or _SolveTally()).solve
 
-    def advance(t, z, P, h, r):
+    def advance(t, z, P, h, r, dt):
         lam, H, hl = h
         jinv = np.linalg.inv(eye - system.loss._jacobian(P))
         M = _sensitivity(lam, H, system, jinv)
@@ -409,38 +473,60 @@ def _implicit(system: DispatchSystem, params: AlgorithmParams, w_at, tally: _Sol
             if np.abs(F).max() <= tol:
                 break
             if iters == _IMPLICIT_MAX_ITER:
-                raise StepFailure(f"implicit step did not converge in {_IMPLICIT_MAX_ITER} Newton iterations")
+                raise StepFailure(f"implicit step at t = {t:.9g} s, width {dt:.3g} s did not converge "
+                                  f"in {_IMPLICIT_MAX_ITER} Newton iterations")
             a = np.abs(s)
             jac = np.diag(a ** (1.0 / mu - 1.0) / mu) + dt * M * (k1 + k2 * nu / mu * a ** (nu / mu - 1.0))
             s = s - np.linalg.lstsq(jac, F, rcond=None)[0]
         z_new = z + dz
-        return t + dt, z_new, solve(z_new, system, P, jinv, params), iters
+        return z_new, solve(z_new, system, P, jinv, params), iters
 
     return advance
 
 
+class _Step(NamedTuple):
+    """One advance: the new z and P, h = _h_lambda and the disagreement r at
+    P, and either the RK4 error estimate or the implicit step's Newton
+    iterations (the other is None)."""
+
+    z: np.ndarray
+    P: np.ndarray
+    h: tuple
+    r: np.ndarray
+    err: float | None
+    iters: int | None
+
+
 def _advance(system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None,
              tally: _SolveTally | None = None):
-    """The advance (t, z, P, h) -> (t + dt, z', P', Newton iterations) shared
-    by step() and run(); h is _h_lambda at P, (lam, H, H * lam). Its power
-    solves are counted in tally.
+    """(advance, switch): the advance (t, z, P, h, r, dt) -> _Step over a
+    step of width dt, shared by step() and run(), and the _switch_level that
+    picks its kind. h is _h_lambda at P, (lam, H, H * lam), and r the
+    disagreement there. Power solves are counted in tally.
 
     RK4 while the disagreement max|r| is at least _switch_level, the
-    implicit step below it (its Newton iteration count; None for an RK4
-    step). The choice depends only on the state passed in.
+    implicit step below it. For an RK4 step err = dt/6 max|k4 - k5|, with
+    k5 = dz/dt at (t + dt, z') the next step's k1: the distance to the
+    order-3 solution with weights (1/6, 1/3, 1/3, 0, 1/6) on (k1, ..., k5),
+    which costs no solve and in which the disturbance w(t + dt) cancels.
     """
     w_at = _disturbance_fn(disturbance if disturbance is not None else DisturbanceSpec(), system.n)
     rk4 = _rk4(system, params, w_at, tally)
     implicit = _implicit(system, params, w_at, tally)
     switch = _switch_level(system, params)
 
-    def advance(t, z, P, h):
-        r = _disagreement(h[2], system)
+    def advance(t, z, P, h, r, dt):
         if np.abs(r).max() < switch:
-            return implicit(t, z, P, h, r)
-        return (*rk4(t, z, P, r), None)
+            z, P, iters = implicit(t, z, P, h, r, dt)
+        else:
+            z, P, k4 = rk4(t, z, P, r, dt)
+            iters = None
+        h = _h_lambda(P, system)
+        r = _disagreement(h[2], system)
+        err = None if iters is not None else dt / 6.0 * float(np.abs(k4 - _z_dot(r, params, w_at(t + dt))).max())
+        return _Step(z, P, h, r, err, iters)
 
-    return advance
+    return advance, switch
 
 
 def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None = None) -> SimulationState:
@@ -449,13 +535,16 @@ def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams
     _switch_level.
 
     Stage 1 is state (its P, lam and H); each later RK4 stage solves the
-    implicit power equation (warm-started from the stage before). The
-    returned state carries fresh monitors.
+    implicit power equation (warm-started from the stage before). As in
+    run(), the width integrated is the time increment t' - t as rounded,
+    t' = t + dt. The returned state carries fresh monitors.
     """
     h = (state.lam, state.H, state.H * state.lam)
-    advance = _advance(system, params, disturbance)
-    t, z, P, _ = advance(state.t, np.asarray(state.z, dtype=float), np.asarray(state.P, dtype=float), h)
-    return _state(t, z, P, system)
+    advance, _ = _advance(system, params, disturbance)
+    t_new = state.t + params.dt
+    out = advance(state.t, np.asarray(state.z, dtype=float), np.asarray(state.P, dtype=float), h,
+                  _disagreement(h[2], system), t_new - state.t)
+    return _state(t_new, out.z, out.P, system, out.h)
 
 
 @dataclass
@@ -474,11 +563,11 @@ class Trajectory:
 @dataclass
 class RunResult:
     """A run's trajectory, terminal state and verdicts, with its solver
-    counters: steps taken, the time of the first implicit step (None if
-    RK4 did every step), the mean and max Newton iterations of the
-    implicit steps (None if there were none), and over every power solve of
-    the run the mean and max loss evaluations per solve and how many solves
-    ended on the Newton fallback."""
+    counters: accepted and rejected steps, the time of the first implicit
+    step (None if RK4 did every step), the mean and max Newton iterations of
+    the implicit steps (None if there were none), and over every power solve
+    of the run the mean and max loss evaluations per solve and how many
+    solves ended on the Newton fallback."""
 
     trajectory: Trajectory
     terminal: SimulationState
@@ -493,6 +582,15 @@ class RunResult:
     implicit_newton_iters: tuple[float, int] | None = None
     power_solve_iters: tuple[float, int] | None = None
     newton_fallbacks: int = 0
+    rejected_steps: int = 0
+
+
+def _width_scale(err: float) -> float:
+    """The factor on an RK4 step's width for the next try or step, after an
+    error estimate err: 0.9 (err/STEP_TOL)^(-1/4) within [0.2, 4]."""
+    if err == 0.0:
+        return _GROWTH
+    return min(_GROWTH, max(_SHRINK, _SAFETY * (err / STEP_TOL) ** -0.25))
 
 
 def run(system: DispatchSystem, params: AlgorithmParams,
@@ -500,59 +598,103 @@ def run(system: DispatchSystem, params: AlgorithmParams,
         c_star: float | None = None, stride: int = 100) -> RunResult:
     """Integrate the dispatch dynamics to t_end or sustained consensus.
 
+    RK4 steps start at width dt and are then sized by error control: a
+    step whose error estimate exceeds STEP_TOL, or whose power solve fails,
+    is rejected and retried narrower, and the width after an accepted step
+    is scaled by 0.9 (err/STEP_TOL)^(-1/4) within [0.2, 4] (at most 1 after
+    a rejection). Implicit steps have width dt, except that in an
+    undisturbed settle window each doubles the width of the one before (a
+    failed one is retried at dt). The last step lands on t_end.
+
     Settling is declared when the consensus residual stays below
     settle_tol for settle_window seconds; the settling time recorded is
     the start of that window and integration stops once it is confirmed.
-    Every stride-th step is a trajectory row. The Lyapunov column is
-    V = 0.5 (C - c_star)^2, with c_star defaulting to the terminal cost.
+    Every stride-th accepted step and the terminal state are trajectory
+    rows. The Lyapunov column is V = 0.5 (C - c_star)^2, with c_star
+    defaulting to the terminal cost. A step that fails below _MIN_STEP dt
+    ends the run with status "step_failure".
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
     tally = _SolveTally()
-    advance = _advance(system, params, disturbance, tally)
+    advance, switch = _advance(system, params, disturbance, tally)
+    quiet = disturbance is None or not disturbance.active
     z0 = np.zeros(system.n) if z0 is None else np.asarray(z0, dtype=float)
-    nsteps = int(round(params.t_end / params.dt))
-    window_steps = int(round(params.settle_window / params.dt))
+    min_width = _MIN_STEP * params.dt
 
     state = _state(0.0, z0, tally.solve(z0, system, system.d0, system.chord0, params), system)
     t, z, P, res = state.t, state.z, state.P, state.residual
     h = (state.lam, state.H, state.H * state.lam)
+    r = _disagreement(h[2], system)
     rows = [(t, z, P, state.loss, state.cost, res)]
 
     def emit():
         rows.append((t, z, P, system.loss.total_loss(P), total_cost(system.gens, P), res))
 
-    below = 1 if res < params.settle_tol else 0
+    # the settle window open since window_start (None if the residual is above settle_tol)
+    window_start = window_end = None
+    if res < params.settle_tol:
+        window_start, window_end = t, t + params.settle_window
+    rk4_width, window_width, may_grow = params.dt, params.dt, True
     settle_time, fail_step, switch_time, newton_iters = None, None, None, []
-    steps = nsteps
-    for i in range(nsteps):
-        t_n = t
+    steps = rejected = 0
+    while t < params.t_end:
+        r_max = float(np.abs(r).max())
+        implicit = r_max < switch
+        widening = implicit and quiet and window_start is not None
+        if implicit:
+            width = window_width if widening else params.dt
+        else:
+            width = min(rk4_width, _CHATTER_WIDTH * params.dt * (r_max / switch) ** (1.0 - params.mu))
+        t_new = min(t + width, params.t_end)
+        if window_start is not None and t < window_end < t_new:
+            t_new = window_end
+        dt = t_new - t
         try:
-            t, z, P, iters = advance(t, z, P, h)
-        except StepFailure:
-            fail_step = steps = i
-            break
-        if iters is not None:
+            out = advance(t, z, P, h, r, dt)
+        except StepFailure as e:
+            out, failure = None, e
+        else:
+            failure = None
+            if out.err is not None and out.err > STEP_TOL:
+                failure = StepFailure(f"RK4 step at t = {t:.9g} s, width {dt:.3g} s: "
+                                      f"error estimate {out.err:.3g} above STEP_TOL")
+        if failure is not None:
+            if widening and window_width > params.dt:
+                window_width = params.dt
+            elif implicit or dt < min_width:
+                fail_step = steps
+                logger.warning("run ended at t = %.9g s: %s", t, failure)
+                break
+            else:  # a failed solve is retried at a quarter of the width
+                rk4_width, may_grow = dt * (_width_scale(out.err) if out is not None else 0.25), False
+            rejected += 1
+            continue
+        if implicit:
             if switch_time is None:
-                switch_time = t_n
-                logger.info("implicit step took over at t = %.3f s (residual %.3g)", t_n, res)
-            newton_iters.append(iters)
-        h = _h_lambda(P, system)
+                switch_time = t
+                logger.info("implicit step took over at t = %.3f s (residual %.3g)", t, res)
+            newton_iters.append(out.iters)
+            if widening:
+                window_width *= 2.0
+        else:
+            rk4_width, may_grow = dt * min(_width_scale(out.err), _GROWTH if may_grow else 1.0), True
+        t, z, P, h, r = t_new, out.z, out.P, out.h, out.r
         res = _residual(h[2])
-        on_stride = (i + 1) % stride == 0
-        if on_stride:
+        steps += 1
+        if steps % stride == 0:
             emit()
         if res < params.settle_tol:
-            below += 1
-            if below > window_steps:
-                settle_time = (i + 1 - below + 1) * params.dt
-                steps = i + 1
-                if not on_stride:
-                    emit()
+            if window_start is None:
+                window_start, window_end = t, t + params.settle_window
+            if t >= window_end:
+                settle_time = window_start
                 break
         else:
-            below = 0
-    terminal = _state(t, z, P, system)
+            window_start, window_width = None, params.dt
+    if steps % stride:
+        emit()
+    terminal = _state(t, z, P, system, h)
     c_star = terminal.cost if c_star is None else c_star
     rows_t, rows_z, rows_p, rows_pl, rows_c, rows_r = zip(*rows)
     cost = np.array(rows_c)
@@ -571,5 +713,5 @@ def run(system: DispatchSystem, params: AlgorithmParams,
         steps=steps, switch_time=switch_time,
         implicit_newton_iters=(sum(newton_iters) / len(newton_iters), max(newton_iters)) if newton_iters else None,
         power_solve_iters=(tally.evals / tally.solves, tally.max_evals),
-        newton_fallbacks=tally.fallbacks,
+        newton_fallbacks=tally.fallbacks, rejected_steps=rejected,
     )

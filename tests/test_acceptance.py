@@ -103,8 +103,8 @@ def test_criterion_4_fixed_time_property(golden):
     splits = [(170.0, 110.0, 140.0, 180.0),
               (150.0, 150.0, 150.0, 150.0),
               (300.0, 100.0, 100.0, 100.0)]
-    # a finer dt than the golden run's, so the three transients are
-    # integrated by RK4 at a quarter of the shipped step
+    # a finer dt than the golden run's: RK4 starts at a quarter of the
+    # shipped step, and the implicit steps and settle time resolve 0.25 ms
     params = dataclasses.replace(config.params, dt=2.5e-4, t_end=20.0)
     results = []
     for shares in splits:

@@ -240,7 +240,10 @@ class TestRun:
         code, _ = run_cmd(cmd_run, config_from_dict(base_dict), out_dir=str(tmp_path))
         lines = (tmp_path / "trajectory.csv").read_text().splitlines()
         assert lines[0] == "t,P1,P2,P3,P4,z1,z2,z3,z4,PL,Ptotal,cost,residual,V"
-        assert len(lines) == 1 + 200 // 10 + 1
+        # the initial instant, every 10th accepted step and the terminal state at t_end
+        steps = json.loads((tmp_path / "report.json").read_text())["solver"]["steps"]
+        assert steps == 48 and len(lines) == 1 + 1 + 48 // 10 + 1
+        assert float(lines[-1].split(",")[0]) == 0.2
         values = np.array([[float(v) for v in row.split(",")] for row in lines[1:]])
         assert np.isfinite(values).all()
 
@@ -339,7 +342,9 @@ class TestMain:
         report = json.loads(outputs[1][1])
         solver = report["solver"]
         assert report["settled"] is True
-        assert solver["steps"] == round(report["measured_settling_time"] / 1e-3) + 1000
+        # accepted steps: RK4 ones sized by error control, implicit ones of width dt
+        # until the residual is below settle_tol, then ten that confirm the window
+        assert (solver["steps"], solver["rejected_steps"]) == (107, 6)
         assert 0.0 < solver["switch_time"] < report["measured_settling_time"]
         assert 0.0 < solver["implicit_newton_iters"]["mean"] <= solver["implicit_newton_iters"]["max"] <= 10
         assert levels == [logging.WARNING, logging.INFO]
@@ -351,7 +356,8 @@ class TestMain:
         assert main(["run", "--config", str(CONFIG_PATH), "--out", str(tmp_path), "--t-end", "0.1"]) == EXIT_OK
         solver = json.loads((tmp_path / "report.json").read_text())["solver"]
         solves = solver.pop("power_solve_iters")
-        assert solver == {"steps": 100, "switch_time": None, "implicit_newton_iters": None, "newton_fallbacks": 0}
+        assert solver == {"steps": 38, "rejected_steps": 3, "switch_time": None, "implicit_newton_iters": None,
+                          "newton_fallbacks": 0}
         assert 1.0 <= solves["mean"] <= solves["max"] <= 10
 
     def test_missing_config_path(self, capsys):

@@ -1,4 +1,6 @@
 import dataclasses
+import pathlib
+import warnings
 
 import numpy as np
 import pytest
@@ -19,8 +21,9 @@ from fxdispatch import (
     step,
 )
 from fxdispatch import dynamics
-from fxdispatch.config import config_from_dict
+from fxdispatch.config import config_from_dict, load_config
 from fxdispatch.dynamics import (
+    _advance,
     _disagreement,
     _disturbance_fn,
     _h_lambda,
@@ -36,6 +39,9 @@ from fxdispatch.topology import laplacian
 from tests.conftest import REF_DEMAND, REF_P0, fleet_dict
 
 REF_PARAMS = AlgorithmParams(k1=5.0, k2=5.0, mu=0.5, nu=2.0)
+#: Terminal P of the reference case (every demand split, mu = 0.5 and 0.2)
+#: from a fixed-step run at dt = 2.5e-4, to the last bit of the first split.
+FINE_TERMINAL = np.array([164.75601311044773, 171.72475981634753, 168.59776550240161, 135.8317407974683])
 
 
 def lossless_pair(d=100.0, split=(100.0, 100.0)):
@@ -237,12 +243,17 @@ class TestStep:
         assert drift.max() <= 4.0 * params.fp_tol
 
 
-def step_loop(system, params, disturbance, nsteps, z0=None):
-    """States 0..nsteps from public step() calls, starting at z0 (default 0)."""
+def replay(system, params, disturbance, res, z0=None):
+    """States at the row times of a stride-1 run, each advanced from the one
+    before through the shared advance over the width between their times."""
+    advance, _ = _advance(system, params, disturbance)
     z0 = np.zeros(system.n) if z0 is None else z0
     states = [make_state(0.0, z0, system, params=params)]
-    for _ in range(nsteps):
-        states.append(step(states[-1], system, params, disturbance))
+    for t_next in res.trajectory.t[1:]:
+        s = states[-1]
+        h = (s.lam, s.H, s.H * s.lam)
+        out = advance(s.t, s.z, s.P, h, _disagreement(h[2], system), t_next - s.t)
+        states.append(_state(t_next, out.z, out.P, system))
     return states
 
 
@@ -261,50 +272,67 @@ def assert_same_state(a, b):
 
 
 class TestRunMatchesStep:
-    """run() must reproduce public step() calls bit for bit."""
+    """run() must reproduce its accepted steps, replayed through the advance
+    it shares with step(), bit for bit."""
 
     @pytest.mark.parametrize("disturbance, fp_max_iter", [
         (None, 200),
         (DisturbanceSpec(enabled=True, amplitude=0.5, seed=21), 200),
-        # one fixed-point sweep: every solve that does not start converged
+        # one chord iteration: every solve that does not start converged
         # finishes on the Newton fallback
         (None, 1),
     ], ids=["plain", "disturbed", "newton"])
     def test_rows_and_terminal_bit_identical(self, ref_system, disturbance, fp_max_iter):
         params = dataclasses.replace(REF_PARAMS, t_end=0.1, fp_max_iter=fp_max_iter)
         res = run(ref_system, params, disturbance=disturbance, stride=1)
-        states = step_loop(ref_system, params, disturbance, 100)
+        states = replay(ref_system, params, disturbance, res)
         assert_rows_are_states(res.trajectory, states)
         assert_same_state(res.terminal, states[-1])
+        # error control varies the width, after rejected steps too, and lands on t_end
+        assert res.rejected_steps > 0 and len(set(np.diff(res.trajectory.t))) > 10
+        assert res.terminal.t == params.t_end and res.steps == len(states) - 1
 
     def test_rows_and_terminal_bit_identical_across_the_switch(self, ref_system):
-        # from near consensus RK4 takes the first 76 steps, the implicit step the rest
         z0 = equilibrium_z(ref_system) + 0.03 * np.array([1.0, -1.0, 1.0, -1.0])
         params = dataclasses.replace(REF_PARAMS, t_end=0.15)
         res = run(ref_system, params, z0=z0, stride=1)
-        states = step_loop(ref_system, params, None, 150, z0=z0)
-        assert res.switch_time == states[76].t
-        level = _switch_level(ref_system, params)
-        assert disagreement(states[75], ref_system) >= level > disagreement(states[76], ref_system)
+        states = replay(ref_system, params, None, res, z0=z0)
         assert_rows_are_states(res.trajectory, states)
         assert_same_state(res.terminal, states[-1])
+        level = _switch_level(ref_system, params)
+        k = next(k for k, s in enumerate(states) if disagreement(s, ref_system) < level)
+        assert 0 < k < len(states) - 1
+        assert res.switch_time == states[k].t
+        # implicit steps from there on have width dt and are public step(),
+        # but for the last one, cut at t_end
+        assert res.trajectory.t[-2] + params.dt > params.t_end
+        for j in range(k, len(states) - 2):
+            assert_same_state(step(states[j], ref_system, params), states[j + 1])
 
     def test_settling_rows_and_time(self):
         system = lossless_pair(split=(110.0, 90.0))
         params = dataclasses.replace(REF_PARAMS, t_end=5.0, settle_window=0.05)
-        window = int(round(params.settle_window / params.dt))
-        stride = 7
-        res = run(system, params, stride=stride)
-        states = step_loop(system, params, None, 1500)
-        below = np.array([s.residual < params.settle_tol for s in states])
-        # first index that opens window + 1 consecutive states below settle_tol
-        first = next(k for k in range(len(states) - window) if below[k:k + window + 1].all())
-        last = first + window
+        res = run(system, params, stride=1)
+        states = replay(system, params, None, res)
+        assert_rows_are_states(res.trajectory, states)
         assert res.settled
-        assert res.settle_time == first * params.dt
+        # the window opens at the first state of the last run below settle_tol
+        # and closes when its width has passed
+        below = [s.residual < params.settle_tol for s in states]
+        first = max(k for k, b in enumerate(below) if not b) + 1
+        assert res.settle_time == states[first].t
+        assert states[-1].t == states[first].t + params.settle_window
+        # undisturbed, each window step doubles the width of the one before
+        widths = np.diff(res.trajectory.t[first:])
+        assert widths[:-1] == pytest.approx(params.dt * 2.0 ** np.arange(len(widths) - 1), rel=1e-9)
+        assert 0.0 < widths[-1] <= 2.0 ** (len(widths) - 1) * params.dt
+        stride = 7
+        strided = run(system, params, stride=stride)
+        last = len(states) - 1
         emitted = list(range(0, last + 1, stride)) + ([last] if last % stride else [])
-        assert_rows_are_states(res.trajectory, [states[k] for k in emitted])
-        assert_same_state(res.terminal, states[last])
+        assert_rows_are_states(strided.trajectory, [states[k] for k in emitted])
+        assert_same_state(strided.terminal, states[last])
+        assert (strided.settle_time, strided.steps) == (res.settle_time, res.steps)
 
 
 def symmetric_lossy_pair():
@@ -314,9 +342,9 @@ def symmetric_lossy_pair():
 
 
 def implicit_step(system, params, disturbance=None):
-    """The implicit advance as a function of a state: its (P, (lam, H, H lam), r) start the step."""
+    """The implicit advance over width dt as a function of a state: its (P, (lam, H, H lam), r) start the step."""
     advance = _implicit(system, params, _disturbance_fn(disturbance or DisturbanceSpec(), system.n))
-    return lambda s: advance(s.t, s.z, s.P, (s.lam, s.H, s.H * s.lam), state_r(s, system))
+    return lambda s: advance(s.t, s.z, s.P, (s.lam, s.H, s.H * s.lam), state_r(s, system), params.dt)
 
 
 class TestImplicitStep:
@@ -324,7 +352,7 @@ class TestImplicitStep:
     def test_exact_consensus_is_a_fixed_point(self, system):
         state = make_state(0.0, np.array([0.5, 0.5]), system, params=REF_PARAMS)
         assert state.residual == 0.0
-        t, z, P, iters = implicit_step(system, REF_PARAMS)(state)
+        z, P, iters = implicit_step(system, REF_PARAMS)(state)
         assert np.array_equal(z, state.z)
         assert iters == 0
 
@@ -332,14 +360,15 @@ class TestImplicitStep:
         (1.0, 5.0, 0.5), (1.0, 50.0, 0.2), (3.0, 5.0, 0.35), (0.3, 50.0, 0.65),
     ], ids=["reference", "k1=50,mu=0.2", "weights*3,mu=0.35", "weights*0.3,k1=50,mu=0.65"])
     def test_rk4_floor_lies_below_the_switch(self, ref_system, weight, k1, mu):
-        # RK4 started at consensus climbs to its chatter floor and stays there
+        # RK4 at width dt started at consensus climbs to its chatter floor and stays there
         system = DispatchSystem(gens=ref_system.gens, loss=ref_system.loss, top=path_topology(4, weight))
         params = dataclasses.replace(REF_PARAMS, k1=k1, mu=mu)
         advance = _rk4(system, params, _disturbance_fn(DisturbanceSpec(), 4))
         state = make_state(0.0, equilibrium_z(system), system, params=params)
         floor = []
         for k in range(400):
-            state = _state(*advance(state.t, state.z, state.P, state_r(state, system)), system)
+            z, P, _ = advance(state.t, state.z, state.P, state_r(state, system), params.dt)
+            state = _state(state.t + params.dt, z, P, system)
             if k >= 200:
                 floor.append(state)
         r_floor = [disagreement(s, system) for s in floor]
@@ -363,7 +392,7 @@ class TestImplicitStep:
         assert res.settled and 5.0 <= res.settle_time <= 5.02
         assert res.terminal.residual < 1e-12
         assert np.max(np.abs(res.terminal.P - sol.P_star)) < 1e-9
-        assert res.steps == 6009
+        assert (res.steps, res.rejected_steps) == (269, 3)
         assert res.switch_time < res.settle_time
         mean_iters, max_iters = res.implicit_newton_iters
         assert 0.0 < mean_iters <= max_iters <= 10
@@ -373,7 +402,7 @@ class TestImplicitStep:
         state = make_state(0.0, z, ref_system, params=REF_PARAMS)
         assert disagreement(state, ref_system) < _switch_level(ref_system, REF_PARAMS)
         step_fn = implicit_step(ref_system, REF_PARAMS)
-        assert step_fn(state)[3] > 0  # converges as is
+        assert step_fn(state)[2] > 0  # converges as is
         # a Newton update that never moves
         monkeypatch.setattr(np.linalg, "lstsq", lambda a, b, rcond=None: (np.zeros_like(b), None, 0, None))
         with pytest.raises(StepFailure, match="50 Newton iterations"):
@@ -385,8 +414,8 @@ class TestImplicitStep:
 class TestWorkPerStep:
     def test_one_power_solve_and_one_h_lambda_per_stage(self, ref_system, monkeypatch):
         # stage 1 of an RK4 step is the state the step starts from, so an RK4
-        # step solves P at its three later stages and at its end; an implicit
-        # step solves once, and each solved P gets one H lam
+        # step, accepted or rejected, solves P at its three later stages and at
+        # its end; an implicit step solves once, and each solved P gets one H lam
         counts = {"_solve_power": 0, "_h_lambda": 0}
 
         def counted(name):
@@ -399,27 +428,31 @@ class TestWorkPerStep:
 
         for name in counts:
             monkeypatch.setattr(dynamics, name, counted(name))
-        entries = []  # the counts when each step starts, and its Newton iterations
+        entries = []  # the counts when each step starts, its start time and kind
         real_advance = dynamics._advance
 
         def counting_advance(*args):
-            advance = real_advance(*args)
+            advance, switch = real_advance(*args)
 
             def wrapper(*step_args):
                 start = dict(counts)
                 out = advance(*step_args)
-                entries.append((start, out[3]))
+                entries.append((start, step_args[0], "rk4" if out.iters is None else "implicit"))
                 return out
-            return wrapper
+            return wrapper, switch
 
         monkeypatch.setattr(dynamics, "_advance", counting_advance)
         res = run(ref_system, dataclasses.replace(REF_PARAMS, t_end=5.2))
-        assert res.steps == len(entries) == 5200 and 4.9 < res.switch_time < 5.0
-        per_step = {"rk4": set(), "implicit": set()}
-        for (start, iters), (end, _) in zip(entries, entries[1:]):
-            kind = "rk4" if iters is None else "implicit"
-            per_step[kind].add((end["_solve_power"] - start["_solve_power"], end["_h_lambda"] - start["_h_lambda"]))
-        assert per_step == {"rk4": {(4, 4)}, "implicit": {(1, 1)}}
+        assert len(entries) == res.steps + res.rejected_steps
+        assert res.rejected_steps > 0 and 4.9 < res.switch_time < 5.0
+        per_step = {}
+        for (start, t, kind), (end, t_next, _) in zip(entries, entries[1:]):
+            # a rejected step is retried from where it started
+            key = (kind, "accepted" if t_next != t else "rejected")
+            per_step.setdefault(key, set()).add(
+                (end["_solve_power"] - start["_solve_power"], end["_h_lambda"] - start["_h_lambda"]))
+        assert per_step == {("rk4", "accepted"): {(4, 4)}, ("rk4", "rejected"): {(4, 4)},
+                            ("implicit", "accepted"): {(1, 1)}}
 
     def test_at_most_three_loss_evaluations_per_power_solve(self, ref_system, monkeypatch):
         # the chord iteration needs about 2.5; the plain fixed-point sweep needed about 6
@@ -442,22 +475,34 @@ class TestWorkPerStep:
         assert res.newton_fallbacks == 0
 
     @pytest.mark.parametrize("mu, expected", [
-        (0.5, [(5.009, 4.930, 6009), (4.692, 4.612, 5692), (5.680, 5.604, 6680)]),
-        (0.2, [(3.377, 3.322, 4377), (3.050, 2.995, 4050), (4.078, 4.024, 5078)]),
+        (0.5, [(5.0094517359, 4.9294517359, 269, 5.0075), (4.6924346934, 4.6124346934, 247, 4.69025),
+               (5.6799386634, 5.6039386634, 299, 5.67875)]),
+        (0.2, [(3.3767498420, 3.3217498420, 367, 3.376), (3.0503579838, 2.9943579838, 347, 3.049),
+               (4.0784602466, 4.0254602466, 407, 4.07725)]),
     ])
     def test_verdicts_of_the_demand_splits(self, ref_system, mu, expected):
-        # criterion 4's splits at the shipped dt: (settle_time, switch_time, steps)
+        # criterion 4's splits at the shipped dt: (settle_time, switch_time,
+        # steps), and the settle time of a fixed-step run at dt = 2.5e-4
         params = dataclasses.replace(REF_PARAMS, mu=mu, t_end=20.0)
         splits = [(170.0, 110.0, 140.0, 180.0), (150.0, 150.0, 150.0, 150.0), (300.0, 100.0, 100.0, 100.0)]
-        for shares, (settle_time, switch_time, steps) in zip(splits, expected):
+        window_steps = int(np.ceil(np.log2(params.settle_window / params.dt + 1.0)))
+        for shares, (settle_time, switch_time, steps, fine_settle_time) in zip(splits, expected):
             gens = tuple(dataclasses.replace(g, p0=s, d0=s) for g, s in zip(ref_system.gens, shares))
-            res = run(DispatchSystem(gens=gens, loss=ref_system.loss, top=ref_system.top), params)
+            res = run(DispatchSystem(gens=gens, loss=ref_system.loss, top=ref_system.top), params, stride=1)
             assert res.settled
             assert res.settle_time == pytest.approx(settle_time, abs=1e-9)
             assert res.switch_time == pytest.approx(switch_time, abs=1e-9)
             assert res.steps == steps
-            # the settle window's steps start at s = 0, which already solves them
-            assert res.implicit_newton_iters[0] < 0.3
+            assert abs(res.settle_time - fine_settle_time) < 0.01
+            assert np.abs(res.terminal.P - FINE_TERMINAL).max() < 1e-9
+            # the widths of the settle window's steps double: ten steps confirm one second
+            assert np.count_nonzero(res.trajectory.t > res.settle_time) == window_steps == 10
+
+    def test_verdict_at_mu_02_and_k1_20(self, ref_system):
+        res = run(ref_system, dataclasses.replace(REF_PARAMS, mu=0.2, k1=20.0, t_end=20.0))
+        assert res.settled
+        assert abs(res.settle_time - 1.21975) < 0.01  # fixed step at dt = 2.5e-4
+        assert np.abs(res.terminal.P - FINE_TERMINAL).max() < 1e-9
 
 
 class TestDisturbance:
@@ -539,6 +584,79 @@ class TestRun:
         assert 0.0 < res.settle_time < 20.0
         # the residual at the terminal state stays below the threshold
         assert res.terminal.residual < params.settle_tol
+
+
+class TestErrorControl:
+    #: P(0.5 s) on the reference case with criterion 4's demand splits and
+    #: the shipped gains and their doubling, from fixed-step runs at dt = 1e-5
+    FINE_P_HALF = [
+        ((170.0, 110.0, 140.0, 180.0), 5.0, [152.7682570981298, 166.37239572094478, 175.28209370556417, 147.6393313900383]),
+        ((170.0, 110.0, 140.0, 180.0), 10.0, [156.8514902779828, 168.3208826035722, 172.8872141029812, 143.59601949813782]),
+        ((150.0, 150.0, 150.0, 150.0), 5.0, [155.62368661909863, 167.7057653910884, 173.5990690618002, 144.84975146882437]),
+        ((150.0, 150.0, 150.0, 150.0), 10.0, [158.58165129520236, 169.13044545008506, 171.88346555402077, 141.89178550128798]),
+        ((300.0, 100.0, 100.0, 100.0), 5.0, [189.0506053411539, 183.15069777470387, 154.8127518106482, 111.83571310828609]),
+        ((300.0, 100.0, 100.0, 100.0), 10.0, [178.70988674407099, 178.09615831974344, 160.80571016759387, 122.0722847404772]),
+    ]
+
+    @pytest.mark.parametrize("shares, gain, fine", FINE_P_HALF)
+    def test_transient_matches_a_fine_fixed_step_run(self, ref_system, shares, gain, fine):
+        # RK4 at the fixed shipped dt was 3.6e-3 MW off on the last split at gain 10
+        gens = tuple(dataclasses.replace(g, p0=s, d0=s) for g, s in zip(ref_system.gens, shares))
+        system = DispatchSystem(gens=gens, loss=ref_system.loss, top=ref_system.top)
+        res = run(system, dataclasses.replace(REF_PARAMS, k1=gain, k2=gain, t_end=0.5))
+        assert res.terminal.t == 0.5
+        assert np.abs(res.terminal.P - fine).max() < 1e-3
+
+    def test_far_initial_state_runs_without_warnings(self, ref_system):
+        # the first RK4 step of width dt fails in its power solve; it is rejected, not fatal
+        params = dataclasses.replace(REF_PARAMS, t_end=20.0)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = run(ref_system, params, z0=100.0 * np.array([1.0, -1.0, 1.0, -1.0]))
+        assert res.status == "ok" and res.settled
+        assert res.rejected_steps > 0
+        assert np.max(np.abs(res.terminal.P - FINE_TERMINAL)) < 1e-9
+
+    def test_failed_stage_names_its_step(self, ref_system):
+        state = make_state(0.0, 100.0 * np.array([1.0, -1.0, 1.0, -1.0]), ref_system, params=REF_PARAMS)
+        advance = _rk4(ref_system, REF_PARAMS, _disturbance_fn(DisturbanceSpec(), 4))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailure, match=r"RK4 stage \d at t = 0 s, width 0.001 s: power solve did not "
+                                                  r"converge; the largest own-loss gradient at its warm start is \d"):
+                advance(0.0, state.z, state.P, state_r(state, ref_system), REF_PARAMS.dt)
+
+    def test_diverging_power_solve_stops_before_overflow(self, ref_system):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(StepFailure, match="own-loss gradient at its warm start is 0.0992"):
+                solve_power(1e6 * np.array([1.0, -1.0, 1.0, -1.0]), ref_system)
+
+    def test_a_step_failing_at_every_width_ends_the_run(self, ref_system, monkeypatch):
+        real = dynamics._solve_power
+        z0 = np.zeros(4)
+
+        def only_at_z0(z, *args):
+            if not np.array_equal(z, z0):
+                raise StepFailure("refused")
+            return real(z, *args)
+
+        monkeypatch.setattr(dynamics, "_solve_power", only_at_z0)
+        res = run(ref_system, REF_PARAMS)
+        # widths dt, dt/4, ..., dt/4^9 are rejected; dt/4^10 is below 1e-6 dt
+        assert (res.status, res.fail_step, res.steps, res.rejected_steps) == ("step_failure", 0, 0, 10)
+        assert res.trajectory.t.tolist() == [0.0] and res.terminal.t == 0.0
+
+    def test_golden_run_keeps_criteria_3_and_8_at_every_accepted_step(self):
+        config = load_config(str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference_case.yaml"))
+        system = config.system()
+        eq = solve_equilibrium(config.generators, config.loss, system.dbar)
+        res = run(system, config.params, c_star=eq.cost_star, stride=1)
+        traj = res.trajectory
+        assert res.settled and len(traj.t) == res.steps + 1
+        drift = np.abs(traj.P.sum(axis=1) - system.dbar - traj.loss)
+        assert drift.max() <= 4e-10
+        assert np.diff(traj.V[traj.t >= 0.1]).max() <= 1e-9
 
 
 class TestLyapunov:
