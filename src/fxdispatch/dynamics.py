@@ -15,18 +15,17 @@ STEP_TOL (Hairer, Norsett & Wanner, Solving ODEs I, II.4). Each later stage
 solves the implicit power equation by a warm-started chord (simplified
 Newton) iteration on one loss-Jacobian factor per step, with a Newton
 fallback, and every solved P has its H lam formed once. Explicit RK4 on
-the non-Lipschitz k1 sig(r)^mu term chatters once the disagreement r is of
-order (g k1 h)^(1/(1 - mu)) at width h, g being the loop gain, so RK4's
-width is capped near consensus and below IMPLICIT_SWITCH times the scale at
-width dt (30 times the floor of the reference case) the integrator takes
-linearly implicit, chattering-free steps of width dt instead
-(backward Euler on the consensus law, after Acary & Brogliato 2010 and
-Polyakov, Efimov & Brogliato 2019), which reach consensus to roundoff; once
-an undisturbed run is below settle_tol each implicit step doubles its
-width, so the settle window is confirmed in about ten steps. The kind of
-step depends only on the state, and one NumPy advance, given the state
-and a width, carries both the public `step` (width dt, which adds the
-monitors) and `run` (which forms the residual every step, cost and loss
+the non-Lipschitz k1 sig(r)^mu term chatters once g k1 h |r|^(mu - 1) is of
+order one at width h, g being the loop gain, so one rule, _chatter_width,
+bounds RK4's width at the disagreement r, and where that bound falls below
+dt the integrator takes linearly implicit, chattering-free steps of width
+dt instead (backward Euler on the consensus law, after Acary & Brogliato
+2010 and Polyakov, Efimov & Brogliato 2019), which reach consensus to
+roundoff; once an undisturbed run is below settle_tol each implicit step
+doubles its width, so the settle window is confirmed in about ten steps.
+The kind of step depends only on the state, and one NumPy advance, given
+the state and a width, carries both the public `step` (width dt, which adds
+the monitors) and `run` (which forms the residual every step, cost and loss
 only on emitted rows).
 """
 
@@ -49,34 +48,21 @@ logger = logging.getLogger(__name__)
 _HAVE_NUMBA = False
 
 
-#: The disagreement max|r| below which a step is linearly implicit, in units
-#: of the chatter scale (g k1 dt)^(1/(1 - mu)), dt being the width of the
-#: implicit steps (and of the first RK4 step; error control sizes the rest).
 #: Near consensus r moves as dr/dt = -M k1 sig(r)^mu (M from _sensitivity),
-#: and an explicit step of width h overshoots once g k1 h |r|^(mu - 1) is of
-#: order one, with the loop gain g = ||M||_inf taken at P = d0. Explicit RK4
-#: at width dt stops converging and chatters at max|r| = c(mu) (g k1 dt)^(1/(1 - mu));
-#: measured c is at most 0.134, 0.092, 0.061 and 0.028 at mu = 0.2, 0.35, 0.5
-#: and 0.65, over k1 = 5 and 50, dt = 1e-3 and 2e-3, the reference case with
-#: its link weights scaled by 0.3, 1 and 3 (g from 0.27 to 27) and a lossless
-#: pair. Switching at 1.5 times the scale is 30 times the floor of the
-#: reference case (k1 = 5, mu = 0.5, where it is a residual of 3.15 dt^2) and
-#: at least 11 times any floor measured for mu >= 0.2, so the switch comes
-#: before the chatter. It is set no higher: an earlier switch does not settle
-#: sooner (at a fixed step of dt the reference case settles at 5.009-5.010 s
-#: with the switch anywhere from 10 to 1000 times its floor), and an implicit
-#: step is narrower than the RK4 steps error control takes and costs more
-#: (about 10 times as much on a 64-unit fleet, mostly its least-squares solves).
-IMPLICIT_SWITCH = 1.5
-#: An RK4 step of width h chatters at max|r| = c(mu) (g k1 h)^(1/(1 - mu)), so
-#: under error control alone a wide step can stall above the switch level:
-#: at dt = 2.5e-4 the reference case chattered at max|r| = 2.25e-5 against a
-#: level of 2.05e-5, in accepted steps of 1.4 ms, until t_end. At a
-#: disagreement r an RK4 step is therefore at most
-#: _CHATTER_WIDTH dt (max|r| / level)^(1 - mu) wide (3 dt at the level), a
-#: width whose floor is at most 0.43 max|r| for every c above (0.37 at
-#: mu = 0.5).
-_CHATTER_WIDTH = 3.0
+#: and RK4 at width h stops converging and chatters at
+#: max|r| = c(mu) (g k1 h)^(1/(1 - mu)), with the loop gain g = ||M||_inf at
+#: P = d0. Measured c is at most 0.134, 0.092, 0.061 and 0.028 at mu = 0.2,
+#: 0.35, 0.5 and 0.65, over k1 = 5 and 50, h = 1e-3 and 2e-3, the reference
+#: case with its link weights scaled by 0.3, 1 and 3 (g from 0.27 to 27) and a
+#: lossless pair. The width _chatter_width allows at max|r|, and the
+#: handover to implicit steps where it is below dt, scale with this constant:
+#: at 2.4 the floor of such a step is at most 0.40 max|r| for every c above,
+#: and the handover comes at least 2.5 times above RK4's floor at width dt.
+#: Of 1 to 3, 2.4 takes the fewest steps, accepted plus rejected, over
+#: criterion 4's splits at mu = 0.5 and 0.2 and mu = 0.2 with k1 = 20 (2 459,
+#: against 2 468 at 2 and 2 487 at 3): lower values hand over sooner after
+#: narrower RK4 steps, higher ones reject more RK4 steps before the handover.
+_CHATTER_WIDTH = 2.4
 #: The embedded error estimate (MW on z) below which an RK4 step is accepted.
 #: Measured on the reference case with criterion 4's demand splits at the
 #: shipped gains and their doubling (P at t = 0.5 s against fixed-step RK4 at
@@ -110,11 +96,13 @@ class AlgorithmParams:
     """Gains, exponents, and integrator settings.
 
     k1, k2: consensus gains (> 0); mu in (0, 1) and nu > 1 are the signed
-    power exponents; dt: step (s); t_end: horizon (s); fp_tol: residual
-    tolerance of the implicit power solve (MW); fp_max_iter: cap on its
-    chord iterations before the Newton fallback; settle_tol: consensus
-    residual threshold; settle_window: seconds the residual must stay
-    below settle_tol before settling is declared.
+    power exponents; dt: the first RK4 step and the implicit steps' width
+    (s), steps turning implicit where _chatter_width is below it; t_end:
+    horizon (s); fp_tol: residual tolerance of the implicit power solve
+    (MW); fp_max_iter: cap on its chord iterations before the Newton
+    fallback; settle_tol: consensus residual threshold; settle_window:
+    seconds the residual must stay below settle_tol before settling is
+    declared.
     """
 
     k1: float
@@ -165,6 +153,8 @@ class DisturbanceSpec:
             raise ValueError("amplitude must be >= 0")
         if self.amplitude == math.inf:
             raise ValueError("amplitude must be finite")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 def _disturbance_fn(spec: DisturbanceSpec, n: int):
@@ -430,13 +420,11 @@ def _sensitivity(lam: np.ndarray, H: np.ndarray, system: DispatchSystem, jinv: n
     return lap @ K @ jinv @ lap
 
 
-def _switch_level(system: DispatchSystem, params: AlgorithmParams) -> float:
-    """The max|r| below which a step is linearly implicit:
-    IMPLICIT_SWITCH (g k1 dt)^(1/(1 - mu)) with g = system.loop_gain.
-    Once g k1 dt >= 1 an explicit step overshoots at any disagreement, so
-    every step is implicit."""
-    x = system.loop_gain * params.k1 * params.dt
-    return IMPLICIT_SWITCH * x ** (1.0 / (1.0 - params.mu)) if x < 1.0 else math.inf
+def _chatter_width(system: DispatchSystem, params: AlgorithmParams, r_max: float) -> float:
+    """The widest RK4 step that does not chatter at the disagreement
+    max|r| = r_max: _CHATTER_WIDTH r_max^(1 - mu) / (g k1), with
+    g = system.loop_gain. A step is linearly implicit where it is below dt."""
+    return _CHATTER_WIDTH * r_max ** (1.0 - params.mu) / (system.loop_gain * params.k1)
 
 
 def _implicit(system: DispatchSystem, params: AlgorithmParams, w_at, tally: _SolveTally | None = None):
@@ -498,13 +486,12 @@ class _Step(NamedTuple):
 
 def _advance(system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None,
              tally: _SolveTally | None = None):
-    """(advance, switch): the advance (t, z, P, h, r, dt) -> _Step over a
-    step of width dt, shared by step() and run(), and the _switch_level that
-    picks its kind. h is _h_lambda at P, (lam, H, H * lam), and r the
-    disagreement there. Power solves are counted in tally.
+    """The advance (t, z, P, h, r, dt) -> _Step over a step of width dt,
+    shared by step() and run(). h is _h_lambda at P, (lam, H, H * lam), and
+    r the disagreement there. Power solves are counted in tally.
 
-    RK4 while the disagreement max|r| is at least _switch_level, the
-    implicit step below it. For an RK4 step err = dt/6 max|k4 - k5|, with
+    RK4 while _chatter_width at max|r| is at least params.dt, the implicit
+    step where it is below. For an RK4 step err = dt/6 max|k4 - k5|, with
     k5 = dz/dt at (t + dt, z') the next step's k1: the distance to the
     order-3 solution with weights (1/6, 1/3, 1/3, 0, 1/6) on (k1, ..., k5),
     which costs no solve and in which the disturbance w(t + dt) cancels.
@@ -512,10 +499,9 @@ def _advance(system: DispatchSystem, params: AlgorithmParams, disturbance: Distu
     w_at = _disturbance_fn(disturbance if disturbance is not None else DisturbanceSpec(), system.n)
     rk4 = _rk4(system, params, w_at, tally)
     implicit = _implicit(system, params, w_at, tally)
-    switch = _switch_level(system, params)
 
     def advance(t, z, P, h, r, dt):
-        if np.abs(r).max() < switch:
+        if _chatter_width(system, params, float(np.abs(r).max())) < params.dt:
             z, P, iters = implicit(t, z, P, h, r, dt)
         else:
             z, P, k4 = rk4(t, z, P, r, dt)
@@ -525,13 +511,13 @@ def _advance(system: DispatchSystem, params: AlgorithmParams, disturbance: Distu
         err = None if iters is not None else dt / 6.0 * float(np.abs(k4 - _z_dot(r, params, w_at(t + dt))).max())
         return _Step(z, P, h, r, err, iters)
 
-    return advance, switch
+    return advance
 
 
 def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None = None) -> SimulationState:
     """One step of width dt on z: classical 4-stage Runge-Kutta, or the
-    linearly implicit step once the disagreement at state.P is below
-    _switch_level.
+    linearly implicit step where _chatter_width at the disagreement of
+    state.P is below dt.
 
     Stage 1 is state (its P, lam and H); each later RK4 stage solves the
     implicit power equation (warm-started from the stage before). As in
@@ -539,7 +525,7 @@ def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams
     t' = t + dt. The returned state carries fresh monitors.
     """
     h = (state.lam, state.H, state.H * state.lam)
-    advance, _ = _advance(system, params, disturbance)
+    advance = _advance(system, params, disturbance)
     t_new = state.t + params.dt
     out = advance(state.t, np.asarray(state.z, dtype=float), np.asarray(state.P, dtype=float), h,
                   _disagreement(h[2], system), t_new - state.t)
@@ -597,11 +583,12 @@ def run(system: DispatchSystem, params: AlgorithmParams,
         c_star: float | None = None, stride: int = 100) -> RunResult:
     """Integrate the dispatch dynamics to t_end or sustained consensus.
 
-    RK4 steps start at width dt and are then sized by error control: a
-    step whose error estimate exceeds STEP_TOL, or whose power solve fails,
-    is rejected and retried narrower, and the width after an accepted step
-    is scaled by 0.9 (err/STEP_TOL)^(-1/4) within [0.2, 4] (at most 1 after
-    a rejection). Implicit steps have width dt, except that in an
+    RK4 steps start at width dt and are then sized by error control, never
+    wider than _chatter_width: a step whose error estimate exceeds
+    STEP_TOL, or whose power solve fails, is rejected and retried narrower,
+    and the width after an accepted step is scaled by
+    0.9 (err/STEP_TOL)^(-1/4) within [0.2, 4] (at most 1 after a
+    rejection). Implicit steps have width dt, except that in an
     undisturbed settle window each doubles the width of the one before (a
     failed one is retried at dt). The last step lands on t_end.
 
@@ -616,7 +603,7 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     if stride < 1:
         raise ValueError("stride must be >= 1")
     tally = _SolveTally()
-    advance, switch = _advance(system, params, disturbance, tally)
+    advance = _advance(system, params, disturbance, tally)
     quiet = disturbance is None or not disturbance.active
     z0 = np.zeros(system.n) if z0 is None else np.asarray(z0, dtype=float)
     min_width = _MIN_STEP * params.dt
@@ -638,13 +625,13 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     settle_time, fail_step, switch_time, newton_iters = None, None, None, []
     steps = rejected = 0
     while t < params.t_end:
-        r_max = float(np.abs(r).max())
-        implicit = r_max < switch
+        cap = _chatter_width(system, params, float(np.abs(r).max()))
+        implicit = cap < params.dt
         widening = implicit and quiet and window_start is not None
         if implicit:
             width = window_width if widening else params.dt
         else:
-            width = min(rk4_width, _CHATTER_WIDTH * params.dt * (r_max / switch) ** (1.0 - params.mu))
+            width = min(rk4_width, cap)
         t_new = min(t + width, params.t_end)
         if window_start is not None and t < window_end < t_new:
             t_new = window_end

@@ -344,7 +344,7 @@ class TestMain:
         assert report["settled"] is True
         # accepted steps: RK4 ones sized by error control, implicit ones of width dt
         # until the residual is below settle_tol, then ten that confirm the window
-        assert (solver["steps"], solver["rejected_steps"]) == (107, 6)
+        assert (solver["steps"], solver["rejected_steps"]) == (84, 6)
         assert 0.0 < solver["switch_time"] < report["measured_settling_time"]
         assert 0.0 < solver["implicit_newton_iters"]["mean"] <= solver["implicit_newton_iters"]["max"] <= 10
         assert levels == [logging.WARNING, logging.INFO]
@@ -375,6 +375,11 @@ class TestMain:
         code = main(["run", "--config", str(CONFIG_PATH), "--out", str(tmp_path), "--dt", "-1"])
         assert code == EXIT_VALIDATION
         assert capsys.readouterr().err == "config error: dt must be positive\n"
+
+    def test_rejected_seed_override_is_a_config_error(self, tmp_path, capsys):
+        code = main(["run", "--config", str(CONFIG_PATH), "--out", str(tmp_path), "--seed", "-1"])
+        assert code == EXIT_VALIDATION
+        assert capsys.readouterr().err == "config error: seed must be >= 0\n"
 
     def test_invalid_config_file(self, tmp_path, capsys):
         bad = tmp_path / "bad.yaml"
@@ -439,6 +444,8 @@ MALFORMED = [
                  id="infinite-fp-tol"),
     pytest.param(lambda d: d["disturbance"].update(enabled=True, amplitude=float("inf")),
                  "disturbance: amplitude must be finite", id="infinite-amplitude"),
+    pytest.param(lambda d: d["disturbance"].update(enabled=True, amplitude=0.5, seed=-3),
+                 "disturbance: seed must be >= 0", id="negative-seed"),
     pytest.param(lambda d: d.update(initial={"z0": [float("nan"), 0.0, 0.0, 0.0]}), "initial: z0 must be finite",
                  id="nan-z0"),
     pytest.param(lambda d: d.update(initial={"z0": [0.0, 0.0, 0.0]}), "initial: z0 has length 3, expected 4",
