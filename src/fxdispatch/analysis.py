@@ -22,8 +22,7 @@ from .grid_model import (
     total_demand,
 )
 # imported by name: perfbench/spans.py patches analysis.jacobi_eigenvalues
-from .linalg import jacobi_eigenvalues
-from .topology import check_connected
+from .topology import check_connected, jacobi_eigenvalues
 
 #: roundoff slack for element-wise bound checks
 BOUND_SLACK = 1e-12

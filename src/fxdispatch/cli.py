@@ -176,7 +176,6 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False, 
             "switch_time": result.switch_time,
             "implicit_newton_iters": {"mean": iters[0], "max": iters[1]} if iters else None,
             "power_solve_iters": {"mean": solves[0], "max": solves[1]},
-            "newton_fallbacks": result.newton_fallbacks,
         },
     }
 

@@ -122,8 +122,9 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
     sections = ("generators", "loss", "topology", "params", "disturbance", "output", "initial")
     _mapping(data, sections, "top level", path)
     gens_sec = data.get("generators")
-    if not isinstance(gens_sec, list) or not gens_sec:
-        raise ConfigurationError(f"{path}: 'generators' must be a non-empty list")
+    # consensus needs a neighbour: one generator has loop gain 0 and no dynamics
+    if not isinstance(gens_sec, list) or len(gens_sec) < 2:
+        raise ConfigurationError(f"{path}: 'generators' must be a list of at least two generators")
     loss_sec = _mapping(data.get("loss"), ("b_matrix", "b0", "b00"), "loss", path)
     with _errors(path, "loss"):
         loss = KronLossModel(loss_sec["b_matrix"], loss_sec["b0"], loss_sec.get("b00", 0.0))

@@ -13,20 +13,21 @@ with weights (1/6, 1/3, 1/3, 0, 1/6) on (k1, ..., k4, k1 of the next step)
 gives a free error estimate, and a step is accepted when it is within
 STEP_TOL (Hairer, Norsett & Wanner, Solving ODEs I, II.4). Each later stage
 solves the implicit power equation by a warm-started chord (simplified
-Newton) iteration on one loss-Jacobian factor per step, with a Newton
-fallback, and every solved P has its H lam formed once. Explicit RK4 on
-the non-Lipschitz k1 sig(r)^mu term chatters once g k1 h |r|^(mu - 1) is of
-order one at width h, g being the loop gain, so one rule, _chatter_width,
-bounds RK4's width at the disagreement r, and where that bound falls below
-dt the integrator takes linearly implicit, chattering-free steps of width
-dt instead (backward Euler on the consensus law, after Acary & Brogliato
-2010 and Polyakov, Efimov & Brogliato 2019), which reach consensus to
-roundoff; once an undisturbed run is below settle_tol each implicit step
-doubles its width, so the settle window is confirmed in about ten steps.
-The kind of step depends only on the state, and one NumPy advance, given
-the state and a width, carries both the public `step` (width dt, which adds
-the monitors) and `run` (which forms the residual every step, cost and loss
-only on emitted rows).
+Newton) iteration on one loss-Jacobian factor per step (a stage whose solve
+stalls fails its step, which is retried narrower), and every solved P has
+its H lam formed once. Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term
+chatters once g k1 h |r|^(mu - 1) is of order one at width h, g being the
+loop gain, so one rule, _chatter_width, bounds RK4's width at the
+disagreement r, and where that bound falls below dt the integrator takes
+linearly implicit, chattering-free steps of width dt instead (backward
+Euler on the consensus law, after Acary & Brogliato 2010 and Polyakov,
+Efimov & Brogliato 2019), which reach consensus to roundoff; once an
+undisturbed run is below settle_tol each implicit step doubles its width,
+so the settle window is confirmed in about ten steps. The kind of step
+depends only on the state, and one NumPy advance, given the state and a
+width, carries both the public `step` (width dt, which adds the monitors)
+and `run` (which forms the residual every step, cost and loss only on
+emitted rows).
 """
 
 from __future__ import annotations
@@ -99,8 +100,8 @@ class AlgorithmParams:
     power exponents; dt: the first RK4 step and the implicit steps' width
     (s), steps turning implicit where _chatter_width is below it; t_end:
     horizon (s); fp_tol: residual tolerance of the implicit power solve
-    (MW); fp_max_iter: cap on its chord iterations before the Newton
-    fallback; settle_tol: consensus residual threshold; settle_window:
+    (MW); fp_max_iter: cap on its chord iterations, a solve not converged
+    by then failing; settle_tol: consensus residual threshold; settle_window:
     seconds the residual must stay below settle_tol before settling is
     declared.
     """
@@ -249,48 +250,38 @@ def solve_power(z, system: DispatchSystem, prev_P=None, fp_tol: float = Algorith
     """Solve P_i = sum_j a_ij (z_j - z_i) + D_i0 + P_Li(P) for P.
 
     Warm-started (from d0 without prev_P) chord iteration on the factor
-    system.chord0 = (I - J(d0))^-1; see _solve_power. Falls back to Newton
-    on the residual if the iteration stalls; raises StepFailure if both fail.
+    system.chord0 = (I - J(d0))^-1; see _solve_power. Raises StepFailure if
+    the iteration stalls or has not converged after fp_max_iter iterations.
     """
     P = np.asarray(prev_P, dtype=float) if prev_P is not None else system.d0
     return _solve_power(np.asarray(z, dtype=float), system, P, system.chord0, fp_tol, fp_max_iter)[0]
 
 
 def _solve_power(z: np.ndarray, system: DispatchSystem, P: np.ndarray, A: np.ndarray,
-                 fp_tol: float, fp_max_iter: int) -> tuple[np.ndarray, int, bool]:
+                 fp_tol: float, fp_max_iter: int) -> tuple[np.ndarray, int]:
     """Solve P = base + P_L(P), base = -L z + d0, from P; return (P, loss
-    evaluations, whether the Newton fallback finished it).
+    evaluations).
 
     Each of at most fp_max_iter chord iterations forms g = base + P_L(P)
     and moves P <- P + A (g - P), with A close to (I - J)^-1 and J the
     Jacobian of the generator losses. Once max|g - P| < fp_tol it returns g,
-    whose balance residual is one sweep below fp_tol. Otherwise, or as soon
-    as max|g - P| grows or is not finite, full Newton on the residual takes
-    over; StepFailure if it fails too or its residual grows, so a diverging
-    iterate stops long before it overflows.
+    whose balance residual is one sweep below fp_tol. StepFailure after
+    fp_max_iter iterations, or as soon as max|g - P| stops shrinking or is
+    not finite, so a diverging iterate stops long before it overflows.
     """
     base = _disagreement(z, system) + system.d0
     loss = system.loss
-    warm, evals, last = P, 0, math.inf
+    warm, last = P, math.inf
     # every update builds a new array: the P passed in is never written to or returned
-    for _ in range(fp_max_iter):
+    for evals in range(1, fp_max_iter + 1):
         g = base + loss._losses(P)
         d = g - P
-        size, evals = np.abs(d).max(), evals + 1
+        size = np.abs(d).max()
         if size < fp_tol:
-            return g, evals, False
+            return g, evals
         if not size < last:
             break
         P, last = P + A @ d, size
-    last = math.inf
-    for _ in range(50):
-        r = base + loss._losses(P) - P
-        size, evals = np.abs(r).max(), evals + 1
-        if size < fp_tol:
-            return P, evals, True
-        if not size < last:
-            break
-        P, last = P + np.linalg.solve(np.eye(system.n) - loss._jacobian(P), r), size
     raise StepFailure(
         f"power solve did not converge; the largest own-loss gradient at its warm start is "
         f"{loss._own_gradient(warm).max():.3g}"
@@ -299,21 +290,19 @@ def _solve_power(z: np.ndarray, system: DispatchSystem, P: np.ndarray, A: np.nda
 
 @dataclass
 class _SolveTally:
-    """The power solves of a run: count, loss evaluations (total and per
-    solve at most) and Newton fallbacks."""
+    """The power solves of a run: count and loss evaluations (total and per
+    solve at most)."""
 
     solves: int = 0
     evals: int = 0
     max_evals: int = 0
-    fallbacks: int = 0
 
     def solve(self, z, system: DispatchSystem, P, A, params: AlgorithmParams) -> np.ndarray:
         """solve_power at z from P with chord factor A, counted."""
-        P, evals, fell_back = _solve_power(z, system, P, A, params.fp_tol, params.fp_max_iter)
+        P, evals = _solve_power(z, system, P, A, params.fp_tol, params.fp_max_iter)
         self.solves += 1
         self.evals += evals
         self.max_evals = max(self.max_evals, evals)
-        self.fallbacks += fell_back
         return P
 
 
@@ -550,9 +539,8 @@ class RunResult:
     """A run's trajectory, terminal state and verdicts, with its solver
     counters: accepted and rejected steps, the time of the first implicit
     step (None if RK4 did every step), the mean and max Newton iterations of
-    the implicit steps (None if there were none), and over every power solve
-    of the run the mean and max loss evaluations per solve and how many
-    solves ended on the Newton fallback."""
+    the implicit steps (None if there were none), and the mean and max loss
+    evaluations per power solve over every solve of the run."""
 
     trajectory: Trajectory
     terminal: SimulationState
@@ -566,7 +554,6 @@ class RunResult:
     switch_time: float | None = None
     implicit_newton_iters: tuple[float, int] | None = None
     power_solve_iters: tuple[float, int] | None = None
-    newton_fallbacks: int = 0
     rejected_steps: int = 0
 
 
@@ -698,6 +685,5 @@ def run(system: DispatchSystem, params: AlgorithmParams,
         c_star=float(c_star), negative_power_seen=neg, fail_step=fail_step,
         steps=steps, switch_time=switch_time,
         implicit_newton_iters=(sum(newton_iters) / len(newton_iters), max(newton_iters)) if newton_iters else None,
-        power_solve_iters=(tally.evals / tally.solves, tally.max_evals),
-        newton_fallbacks=tally.fallbacks, rejected_steps=rejected,
+        power_solve_iters=(tally.evals / tally.solves, tally.max_evals), rejected_steps=rejected,
     )

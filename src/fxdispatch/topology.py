@@ -16,8 +16,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .grid_model import AssumptionViolation, ConfigurationError
-# imported by name: perfbench/spans.py patches topology.jacobi_eigenvalues
-from .linalg import jacobi_eigenvalues
 
 
 class LocalTopology:
@@ -83,6 +81,21 @@ def laplacian(top: LocalTopology) -> np.ndarray:
     """L = D - A: row sums zero, off-diagonal -a_ij, symmetric PSD."""
     A = top.adjacency()
     return np.diag(A.sum(axis=1)) - A
+
+
+def jacobi_eigenvalues(A) -> np.ndarray:
+    """Ascending eigenvalues of a square, exactly symmetric matrix.
+
+    numpy.linalg.eigvalsh (LAPACK) does the work; it reads one triangle, so
+    the shape and symmetry checks are made here. analysis imports it by
+    name, and perfbench/spans.py patches it in both modules.
+    """
+    A = np.asarray(A, dtype=float)
+    if A.ndim != 2 or A.shape[0] != A.shape[1]:
+        raise ValueError(f"expected a square matrix, got shape {A.shape}")
+    if not np.array_equal(A, A.T):
+        raise ValueError("matrix is not symmetric")
+    return np.linalg.eigvalsh(A)
 
 
 def spectrum(top: LocalTopology) -> SpectralSummary:

@@ -10,7 +10,7 @@ from fxdispatch import (
     path_topology,
     spectrum,
 )
-from fxdispatch.linalg import jacobi_eigenvalues
+from fxdispatch.topology import jacobi_eigenvalues
 
 
 class TestConstruction:
