@@ -15,7 +15,8 @@ STEP_TOL (Hairer, Norsett & Wanner, Solving ODEs I, II.4). Each later stage
 solves the implicit power equation by a warm-started chord (simplified
 Newton) iteration on one loss-Jacobian factor per step (a stage whose solve
 stalls fails its step, which is retried narrower), and every solved P has
-its H lam formed once. Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term
+its H lam formed once; dz/dt at the end of an RK4 step is both the error
+estimate's k5 and the next step's k1. Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term
 chatters once g k1 h |r|^(mu - 1) is of order one at width h, g being the
 loop gain, so one rule, _chatter_width, bounds RK4's width at the
 disagreement r, and where that bound falls below dt the integrator takes
@@ -40,7 +41,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid_model import KronLossModel, marginal_costs, total_cost, weighted_cost_jacobian
+from .grid_model import KronLossModel, cost_coefficients, fleet_cost, weighted_cost_jacobian
 from .topology import LocalTopology, laplacian
 
 logger = logging.getLogger(__name__)
@@ -83,6 +84,8 @@ _MIN_STEP = 1e-6
 _IMPLICIT_RTOL = 1e-12
 _IMPLICIT_MAX_ITER = 50
 _EPS = float(np.finfo(float).eps)
+#: max over a 1-D array, without ndarray.max()'s Python-level wrapper
+_amax = np.maximum.reduce
 
 
 class StepFailure(RuntimeError):
@@ -160,13 +163,14 @@ class DisturbanceSpec:
 
 def _disturbance_fn(spec: DisturbanceSpec, n: int):
     """t -> w(t), with the per-channel frequencies and phases drawn once
-    from the seed.
+    from the seed; w(t) is None if the spec is not active, so that a quiet
+    run adds nothing to dz/dt.
 
     Frequencies are kept >= 1 rad/s so the running mean over any horizon
     of tens of seconds stays far below amplitude/100.
     """
     if not spec.active:
-        return lambda t: np.zeros(n)
+        return lambda t: None
     rng = np.random.default_rng(spec.seed)
     omega = rng.uniform(1.0, 2.0 * np.pi, size=n)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
@@ -194,12 +198,15 @@ class DispatchSystem:
         n = len(self.gens)
         _check_sizes(n, self.loss, self.top)
         self.n = n
-        self.b_coef = np.array([g.b for g in self.gens])
-        self.c_coef = np.array([g.c for g in self.gens])
+        #: cost coefficients as rows (a, b, c); see grid_model.cost_coefficients
+        self.cost_coef = cost_coefficients(self.gens)
+        _, self.b_coef, self.c_coef = self.cost_coef
+        #: 2c, the slope of the marginal costs
+        self.two_c = 2.0 * self.c_coef
         self.d0 = np.array([g.d0 for g in self.gens])
-        self.adjacency = self.top.adjacency()
-        self.degree = self.adjacency.sum(axis=1)
         self.laplacian = laplacian(self.top)
+        #: -L, with which _disagreement forms sum_j a_ij (x_j - x_i) in one product
+        self.neg_laplacian = -self.laplacian
 
     @property
     def dbar(self) -> float:
@@ -241,8 +248,8 @@ class SimulationState:
 
 
 def sig_pow(x, m: float):
-    """Signed power |x|^m * sign(x), elementwise; exactly zero at zero."""
-    return np.sign(x) * np.abs(x) ** m
+    """Signed power |x|^m * sign(x), elementwise; zero at zero."""
+    return np.copysign(np.abs(x) ** m, x)
 
 
 def solve_power(z, system: DispatchSystem, prev_P=None, fp_tol: float = AlgorithmParams.fp_tol,
@@ -276,7 +283,7 @@ def _solve_power(z: np.ndarray, system: DispatchSystem, P: np.ndarray, A: np.nda
     for evals in range(1, fp_max_iter + 1):
         g = base + loss._losses(P)
         d = g - P
-        size = np.abs(d).max()
+        size = _amax(np.abs(d))
         if size < fp_tol:
             return g, evals
         if not size < last:
@@ -307,30 +314,33 @@ class _SolveTally:
 
 
 def _h_lambda(P: np.ndarray, system: DispatchSystem):
-    """Marginal costs lam, loss factors H = 1 + own-loss gradient, and H * lam."""
-    lam = marginal_costs(system.b_coef, system.c_coef, P)
+    """Marginal costs lam, loss factors H = 1 + own-loss gradient, and H * lam.
+
+    lam is grid_model.marginal_costs, 2cP + b, with 2c stored on the system."""
+    lam = system.two_c * P + system.b_coef
     H = 1.0 + system.loss._own_gradient(P)
     return lam, H, H * lam
 
 
 def _residual(hl: np.ndarray) -> float:
     """Consensus residual max_i |H_i lam_i - mean(H lam)|."""
-    return float(np.max(np.abs(hl - hl.mean())))
+    return float(_amax(np.abs(hl - np.add.reduce(hl) / hl.size)))
 
 
 def _disagreement(x: np.ndarray, system: DispatchSystem) -> np.ndarray:
     """-L x, entry i being sum_j a_ij (x_j - x_i): the disagreement
     r = -L (H lam) for x = H lam, and the consensus term of the power
     equation for x = z."""
-    return system.adjacency @ x - system.degree * x
+    return system.neg_laplacian @ x
 
 
 def _z_dot(r: np.ndarray, params: AlgorithmParams, w) -> np.ndarray:
-    """dz_i/dt = -k1 sig(r_i)^mu - k2 sig(r_i)^nu + w_i at the disagreement r = -L (H lam)."""
-    dz = -params.k1 * sig_pow(r, params.mu) - params.k2 * sig_pow(r, params.nu)
-    if w is not None:
-        dz = dz + np.asarray(w, dtype=float)
-    return dz
+    """dz_i/dt = -k1 sig(r_i)^mu - k2 sig(r_i)^nu + w_i at the disagreement
+    r = -L (H lam); w is None in a quiet run. |r| is taken once and the sign
+    of r applied to the sum, which is sig_pow's value term by term."""
+    a = np.abs(r)
+    dz = -np.copysign(params.k1 * a ** params.mu + params.k2 * a ** params.nu, r)
+    return dz if w is None else dz + w
 
 
 def _state(t: float, z: np.ndarray, P: np.ndarray, system: DispatchSystem, h=None) -> SimulationState:
@@ -343,7 +353,7 @@ def _state(t: float, z: np.ndarray, P: np.ndarray, system: DispatchSystem, h=Non
         P=P,
         lam=lam,
         H=H,
-        cost=total_cost(system.gens, P),
+        cost=fleet_cost(system.cost_coef, P),
         loss=system.loss.total_loss(P),
         total_power=float(P.sum()),
         residual=_residual(hl),
@@ -358,26 +368,30 @@ def make_state(t: float, z, system: DispatchSystem, prev_P=None, params: Algorit
 
 
 def _rk4(system: DispatchSystem, params: AlgorithmParams, w_at, tally: _SolveTally | None = None):
-    """The RK4 advance (t, z, P, r, dt) -> (z', P', k4) over a step of width dt.
+    """The RK4 advance (t, z, P, r, dt, k1=None) -> (z', P', k4) over a step
+    of width dt, with the disturbance w_at from _disturbance_fn.
 
     P is the solved power at (t, z) and r the disagreement there, which
-    give stage 1; each later stage and the end-of-step solve warm-start
-    from the chord step off the stage before, P + A (-L (z' - z)), which
-    needs no loss evaluation. Only P, r and dz are formed per stage; k4 is
-    returned for the error estimate. The solves share one chord factor A,
-    (I - J(P))^-1 to first order about system.chord0: A0 + A0 (J(P) - J0) A0.
-    Solves are counted in tally; a failed one raises StepFailure naming the
-    stage, t and dt.
+    give stage 1; k1 is dz/dt there if already formed (the k5 of the step
+    before), else it is formed from r. Each later stage and the end-of-step
+    solve warm-start from the chord step off the stage before,
+    P + A (-L) (z' - z), which needs no loss evaluation. Only P, r and dz are
+    formed per stage; k4 is returned for the error estimate. The solves share
+    one chord factor A, (I - J(P))^-1 to first order about system.chord0:
+    A0 + A0 (J(P) - J0) A0, and A (-L) is formed once per step. Solves are
+    counted in tally; a failed one raises StepFailure naming the stage, t
+    and dt.
     """
     tally = tally or _SolveTally()
-    a0, j0 = system.chord0, system.loss_jac0
+    a0, j0, neg_lap = system.chord0, system.loss_jac0, system.neg_laplacian
 
-    def advance(t, z, P, r, dt):
+    def advance(t, z, P, r, dt, k1=None):
         A = a0 + a0 @ (system.loss._jacobian(P) - j0) @ a0
+        AL = A @ neg_lap
 
         def solve(stage, z, z_from, P_from):
             try:
-                return tally.solve(z, system, P_from + A @ _disagreement(z - z_from, system), A, params)
+                return tally.solve(z, system, P_from + AL @ (z - z_from), A, params)
             except StepFailure as e:
                 raise StepFailure(f"RK4 {stage} at t = {t:.9g} s, width {dt:.3g} s: {e}") from e
 
@@ -386,7 +400,7 @@ def _rk4(system: DispatchSystem, params: AlgorithmParams, w_at, tally: _SolveTal
             return _z_dot(_disagreement(_h_lambda(P, system)[2], system), params, w), P
 
         w_half, w_end = w_at(t + dt / 2.0), w_at(t + dt)
-        k1v = _z_dot(r, params, w_at(t))
+        k1v = k1 if k1 is not None else _z_dot(r, params, w_at(t))
         z2 = z + dt / 2.0 * k1v
         k2v, P2 = deriv("stage 2", z2, z, P, w_half)
         z3 = z + dt / 2.0 * k2v
@@ -418,7 +432,7 @@ def _chatter_width(system: DispatchSystem, params: AlgorithmParams, r_max: float
 
 def _implicit(system: DispatchSystem, params: AlgorithmParams, w_at, tally: _SolveTally | None = None):
     """The linearly implicit advance (t, z, P, h, r, dt) -> (z', P', Newton
-    iterations) over a step of width dt.
+    iterations) over a step of width dt; w_at is as in _rk4.
 
     With h = _h_lambda(P), r the disagreement at P and M = _sensitivity at P it solves
     y = r + M dz, dz = -dt (k1 sig(y)^mu + k2 sig(y)^nu) + dt w(t + dt)
@@ -431,7 +445,7 @@ def _implicit(system: DispatchSystem, params: AlgorithmParams, w_at, tally: _Sol
     balance exactly. Solves are counted in tally.
     """
     k1, k2, mu, nu = params.k1, params.k2, params.mu, params.nu
-    deg_max = system.degree.max()
+    deg_max = float(_amax(system.laplacian.diagonal()))
     eye = np.eye(system.n)
     solve = (tally or _SolveTally()).solve
 
@@ -439,14 +453,16 @@ def _implicit(system: DispatchSystem, params: AlgorithmParams, w_at, tally: _Sol
         lam, H, hl = h
         jinv = np.linalg.inv(eye - system.loss._jacobian(P))
         M = _sensitivity(lam, H, system, jinv)
-        dtw = dt * w_at(t + dt)
-        f0 = np.abs(r + M @ dtw).max()  # max|F| at s = 0
-        tol = max(_IMPLICIT_RTOL * f0, _EPS * deg_max * np.abs(hl).max())
+        w = w_at(t + dt)
+        dtw = None if w is None else dt * w
+        f0 = _amax(np.abs(r if dtw is None else r + M @ dtw))  # max|F| at s = 0
+        tol = max(_IMPLICIT_RTOL * f0, _EPS * deg_max * _amax(np.abs(hl)))
         s = sig_pow(r, mu)
         for iters in range(_IMPLICIT_MAX_ITER + 1):
-            dz = dtw - dt * (k1 * s + k2 * sig_pow(s, nu / mu))
+            law = k1 * s + k2 * sig_pow(s, nu / mu)
+            dz = -dt * law if dtw is None else dtw - dt * law
             F = sig_pow(s, 1.0 / mu) - r - M @ dz
-            if np.abs(F).max() <= tol:
+            if _amax(np.abs(F)) <= tol:
                 break
             if iters == _IMPLICIT_MAX_ITER:
                 raise StepFailure(f"implicit step at t = {t:.9g} s, width {dt:.3g} s did not converge "
@@ -463,7 +479,8 @@ def _implicit(system: DispatchSystem, params: AlgorithmParams, w_at, tally: _Sol
 class _Step(NamedTuple):
     """One advance: the new z and P, h = _h_lambda and the disagreement r at
     P, and either the RK4 error estimate or the implicit step's Newton
-    iterations (the other is None)."""
+    iterations (the other is None); k is the RK4 step's k5, dz/dt at
+    (t + dt, z'), None after an implicit step."""
 
     z: np.ndarray
     P: np.ndarray
@@ -471,34 +488,42 @@ class _Step(NamedTuple):
     r: np.ndarray
     err: float | None
     iters: int | None
+    k: np.ndarray | None
 
 
 def _advance(system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None,
              tally: _SolveTally | None = None):
-    """The advance (t, z, P, h, r, dt) -> _Step over a step of width dt,
-    shared by step() and run(). h is _h_lambda at P, (lam, H, H * lam), and
-    r the disagreement there. Power solves are counted in tally.
+    """The advance (t, z, P, h, r, dt, implicit=None, k1=None) -> _Step over
+    a step of width dt, shared by step() and run(). h is _h_lambda at P,
+    (lam, H, H * lam), and r the disagreement there. Power solves are
+    counted in tally.
 
     RK4 while _chatter_width at max|r| is at least params.dt, the implicit
-    step where it is below. For an RK4 step err = dt/6 max|k4 - k5|, with
-    k5 = dz/dt at (t + dt, z') the next step's k1: the distance to the
-    order-3 solution with weights (1/6, 1/3, 1/3, 0, 1/6) on (k1, ..., k5),
-    which costs no solve and in which the disturbance w(t + dt) cancels.
+    step where it is below; a caller that has made that decision passes it
+    as implicit. For an RK4 step err = dt/6 max|k4 - k5|, with
+    k5 = dz/dt at (t + dt, z'): the distance to the order-3 solution with
+    weights (1/6, 1/3, 1/3, 0, 1/6) on (k1, ..., k5), which costs no solve
+    and in which the disturbance w(t + dt) cancels. k5 is returned as _Step.k,
+    and a caller may pass it back as k1 to the next step from (t + dt, z').
     """
     w_at = _disturbance_fn(disturbance if disturbance is not None else DisturbanceSpec(), system.n)
-    rk4 = _rk4(system, params, w_at, tally)
-    implicit = _implicit(system, params, w_at, tally)
+    rk4_step = _rk4(system, params, w_at, tally)
+    implicit_step = _implicit(system, params, w_at, tally)
 
-    def advance(t, z, P, h, r, dt):
-        if _chatter_width(system, params, float(np.abs(r).max())) < params.dt:
-            z, P, iters = implicit(t, z, P, h, r, dt)
+    def advance(t, z, P, h, r, dt, implicit=None, k1=None):
+        if implicit is None:
+            implicit = _chatter_width(system, params, float(_amax(np.abs(r)))) < params.dt
+        if implicit:
+            z, P, iters = implicit_step(t, z, P, h, r, dt)
         else:
-            z, P, k4 = rk4(t, z, P, r, dt)
+            z, P, k4 = rk4_step(t, z, P, r, dt, k1)
             iters = None
         h = _h_lambda(P, system)
         r = _disagreement(h[2], system)
-        err = None if iters is not None else dt / 6.0 * float(np.abs(k4 - _z_dot(r, params, w_at(t + dt))).max())
-        return _Step(z, P, h, r, err, iters)
+        if implicit:
+            return _Step(z, P, h, r, None, iters, None)
+        k5 = _z_dot(r, params, w_at(t + dt))
+        return _Step(z, P, h, r, dt / 6.0 * float(_amax(np.abs(k4 - k5))), None, k5)
 
     return advance
 
@@ -602,7 +627,7 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     rows = [(t, z, P, state.loss, state.cost, res)]
 
     def emit():
-        rows.append((t, z, P, system.loss.total_loss(P), total_cost(system.gens, P), res))
+        rows.append((t, z, P, system.loss.total_loss(P), fleet_cost(system.cost_coef, P), res))
 
     # the settle window open since window_start (None if the residual is above settle_tol)
     window_start = window_end = None
@@ -611,8 +636,9 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     rk4_width, window_width, may_grow = params.dt, params.dt, True
     settle_time, fail_step, switch_time, newton_iters = None, None, None, []
     steps = rejected = 0
+    k1 = None  # dz/dt at (t, z), once an RK4 step has formed it
     while t < params.t_end:
-        cap = _chatter_width(system, params, float(np.abs(r).max()))
+        cap = _chatter_width(system, params, float(_amax(np.abs(r))))
         implicit = cap < params.dt
         widening = implicit and quiet and window_start is not None
         if implicit:
@@ -624,7 +650,7 @@ def run(system: DispatchSystem, params: AlgorithmParams,
             t_new = window_end
         dt = t_new - t
         try:
-            out = advance(t, z, P, h, r, dt)
+            out = advance(t, z, P, h, r, dt, implicit, k1)
         except StepFailure as e:
             out, failure = None, e
         else:
@@ -652,6 +678,8 @@ def run(system: DispatchSystem, params: AlgorithmParams,
                 window_width *= 2.0
         else:
             rk4_width, may_grow = dt * min(_width_scale(out.err), _GROWTH if may_grow else 1.0), True
+        # k5 was formed at w(t + dt), which is the next step's w(t_new) only where t + dt == t_new
+        k1 = out.k if quiet or t + dt == t_new else None
         t, z, P, h, r = t_new, out.z, out.P, out.h, out.r
         res = _residual(h[2])
         steps += 1

@@ -93,6 +93,8 @@ class KronLossModel:
         self._diag = np.diag(B).copy()
         #: Jacobian of own_loss_gradient, B + diag(B_ii); constant, as the loss is quadratic
         self.own_grad_jac = B + np.diag(self._diag)
+        #: B00/N, the constant loss attributed to each generator
+        self._b00_share = B00 / n
 
     def _check_len(self, P: np.ndarray) -> np.ndarray:
         P = np.asarray(P, dtype=float)
@@ -111,7 +113,7 @@ class KronLossModel:
 
     def _losses(self, P: np.ndarray) -> np.ndarray:
         # unchecked generator_losses for the integrator's inner loop
-        return P * (self.B @ P) + P * self.B0 + self.B00 / self.n
+        return P * (self.B @ P + self.B0) + self._b00_share
 
     def total_loss_gradient(self, P) -> np.ndarray:
         """Gradient of the total loss: entry i is 2 sum_j B_ij P_j + B_i0."""
@@ -127,7 +129,7 @@ class KronLossModel:
 
     def _own_gradient(self, P: np.ndarray) -> np.ndarray:
         # unchecked own_loss_gradient for the integrator's inner loop
-        return self.B @ P + self._diag * P + self.B0
+        return self.own_grad_jac @ P + self.B0
 
     def _jacobian(self, P: np.ndarray) -> np.ndarray:
         """Jacobian of generator_losses: entry (i, j) is P_i B_ij off the
@@ -138,13 +140,23 @@ class KronLossModel:
 
 
 def total_cost(gens, P) -> float:
+    """sum_i C_i(P_i), the fleet's generation cost in $/h."""
     P = np.asarray(P, dtype=float)
     if len(gens) != P.shape[0]:
         raise ConfigurationError(f"{len(gens)} generators but {P.shape[0]} powers")
-    a = np.array([g.a for g in gens])
-    b = np.array([g.b for g in gens])
-    c = np.array([g.c for g in gens])
-    return float(np.sum(c * P * P + b * P + a))
+    return fleet_cost(cost_coefficients(gens), P)
+
+
+def cost_coefficients(gens) -> np.ndarray:
+    """The fleet's cost coefficients as rows (a, b, c), one column per generator."""
+    return np.array([[g.a for g in gens], [g.b for g in gens], [g.c for g in gens]], dtype=float)
+
+
+def fleet_cost(abc: np.ndarray, P: np.ndarray) -> float:
+    """sum_i c_i P_i^2 + b_i P_i + a_i from the rows (a, b, c) of
+    cost_coefficients; P is not checked."""
+    a, b, c = abc
+    return float(np.add.reduce(c * P * P + b * P + a))
 
 
 def total_demand(gens) -> float:

@@ -35,6 +35,7 @@ from fxdispatch.dynamics import (
     _z_dot,
     make_state,
 )
+from fxdispatch.grid_model import marginal_costs, total_cost
 from fxdispatch.topology import laplacian
 from tests.conftest import REF_DEMAND, REF_P0, fleet_dict
 
@@ -127,7 +128,8 @@ class TestSolvePower:
     def test_lossless_is_explicit(self):
         system = lossless_pair(split=(120.0, 80.0))
         z = np.array([3.0, -1.0])
-        cons = system.adjacency @ z - system.degree * z
+        adjacency = system.top.adjacency()
+        cons = adjacency @ z - adjacency.sum(axis=1) * z
         P = solve_power(z, system)
         assert P == pytest.approx(cons + system.d0, abs=1e-14)
 
@@ -210,6 +212,56 @@ class TestZDerivative:
         a = _z_dot(state_r(state, ref_system), REF_PARAMS, None)
         b = _z_dot(state_r(state, ref_system), REF_PARAMS, w)
         assert b == pytest.approx(a + w, abs=1e-15)
+
+
+class TestFusedOperators:
+    """The integrator's one-call forms against the definitions they fuse:
+    within 4 ulps, relative to the sum of the magnitudes of the terms
+    (2 at most measured), or bit for bit where the arithmetic is the same."""
+
+    ULPS = 4.0 * np.finfo(float).eps
+
+    @pytest.fixture(params=["reference", "64 units"])
+    def system(self, request, ref_system):
+        return ref_system if request.param == "reference" else config_from_dict(fleet_dict(64)).system()
+
+    def samples(self, system):
+        rng = np.random.default_rng(11)
+        return [(rng.normal(scale=10.0, size=system.n), system.d0 * rng.uniform(0.5, 1.5, system.n))
+                for _ in range(50)]
+
+    def test_disagreement_is_adjacency_minus_degree(self, system):
+        A = system.top.adjacency()
+        deg = A.sum(axis=1)
+        for x, _ in self.samples(system):
+            scale = A @ np.abs(x) + deg * np.abs(x)
+            assert np.all(np.abs(_disagreement(x, system) - (A @ x - deg * x)) <= self.ULPS * scale)
+
+    def test_losses_and_own_gradient(self, system):
+        m = system.loss
+        for _, P in self.samples(system):
+            losses = P * (m.B @ P) + P * m.B0 + m.B00 / m.n
+            assert np.all(np.abs(m._losses(P) - losses) <= self.ULPS * losses)
+            own = m.B @ P + np.diag(m.B) * P + m.B0
+            assert np.all(np.abs(m._own_gradient(P) - own) <= self.ULPS * own)
+
+    def test_h_lambda(self, system):
+        m = system.loss
+        for _, P in self.samples(system):
+            lam, H, hl = _h_lambda(P, system)
+            assert np.array_equal(lam, marginal_costs(system.b_coef, system.c_coef, P))
+            H_def = 1.0 + m.B @ P + np.diag(m.B) * P + m.B0
+            assert np.all(np.abs(H - H_def) <= self.ULPS * H_def)
+            assert np.all(np.abs(hl - H_def * lam) <= self.ULPS * H_def * lam)
+
+    def test_cost_rows_are_total_cost(self, system):
+        # run() and the monitors evaluate the cost from the system's stored
+        # coefficients, bit for bit as total_cost and as its formula from
+        # arrays rebuilt from the generators
+        a, b, c = (np.array([getattr(g, k) for g in system.gens]) for k in "abc")
+        res = run(system, dataclasses.replace(REF_PARAMS, t_end=0.02), stride=1)
+        for P, cost in [*zip(res.trajectory.P, res.trajectory.cost), (res.terminal.P, res.terminal.cost)]:
+            assert cost == total_cost(system.gens, P) == float(np.sum(c * P * P + b * P + a))
 
 
 class TestStep:
@@ -419,48 +471,67 @@ class TestImplicitStep:
             step(state, ref_system, REF_PARAMS)
 
 
+def calls_per_try(ref_system, monkeypatch, names):
+    """Run the reference case to t = 5.2 s, through rejected RK4 tries and the
+    switch to implicit steps, and return per try of the advance but the last,
+    in order, its start time, its kind ("rk4" or "implicit"), whether it was
+    accepted, and how often it called each of the dynamics functions named."""
+    counts = dict.fromkeys(names, 0)
+
+    def counted(name):
+        real = getattr(dynamics, name)
+
+        def wrapper(*args, **kwargs):
+            counts[name] += 1
+            return real(*args, **kwargs)
+        return wrapper
+
+    for name in names:
+        monkeypatch.setattr(dynamics, name, counted(name))
+    entries = []  # the counts when each try starts, its start time and kind
+    real_advance = dynamics._advance
+
+    def counting_advance(*args):
+        advance = real_advance(*args)
+
+        def wrapper(*step_args):
+            start = dict(counts)
+            out = advance(*step_args)
+            entries.append((start, step_args[0], "rk4" if out.iters is None else "implicit"))
+            return out
+        return wrapper
+
+    monkeypatch.setattr(dynamics, "_advance", counting_advance)
+    res = run(ref_system, dataclasses.replace(REF_PARAMS, t_end=5.2))
+    assert len(entries) == res.steps + res.rejected_steps
+    assert res.rejected_steps > 0 and 4.9 < res.switch_time < 5.0
+    # a rejected try is retried from where it started
+    return [(t, kind, t_next != t, tuple(end[name] - start[name] for name in names))
+            for (start, t, kind), (end, t_next, _) in zip(entries, entries[1:])]
+
+
 class TestWorkPerStep:
     def test_one_power_solve_and_one_h_lambda_per_stage(self, ref_system, monkeypatch):
         # stage 1 of an RK4 step is the state the step starts from, so an RK4
         # step, accepted or rejected, solves P at its three later stages and at
         # its end; an implicit step solves once, and each solved P gets one H lam
-        counts = {"_solve_power": 0, "_h_lambda": 0}
-
-        def counted(name):
-            real = getattr(dynamics, name)
-
-            def wrapper(*args, **kwargs):
-                counts[name] += 1
-                return real(*args, **kwargs)
-            return wrapper
-
-        for name in counts:
-            monkeypatch.setattr(dynamics, name, counted(name))
-        entries = []  # the counts when each step starts, its start time and kind
-        real_advance = dynamics._advance
-
-        def counting_advance(*args):
-            advance = real_advance(*args)
-
-            def wrapper(*step_args):
-                start = dict(counts)
-                out = advance(*step_args)
-                entries.append((start, step_args[0], "rk4" if out.iters is None else "implicit"))
-                return out
-            return wrapper
-
-        monkeypatch.setattr(dynamics, "_advance", counting_advance)
-        res = run(ref_system, dataclasses.replace(REF_PARAMS, t_end=5.2))
-        assert len(entries) == res.steps + res.rejected_steps
-        assert res.rejected_steps > 0 and 4.9 < res.switch_time < 5.0
+        tries = calls_per_try(ref_system, monkeypatch, ("_solve_power", "_h_lambda"))
         per_step = {}
-        for (start, t, kind), (end, t_next, _) in zip(entries, entries[1:]):
-            # a rejected step is retried from where it started
-            key = (kind, "accepted" if t_next != t else "rejected")
-            per_step.setdefault(key, set()).add(
-                (end["_solve_power"] - start["_solve_power"], end["_h_lambda"] - start["_h_lambda"]))
+        for _, kind, accepted, calls in tries:
+            per_step.setdefault((kind, "accepted" if accepted else "rejected"), set()).add(calls)
         assert per_step == {("rk4", "accepted"): {(4, 4)}, ("rk4", "rejected"): {(4, 4)},
                             ("implicit", "accepted"): {(1, 1)}}
+
+    def test_four_z_dot_per_rk4_try(self, ref_system, monkeypatch):
+        # dz/dt at the three later stages and k5 at the end, which the tries
+        # from there take as their k1; tries from t = 0, where no step ended
+        # (the first is rejected here), form k1 too, and implicit steps form none
+        tries = calls_per_try(ref_system, monkeypatch, ("_z_dot",))
+        first = [calls for t, _, _, calls in tries if t == 0.0]
+        assert len(first) == 2 and set(first) == {(5,)}
+        rk4 = [calls for t, kind, _, calls in tries if kind == "rk4" and t > 0.0]
+        assert len(rk4) > 200 and set(rk4) == {(4,)}
+        assert {calls for _, kind, _, calls in tries if kind == "implicit"} == {(0,)}
 
     def test_at_most_three_loss_evaluations_per_power_solve(self, ref_system, monkeypatch):
         # the chord iteration needs about 2.5; the plain fixed-point sweep needed about 6
@@ -484,8 +555,8 @@ class TestWorkPerStep:
     @pytest.mark.parametrize("mu, expected", [
         (0.5, [(5.0089910775, 4.9839910775, 246, 5.0075), (4.6916834404, 4.6666834404, 224, 4.69025),
                (5.6795236420, 5.6555236420, 277, 5.67875)]),
-        (0.2, [(3.3775350232, 3.3595350232, 421, 3.376), (3.0503851045, 3.0323851045, 400, 3.049),
-               (4.0782801059, 4.0612801059, 461, 4.07725)]),
+        (0.2, [(3.3775196131, 3.3595196131, 421, 3.376), (3.0503930687, 3.0323930687, 400, 3.049),
+               (4.0782769636, 4.0612769636, 461, 4.07725)]),
     ])
     def test_verdicts_of_the_demand_splits(self, ref_system, mu, expected):
         # criterion 4's splits at the shipped dt: (settle_time, switch_time,
@@ -512,13 +583,32 @@ class TestWorkPerStep:
         assert np.abs(res.terminal.P - FINE_TERMINAL).max() < 1e-9
 
 
-class TestDisturbance:
-    def test_disabled_gives_zero(self):
-        assert np.array_equal(_disturbance_fn(DisturbanceSpec(), 4)(1.0), np.zeros(4))
+def disturbances_added(system, disturbance, monkeypatch):
+    """The w passed to _z_dot over a run to t = 0.05 s, in order."""
+    seen = []
+    real = dynamics._z_dot
 
-    def test_zero_amplitude_gives_zero(self):
+    def recording(r, params, w):
+        seen.append(w)
+        return real(r, params, w)
+
+    monkeypatch.setattr(dynamics, "_z_dot", recording)
+    run(system, dataclasses.replace(REF_PARAMS, t_end=0.05), disturbance=disturbance)
+    return seen
+
+
+class TestDisturbance:
+    # a quiet run has no w(t) and adds nothing to dz/dt, not even zeros
+    def test_disabled_gives_zero(self, ref_system, monkeypatch):
+        assert _disturbance_fn(DisturbanceSpec(), 4)(1.0) is None
+        seen = disturbances_added(ref_system, None, monkeypatch)
+        assert seen and all(w is None for w in seen)
+
+    def test_zero_amplitude_gives_zero(self, ref_system, monkeypatch):
         spec = DisturbanceSpec(enabled=True, amplitude=0.0, seed=3)
-        assert np.array_equal(_disturbance_fn(spec, 4)(1.0), np.zeros(4))
+        assert _disturbance_fn(spec, 4)(1.0) is None
+        seen = disturbances_added(ref_system, spec, monkeypatch)
+        assert seen and all(w is None for w in seen)
 
     def test_bounded(self):
         spec = DisturbanceSpec(enabled=True, amplitude=0.5, seed=7)
