@@ -14,7 +14,7 @@ gives a free error estimate, and a step is accepted when it is within
 STEP_TOL (Hairer, Norsett & Wanner, Solving ODEs I, II.4). Each later stage
 solves the implicit power equation by a warm-started chord (simplified
 Newton) iteration on one loss-Jacobian factor per step (a stage whose solve
-stalls fails its step, which is retried narrower), and every solved P has
+stalls fails its step), and every solved P has
 its H lam formed once; dz/dt at the end of an RK4 step is both the error
 estimate's k5 and the next step's k1. Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term
 chatters once g k1 h |r|^(mu - 1) is of order one at width h, g being the
@@ -24,11 +24,14 @@ linearly implicit, chattering-free steps of width dt instead (backward
 Euler on the consensus law, after Acary & Brogliato 2010 and Polyakov,
 Efimov & Brogliato 2019), which reach consensus to roundoff; once an
 undisturbed run is below settle_tol each implicit step doubles its width,
-so the settle window is confirmed in about ten steps. The kind of step
-depends only on the state, and one NumPy advance, given the state and a
-width, carries both the public `step` (width dt, which adds the monitors)
-and `run` (which forms the residual every step, cost and loss only on
-emitted rows).
+so the settle window is confirmed in about ten steps. A failed step is
+retried narrower: an RK4 step at the error controller's width (a quarter
+of its width after a failed solve), an implicit step at half its width;
+only a failure below _MIN_STEP dt ends a run. The kind of step depends only
+on the state. One _Stepper per call holds the disturbance, the solver
+counters and both kinds of step, and carries both the public `step` (width
+dt, which adds the monitors) and `run` (which forms the residual every
+step, cost and loss only on emitted rows).
 """
 
 from __future__ import annotations
@@ -90,9 +93,9 @@ _amax = np.maximum.reduce
 
 class StepFailure(RuntimeError):
     """The implicit power equation or the Newton iteration of the implicit
-    step failed to converge. run() retries a failed RK4 step narrower, down
-    to _MIN_STEP dt, and a failed widened settle-window step at dt; any
-    other failure ends the run."""
+    step failed to converge. run() retries every failed step narrower (an
+    implicit one at half its width) and ends only when a step narrower than
+    _MIN_STEP dt fails; step() raises it."""
 
 
 @dataclass(frozen=True)
@@ -204,9 +207,8 @@ class DispatchSystem:
         #: 2c, the slope of the marginal costs
         self.two_c = 2.0 * self.c_coef
         self.d0 = np.array([g.d0 for g in self.gens])
-        self.laplacian = laplacian(self.top)
         #: -L, with which _disagreement forms sum_j a_ij (x_j - x_i) in one product
-        self.neg_laplacian = -self.laplacian
+        self.neg_laplacian = -laplacian(self.top)
 
     @property
     def dbar(self) -> float:
@@ -295,24 +297,6 @@ def _solve_power(z: np.ndarray, system: DispatchSystem, P: np.ndarray, A: np.nda
     )
 
 
-@dataclass
-class _SolveTally:
-    """The power solves of a run: count and loss evaluations (total and per
-    solve at most)."""
-
-    solves: int = 0
-    evals: int = 0
-    max_evals: int = 0
-
-    def solve(self, z, system: DispatchSystem, P, A, params: AlgorithmParams) -> np.ndarray:
-        """solve_power at z from P with chord factor A, counted."""
-        P, evals = _solve_power(z, system, P, A, params.fp_tol, params.fp_max_iter)
-        self.solves += 1
-        self.evals += evals
-        self.max_evals = max(self.max_evals, evals)
-        return P
-
-
 def _h_lambda(P: np.ndarray, system: DispatchSystem):
     """Marginal costs lam, loss factors H = 1 + own-loss gradient, and H * lam.
 
@@ -367,31 +351,99 @@ def make_state(t: float, z, system: DispatchSystem, prev_P=None, params: Algorit
     return _state(t, z, solve_power(z, system, prev_P, *fp), system)
 
 
-def _rk4(system: DispatchSystem, params: AlgorithmParams, w_at, tally: _SolveTally | None = None):
-    """The RK4 advance (t, z, P, r, dt, k1=None) -> (z', P', k4) over a step
-    of width dt, with the disturbance w_at from _disturbance_fn.
+def _sensitivity(lam: np.ndarray, H: np.ndarray, system: DispatchSystem, jinv: np.ndarray) -> np.ndarray:
+    """M = L K (I - J)^-1 L at P, with which the disagreement r = -L (H lam)
+    moves with z as dr = M dz: K = d(H lam)/dP, J the Jacobian of the
+    generator losses and L the Laplacian; lam and H are those of _h_lambda
+    at P, and jinv is (I - J)^-1 there. Formed as (-L) K jinv (-L), equal
+    to it bit for bit."""
+    K = weighted_cost_jacobian(system.loss, system.c_coef, lam, H, 1.0)
+    neg_lap = system.neg_laplacian
+    return neg_lap @ K @ jinv @ neg_lap
 
-    P is the solved power at (t, z) and r the disagreement there, which
-    give stage 1; k1 is dz/dt there if already formed (the k5 of the step
-    before), else it is formed from r. Each later stage and the end-of-step
-    solve warm-start from the chord step off the stage before,
-    P + A (-L) (z' - z), which needs no loss evaluation. Only P, r and dz are
-    formed per stage; k4 is returned for the error estimate. The solves share
-    one chord factor A, (I - J(P))^-1 to first order about system.chord0:
-    A0 + A0 (J(P) - J0) A0, and A (-L) is formed once per step. Solves are
-    counted in tally; a failed one raises StepFailure naming the stage, t
-    and dt.
+
+def _chatter_width(system: DispatchSystem, params: AlgorithmParams, r_max: float) -> float:
+    """The widest RK4 step that does not chatter at the disagreement
+    max|r| = r_max: _CHATTER_WIDTH r_max^(1 - mu) / (g k1), with
+    g = system.loop_gain. A step is linearly implicit where it is below dt."""
+    return _CHATTER_WIDTH * r_max ** (1.0 - params.mu) / (system.loop_gain * params.k1)
+
+
+class _Step(NamedTuple):
+    """One advance: the new z and P, h = _h_lambda and the disagreement r at
+    P, the RK4 error estimate (None after an implicit step) and the RK4
+    step's k5, dz/dt at (t + dt, z') (None after an implicit step)."""
+
+    z: np.ndarray
+    P: np.ndarray
+    h: tuple
+    r: np.ndarray
+    err: float | None
+    k: np.ndarray | None
+
+
+class _Stepper:
+    """The integrator of one step() or run() call.
+
+    w_at (w(t) from _disturbance_fn) and quiet (no disturbance at all) come
+    from one DisturbanceSpec, None for none. solves and evals count the power
+    solves and their loss evaluations (max_evals the most in one solve);
+    newton_iters lists the Newton iterations of each implicit step that
+    succeeded. ValueError unless the loop gain, which _chatter_width divides
+    by, is positive.
     """
-    tally = tally or _SolveTally()
-    a0, j0, neg_lap = system.chord0, system.loss_jac0, system.neg_laplacian
 
-    def advance(t, z, P, r, dt, k1=None):
-        A = a0 + a0 @ (system.loss._jacobian(P) - j0) @ a0
-        AL = A @ neg_lap
+    def __init__(self, system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None):
+        if not system.loop_gain > 0.0:
+            raise ValueError(f"the loop gain is {system.loop_gain:g}: no generator has a linked neighbour "
+                             f"(as with one generator), so the consensus law cannot move the dispatch")
+        spec = disturbance if disturbance is not None else DisturbanceSpec()
+        self.system, self.params = system, params
+        self.quiet = not spec.active
+        self.w_at = _disturbance_fn(spec, system.n)
+        self.solves = self.evals = self.max_evals = 0
+        self.newton_iters: list[int] = []
+        self.eye = np.eye(system.n)
+        #: the largest weighted degree, max diag(L)
+        self.deg_max = -float(np.minimum.reduce(system.neg_laplacian.diagonal()))
+
+    def kind(self, r: np.ndarray) -> tuple[bool, float]:
+        """(implicit, cap) at the disagreement r: cap, _chatter_width at
+        max|r|, bounds the RK4 step's width, and the step is linearly
+        implicit where cap is below dt."""
+        cap = _chatter_width(self.system, self.params, float(_amax(np.abs(r))))
+        return cap < self.params.dt, cap
+
+    def solve(self, z: np.ndarray, P: np.ndarray, A: np.ndarray) -> np.ndarray:
+        """solve_power at z from P with chord factor A, counted."""
+        P, evals = _solve_power(z, self.system, P, A, self.params.fp_tol, self.params.fp_max_iter)
+        self.solves += 1
+        self.evals += evals
+        self.max_evals = max(self.max_evals, evals)
+        return P
+
+    def rk4(self, t, z, P, r, dt, k1=None):
+        """The RK4 advance over a step of width dt: (z', P', k4).
+
+        P is the solved power at (t, z) and r the disagreement there, which
+        give stage 1; k1 is dz/dt there if already formed (the k5 of the step
+        before), else it is formed from r. Each later stage and the
+        end-of-step solve warm-start from the chord step off the stage
+        before, P + A (-L) (z' - z), which needs no loss evaluation. Only P, r
+        and dz are formed per stage; k4 is returned for the error estimate.
+        The solves share one chord factor A, (I - J(P))^-1 to first order
+        about system.chord0: A0 + A0 (J(P) - J0) A0, and A (-L) is formed
+        once per step. A failed solve raises StepFailure naming the stage, t
+        and dt.
+        """
+        system, params, w_at = self.system, self.params, self.w_at
+        a0 = system.chord0
+        A = a0 + a0 @ (system.loss._jacobian(P) - system.loss_jac0) @ a0
+        AL = A @ system.neg_laplacian
 
         def solve(stage, z, z_from, P_from):
             try:
-                return tally.solve(z, system, P_from + AL @ (z - z_from), A, params)
+                return self.solve(z, P_from + AL @ (z - z_from), A)
             except StepFailure as e:
                 raise StepFailure(f"RK4 {stage} at t = {t:.9g} s, width {dt:.3g} s: {e}") from e
 
@@ -410,53 +462,30 @@ def _rk4(system: DispatchSystem, params: AlgorithmParams, w_at, tally: _SolveTal
         z_new = z + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
         return z_new, solve("end-of-step solve", z_new, z4, P4), k4v
 
-    return advance
+    def implicit(self, t, z, P, h, r, dt):
+        """The linearly implicit advance over a step of width dt: (z', P').
 
-
-def _sensitivity(lam: np.ndarray, H: np.ndarray, system: DispatchSystem, jinv: np.ndarray) -> np.ndarray:
-    """M = L K (I - J)^-1 L at P, with which the disagreement r = -L (H lam)
-    moves with z as dr = M dz: K = d(H lam)/dP, J the Jacobian of the
-    generator losses and L the Laplacian; lam and H are those of _h_lambda
-    at P, and jinv is (I - J)^-1 there."""
-    K = weighted_cost_jacobian(system.loss, system.c_coef, lam, H, 1.0)
-    lap = system.laplacian
-    return lap @ K @ jinv @ lap
-
-
-def _chatter_width(system: DispatchSystem, params: AlgorithmParams, r_max: float) -> float:
-    """The widest RK4 step that does not chatter at the disagreement
-    max|r| = r_max: _CHATTER_WIDTH r_max^(1 - mu) / (g k1), with
-    g = system.loop_gain. A step is linearly implicit where it is below dt."""
-    return _CHATTER_WIDTH * r_max ** (1.0 - params.mu) / (system.loop_gain * params.k1)
-
-
-def _implicit(system: DispatchSystem, params: AlgorithmParams, w_at, tally: _SolveTally | None = None):
-    """The linearly implicit advance (t, z, P, h, r, dt) -> (z', P', Newton
-    iterations) over a step of width dt; w_at is as in _rk4.
-
-    With h = _h_lambda(P), r the disagreement at P and M = _sensitivity at P it solves
-    y = r + M dz, dz = -dt (k1 sig(y)^mu + k2 sig(y)^nu) + dt w(t + dt)
-    for the next disagreement y, which is backward Euler on the consensus law
-    linearised at P, so it has no chatter: exact consensus is its fixed
-    point. Newton runs in s = sig(y)^mu, in which the equation is smooth at
-    consensus, and solves with lstsq because M has the null vector 1,
-    starting from sig(r)^mu. (I - J(P))^-1 is formed once, for M and as the
-    chord factor of the one power solve at z + dz that then restores the
-    balance exactly. Solves are counted in tally.
-    """
-    k1, k2, mu, nu = params.k1, params.k2, params.mu, params.nu
-    deg_max = float(_amax(system.laplacian.diagonal()))
-    eye = np.eye(system.n)
-    solve = (tally or _SolveTally()).solve
-
-    def advance(t, z, P, h, r, dt):
+        With h = _h_lambda(P), r the disagreement at P and M = _sensitivity
+        at P it solves
+        y = r + M dz, dz = -dt (k1 sig(y)^mu + k2 sig(y)^nu) + dt w(t + dt)
+        for the next disagreement y, which is backward Euler on the consensus
+        law linearised at P, so it has no chatter: exact consensus is its
+        fixed point. Newton runs in s = sig(y)^mu, in which the equation is
+        smooth at consensus, and solves with lstsq because M has the null
+        vector 1, starting from sig(r)^mu. (I - J(P))^-1 is formed once, for M
+        and as the chord factor of the one power solve at z + dz that then
+        restores the balance exactly. The Newton iterations go to
+        newton_iters once that solve has succeeded.
+        """
+        params = self.params
+        k1, k2, mu, nu = params.k1, params.k2, params.mu, params.nu
         lam, H, hl = h
-        jinv = np.linalg.inv(eye - system.loss._jacobian(P))
-        M = _sensitivity(lam, H, system, jinv)
-        w = w_at(t + dt)
+        jinv = np.linalg.inv(self.eye - self.system.loss._jacobian(P))
+        M = _sensitivity(lam, H, self.system, jinv)
+        w = self.w_at(t + dt)
         dtw = None if w is None else dt * w
         f0 = _amax(np.abs(r if dtw is None else r + M @ dtw))  # max|F| at s = 0
-        tol = max(_IMPLICIT_RTOL * f0, _EPS * deg_max * _amax(np.abs(hl)))
+        tol = max(_IMPLICIT_RTOL * f0, _EPS * self.deg_max * _amax(np.abs(hl)))
         s = sig_pow(r, mu)
         for iters in range(_IMPLICIT_MAX_ITER + 1):
             law = k1 * s + k2 * sig_pow(s, nu / mu)
@@ -471,78 +500,51 @@ def _implicit(system: DispatchSystem, params: AlgorithmParams, w_at, tally: _Sol
             jac = np.diag(a ** (1.0 / mu - 1.0) / mu) + dt * M * (k1 + k2 * nu / mu * a ** (nu / mu - 1.0))
             s = s - np.linalg.lstsq(jac, F, rcond=None)[0]
         z_new = z + dz
-        return z_new, solve(z_new, system, P, jinv, params), iters
+        P_new = self.solve(z_new, P, jinv)
+        self.newton_iters.append(iters)
+        return z_new, P_new
 
-    return advance
+    def advance(self, t, z, P, h, r, dt, implicit, k1=None) -> _Step:
+        """One step of width dt, implicit or RK4 as kind(r) decided, from the
+        solved P at (t, z); h is _h_lambda at P, (lam, H, H * lam), and r the
+        disagreement there.
 
-
-class _Step(NamedTuple):
-    """One advance: the new z and P, h = _h_lambda and the disagreement r at
-    P, and either the RK4 error estimate or the implicit step's Newton
-    iterations (the other is None); k is the RK4 step's k5, dz/dt at
-    (t + dt, z'), None after an implicit step."""
-
-    z: np.ndarray
-    P: np.ndarray
-    h: tuple
-    r: np.ndarray
-    err: float | None
-    iters: int | None
-    k: np.ndarray | None
-
-
-def _advance(system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None,
-             tally: _SolveTally | None = None):
-    """The advance (t, z, P, h, r, dt, implicit=None, k1=None) -> _Step over
-    a step of width dt, shared by step() and run(). h is _h_lambda at P,
-    (lam, H, H * lam), and r the disagreement there. Power solves are
-    counted in tally.
-
-    RK4 while _chatter_width at max|r| is at least params.dt, the implicit
-    step where it is below; a caller that has made that decision passes it
-    as implicit. For an RK4 step err = dt/6 max|k4 - k5|, with
-    k5 = dz/dt at (t + dt, z'): the distance to the order-3 solution with
-    weights (1/6, 1/3, 1/3, 0, 1/6) on (k1, ..., k5), which costs no solve
-    and in which the disturbance w(t + dt) cancels. k5 is returned as _Step.k,
-    and a caller may pass it back as k1 to the next step from (t + dt, z').
-    """
-    w_at = _disturbance_fn(disturbance if disturbance is not None else DisturbanceSpec(), system.n)
-    rk4_step = _rk4(system, params, w_at, tally)
-    implicit_step = _implicit(system, params, w_at, tally)
-
-    def advance(t, z, P, h, r, dt, implicit=None, k1=None):
-        if implicit is None:
-            implicit = _chatter_width(system, params, float(_amax(np.abs(r)))) < params.dt
+        For an RK4 step err = dt/6 max|k4 - k5|, with k5 = dz/dt at
+        (t + dt, z'): the distance to the order-3 solution with weights
+        (1/6, 1/3, 1/3, 0, 1/6) on (k1, ..., k5), which costs no solve and in
+        which the disturbance w(t + dt) cancels. k5 is returned as _Step.k,
+        and a caller may pass it back as k1 to the next step from (t + dt, z').
+        """
         if implicit:
-            z, P, iters = implicit_step(t, z, P, h, r, dt)
+            z, P = self.implicit(t, z, P, h, r, dt)
         else:
-            z, P, k4 = rk4_step(t, z, P, r, dt, k1)
-            iters = None
-        h = _h_lambda(P, system)
-        r = _disagreement(h[2], system)
+            z, P, k4 = self.rk4(t, z, P, r, dt, k1)
+        h = _h_lambda(P, self.system)
+        r = _disagreement(h[2], self.system)
         if implicit:
-            return _Step(z, P, h, r, None, iters, None)
-        k5 = _z_dot(r, params, w_at(t + dt))
-        return _Step(z, P, h, r, dt / 6.0 * float(_amax(np.abs(k4 - k5))), None, k5)
-
-    return advance
+            return _Step(z, P, h, r, None, None)
+        k5 = _z_dot(r, self.params, self.w_at(t + dt))
+        return _Step(z, P, h, r, dt / 6.0 * float(_amax(np.abs(k4 - k5))), k5)
 
 
 def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None = None) -> SimulationState:
     """One step of width dt on z: classical 4-stage Runge-Kutta, or the
     linearly implicit step where _chatter_width at the disagreement of
-    state.P is below dt.
+    state.P is below dt; the kind is decided as in run().
 
     Stage 1 is state (its P, lam and H); each later RK4 stage solves the
     implicit power equation (warm-started from the stage before). As in
     run(), the width integrated is the time increment t' - t as rounded,
-    t' = t + dt. The returned state carries fresh monitors.
+    t' = t + dt. The returned state carries fresh monitors. StepFailure if
+    the step fails (step() does not retry it); ValueError on a system
+    with loop gain 0, such as one generator.
     """
     h = (state.lam, state.H, state.H * state.lam)
-    advance = _advance(system, params, disturbance)
+    r = _disagreement(h[2], system)
+    stepper = _Stepper(system, params, disturbance)
     t_new = state.t + params.dt
-    out = advance(state.t, np.asarray(state.z, dtype=float), np.asarray(state.P, dtype=float), h,
-                  _disagreement(h[2], system), t_new - state.t)
+    out = stepper.advance(state.t, np.asarray(state.z, dtype=float), np.asarray(state.P, dtype=float), h, r,
+                          t_new - state.t, stepper.kind(r)[0])
     return _state(t_new, out.z, out.P, system, out.h)
 
 
@@ -596,13 +598,14 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     """Integrate the dispatch dynamics to t_end or sustained consensus.
 
     RK4 steps start at width dt and are then sized by error control, never
-    wider than _chatter_width: a step whose error estimate exceeds
-    STEP_TOL, or whose power solve fails, is rejected and retried narrower,
-    and the width after an accepted step is scaled by
+    wider than _chatter_width: the width after an accepted step is scaled by
     0.9 (err/STEP_TOL)^(-1/4) within [0.2, 4] (at most 1 after a
-    rejection). Implicit steps have width dt, except that in an
-    undisturbed settle window each doubles the width of the one before (a
-    failed one is retried at dt). The last step lands on t_end.
+    rejection). Implicit steps have width dt, except that in an undisturbed
+    settle window each doubles the width of the one before. The last step
+    lands on t_end. A step whose error estimate exceeds STEP_TOL, or whose
+    solve fails, is rejected and retried narrower: an RK4 step at the
+    controller's width (a quarter of its width after a failed solve), an
+    implicit step at half its width.
 
     Settling is declared when the consensus residual stays below
     settle_tol for settle_window seconds; the settling time recorded is
@@ -610,17 +613,16 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     Every stride-th accepted step and the terminal state are trajectory
     rows. The Lyapunov column is V = 0.5 (C - c_star)^2, with c_star
     defaulting to the terminal cost. A step that fails below _MIN_STEP dt
-    ends the run with status "step_failure".
+    ends the run with status "step_failure". ValueError on a system with
+    loop gain 0, such as one generator.
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
-    tally = _SolveTally()
-    advance = _advance(system, params, disturbance, tally)
-    quiet = disturbance is None or not disturbance.active
+    stepper = _Stepper(system, params, disturbance)
     z0 = np.zeros(system.n) if z0 is None else np.asarray(z0, dtype=float)
     min_width = _MIN_STEP * params.dt
 
-    state = _state(0.0, z0, tally.solve(z0, system, system.d0, system.chord0, params), system)
+    state = _state(0.0, z0, stepper.solve(z0, system.d0, system.chord0), system)
     t, z, P, res = state.t, state.z, state.P, state.residual
     h = (state.lam, state.H, state.H * state.lam)
     r = _disagreement(h[2], system)
@@ -633,24 +635,20 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     window_start = window_end = None
     if res < params.settle_tol:
         window_start, window_end = t, t + params.settle_window
-    rk4_width, window_width, may_grow = params.dt, params.dt, True
-    settle_time, fail_step, switch_time, newton_iters = None, None, None, []
+    rk4_width, implicit_width, may_grow = params.dt, params.dt, True
+    settle_time, fail_step, switch_time = None, None, None
     steps = rejected = 0
     k1 = None  # dz/dt at (t, z), once an RK4 step has formed it
     while t < params.t_end:
-        cap = _chatter_width(system, params, float(_amax(np.abs(r))))
-        implicit = cap < params.dt
-        widening = implicit and quiet and window_start is not None
-        if implicit:
-            width = window_width if widening else params.dt
-        else:
-            width = min(rk4_width, cap)
+        implicit, cap = stepper.kind(r)
+        widening = implicit and stepper.quiet and window_start is not None
+        width = implicit_width if implicit else min(rk4_width, cap)
         t_new = min(t + width, params.t_end)
         if window_start is not None and t < window_end < t_new:
             t_new = window_end
         dt = t_new - t
         try:
-            out = advance(t, z, P, h, r, dt, implicit, k1)
+            out = stepper.advance(t, z, P, h, r, dt, implicit, k1)
         except StepFailure as e:
             out, failure = None, e
         else:
@@ -659,12 +657,12 @@ def run(system: DispatchSystem, params: AlgorithmParams,
                 failure = StepFailure(f"RK4 step at t = {t:.9g} s, width {dt:.3g} s: "
                                       f"error estimate {out.err:.3g} above STEP_TOL")
         if failure is not None:
-            if widening and window_width > params.dt:
-                window_width = params.dt
-            elif implicit or dt < min_width:
+            if dt < min_width:
                 fail_step = steps
                 logger.warning("run ended at t = %.9g s: %s", t, failure)
                 break
+            if implicit:
+                implicit_width = dt / 2.0
             else:  # a failed solve is retried at a quarter of the width
                 rk4_width, may_grow = dt * (_width_scale(out.err) if out is not None else 0.25), False
             rejected += 1
@@ -673,13 +671,11 @@ def run(system: DispatchSystem, params: AlgorithmParams,
             if switch_time is None:
                 switch_time = t
                 logger.info("implicit step took over at t = %.3f s (residual %.3g)", t, res)
-            newton_iters.append(out.iters)
-            if widening:
-                window_width *= 2.0
+            implicit_width = 2.0 * implicit_width if widening else params.dt
         else:
             rk4_width, may_grow = dt * min(_width_scale(out.err), _GROWTH if may_grow else 1.0), True
         # k5 was formed at w(t + dt), which is the next step's w(t_new) only where t + dt == t_new
-        k1 = out.k if quiet or t + dt == t_new else None
+        k1 = out.k if stepper.quiet or t + dt == t_new else None
         t, z, P, h, r = t_new, out.z, out.P, out.h, out.r
         res = _residual(h[2])
         steps += 1
@@ -692,9 +688,10 @@ def run(system: DispatchSystem, params: AlgorithmParams,
                 settle_time = window_start
                 break
         else:
-            window_start, window_width = None, params.dt
+            window_start, implicit_width = None, params.dt
     if steps % stride:
         emit()
+    iters = stepper.newton_iters
     terminal = _state(t, z, P, system, h)
     c_star = terminal.cost if c_star is None else c_star
     rows_t, rows_z, rows_p, rows_pl, rows_c, rows_r = zip(*rows)
@@ -712,6 +709,6 @@ def run(system: DispatchSystem, params: AlgorithmParams,
         status="ok" if fail_step is None else "step_failure",
         c_star=float(c_star), negative_power_seen=neg, fail_step=fail_step,
         steps=steps, switch_time=switch_time,
-        implicit_newton_iters=(sum(newton_iters) / len(newton_iters), max(newton_iters)) if newton_iters else None,
-        power_solve_iters=(tally.evals / tally.solves, tally.max_evals), rejected_steps=rejected,
+        implicit_newton_iters=(sum(iters) / len(iters), max(iters)) if iters else None,
+        power_solve_iters=(stepper.evals / stepper.solves, stepper.max_evals), rejected_steps=rejected,
     )

@@ -23,15 +23,13 @@ from fxdispatch import (
 from fxdispatch import dynamics
 from fxdispatch.config import config_from_dict, load_config
 from fxdispatch.dynamics import (
-    _advance,
     _chatter_width,
     _disagreement,
     _disturbance_fn,
     _h_lambda,
-    _implicit,
     _residual,
-    _rk4,
     _state,
+    _Stepper,
     _z_dot,
     make_state,
 )
@@ -301,14 +299,16 @@ class TestStep:
 
 def replay(system, params, disturbance, res, z0=None):
     """States at the row times of a stride-1 run, each advanced from the one
-    before through the shared advance over the width between their times."""
-    advance = _advance(system, params, disturbance)
+    before through the stepper's advance, of the kind it decides, over the
+    width between their times."""
+    stepper = _Stepper(system, params, disturbance)
     z0 = np.zeros(system.n) if z0 is None else z0
     states = [make_state(0.0, z0, system, params=params)]
     for t_next in res.trajectory.t[1:]:
         s = states[-1]
         h = (s.lam, s.H, s.H * s.lam)
-        out = advance(s.t, s.z, s.P, h, _disagreement(h[2], system), t_next - s.t)
+        r = _disagreement(h[2], system)
+        out = stepper.advance(s.t, s.z, s.P, h, r, t_next - s.t, stepper.kind(r)[0])
         states.append(_state(t_next, out.z, out.P, system))
     return states
 
@@ -398,9 +398,14 @@ def symmetric_lossy_pair():
 
 
 def implicit_step(system, params, disturbance=None):
-    """The implicit advance over width dt as a function of a state: its (P, (lam, H, H lam), r) start the step."""
-    advance = _implicit(system, params, _disturbance_fn(disturbance or DisturbanceSpec(), system.n))
-    return lambda s: advance(s.t, s.z, s.P, (s.lam, s.H, s.H * s.lam), state_r(s, system), params.dt)
+    """The implicit advance over width dt as a function of a state, returning
+    (z', P', Newton iterations): its (P, (lam, H, H lam), r) start the step."""
+    stepper = _Stepper(system, params, disturbance)
+
+    def advance(s):
+        z, P = stepper.implicit(s.t, s.z, s.P, (s.lam, s.H, s.H * s.lam), state_r(s, system), params.dt)
+        return z, P, stepper.newton_iters[-1]
+    return advance
 
 
 class TestImplicitStep:
@@ -422,7 +427,7 @@ class TestImplicitStep:
         # (the cap on RK4's width, not this margin, keeps wider steps off it)
         system = DispatchSystem(gens=ref_system.gens, loss=ref_system.loss, top=path_topology(4, weight))
         params = dataclasses.replace(REF_PARAMS, k1=k1, mu=mu)
-        advance = _rk4(system, params, _disturbance_fn(DisturbanceSpec(), 4))
+        advance = _Stepper(system, params, None).rk4
         state = make_state(0.0, equilibrium_z(system), system, params=params)
         floor = []
         for k in range(400):
@@ -489,19 +494,15 @@ def calls_per_try(ref_system, monkeypatch, names):
     for name in names:
         monkeypatch.setattr(dynamics, name, counted(name))
     entries = []  # the counts when each try starts, its start time and kind
-    real_advance = dynamics._advance
+    real_advance = dynamics._Stepper.advance
 
-    def counting_advance(*args):
-        advance = real_advance(*args)
+    def counting_advance(self, *step_args):
+        start = dict(counts)
+        out = real_advance(self, *step_args)
+        entries.append((start, step_args[0], "rk4" if out.err is not None else "implicit"))
+        return out
 
-        def wrapper(*step_args):
-            start = dict(counts)
-            out = advance(*step_args)
-            entries.append((start, step_args[0], "rk4" if out.iters is None else "implicit"))
-            return out
-        return wrapper
-
-    monkeypatch.setattr(dynamics, "_advance", counting_advance)
+    monkeypatch.setattr(dynamics._Stepper, "advance", counting_advance)
     res = run(ref_system, dataclasses.replace(REF_PARAMS, t_end=5.2))
     assert len(entries) == res.steps + res.rejected_steps
     assert res.rejected_steps > 0 and 4.9 < res.switch_time < 5.0
@@ -619,8 +620,8 @@ class TestDisturbance:
     def test_near_zero_mean_over_horizon(self):
         spec = DisturbanceSpec(enabled=True, amplitude=0.5, seed=7)
         t = np.linspace(0.0, 200.0, 200_001)
-        w_at = _disturbance_fn(spec, 4)
-        w = np.stack([w_at(ti) for ti in t])
+        w = _disturbance_fn(spec, 4)(t[:, None])  # w broadcasts over a column of times
+        assert w.shape == (t.size, 4)
         assert np.max(np.abs(w.mean(axis=0))) < 0.005
 
     def test_seed_determinism(self):
@@ -674,16 +675,31 @@ class TestRun:
         b = run(system_for([150.0, 150.0, 150.0, 150.0]), params)
         assert np.max(np.abs(a.terminal.P - b.terminal.P)) < 1e-3
 
-    @pytest.mark.parametrize("mu", [0.2, 0.5])
+    @pytest.mark.parametrize("mu, k1", [(0.2, None), (0.5, None), (0.2, 20.0)], ids=["0.2", "0.5", "0.2,k1=20"])
     @pytest.mark.parametrize("dt", [0.1, 0.2])
-    def test_wide_dt_settles(self, mu, dt):
+    def test_wide_dt_settles(self, mu, k1, dt):
         # RK4 capped at _chatter_width carries the run until the implicit steps
         # of width dt take over; were every step implicit from t = 0, Newton
-        # would fail at t = dt for mu = 0.2
+        # would fail at t = dt for mu = 0.2. At mu = 0.2, k1 = 20 and dt = 0.2
+        # the implicit steps of width dt fail in Newton; each is retried at
+        # half its width, and the run settles
         config = load_config(str(REF_CONFIG))
-        res = run(config.system(), dataclasses.replace(config.params, mu=mu, dt=dt, t_end=20.0))
+        params = dataclasses.replace(config.params, mu=mu, dt=dt, t_end=20.0)
+        res = run(config.system(), params if k1 is None else dataclasses.replace(params, k1=k1))
         assert res.status == "ok" and res.settled
         assert np.abs(res.terminal.P - FINE_TERMINAL).max() < 1e-9
+
+    def test_one_generator_raises(self):
+        # the loop gain of one generator is 0, and _chatter_width divides by it
+        gens = (GeneratorSpec(a=1.0, b=2.0, c=0.05, p0=100.0, d0=100.0),)
+        system = DispatchSystem(gens=gens, loss=KronLossModel(np.zeros((1, 1)), np.zeros(1), 0.0),
+                                top=path_topology(1))
+        state = make_state(0.0, np.zeros(1), system)
+        assert state.P.tolist() == [100.0]
+        with pytest.raises(ValueError, match="loop gain is 0: no generator has a linked neighbour"):
+            run(system, REF_PARAMS)
+        with pytest.raises(ValueError, match="loop gain is 0: no generator has a linked neighbour"):
+            step(state, system, REF_PARAMS)
 
     def test_settled_run_reports_window_start(self, ref_system):
         params = dataclasses.replace(REF_PARAMS, dt=2.5e-4, t_end=20.0)
@@ -727,7 +743,7 @@ class TestErrorControl:
 
     def test_failed_stage_names_its_step(self, ref_system):
         state = make_state(0.0, 100.0 * np.array([1.0, -1.0, 1.0, -1.0]), ref_system, params=REF_PARAMS)
-        advance = _rk4(ref_system, REF_PARAMS, _disturbance_fn(DisturbanceSpec(), 4))
+        advance = _Stepper(ref_system, REF_PARAMS, None).rk4
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepFailure, match=r"RK4 stage \d at t = 0 s, width 0.001 s: power solve did not "
@@ -755,32 +771,54 @@ class TestErrorControl:
         assert (res.status, res.fail_step, res.steps, res.rejected_steps) == ("step_failure", 0, 0, 10)
         assert res.trajectory.t.tolist() == [0.0] and res.terminal.t == 0.0
 
+    @staticmethod
+    def refuse_one_implicit_step(monkeypatch, refuse):
+        """Patch the implicit step to raise StepFailure once, on the first try
+        for which refuse(width, earlier tries) holds; return the (t, width)
+        of every implicit step tried, in order."""
+        real = dynamics._Stepper.implicit
+        tries = []
+
+        def refusing(self, t, z, P, h, r, dt):
+            tries.append((t, dt))
+            if refuse(dt, tries[:-1]):
+                raise StepFailure("refused")
+            return real(self, t, z, P, h, r, dt)
+
+        monkeypatch.setattr(dynamics._Stepper, "implicit", refusing)
+        return tries
+
     def test_failed_widened_window_step_is_retried_at_dt(self, ref_system, monkeypatch):
         params = dataclasses.replace(REF_PARAMS, t_end=10.0)
         plain = run(ref_system, params)
-        real = dynamics._implicit
-        tries = []  # (t, width) of every implicit step tried
         wide = 1.5 * params.dt  # above dt and its roundoff in t + dt - t
-
-        def first_widened_fails(system, params, *args):
-            advance = real(system, params, *args)
-
-            def wrapper(t, z, P, h, r, dt):
-                tries.append((t, dt))
-                if dt > wide and all(w <= wide for _, w in tries[:-1]):
-                    raise StepFailure("refused")
-                return advance(t, z, P, h, r, dt)
-            return wrapper
-
-        monkeypatch.setattr(dynamics, "_implicit", first_widened_fails)
+        tries = self.refuse_one_implicit_step(
+            monkeypatch, lambda dt, before: dt > wide and all(w <= wide for _, w in before))
         res = run(ref_system, params)
         k = next(k for k, (_, w) in enumerate(tries) if w > wide)
         assert tries[k][1] == pytest.approx(2.0 * params.dt, rel=1e-9)
+        # retried at half its width, then widened again
         assert tries[k + 1][0] == tries[k][0] and tries[k + 1][1] == pytest.approx(params.dt, rel=1e-9)
         assert tries[k + 2][1] == pytest.approx(2.0 * params.dt, rel=1e-9)
         assert res.rejected_steps == plain.rejected_steps + 1
         assert res.settled and res.settle_time == plain.settle_time
         assert res.terminal.t == res.settle_time + params.settle_window
+
+    def test_failed_implicit_step_is_retried_at_half_its_width(self, ref_system, monkeypatch):
+        params = dataclasses.replace(REF_PARAMS, t_end=10.0)
+        plain = run(ref_system, params)
+        tries = self.refuse_one_implicit_step(monkeypatch, lambda dt, before: not before)
+        res = run(ref_system, params)
+        (t0, w0), (t1, w1), (t2, w2) = tries[:3]
+        assert w0 == pytest.approx(params.dt, rel=1e-9) and t0 == plain.switch_time
+        # the refused step is retried from where it started at half its width,
+        # and the step after that has width dt again
+        assert t1 == t0 and w1 == pytest.approx(params.dt / 2.0, rel=1e-9)
+        assert t2 == t1 + w1 and w2 == pytest.approx(params.dt, rel=1e-9)
+        assert res.status == "ok" and res.rejected_steps == plain.rejected_steps + 1
+        assert res.switch_time == plain.switch_time
+        assert res.settled and abs(res.settle_time - plain.settle_time) < 0.01
+        assert np.abs(res.terminal.P - FINE_TERMINAL).max() < 1e-9
 
     def test_golden_run_keeps_criteria_3_and_8_at_every_accepted_step(self):
         config = load_config(str(REF_CONFIG))

@@ -1,4 +1,6 @@
 import ast
+import importlib
+import importlib.util
 import re
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ tomllib = pytest.importorskip("tomllib")
 
 ROOT = Path(__file__).resolve().parents[1]
 PACKAGE = ROOT / "src" / "fxdispatch"
+PERFBENCH = ROOT / "perfbench"
 # distribution name -> top-level module, where they differ
 MODULE_OF = {"pyyaml": "yaml"}
 
@@ -34,3 +37,32 @@ def declared_modules():
 
 def test_runtime_dependencies_are_exactly_the_imports():
     assert declared_modules() == imported_third_party()
+
+
+def benchmark_attributes():
+    """(module, dotted name) of every fxdispatch attribute the benchmark uses:
+    its tracer's TARGETS, each fx.<module>.<name> in its sources, and
+    DispatchSystem.dbar, which it reads off a system."""
+    spec = importlib.util.spec_from_file_location("perfbench_spans", PERFBENCH / "spans.py")
+    spans = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(spans)
+    used = {(module, attr) for module, attr, _, _ in spans.TARGETS}
+    for path in PERFBENCH.glob("*.py"):
+        used.update(m.groups() for m in re.finditer(r"\bfx\.(\w+)\.(\w+(?:\.\w+)*)", path.read_text()))
+    return used | {("dynamics", "DispatchSystem.dbar")}
+
+
+def test_benchmark_attributes_exist():
+    # a rename in the package fails here, not first in the benchmark
+    used = benchmark_attributes()
+    assert {("dynamics", "step"), ("dynamics", "make_state"), ("dynamics", "solve_power"),
+            ("dynamics", "_HAVE_NUMBA"), ("cli", "evaluate_gates"), ("dynamics", "run")} <= used
+    missing = []
+    for module, dotted in sorted(used):
+        obj = importlib.import_module(f"fxdispatch.{module}")
+        for name in dotted.split("."):
+            if not hasattr(obj, name):
+                missing.append(f"{module}.{dotted}")
+                break
+            obj = getattr(obj, name)
+    assert not missing
