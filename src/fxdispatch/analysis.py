@@ -153,8 +153,9 @@ def curvature_matrices(model: KronLossModel, gens, P):
     return grad_F, grad_M, Q
 
 
-def verify_lemma3_bounds(model: KronLossModel, gens, P, summary: CostSummary | None = None) -> Lemma3Report:
-    """Check the element-wise and spectral bounds R1-R5 at a nonnegative P.
+def verify_lemma3_bounds(model: KronLossModel, gens, P) -> Lemma3Report:
+    """Check the element-wise and spectral bounds R1-R5 at a nonnegative P,
+    with the fleet's (sigma, delta) from cost_summary.
 
     R5 pairs the sorted eigenvalues of S with the sorted diagonal matrix
     sigma*(1+B_i0) and bounds each gap by the extreme eigenvalues of the
@@ -167,8 +168,7 @@ def verify_lemma3_bounds(model: KronLossModel, gens, P, summary: CostSummary | N
     P = np.asarray(P, dtype=float)
     if (P < 0).any():
         raise AssumptionViolation("bounds are only claimed for nonnegative powers")
-    if summary is None:
-        summary = cost_summary(gens)
+    summary = cost_summary(gens)
     sigma, delta = summary.sigma, summary.delta
     B, B0 = model.B, model.B0
     dB = np.diag(B)
@@ -242,18 +242,16 @@ def power_mean_check(zeta, m: float) -> bool:
     return lhs >= rhs - 1e-12 * max(1.0, abs(rhs))
 
 
-def assemble_assumption_report(model: KronLossModel, gens, top, P_ref=None) -> AssumptionReport:
+def assemble_assumption_report(model: KronLossModel, gens, top) -> AssumptionReport:
     """Run every gate and collect the scalars the report prints.
 
-    P_ref (default: the demand shares d0) is where the pointwise
-    own-loss-gradient condition is evaluated; the sufficient row-sum
-    condition uses the total demand dbar = sum d0.
+    The pointwise own-loss-gradient condition is evaluated at the demand
+    shares d0; the sufficient row-sum condition uses the total demand
+    dbar = sum d0.
     """
     summary = cost_summary(gens)
     dbar = total_demand(gens)
-    if P_ref is None:
-        P_ref = np.array([g.d0 for g in gens], dtype=float)
-    own_grad = model.own_loss_gradient(np.asarray(P_ref, dtype=float))
+    own_grad = model.own_loss_gradient(np.array([g.d0 for g in gens], dtype=float))
     a1_per_gen = tuple(bool(0.0 <= g < 1.0) for g in own_grad)
     remark2 = check_a1(model, dbar) if dbar > 0 else np.zeros(model.n, dtype=bool)
     a2 = check_a2(model, summary)

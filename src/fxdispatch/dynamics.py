@@ -337,18 +337,18 @@ def _state(t: float, z: np.ndarray, P: np.ndarray, system: DispatchSystem, h=Non
         P=P,
         lam=lam,
         H=H,
-        cost=fleet_cost(system.cost_coef, P),
+        cost=float(fleet_cost(system.cost_coef, P)),
         loss=system.loss.total_loss(P),
         total_power=float(P.sum()),
         residual=_residual(hl),
     )
 
 
-def make_state(t: float, z, system: DispatchSystem, prev_P=None, params: AlgorithmParams | None = None) -> SimulationState:
-    """Solve the power equation at z and assemble all monitors; the
+def make_state(t: float, z, system: DispatchSystem, params: AlgorithmParams | None = None) -> SimulationState:
+    """Solve the power equation at z from d0 and assemble all monitors; the
     solver settings are those of params, or their defaults without it."""
     fp = (params.fp_tol, params.fp_max_iter) if params else ()
-    return _state(t, z, solve_power(z, system, prev_P, *fp), system)
+    return _state(t, z, solve_power(z, system, None, *fp), system)
 
 
 def _sensitivity(lam: np.ndarray, H: np.ndarray, system: DispatchSystem, jinv: np.ndarray) -> np.ndarray:
@@ -527,10 +527,10 @@ class _Stepper:
         return _Step(z, P, h, r, dt / 6.0 * float(_amax(np.abs(k4 - k5))), k5)
 
 
-def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None = None) -> SimulationState:
-    """One step of width dt on z: classical 4-stage Runge-Kutta, or the
-    linearly implicit step where _chatter_width at the disagreement of
-    state.P is below dt; the kind is decided as in run().
+def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams) -> SimulationState:
+    """One undisturbed step of width dt on z: classical 4-stage
+    Runge-Kutta, or the linearly implicit step where _chatter_width at the
+    disagreement of state.P is below dt; the kind is decided as in run().
 
     Stage 1 is state (its P, lam and H); each later RK4 stage solves the
     implicit power equation (warm-started from the stage before). As in
@@ -541,7 +541,7 @@ def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams
     """
     h = (state.lam, state.H, state.H * state.lam)
     r = _disagreement(h[2], system)
-    stepper = _Stepper(system, params, disturbance)
+    stepper = _Stepper(system, params, None)
     t_new = state.t + params.dt
     out = stepper.advance(state.t, np.asarray(state.z, dtype=float), np.asarray(state.P, dtype=float), h, r,
                           t_new - state.t, stepper.kind(r)[0])

@@ -10,6 +10,7 @@ out in MW.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,7 +41,7 @@ class GeneratorSpec:
 
     def __post_init__(self) -> None:
         for name in ("a", "b", "c", "p0", "d0"):
-            if not np.isfinite(getattr(self, name)):
+            if not math.isfinite(getattr(self, name)):
                 raise ConfigurationError(f"{name} must be finite, got {name}={getattr(self, name)}")
         if not self.c > 0:
             raise ConfigurationError(f"quadratic coefficient must be > 0, got c={self.c}")
@@ -144,7 +145,7 @@ def total_cost(gens, P) -> float:
     P = np.asarray(P, dtype=float)
     if len(gens) != P.shape[0]:
         raise ConfigurationError(f"{len(gens)} generators but {P.shape[0]} powers")
-    return fleet_cost(cost_coefficients(gens), P)
+    return float(fleet_cost(cost_coefficients(gens), P))
 
 
 def cost_coefficients(gens) -> np.ndarray:
@@ -152,11 +153,12 @@ def cost_coefficients(gens) -> np.ndarray:
     return np.array([[g.a for g in gens], [g.b for g in gens], [g.c for g in gens]], dtype=float)
 
 
-def fleet_cost(abc: np.ndarray, P: np.ndarray) -> float:
+def fleet_cost(abc: np.ndarray, P: np.ndarray) -> np.ndarray:
     """sum_i c_i P_i^2 + b_i P_i + a_i from the rows (a, b, c) of
-    cost_coefficients; P is not checked."""
+    cost_coefficients, summed over the last axis of P (one power vector
+    per row); P is not checked."""
     a, b, c = abc
-    return float(np.add.reduce(c * P * P + b * P + a))
+    return np.add.reduce(c * P * P + b * P + a, axis=-1)
 
 
 def total_demand(gens) -> float:

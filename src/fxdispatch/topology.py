@@ -22,11 +22,10 @@ class LocalTopology:
     """Weighted undirected connected graph on nodes 0..n-1.
 
     Edges are (i, j, weight) with positive weights and no self-loops;
-    connectivity is enforced at construction unless require_connected is
-    cleared (useful only to probe check_connected / spectrum failures).
+    connectivity is enforced at construction (AssumptionViolation).
     """
 
-    def __init__(self, n: int, edges, require_connected: bool = True):
+    def __init__(self, n: int, edges):
         if n < 1:
             raise ConfigurationError("need at least one node")
         norm_edges = []
@@ -41,7 +40,7 @@ class LocalTopology:
             norm_edges.append((min(i, j), max(i, j), w))
         self.n = n
         self.edges = tuple(sorted(norm_edges))
-        if require_connected and not check_connected(self):
+        if not check_connected(self):
             raise AssumptionViolation("local topology must be connected")
 
     def adjacency(self) -> np.ndarray:
@@ -111,6 +110,6 @@ def spectrum(top: LocalTopology) -> SpectralSummary:
     return SpectralSummary(eigenvalues=tuple(float(e) for e in eig), phi2=phi2)
 
 
-def path_topology(n: int, weight: float = 1.0) -> LocalTopology:
+def path_topology(n: int) -> LocalTopology:
     """Unit-weight chain 0-1-...-(n-1), the reference local layer."""
-    return LocalTopology(n, [(i, i + 1, weight) for i in range(n - 1)])
+    return LocalTopology(n, [(i, i + 1, 1.0) for i in range(n - 1)])

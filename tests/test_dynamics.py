@@ -11,6 +11,7 @@ from fxdispatch import (
     DisturbanceSpec,
     GeneratorSpec,
     KronLossModel,
+    LocalTopology,
     SimulationState,
     StepFailure,
     path_topology,
@@ -425,7 +426,8 @@ class TestImplicitStep:
         # stays there; the steps turn implicit 2.7 to 4.1 times above it here,
         # and at least 2.5 times for every c(mu) in _CHATTER_WIDTH's comment
         # (the cap on RK4's width, not this margin, keeps wider steps off it)
-        system = DispatchSystem(gens=ref_system.gens, loss=ref_system.loss, top=path_topology(4, weight))
+        top = LocalTopology(4, [(i, i + 1, weight) for i in range(3)])
+        system = DispatchSystem(gens=ref_system.gens, loss=ref_system.loss, top=top)
         params = dataclasses.replace(REF_PARAMS, k1=k1, mu=mu)
         advance = _Stepper(system, params, None).rk4
         state = make_state(0.0, equilibrium_z(system), system, params=params)

@@ -29,6 +29,11 @@ TWO_D = 100.0
 # closed form for the equal-marginal-cost split of the lossless pair:
 # P1 = (2 c2 D + b2 - b1) / (2 c1 + 2 c2), evaluated by hand beforehand
 TWO_P1 = (2 * 0.08 * 100.0 + 2.0 - 1.0) / (2 * 0.05 + 2 * 0.08)
+THREE_GENS = TWO_GENS + (GeneratorSpec(a=8.0, b=1.5, c=0.06),)
+
+
+def balance_gap(P, model, d):
+    return abs(P.sum() - d - model.total_loss(P))
 
 
 class TestSolveEquilibrium:
@@ -51,7 +56,7 @@ class TestSolveEquilibrium:
 
         cons = sol.P_star - ref_system.d0 - ref_system.loss.generator_losses(sol.P_star)
         z = -np.linalg.pinv(laplacian(ref_system.top)) @ cons
-        state = make_state(0.0, z, ref_system, prev_P=sol.P_star)
+        state = make_state(0.0, z, ref_system)
         assert np.max(np.abs(state.P - sol.P_star)) < 1e-9
         assert abs(state.total_power - ref_system.dbar - state.loss) < 1e-9
         assert state.residual < 1e-9
@@ -85,6 +90,42 @@ class TestBruteForce:
         sol = solve_equilibrium(TWO_GENS, model, TWO_D)
         P = brute_force_optimum(TWO_GENS, model, TWO_D, grid_step=0.05)
         assert np.max(np.abs(P - sol.P_star)) <= 0.1
+
+    def test_three_gen_lossless_matches_equal_lambda(self):
+        # equal-lambda closed form: lam* = (D + sum b_i/2c_i) / sum 1/2c_i
+        inv = np.array([1.0 / (2 * g.c) for g in THREE_GENS])
+        bvec = np.array([g.b for g in THREE_GENS])
+        lam = (TWO_D + (bvec * inv).sum()) / inv.sum()
+        P_closed = (lam - bvec) * inv
+        P = brute_force_optimum(THREE_GENS, lossless(3), TWO_D, grid_step=0.1)
+        # two scanned powers within one grid step, the closed one within two
+        assert np.all(np.abs(P - P_closed) <= [0.1, 0.1, 0.2])
+        assert balance_gap(P, lossless(3), TWO_D) <= 1e-9
+
+    def test_three_gen_lossy_frozen(self):
+        model = KronLossModel(np.array([[1.0, 0.3, 0.1], [0.3, 1.2, 0.2], [0.1, 0.2, 0.9]]) * 1e-4,
+                              np.array([1e-3, 2e-3, 1.5e-3]), 0.5)
+        P = brute_force_optimum(THREE_GENS, model, TWO_D, grid_step=1.0)
+        # frozen: the point of a scan that closed the last power by scalar fixed point to 1e-12
+        assert P == pytest.approx([45.0, 22.0, 34.1257232208455], abs=1e-9)
+        assert balance_gap(P, model, TWO_D) <= 1e-9
+
+    def test_unclosable_points_are_skipped(self):
+        # at many grid points x = 50 - p + 1e-2 (p^2 + x^2) has no root; the
+        # scan skips them without a RuntimeWarning
+        gens = (GeneratorSpec(a=0.0, b=1.0, c=1.0),) * 2
+        model = KronLossModel(np.diag([1e-2, 1e-2]), np.zeros(2), 0.0)
+        P = brute_force_optimum(gens, model, 50.0, grid_step=1.0)
+        assert np.array_equal(P, [50.0, 50.0])
+
+    def test_single_generator_without_root_is_none(self):
+        # x = 50 + 1e-2 x^2 has no real root
+        gens = (GeneratorSpec(a=0.0, b=1.0, c=1.0),)
+        model = KronLossModel(np.array([[1e-2]]), np.zeros(1), 0.0)
+        assert brute_force_optimum(gens, model, 50.0, grid_step=1.0) is None
+
+    def test_negative_demand_has_no_grid_point(self):
+        assert brute_force_optimum(TWO_GENS, lossless(2), -1.0, grid_step=0.1) is None
 
     def test_rejects_large_fleet(self, ref_gens, ref_model):
         with pytest.raises(ValueError):

@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import inspect
 import re
 import sys
 from pathlib import Path
@@ -66,3 +67,75 @@ def test_benchmark_attributes_exist():
                 break
             obj = getattr(obj, name)
     assert not missing
+
+
+# the parameter names of every callable fxdispatch exports, dataclass fields
+# included; () for an exception that takes only a message. A new settable
+# value edits this table in the same diff.
+PUBLIC_PARAMETERS = {
+    "AlgorithmParams": ("k1", "k2", "mu", "nu", "dt", "t_end", "fp_tol", "fp_max_iter", "settle_tol",
+                        "settle_window"),
+    "AssumptionReport": ("connected_ok", "a1_ok", "a1_per_generator", "remark2_ok", "sigma", "delta", "rho",
+                         "b1", "bN", "a2_value", "a2_ok"),
+    "AssumptionViolation": (),
+    "ConfigurationError": (),
+    "CostSummary": ("sigma", "delta"),
+    "DispatchSystem": ("gens", "loss", "top"),
+    "DisturbanceSpec": ("enabled", "amplitude", "seed", "kind"),
+    "EquilibriumSolution": ("P_star", "mu_star", "cost_star", "loss_star", "constraint_residual",
+                            "consensus_residual", "iterations"),
+    "GeneratorSpec": ("a", "b", "c", "p0", "d0"),
+    "KronLossModel": ("B", "B0", "B00"),
+    "LocalTopology": ("n", "edges"),
+    "NewtonFailure": ("msg", "best"),
+    "RunConfig": ("generators", "loss", "topology", "params", "disturbance", "output", "z0"),
+    "RunResult": ("trajectory", "terminal", "settled", "settle_time", "status", "c_star", "negative_power_seen",
+                  "fail_step", "steps", "switch_time", "implicit_newton_iters", "power_solve_iters",
+                  "rejected_steps"),
+    "SMatrix": ("S", "tau"),
+    "SettlingBound": ("ts", "alpha", "beta", "p", "q"),
+    "SimulationState": ("t", "z", "P", "lam", "H", "cost", "loss", "total_power", "residual"),
+    "SpectralSummary": ("eigenvalues", "phi2"),
+    "StepFailure": (),
+    "assemble_assumption_report": ("model", "gens", "top"),
+    "brute_force_optimum": ("gens", "model", "d_total", "grid_step"),
+    "build_s_matrix": ("model", "summary"),
+    "check_a1": ("model", "dbar"),
+    "check_a2": ("model", "summary"),
+    "check_connected": ("top",),
+    "cost_summary": ("gens",),
+    "kkt_penalty_solution": ("gens", "model", "d_total"),
+    "laplacian": ("top",),
+    "load_config": ("path",),
+    "path_topology": ("n",),
+    "power_mean_check": ("zeta", "m"),
+    "run": ("system", "params", "disturbance", "z0", "c_star", "stride"),
+    "save_config": ("config", "path"),
+    "settling_bound": ("params", "rho", "tau1", "phi2", "n"),
+    "sig_pow": ("x", "m"),
+    "solve_equilibrium": ("gens", "model", "d_total"),
+    "solve_power": ("z", "system", "prev_P", "fp_tol", "fp_max_iter"),
+    "spectrum": ("top",),
+    "step": ("state", "system", "params"),
+    "total_cost": ("gens", "P"),
+    "total_demand": ("gens",),
+    "verify_lemma3_bounds": ("model", "gens", "P"),
+}
+
+
+def exported_names():
+    """The names fxdispatch/__init__.py imports from its modules."""
+    tree = ast.parse((PACKAGE / "__init__.py").read_text())
+    return [alias.name for node in tree.body if isinstance(node, ast.ImportFrom) for alias in node.names]
+
+
+def parameter_names(obj):
+    try:
+        return tuple(inspect.signature(obj).parameters)
+    except ValueError:  # a builtin constructor, such as an exception's
+        return ()
+
+
+def test_public_parameters():
+    fx = importlib.import_module("fxdispatch")
+    assert {name: parameter_names(getattr(fx, name)) for name in exported_names()} == PUBLIC_PARAMETERS
