@@ -106,7 +106,7 @@ class KronLossModel:
     def total_loss(self, P) -> float:
         """P'BP + B0'P + B00, the network-wide transmission loss in MW."""
         P = self._check_len(P)
-        return float(P @ self.B @ P + self.B0 @ P + self.B00)
+        return float(P.dot(self.B).dot(P) + self.B0.dot(P) + self.B00)
 
     def generator_losses(self, P) -> np.ndarray:
         """Loss attributed to each generator; the entries sum to total_loss."""
@@ -114,7 +114,7 @@ class KronLossModel:
 
     def _losses(self, P: np.ndarray) -> np.ndarray:
         # unchecked generator_losses for the integrator's inner loop
-        return P * (self.B @ P + self.B0) + self._b00_share
+        return P * (self.B.dot(P) + self.B0) + self._b00_share
 
     def total_loss_gradient(self, P) -> np.ndarray:
         """Gradient of the total loss: entry i is 2 sum_j B_ij P_j + B_i0."""
@@ -130,7 +130,7 @@ class KronLossModel:
 
     def _own_gradient(self, P: np.ndarray) -> np.ndarray:
         # unchecked own_loss_gradient for the integrator's inner loop
-        return self.own_grad_jac @ P + self.B0
+        return self.own_grad_jac.dot(P) + self.B0
 
     def _jacobian(self, P: np.ndarray) -> np.ndarray:
         """Jacobian of generator_losses: entry (i, j) is P_i B_ij off the
