@@ -5,27 +5,29 @@ the loss-weighted marginal costs H_i * lambda_i; the powers P are defined
 implicitly at every instant by P_i = consensus_term_i + D_i0 + P_Li(P),
 which keeps total generation equal to demand plus losses by construction.
 
-The integrator picks its own steps. While the consensus residual is
-large it takes classical Runge-Kutta steps (4 stages) whose width is set by
-error control: stage 1 is the state the step starts from and also closes
-the step before (first same as last), so the order-3 embedded solution
-with weights (1/6, 1/3, 1/3, 0, 1/6) on (k1, ..., k4, k1 of the next step)
-gives a free error estimate, and a step is accepted when it is within
-STEP_TOL (Hairer, Norsett & Wanner, Solving ODEs I, II.4). Each later stage
-solves the implicit power equation by a warm-started chord (simplified
-Newton) iteration on one loss-Jacobian factor per step (a stage whose solve
-stalls fails its step), and every solved P has
-its H lam formed once; dz/dt at the end of an RK4 step is both the error
-estimate's k5 and the next step's k1. Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term
-chatters once g k1 h |r|^(mu - 1) is of order one at width h, g being the
-loop gain, so one rule, _chatter_width, bounds RK4's width at the
-disagreement r, and where that bound falls below dt the integrator takes
-linearly implicit, chattering-free steps of width dt instead (backward
-Euler on the consensus law, after Acary & Brogliato 2010 and Polyakov,
-Efimov & Brogliato 2019), which reach consensus to roundoff; once an
-undisturbed run is below settle_tol each implicit step doubles its width,
-so the settle window is confirmed in about ten steps. A failed step is
-retried narrower: an RK4 step at the error controller's width (a quarter
+The integrator picks its own steps. While the consensus residual is large
+it takes classical Runge-Kutta steps (4 stages) whose width is set by error
+control: stage 1 is the state the step starts from and also closes the step
+before (first same as last), so the order-3 embedded solution with weights
+(1/6, 1/3, 1/3, 0, 1/6) on (k1, ..., k4, k1 of the next step) gives a free
+error estimate, and a step is accepted when it is within STEP_TOL (Hairer,
+Norsett & Wanner, Solving ODEs I, II.4). Each later stage solves the
+implicit power equation by a warm-started chord (simplified Newton)
+iteration on one loss-Jacobian factor per step (a stage whose solve stalls
+fails its step), whose balance residual is one folded expression with its
+constants stored, and every solved P has its H lam formed once; dz/dt at
+the end of an RK4 step is both the error estimate's k5 and the next step's
+k1, formed at the w(t + dt) of the step's stage 4. Matrix products are
+ndarray.dot (see the comment after _amax). Explicit RK4 on the
+non-Lipschitz k1 sig(r)^mu term chatters once g k1 h |r|^(mu - 1) is of order
+one at width h, g being the loop gain, so one rule, _chatter_width, bounds
+RK4's width at the disagreement r, and where that bound falls below dt the
+integrator takes linearly implicit, chattering-free steps of width dt
+instead (backward Euler on the consensus law, after Acary & Brogliato 2010
+and Polyakov, Efimov & Brogliato 2019), which reach consensus to roundoff;
+once an undisturbed run is below settle_tol each implicit step doubles its
+width, so the settle window is confirmed in about ten steps. A failed step
+is retried narrower: an RK4 step at the error controller's width (a quarter
 of its width after a failed solve), an implicit step at half its width;
 only a failure below _MIN_STEP dt ends a run. The kind of step depends only
 on the state. One _Stepper per call holds the disturbance, the solver
@@ -210,6 +212,8 @@ class DispatchSystem:
         #: 2c, the slope of the marginal costs
         self.two_c = 2.0 * self.c_coef
         self.d0 = np.array([g.d0 for g in self.gens])
+        #: d0 + B00/N, the constant term of the power solve's folded residual
+        self._d0_b00 = self.d0 + self.loss._b00_share
         #: -L, with which _disagreement forms sum_j a_ij (x_j - x_i) in one product
         self.neg_laplacian = -laplacian(self.top)
 
@@ -271,26 +275,28 @@ def solve_power(z, system: DispatchSystem, prev_P=None, fp_tol: float = Algorith
 
 def _solve_power(z: np.ndarray, system: DispatchSystem, P: np.ndarray, A: np.ndarray,
                  fp_tol: float, fp_max_iter: int) -> tuple[np.ndarray, int]:
-    """Solve P = base + P_L(P), base = -L z + d0, from P; return (P, loss
-    evaluations).
+    """Solve P = -L z + d0 + P_L(P) from P; return (P, loss evaluations).
 
-    Each of at most fp_max_iter chord iterations forms g = base + P_L(P)
-    and moves P <- P + A (g - P), with A close to (I - J)^-1 and J the
-    Jacobian of the generator losses. Once max|g - P| < fp_tol it returns g,
-    whose balance residual is one sweep below fp_tol. StepFailure after
-    fp_max_iter iterations, or as soon as max|g - P| stops shrinking or is
-    not finite, so a diverging iterate stops long before it overflows.
+    Each of at most fp_max_iter chord iterations forms the balance residual
+    d = -L z + d0 + P_L(P) - P and moves P <- P + A d, with A close to
+    (I - J)^-1 and J the Jacobian of the generator losses. d is formed in
+    one folded expression, base + P (B P + (B0 - 1)) with the per-solve
+    constant base = -L z + (d0 + B00/N) (KronLossModel._losses_less_power).
+    Once max|d| < fp_tol it returns P + d, whose balance residual is one
+    sweep below fp_tol. StepFailure after fp_max_iter iterations, or as soon
+    as max|d| stops shrinking or is not finite, so a diverging iterate stops
+    long before it overflows.
     """
-    base = _disagreement(z, system) + system.d0
+    base = _disagreement(z, system) + system._d0_b00
     loss = system.loss
+    folded = loss._losses_less_power
     warm, last = P, math.inf
     # every update builds a new array: the P passed in is never written to or returned
     for evals in range(1, fp_max_iter + 1):
-        g = base + loss._losses(P)
-        d = g - P
+        d = base + folded(P)
         size = _amax(np.abs(d))
         if size < fp_tol:
-            return g, evals
+            return P + d, evals
         if not size < last:
             break
         P, last = P + A.dot(d), size
@@ -303,9 +309,11 @@ def _solve_power(z: np.ndarray, system: DispatchSystem, P: np.ndarray, A: np.nda
 def _h_lambda(P: np.ndarray, system: DispatchSystem):
     """Marginal costs lam, loss factors H = 1 + own-loss gradient, and H * lam.
 
-    lam is grid_model.marginal_costs, 2cP + b, with 2c stored on the system."""
+    lam is grid_model.marginal_costs, 2cP + b, with 2c stored on the system;
+    H is formed as G P + (1 + B0), G = B + diag(B_ii) and 1 + B0 stored on
+    the loss model (KronLossModel._loss_factors)."""
     lam = system.two_c * P + system.b_coef
-    H = 1.0 + system.loss._own_gradient(P)
+    H = system.loss._loss_factors(P)
     return lam, H, H * lam
 
 
@@ -426,14 +434,15 @@ class _Stepper:
         return P
 
     def rk4(self, t, z, P, r, dt, k1=None):
-        """The RK4 advance over a step of width dt: (z', P', k4).
+        """The RK4 advance over a step of width dt: (z', P', k4, w(t + dt)).
 
         P is the solved power at (t, z) and r the disagreement there, which
         give stage 1; k1 is dz/dt there if already formed (the k5 of the step
         before), else it is formed from r. Each later stage and the
         end-of-step solve warm-start from the chord step off the stage
         before, P + A (-L) (z' - z), which needs no loss evaluation. Only P, r
-        and dz are formed per stage; k4 is returned for the error estimate.
+        and dz are formed per stage; k4 is returned for the error estimate,
+        and w(t + dt) (None in a quiet run) for the k5 that closes the step.
         The solves share one chord factor A, (I - J(P))^-1 to first order
         about system.chord0: A0 + A0 (J(P) - J0) A0, and A (-L) is formed
         once per step. A failed solve raises StepFailure naming the stage, t
@@ -463,7 +472,7 @@ class _Stepper:
         z4 = z + dt * k3v
         k4v, P4 = deriv("stage 4", z4, z3, P3, w_end)
         z_new = z + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
-        return z_new, solve("end-of-step solve", z_new, z4, P4), k4v
+        return z_new, solve("end-of-step solve", z_new, z4, P4), k4v, w_end
 
     def implicit(self, t, z, P, h, r, dt):
         """The linearly implicit advance over a step of width dt: (z', P').
@@ -515,18 +524,19 @@ class _Stepper:
         For an RK4 step err = dt/6 max|k4 - k5|, with k5 = dz/dt at
         (t + dt, z'): the distance to the order-3 solution with weights
         (1/6, 1/3, 1/3, 0, 1/6) on (k1, ..., k5), which costs no solve and in
-        which the disturbance w(t + dt) cancels. k5 is returned as _Step.k,
-        and a caller may pass it back as k1 to the next step from (t + dt, z').
+        which the disturbance w(t + dt) cancels; w(t + dt) is the one the RK4
+        step formed for its stage 4. k5 is returned as _Step.k, and a caller
+        may pass it back as k1 to the next step from (t + dt, z').
         """
         if implicit:
             z, P = self.implicit(t, z, P, h, r, dt)
         else:
-            z, P, k4 = self.rk4(t, z, P, r, dt, k1)
+            z, P, k4, w_end = self.rk4(t, z, P, r, dt, k1)
         h = _h_lambda(P, self.system)
         r = _disagreement(h[2], self.system)
         if implicit:
             return _Step(z, P, h, r, None, None)
-        k5 = _z_dot(r, self.params, self.w_at(t + dt))
+        k5 = _z_dot(r, self.params, w_end)
         return _Step(z, P, h, r, dt / 6.0 * float(_amax(np.abs(k4 - k5))), k5)
 
 

@@ -96,6 +96,9 @@ class KronLossModel:
         self.own_grad_jac = B + np.diag(self._diag)
         #: B00/N, the constant loss attributed to each generator
         self._b00_share = B00 / n
+        #: B0 - 1 and 1 + B0, the constants of _losses_less_power and _loss_factors
+        self._b0_less_one = B0 - 1.0
+        self._one_plus_b0 = 1.0 + B0
 
     def _check_len(self, P: np.ndarray) -> np.ndarray:
         P = np.asarray(P, dtype=float)
@@ -116,6 +119,11 @@ class KronLossModel:
         # unchecked generator_losses for the integrator's inner loop
         return P * (self.B.dot(P) + self.B0) + self._b00_share
 
+    def _losses_less_power(self, P: np.ndarray) -> np.ndarray:
+        # _losses(P) - B00/N - P folded into one product, P (B P + (B0 - 1)), for
+        # the power solve's residual, which adds B00/N to its constant term
+        return P * (self.B.dot(P) + self._b0_less_one)
+
     def total_loss_gradient(self, P) -> np.ndarray:
         """Gradient of the total loss: entry i is 2 sum_j B_ij P_j + B_i0."""
         P = self._check_len(P)
@@ -131,6 +139,10 @@ class KronLossModel:
     def _own_gradient(self, P: np.ndarray) -> np.ndarray:
         # unchecked own_loss_gradient for the integrator's inner loop
         return self.own_grad_jac.dot(P) + self.B0
+
+    def _loss_factors(self, P: np.ndarray) -> np.ndarray:
+        # unchecked 1 + own_loss_gradient, the factors H, with 1 + B0 stored
+        return self.own_grad_jac.dot(P) + self._one_plus_b0
 
     def _jacobian(self, P: np.ndarray) -> np.ndarray:
         """Jacobian of generator_losses: entry (i, j) is P_i B_ij off the
