@@ -53,7 +53,14 @@ class A2Report:
 
 @dataclass(frozen=True)
 class AssumptionReport:
-    """Outcome of every standing-assumption gate for one configuration."""
+    """Outcome of every standing-assumption gate for one configuration.
+
+    connected_ok is always True: a LocalTopology is connected once its
+    constructor returns (it raises AssumptionViolation otherwise), so the
+    field only records that the check was made. It is kept for the
+    `connected` line of `fxdispatch check` and report.json's
+    assumptions.connected_ok.
+    """
 
     connected_ok: bool
     a1_ok: bool

@@ -113,15 +113,13 @@ class KronLossModel:
 
     def generator_losses(self, P) -> np.ndarray:
         """Loss attributed to each generator; the entries sum to total_loss."""
-        return self._losses(self._check_len(P))
-
-    def _losses(self, P: np.ndarray) -> np.ndarray:
-        # unchecked generator_losses for the integrator's inner loop
+        P = self._check_len(P)
         return P * (self.B.dot(P) + self.B0) + self._b00_share
 
     def _losses_less_power(self, P: np.ndarray) -> np.ndarray:
-        # _losses(P) - B00/N - P folded into one product, P (B P + (B0 - 1)), for
-        # the power solve's residual, which adds B00/N to its constant term
+        # unchecked generator_losses(P) - B00/N - P folded into one product,
+        # P (B P + (B0 - 1)), for the power solve's residual, which adds B00/N
+        # to its constant term
         return P * (self.B.dot(P) + self._b0_less_one)
 
     def total_loss_gradient(self, P) -> np.ndarray:

@@ -16,6 +16,7 @@ from fxdispatch import (
     DisturbanceSpec,
     GeneratorSpec,
     load_config,
+    run,
     save_config,
     solve_equilibrium,
 )
@@ -23,6 +24,7 @@ from fxdispatch.cli import (
     EXIT_OK,
     EXIT_VALIDATION,
     _apply_overrides,
+    _csv_text,
     cmd_bound,
     cmd_check,
     cmd_oracle,
@@ -269,6 +271,20 @@ class TestRun:
         assert report["assumptions"]["all_ok"] is True
         assert report["spectra"]["phi2"] == pytest.approx(0.5858, abs=1e-4)
         assert len(report["terminal_power"]) == 4
+
+    def test_csv_bytes_match_row_by_row_formatting(self, reference_config):
+        # the writer formats the stacked columns; each row formatted from the
+        # trajectory's own arrays gives the same bytes
+        for config in (reference_config, config_from_dict(fleet_dict(64))):
+            params = dataclasses.replace(config.params, t_end=min(config.params.t_end, 10.0))
+            traj = run(config.system(), params, stride=1).trajectory
+            n = traj.P.shape[1]
+            rows = [",".join(f"{v:.12g}" for v in [traj.t[k], *traj.P[k], *traj.z[k], traj.loss[k],
+                                                   traj.P[k].sum(), traj.cost[k], traj.residual[k], traj.V[k]])
+                    for k in range(len(traj.t))]
+            header, _, body = _csv_text(traj, n).partition("\n")
+            assert len(rows) > 50 and len(header.split(",")) == 2 * n + 6
+            assert body == "\n".join(rows) + "\n"
 
     def test_refuses_failed_gates_without_force(self, base_dict, tmp_path):
         config = failing_config(base_dict)

@@ -157,10 +157,10 @@ class TestSolvePower:
             base = _disagreement(z, system) + system.d0
             for warm in (system.d0, 0.5 * system.d0, 2.0 * system.d0):
                 P = solve_power(z, system, prev_P=warm)
-                assert np.abs(base + system.loss._losses(P) - P).max() < tol
+                assert np.abs(base + system.loss.generator_losses(P) - P).max() < tol
                 root = P
                 for _ in range(3):  # Newton polish
-                    r = base + system.loss._losses(root) - root
+                    r = base + system.loss.generator_losses(root) - root
                     root = root + np.linalg.solve(np.eye(system.n) - system.loss._jacobian(root), r)
                 assert np.abs(P - root).max() < tol
 
@@ -255,7 +255,7 @@ class TestFusedOperators:
         m = system.loss
         for _, P in self.samples(system):
             losses = P * (m.B @ P) + P * m.B0 + m.B00 / m.n
-            assert np.all(np.abs(m._losses(P) - losses) <= self.ULPS * losses)
+            assert np.all(np.abs(m.generator_losses(P) - losses) <= self.ULPS * losses)
             own = m.B @ P + np.diag(m.B) * P + m.B0
             assert np.all(np.abs(m._own_gradient(P) - own) <= self.ULPS * own)
             # the power solve's folded residual term, losses less B00/N and less P
