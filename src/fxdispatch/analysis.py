@@ -17,9 +17,11 @@ from .grid_model import (
     AssumptionViolation,
     CostSummary,
     KronLossModel,
+    cost_coefficients,
     cost_summary,
     marginal_costs,
     total_demand,
+    weighted_cost_jacobian,
 )
 # imported by name: perfbench/spans.py patches analysis.jacobi_eigenvalues
 from .topology import check_connected, jacobi_eigenvalues
@@ -136,7 +138,7 @@ def check_a2(model: KronLossModel, summary: CostSummary) -> A2Report:
 def build_s_matrix(model: KronLossModel, summary: CostSummary) -> SMatrix:
     """S = delta (B + diag(B_ii)) + diag((1+B_i0) sigma); tau sorted."""
     S = model.own_grad_jac * summary.delta
-    S[np.diag_indices(model.n)] += (1.0 + model.B0) * summary.sigma
+    S[np.diag_indices(model.n)] += model._one_plus_b0 * summary.sigma
     return SMatrix(S=S, tau=jacobi_eigenvalues(S))
 
 
@@ -145,18 +147,16 @@ def curvature_matrices(model: KronLossModel, gens, P):
 
     Returns (grad_F, grad_M, Q): grad_F is the Jacobian of the
     total-loss-gradient times marginal-cost product, grad_M the diagonal
-    Jacobian of the own-loss correction term, and
-    Q = diag(2c) + 0.5 grad_F + grad_M.
+    Jacobian of the own-loss correction term, and Q = d(H lam)/dP, the
+    dynamics' K, equal to diag(2c) + 0.5 grad_F + grad_M.
     """
     P = np.asarray(P, dtype=float)
-    c = np.array([g.c for g in gens])
-    lam = marginal_costs(np.array([g.b for g in gens]), c, P)
-    curv = 2.0 * c
-    dB = np.diag(model.B)
-    grad_F = 2.0 * model.B * lam[:, None]
-    np.fill_diagonal(grad_F, 2.0 * dB * lam + model.total_loss_gradient(P) * curv)
-    grad_M = np.diag(dB * lam + (dB * P + model.B0 / 2.0) * curv)
-    Q = np.diag(curv) + 0.5 * grad_F + grad_M
+    _, b, c = cost_coefficients(gens)
+    lam = marginal_costs(b, c, P)
+    dB = model._diag
+    grad_F = weighted_cost_jacobian(2.0 * model.B, c, lam, model.total_loss_gradient(P), 1.0)
+    grad_M = np.diag(dB * lam + (dB * P + model.B0 / 2.0) * (2.0 * c))
+    Q = weighted_cost_jacobian(model.own_grad_jac, c, lam, model._loss_factors(P), 1.0)
     return grad_F, grad_M, Q
 
 
@@ -177,8 +177,7 @@ def verify_lemma3_bounds(model: KronLossModel, gens, P) -> Lemma3Report:
         raise AssumptionViolation("bounds are only claimed for nonnegative powers")
     summary = cost_summary(gens)
     sigma, delta = summary.sigma, summary.delta
-    B, B0 = model.B, model.B0
-    dB = np.diag(B)
+    B, B0, dB = model.B, model.B0, model._diag
     grad_F, grad_M, Q = curvature_matrices(model, gens, P)
     slack = BOUND_SLACK
 
@@ -198,7 +197,7 @@ def verify_lemma3_bounds(model: KronLossModel, gens, P) -> Lemma3Report:
     sm = build_s_matrix(model, summary)
     r4 = bool((sm.S <= Q + slack).all())
 
-    diag_sorted = np.sort(sigma * (1.0 + B0))
+    diag_sorted = np.sort(sigma * model._one_plus_b0)
     gap = sm.tau - diag_sorted
     pert_eig = delta * jacobi_eigenvalues(model.own_grad_jac)
     lo, hi = float(pert_eig.min()), float(pert_eig.max())

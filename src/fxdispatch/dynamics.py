@@ -368,7 +368,7 @@ def _sensitivity(lam: np.ndarray, H: np.ndarray, system: DispatchSystem, jinv: n
     generator losses and L the Laplacian; lam and H are those of _h_lambda
     at P, and jinv is (I - J)^-1 there. Formed as (-L) K jinv (-L), equal
     to it bit for bit."""
-    K = weighted_cost_jacobian(system.loss, system.c_coef, lam, H, 1.0)
+    K = weighted_cost_jacobian(system.loss.own_grad_jac, system.c_coef, lam, H, 1.0)
     neg_lap = system.neg_laplacian
     return neg_lap.dot(K).dot(jinv).dot(neg_lap)
 

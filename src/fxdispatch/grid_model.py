@@ -182,11 +182,12 @@ def marginal_costs(b, c, P):
     return 2.0 * c * P + b
 
 
-def weighted_cost_jacobian(model: KronLossModel, c, lam, w, dw) -> np.ndarray:
-    """d(w lam)/dP at marginal costs lam, for weights w(g) of the own-loss gradient g with
-    dw = dw/dg: entry (i, j) is lam_i dw_i (B_ij + delta_ij B_ii) + delta_ij w_i 2 c_i."""
-    J = model.own_grad_jac * (lam * dw)[:, None]
-    J[np.diag_indices(model.n)] += w * 2.0 * c
+def weighted_cost_jacobian(G, c, lam, w, dw) -> np.ndarray:
+    """d(w lam)/dP at marginal costs lam, for weights w(g) of a loss gradient g of Jacobian
+    G with dw = dw/dg: entry (i, j) is lam_i dw_i G_ij + delta_ij w_i 2 c_i. G = own_grad_jac,
+    w = H give d(H lam)/dP (K, Q); G = 2B, w = total_loss_gradient give grad_F."""
+    J = G * (lam * dw)[:, None]
+    J[np.diag_indices(len(c))] += w * 2.0 * c
     return J
 
 

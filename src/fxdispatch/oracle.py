@@ -79,8 +79,7 @@ def _solve_weighted(gens, model: KronLossModel, d_total: float, weight) -> Equil
     and stops at max|residual| < _NEWTON_TOL.
     """
     n = len(gens)
-    b = np.array([g.b for g in gens])
-    c = np.array([g.c for g in gens])
+    _, b, c = cost_coefficients(gens)
 
     def residual(x):
         P, mu = x[:n], x[n]
@@ -91,7 +90,7 @@ def _solve_weighted(gens, model: KronLossModel, d_total: float, weight) -> Equil
         P = x[:n]
         w, dw = weight(P)
         J = np.zeros((n + 1, n + 1))
-        J[:n, :n] = weighted_cost_jacobian(model, c, marginal_costs(b, c, P), w, dw)
+        J[:n, :n] = weighted_cost_jacobian(model.own_grad_jac, c, marginal_costs(b, c, P), w, dw)
         J[:n, n] = -1.0
         J[n, :n] = 1.0 - model.total_loss_gradient(P)
         return J
@@ -115,10 +114,9 @@ def solve_equilibrium(gens, model: KronLossModel, d_total: float) -> Equilibrium
     """Root-solve {H_i lam_i = mu for all i, sum P = d_total + P_L(P)}.
 
     This is the stationary point of the consensus dynamics, with
-    H_i = 1 + dP_Li/dP_i.
+    H_i = 1 + dP_Li/dP_i, the loss model's _loss_factors.
     """
-    # H is kept in this association, not 1 + own_loss_gradient: that moves the last bits of the oracle points
-    return _solve_weighted(gens, model, d_total, lambda P: (1.0 + model.B @ P + model._diag * P + model.B0, 1.0))
+    return _solve_weighted(gens, model, d_total, lambda P: (model._loss_factors(P), 1.0))
 
 
 def kkt_penalty_solution(gens, model: KronLossModel, d_total: float) -> EquilibriumSolution:

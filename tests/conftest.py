@@ -24,7 +24,7 @@ REF_EQ_COST = 11080.832237274592
 REF_EQ_LOSS = 40.910279226665146
 
 
-def fleet_dict(n):
+def ring_fleet_dict(n):
     """A seeded n-generator run file on a ring; it need not pass the gates."""
     rng = np.random.default_rng(n)
     p0 = rng.uniform(10.0, 45.0, n)

@@ -5,6 +5,7 @@ from fxdispatch import (
     AlgorithmParams,
     AssumptionViolation,
     CostSummary,
+    DispatchSystem,
     GeneratorSpec,
     KronLossModel,
     assemble_assumption_report,
@@ -12,10 +13,12 @@ from fxdispatch import (
     check_a1,
     check_a2,
     cost_summary,
+    path_topology,
     power_mean_check,
     settling_bound,
     verify_lemma3_bounds,
 )
+from fxdispatch import dynamics
 from fxdispatch.analysis import curvature_matrices
 from fxdispatch.grid_model import marginal_costs
 from tests.conftest import REF_B, REF_DEMAND, REF_P0
@@ -122,6 +125,32 @@ class TestLemma3Bounds:
     def test_rejects_negative_power(self, ref_model, ref_gens):
         with pytest.raises(AssumptionViolation):
             verify_lemma3_bounds(ref_model, ref_gens, np.array([-1.0, 0.0, 0.0, 0.0]))
+
+    def test_q_is_the_lemma3_decomposition(self):
+        # Q = d(H lam)/dP; by algebra it equals diag(2c) + 0.5 grad_F + grad_M
+        rng = np.random.default_rng(11)
+        for _ in range(50):
+            model, gens, P = random_case(rng, int(rng.integers(2, 7)))
+            grad_F, grad_M, Q = curvature_matrices(model, gens, P)
+            parts = np.diag([2.0 * g.c for g in gens]) + 0.5 * grad_F + grad_M
+            assert np.max(np.abs(Q - parts)) <= 1e-12 * np.max(np.abs(Q))
+
+    def test_q_is_the_dynamics_sensitivity_k(self, monkeypatch):
+        # the K that _sensitivity forms is Q, bit for bit
+        seen, form = [], dynamics.weighted_cost_jacobian
+
+        def spy(*args):
+            seen.append(form(*args))
+            return seen[-1]
+
+        monkeypatch.setattr(dynamics, "weighted_cost_jacobian", spy)
+        rng = np.random.default_rng(12)
+        for _ in range(50):
+            model, gens, P = random_case(rng, int(rng.integers(2, 7)))
+            system = DispatchSystem(gens=gens, loss=model, top=path_topology(len(gens)))
+            lam, H, _ = dynamics._h_lambda(P, system)
+            dynamics._sensitivity(lam, H, system, np.eye(len(gens)))
+            assert np.array_equal(seen.pop(), curvature_matrices(model, gens, P)[2])
 
     @pytest.mark.parametrize("h", [1e-2, 1e-3])
     def test_jacobians_match_finite_differences(self, h):

@@ -22,6 +22,7 @@ from fxdispatch import (
 )
 from fxdispatch.cli import (
     EXIT_OK,
+    EXIT_RUNTIME,
     EXIT_VALIDATION,
     _apply_overrides,
     _csv_text,
@@ -33,7 +34,7 @@ from fxdispatch.cli import (
 )
 from fxdispatch.config import OutputSpec, config_from_dict
 from fxdispatch.topology import laplacian
-from tests.conftest import fleet_dict
+from tests.conftest import ring_fleet_dict
 
 CONFIG_PATH = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference_case.yaml"
 
@@ -132,13 +133,13 @@ class TestLoadConfig:
     @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML built without libyaml")
     def test_libyaml_loader_parses_like_the_python_loader(self, tmp_path):
         fleet = tmp_path / "fleet.yaml"
-        save_config(config_from_dict(fleet_dict(64)), str(fleet))
+        save_config(config_from_dict(ring_fleet_dict(64)), str(fleet))
         for path in (CONFIG_PATH, fleet):
             text = path.read_text()
             assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
 
     def test_saved_bytes_match_the_python_dumper(self, reference_config, tmp_path):
-        for config in (reference_config, config_from_dict(fleet_dict(64))):
+        for config in (reference_config, config_from_dict(ring_fleet_dict(64))):
             path = tmp_path / "saved.yaml"
             save_config(config, str(path))
             assert path.read_text() == yaml.dump(config.to_dict(), Dumper=yaml.SafeDumper, sort_keys=False)
@@ -275,7 +276,7 @@ class TestRun:
     def test_csv_bytes_match_row_by_row_formatting(self, reference_config):
         # the writer formats the stacked columns; each row formatted from the
         # trajectory's own arrays gives the same bytes
-        for config in (reference_config, config_from_dict(fleet_dict(64))):
+        for config in (reference_config, config_from_dict(ring_fleet_dict(64))):
             params = dataclasses.replace(config.params, t_end=min(config.params.t_end, 10.0))
             traj = run(config.system(), params, stride=1).trajectory
             n = traj.P.shape[1]
@@ -400,6 +401,38 @@ class TestMain:
         bad = tmp_path / "bad.yaml"
         bad.write_text(yaml.safe_dump({"generators": []}))
         assert main(["check", "--config", str(bad)]) == EXIT_VALIDATION
+
+    def test_oracle_subcommand(self, capsys):
+        assert main(["oracle", "--config", str(CONFIG_PATH)]) == EXIT_OK
+        out = capsys.readouterr().out
+        assert "consensus equilibrium (H*lambda equal):" in out
+        assert "penalty-factor coordination:" in out
+
+    def test_oracle_without_a_balance_exits_2(self, base_dict, tmp_path, capsys):
+        # with B = diag(1e-2) the losses outgrow any dispatch: no balance exists at 600 MW
+        base_dict["loss"]["b_matrix"] = np.diag([1e-2] * 4).tolist()
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(base_dict, sort_keys=False))
+        assert main(["oracle", "--config", str(path)]) == EXIT_RUNTIME
+        out = capsys.readouterr().out
+        assert out.startswith("equilibrium solve failed: no descent after 30 halvings (residual ")
+        assert "; best iterate: [" in out
+
+    def test_power_solve_failure_exits_2(self, base_dict, tmp_path, capsys):
+        base_dict["params"]["fp_max_iter"] = 1
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(base_dict, sort_keys=False))
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
+        assert capsys.readouterr().err.startswith("runtime failure: power solve did not converge")
+
+    @pytest.mark.parametrize("command", ["check", "run"])
+    def test_zero_delta_exits_1(self, command, base_dict, tmp_path, capsys):
+        base_dict["generators"][0]["b"] = 0.0
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(base_dict, sort_keys=False))
+        argv = [command, "--config", str(path)] + (["--out", str(tmp_path / "out")] if command == "run" else [])
+        assert main(argv) == EXIT_VALIDATION
+        assert capsys.readouterr().err == "assumption violation: marginal-cost lower bound delta must be nonzero\n"
 
 
 def _set_edge(d):

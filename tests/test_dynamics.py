@@ -36,7 +36,7 @@ from fxdispatch.dynamics import (
 )
 from fxdispatch.grid_model import marginal_costs, total_cost
 from fxdispatch.topology import laplacian
-from tests.conftest import REF_DEMAND, REF_P0, fleet_dict
+from tests.conftest import REF_DEMAND, REF_P0, ring_fleet_dict
 
 REF_PARAMS = AlgorithmParams(k1=5.0, k2=5.0, mu=0.5, nu=2.0)
 REF_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference_case.yaml"
@@ -150,7 +150,7 @@ class TestSolvePower:
 
     @pytest.mark.parametrize("fleet", ["reference", "16 units"])
     def test_chord_result_is_the_newton_root(self, ref_system, fleet):
-        system = ref_system if fleet == "reference" else config_from_dict(fleet_dict(16)).system()
+        system = ref_system if fleet == "reference" else config_from_dict(ring_fleet_dict(16)).system()
         tol = AlgorithmParams.fp_tol
         rng = np.random.default_rng(5)
         for z in [np.zeros(system.n), *rng.normal(scale=10.0, size=(3, system.n))]:
@@ -168,7 +168,7 @@ class TestSolvePower:
     def test_folded_residual_meets_the_unfolded_balance(self, ref_system, fleet):
         # the chord loop forms its residual folded, -L z + (d0 + B00/N) + P (B P + (B0 - 1));
         # its result meets the balance formed term by term, from any warm start
-        system = ref_system if fleet == "reference" else config_from_dict(fleet_dict(64)).system()
+        system = ref_system if fleet == "reference" else config_from_dict(ring_fleet_dict(64)).system()
         tol = AlgorithmParams.fp_tol
         rng = np.random.default_rng(7)
         neg_lap = -laplacian(system.top)
@@ -237,7 +237,7 @@ class TestFusedOperators:
 
     @pytest.fixture(params=["reference", "64 units"])
     def system(self, request, ref_system):
-        return ref_system if request.param == "reference" else config_from_dict(fleet_dict(64)).system()
+        return ref_system if request.param == "reference" else config_from_dict(ring_fleet_dict(64)).system()
 
     def samples(self, system):
         rng = np.random.default_rng(11)
@@ -733,6 +733,18 @@ class TestRun:
         assert 0.0 < res.settle_time < 20.0
         # the residual at the terminal state stays below the threshold
         assert res.terminal.residual < params.settle_tol
+
+    def test_run_from_consensus_settles_at_once(self, ref_system):
+        # from the terminal z of a settled run the window opens at t = 0, and
+        # implicit steps that double from dt confirm it at settle_window
+        params = dataclasses.replace(REF_PARAMS, t_end=20.0)
+        settled = run(ref_system, params)
+        assert settled.settled
+        res = run(ref_system, params, z0=settled.terminal.z, stride=1)
+        assert (res.status, res.settled, res.settle_time, res.switch_time) == ("ok", True, 0.0, 0.0)
+        assert (res.steps, res.rejected_steps) == (10, 0)
+        rows = [0.0] + [(2**k - 1) * params.dt for k in range(1, 10)] + [params.settle_window]
+        assert res.trajectory.t == pytest.approx(rows, rel=0.0, abs=1e-15)
 
 
 class TestErrorControl:

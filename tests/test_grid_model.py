@@ -213,7 +213,7 @@ class TestWeightedCostJacobian:
             return weight(model, P)[0] * marginal_costs(b, c, P)
 
         w, dw = weight(model, P)
-        J = weighted_cost_jacobian(model, c, marginal_costs(b, c, P), w, dw)
+        J = weighted_cost_jacobian(model.own_grad_jac, c, marginal_costs(b, c, P), w, dw)
         h = 1e-3
         for j in range(n):
             e = np.zeros(n)

@@ -4,10 +4,12 @@ import pytest
 from fxdispatch import (
     GeneratorSpec,
     KronLossModel,
+    NewtonFailure,
     brute_force_optimum,
     kkt_penalty_solution,
     solve_equilibrium,
 )
+from fxdispatch.oracle import _damped_newton
 from fxdispatch.dynamics import make_state, solve_power
 from tests.conftest import (
     REF_DEMAND,
@@ -72,6 +74,33 @@ class TestSolveEquilibrium:
         sol = solve_equilibrium(TWO_GENS, lossless(2), TWO_D)
         assert sol.P_star[0] == pytest.approx(TWO_P1, abs=1e-10)
         assert sol.P_star[1] == pytest.approx(TWO_D - TWO_P1, abs=1e-10)
+
+
+    def test_no_balance_raises_with_best_iterate(self, ref_gens, ref_model):
+        # with B = diag(1e-2) the losses outgrow any dispatch: no balance exists at 600 MW
+        model = KronLossModel(np.diag([1e-2] * 4), ref_model.B0, ref_model.B00)
+        with pytest.raises(NewtonFailure, match="no descent after 30 halvings") as exc:
+            solve_equilibrium(ref_gens, model, REF_DEMAND)
+        assert exc.value.best.shape == (5,) and np.isfinite(exc.value.best).all()
+
+
+class TestDampedNewton:
+    # on r(x) = x with the Jacobian 1/(1 - q) each full step scales x by q
+
+    @staticmethod
+    def solve(q):
+        return _damped_newton(lambda x: x, lambda x: np.array([[1.0 / (1.0 - q)]]), [1.0])
+
+    def test_converges_on_the_last_allowed_iteration(self):
+        # 0.757^99 = 1.07e-12 and 0.757^100 = 8.1e-13
+        x, its = self.solve(0.757)
+        assert its == 100 and abs(x[0]) < 1e-12
+
+    def test_raises_past_the_last_allowed_iteration(self):
+        # 0.76^100 = 1.206e-12
+        with pytest.raises(NewtonFailure, match=r"not converged in 100 iterations \(residual 1.206e-12\)") as exc:
+            self.solve(0.76)
+        assert exc.value.best[0] == pytest.approx(0.76**100)
 
 
 class TestBruteForce:
