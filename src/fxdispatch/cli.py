@@ -51,26 +51,22 @@ def _fmt(x: float) -> str:
 
 
 def cmd_check(config: RunConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
     g = evaluate_gates(config)
     r = g.report
     rows = [
         ("connected", r.connected_ok, ""),
         ("gradient_condition (A1)", r.a1_ok, ""),
         ("coefficient_magnitude", r.remark2_ok, ""),
-        ("convexity (sigma>0, delta!=0)", r.sigma > 0 and r.delta != 0,
-         f"sigma={_fmt(r.sigma)} delta={_fmt(r.delta)}"),
         ("eigenvalue_condition (A2)", r.a2_ok, f"value={_fmt(r.a2_value)}"),
     ]
     for name, ok, extra in rows:
         print(f"{name:36s} {'PASS' if ok else 'FAIL'}  {extra}", file=out)
-    print(f"rho={_fmt(r.rho)} b1={_fmt(r.b1)} bN={_fmt(r.bN)} "
-          f"tau1={_fmt(g.tau1)} phi2={_fmt(g.phi2)}", file=out)
+    print(f"sigma={_fmt(r.sigma)} delta={_fmt(r.delta)} rho={_fmt(r.rho)} b1={_fmt(r.b1)} "
+          f"bN={_fmt(r.bN)} tau1={_fmt(g.tau1)} phi2={_fmt(g.phi2)}", file=out)
     return EXIT_OK if g.all_ok else EXIT_VALIDATION
 
 
 def cmd_bound(config: RunConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
     g = evaluate_gates(config)
     if not g.all_ok:
         print("assumption gates failed; settling bound undefined (run `check`)", file=out)
@@ -93,7 +89,6 @@ def _csv_text(traj: dynamics.Trajectory, n: int) -> str:
 
 
 def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False, out=None) -> int:
-    out = out if out is not None else sys.stdout
     g = evaluate_gates(config)
     if not g.all_ok and not force:
         print("assumption gates failed; refusing to run (use --force to override)", file=out)
@@ -193,7 +188,6 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False, 
 
 
 def cmd_oracle(config: RunConfig, out=None) -> int:
-    out = out if out is not None else sys.stdout
     dbar = total_demand(config.generators)
     try:
         eq = oracle.solve_equilibrium(config.generators, config.loss, dbar)

@@ -46,7 +46,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid_model import KronLossModel, cost_coefficients, fleet_cost, weighted_cost_jacobian
+from .grid_model import KronLossModel, cost_coefficients, fleet_cost, total_demand, weighted_cost_jacobian
 from .topology import LocalTopology, laplacian
 
 logger = logging.getLogger(__name__)
@@ -219,9 +219,8 @@ class DispatchSystem:
 
     @property
     def dbar(self) -> float:
-        # NumPy's pairwise sum, which can differ from grid_model.total_demand in the
-        # last bit; the benchmark's oracle and drift checks are pinned to this value
-        return float(self.d0.sum())
+        """The total demand, grid_model.total_demand of the fleet (MW)."""
+        return total_demand(self.gens)
 
     @cached_property
     def loss_jac0(self) -> np.ndarray:

@@ -172,8 +172,9 @@ def fleet_cost(abc: np.ndarray, P: np.ndarray) -> np.ndarray:
 
 
 def total_demand(gens) -> float:
-    """The fleet's total demand, the sum of the demand shares d0 (MW)."""
-    return float(sum(g.d0 for g in gens))
+    """The fleet's total demand (MW): NumPy's sum of the demand shares d0, the one
+    place they are summed (DispatchSystem.dbar returns it)."""
+    return float(np.array([g.d0 for g in gens], dtype=float).sum())
 
 
 def marginal_costs(b, c, P):

@@ -1,4 +1,5 @@
 import argparse
+import contextlib
 import copy
 import dataclasses
 import io
@@ -182,6 +183,19 @@ class TestCheck:
         assert code == EXIT_OK
         assert "FAIL" not in text
         assert "value=0.164" in text
+
+    def test_four_gate_rows_then_one_values_line(self, reference_config):
+        code, text = run_cmd(cmd_check, reference_config)
+        lines = text.splitlines()
+        assert [line.split()[0] for line in lines[:-1]] == [
+            "connected", "gradient_condition", "coefficient_magnitude", "eigenvalue_condition"]
+        assert "convexity" not in text
+        assert lines[-1].startswith("sigma=0.164 delta=1.21 rho=0.001 ")
+        # with no stream given, the table goes to whatever sys.stdout is at call time
+        buf = io.StringIO()
+        with contextlib.redirect_stdout(buf):
+            assert cmd_check(reference_config) == code
+        assert buf.getvalue() == text
 
     def test_constructed_failure(self, base_dict):
         code, text = run_cmd(cmd_check, failing_config(base_dict))

@@ -7,10 +7,13 @@ from fxdispatch import (
     ConfigurationError,
     AssumptionViolation,
     CostSummary,
+    DispatchSystem,
     GeneratorSpec,
     KronLossModel,
     cost_summary,
+    path_topology,
     total_cost,
+    total_demand,
 )
 from fxdispatch.grid_model import marginal_costs, weighted_cost_jacobian
 from tests.conftest import REF_COST, REF_P0
@@ -185,6 +188,22 @@ class TestCosts:
     def test_total_cost_single_generator(self):
         g = GeneratorSpec(a=2.0, b=3.0, c=4.0)
         assert total_cost([g], [1.0]) == pytest.approx(9.0)
+
+
+
+class TestTotalDemand:
+    def test_dispatch_system_sums_the_demand_where_the_library_does(self):
+        # 64 shares, so NumPy's pairwise sum and Python's left-to-right sum can
+        # disagree in the last bit; the system's dbar must be the library's total
+        python_sum_differs = 0
+        for seed in range(50):
+            rng = np.random.default_rng(seed)
+            d0 = rng.uniform(10.0, 45.0, 64)
+            gens = tuple(GeneratorSpec(a=50.0, b=2.0, c=0.1, p0=d, d0=d) for d in d0.tolist())
+            system = DispatchSystem(gens=gens, loss=random_model(rng, 64), top=path_topology(64))
+            assert system.dbar == total_demand(gens) == float(np.sum(d0))
+            python_sum_differs += sum(g.d0 for g in gens) != total_demand(gens)
+        assert python_sum_differs > 0
 
 
 def penalty_factor(model, P):
