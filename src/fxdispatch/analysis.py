@@ -9,10 +9,11 @@ bound on the time to reach consensus.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
+from .dynamics import AlgorithmParams
 from .grid_model import (
     AssumptionViolation,
     CostSummary,
@@ -43,19 +44,28 @@ class A2Report:
     """Eigenvalue condition on the loss matrix vs cost convexity.
 
     a2_value is (1+rho)*sigma + b1*delta for delta > 0, with b1 replaced
-    by bN for delta < 0; the condition holds iff the value is positive.
+    by bN for delta < 0; the condition holds iff the value is positive,
+    which the property a2_ok computes.
     """
 
     rho: float
     b1: float
     bN: float
     a2_value: float
-    a2_ok: bool
+
+    @property
+    def a2_ok(self) -> bool:
+        return self.a2_value > 0
 
 
 @dataclass(frozen=True)
 class AssumptionReport:
     """Outcome of every standing-assumption gate for one configuration.
+
+    The fields hold the evidence: the per-generator A1 verdicts, the
+    remark-2 row-sum verdict, (sigma, delta) and the A2 scalars of
+    A2Report. a1_ok (every generator passes A1) and a2_ok (a2_value > 0)
+    are properties computed from it.
 
     connected_ok is always True: a LocalTopology is connected once its
     constructor returns (it raises AssumptionViolation otherwise), so the
@@ -65,7 +75,6 @@ class AssumptionReport:
     """
 
     connected_ok: bool
-    a1_ok: bool
     a1_per_generator: tuple
     remark2_ok: bool
     sigma: float
@@ -74,7 +83,14 @@ class AssumptionReport:
     b1: float
     bN: float
     a2_value: float
-    a2_ok: bool
+
+    @property
+    def a1_ok(self) -> bool:
+        return all(self.a1_per_generator)
+
+    @property
+    def a2_ok(self) -> bool:
+        return self.a2_value > 0
 
     @property
     def all_ok(self) -> bool:
@@ -124,15 +140,14 @@ def check_a1(model: KronLossModel, dbar: float) -> np.ndarray:
 
 
 def check_a2(model: KronLossModel, summary: CostSummary) -> A2Report:
-    """Positivity of (1+rho)*sigma + b_extreme*delta, the key eigenvalue gate."""
-    if summary.delta == 0:
-        raise AssumptionViolation("delta must be nonzero before the eigenvalue gate")
+    """Positivity of (1+rho)*sigma + b_extreme*delta, the key eigenvalue gate;
+    summary.delta is nonzero, as CostSummary refuses zero."""
     eig = jacobi_eigenvalues(model.B)
     b1, bN = float(eig[0]), float(eig[-1])
     rho = float(model.B0.min())
     b_extreme = b1 if summary.delta > 0 else bN
     value = (1.0 + rho) * summary.sigma + b_extreme * summary.delta
-    return A2Report(rho=rho, b1=b1, bN=bN, a2_value=value, a2_ok=value > 0)
+    return A2Report(rho=rho, b1=b1, bN=bN, a2_value=value)
 
 
 def build_s_matrix(model: KronLossModel, summary: CostSummary) -> SMatrix:
@@ -203,17 +218,15 @@ def verify_lemma3_bounds(model: KronLossModel, gens, P) -> Lemma3Report:
     return Lemma3Report(r1=r1, r2=r2, r3=r3, r4=r4, r5=r5, grad_F=grad_F, grad_M=grad_M, Q=Q)
 
 
-def settling_bound(params, rho: float, tau1: float, phi2: float, n: int) -> SettlingBound:
+def settling_bound(params: AlgorithmParams, rho: float, tau1: float, phi2: float, n: int) -> SettlingBound:
     """Closed-form fixed-time settling estimate from gains and spectra.
 
-    params needs fields k1, k2, mu, nu with 0 < mu < 1 < nu. Requires
-    tau1 > 0 (the eigenvalue gate) and phi2 > 0 (connectivity).
+    params is an AlgorithmParams, whose constructor ensures k1, k2 > 0 and
+    0 < mu < 1 < nu. AssumptionViolation unless tau1 > 0 (the eigenvalue
+    gate; a forced run can reach here with it failed) and phi2 > 0
+    (connectivity; a one-node spectrum has phi2 = 0).
     """
     k1, k2, mu, nu = params.k1, params.k2, params.mu, params.nu
-    if not (0 < mu < 1 < nu):
-        raise AssumptionViolation(f"exponents must satisfy 0 < mu < 1 < nu, got mu={mu}, nu={nu}")
-    if k1 <= 0 or k2 <= 0:
-        raise AssumptionViolation("gains k1, k2 must be positive")
     if tau1 <= 0:
         raise AssumptionViolation(f"tau1={tau1} <= 0: eigenvalue gate failed, bound undefined")
     if phi2 <= 0:
@@ -257,17 +270,11 @@ def assemble_assumption_report(model: KronLossModel, gens, top) -> AssumptionRep
     own_grad = model.own_loss_gradient(np.array([g.d0 for g in gens], dtype=float))
     a1_per_gen = tuple(bool(0.0 <= g < 1.0) for g in own_grad)
     remark2 = check_a1(model, dbar) if dbar > 0 else np.zeros(model.n, dtype=bool)
-    a2 = check_a2(model, summary)
     return AssumptionReport(
         connected_ok=check_connected(top),
-        a1_ok=all(a1_per_gen),
         a1_per_generator=a1_per_gen,
         remark2_ok=bool(remark2.all()),
         sigma=summary.sigma,
         delta=summary.delta,
-        rho=a2.rho,
-        b1=a2.b1,
-        bN=a2.bN,
-        a2_value=a2.a2_value,
-        a2_ok=a2.a2_ok,
+        **asdict(check_a2(model, summary)),
     )

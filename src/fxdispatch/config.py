@@ -75,13 +75,14 @@ class RunConfig:
 
 @contextlib.contextmanager
 def _errors(path: str, where: str):
-    """Re-raise a KeyError, TypeError or ValueError from the body as a
-    ConfigurationError naming the file and the section."""
+    """Re-raise a KeyError, TypeError, ValueError or OverflowError (int of an
+    infinity) from the body as a ConfigurationError naming the file and the
+    section."""
     try:
         yield
     except KeyError as e:
         raise ConfigurationError(f"{path}: {where}: missing key {e}") from e
-    except (TypeError, ValueError) as e:
+    except (TypeError, ValueError, OverflowError) as e:
         raise ConfigurationError(f"{path}: {where}: {e}") from e
 
 
@@ -101,9 +102,27 @@ def _as_bool(value) -> bool:
     return value
 
 
+def _as_float(value) -> float:
+    """float(value), which also reads a numeric string such as "1e-3" (YAML
+    reads an exponent without a dot as a string), refusing a boolean."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected a number, got {value!r}")
+    return float(value)
+
+
+def _as_int(value) -> int:
+    """int(value), refusing a boolean and a number with a fractional part."""
+    if isinstance(value, bool):
+        raise TypeError(f"expected an integer, got {value!r}")
+    n = int(value)
+    if isinstance(value, float) and n != value:
+        raise ValueError(f"expected an integer, got {value!r}")
+    return n
+
+
 #: run-file value -> field value, by the field's annotation (a string: the spec
 #: modules use postponed evaluation of annotations)
-_CONVERT = {"float": float, "int": int, "str": str, "bool": _as_bool}
+_CONVERT = {"float": _as_float, "int": _as_int, "str": str, "bool": _as_bool}
 
 
 def _spec(cls, sec, where: str, path: str):
@@ -137,9 +156,12 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
             for k, (g, raw) in enumerate(zip(gens, gens_sec))]
 
     topo_sec = _mapping(data.get("topology"), ("nodes", "edges"), "topology", path)
+    with _errors(path, "topology.nodes"):
+        nodes = _as_int(topo_sec.get("nodes", len(gens)))
+    with _errors(path, "topology.edges"):
+        edges = [(_as_int(i), _as_int(j), _as_float(w)) for i, j, w in topo_sec.get("edges", [])]
     with _errors(path, "topology"):
-        topology = LocalTopology(int(topo_sec.get("nodes", len(gens))),
-                                 [tuple(e) for e in topo_sec.get("edges", [])])
+        topology = LocalTopology(nodes, edges)
         _check_sizes(len(gens), top=topology)
 
     params = _spec(AlgorithmParams, data.get("params"), "params", path)
@@ -148,7 +170,7 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
 
     init_sec = _mapping(data.get("initial") or {}, ("z0",), "initial", path)
     with _errors(path, "initial"):
-        z0 = tuple(float(v) for v in init_sec["z0"]) if "z0" in init_sec else None
+        z0 = tuple(_as_float(v) for v in init_sec["z0"]) if "z0" in init_sec else None
         if z0 is not None and not np.isfinite(z0).all():
             raise ValueError("z0 must be finite")
         if z0 is not None and len(z0) != len(gens):

@@ -242,7 +242,8 @@ class DispatchSystem:
 
 @dataclass
 class SimulationState:
-    """One instant of the simulation with its derived monitors."""
+    """One instant of the simulation with its monitors; total_power and
+    residual are computed from P, H and lam."""
 
     t: float
     z: np.ndarray
@@ -251,8 +252,15 @@ class SimulationState:
     H: np.ndarray
     cost: float
     loss: float
-    total_power: float
-    residual: float
+
+    @property
+    def total_power(self) -> float:
+        return float(self.P.sum())
+
+    @property
+    def residual(self) -> float:
+        """The consensus residual, _residual of H lam."""
+        return _residual(self.H * self.lam)
 
 
 def sig_pow(x, m: float):
@@ -340,7 +348,7 @@ def _z_dot(r: np.ndarray, params: AlgorithmParams, w) -> np.ndarray:
 def _state(t: float, z: np.ndarray, P: np.ndarray, system: DispatchSystem, h=None) -> SimulationState:
     """Assemble all monitors at a solved (z, P); h is _h_lambda at P if
     already formed."""
-    lam, H, hl = _h_lambda(P, system) if h is None else h
+    lam, H, _ = _h_lambda(P, system) if h is None else h
     return SimulationState(
         t=t,
         z=np.asarray(z, dtype=float).copy(),
@@ -349,8 +357,6 @@ def _state(t: float, z: np.ndarray, P: np.ndarray, system: DispatchSystem, h=Non
         H=H,
         cost=float(fleet_cost(system.cost_coef, P)),
         loss=system.loss.total_loss(P),
-        total_power=float(P.sum()),
-        residual=_residual(hl),
     )
 
 
@@ -575,7 +581,13 @@ class Trajectory:
 
 @dataclass
 class RunResult:
-    """A run's trajectory, terminal state and verdicts, with its solver
+    """A run's trajectory and terminal state, the evidence its verdicts are
+    computed from, and its solver counters.
+
+    settle_time is the start of the confirmed settle window (None if the
+    run did not settle) and fail_step the number of accepted steps before a
+    step failed (None if none did); the verdicts settled, status and
+    negative_power_seen are properties of these and of the trajectory. The
     counters: accepted and rejected steps, the time of the first implicit
     step (None if RK4 did every step), the mean and max Newton iterations of
     the implicit steps (None if there were none), and the mean and max loss
@@ -583,17 +595,28 @@ class RunResult:
 
     trajectory: Trajectory
     terminal: SimulationState
-    settled: bool
     settle_time: float | None
-    status: str
     c_star: float
-    negative_power_seen: bool = False
     fail_step: int | None = None
     steps: int = 0
     switch_time: float | None = None
     implicit_newton_iters: tuple[float, int] | None = None
     power_solve_iters: tuple[float, int] | None = None
     rejected_steps: int = 0
+
+    @property
+    def settled(self) -> bool:
+        return self.settle_time is not None
+
+    @property
+    def status(self) -> str:
+        """'ok', or 'step_failure' if a step failed."""
+        return "ok" if self.fail_step is None else "step_failure"
+
+    @property
+    def negative_power_seen(self) -> bool:
+        """Whether a trajectory row has a negative power."""
+        return bool((self.trajectory.P < 0).any())
 
 
 def _width_scale(err: float) -> float:
@@ -712,15 +735,12 @@ def run(system: DispatchSystem, params: AlgorithmParams,
         t=np.array(rows_t), z=np.array(rows_z), P=np.array(rows_p),
         loss=np.array(rows_pl), cost=cost, residual=np.array(rows_r), V=0.5 * (cost - c_star) ** 2,
     )
-    neg = bool((traj.P < 0).any())
-    if neg:
-        logger.warning("negative transient powers observed; delta = min b is only valid on P >= 0")
-    return RunResult(
-        trajectory=traj, terminal=terminal, settled=settle_time is not None,
-        settle_time=settle_time,
-        status="ok" if fail_step is None else "step_failure",
-        c_star=float(c_star), negative_power_seen=neg, fail_step=fail_step,
+    result = RunResult(
+        trajectory=traj, terminal=terminal, settle_time=settle_time, c_star=float(c_star), fail_step=fail_step,
         steps=steps, switch_time=switch_time,
         implicit_newton_iters=(sum(iters) / len(iters), max(iters)) if iters else None,
         power_solve_iters=(stepper.evals / stepper.solves, stepper.max_evals), rejected_steps=rejected,
     )
+    if result.negative_power_seen:
+        logger.warning("negative transient powers observed; delta = min b is only valid on P >= 0")
+    return result

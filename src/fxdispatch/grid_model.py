@@ -54,11 +54,16 @@ class CostSummary:
     """Convexity constants of a generator fleet.
 
     sigma: uniform lower bound on cost curvature; delta: uniform lower
-    bound on marginal cost over nonnegative power.
+    bound on marginal cost over nonnegative power, which must be nonzero
+    (AssumptionViolation otherwise): A2 takes its sign.
     """
 
     sigma: float
     delta: float
+
+    def __post_init__(self) -> None:
+        if self.delta == 0:
+            raise AssumptionViolation("marginal-cost lower bound delta must be nonzero")
 
 
 class KronLossModel:
@@ -197,11 +202,8 @@ def cost_summary(gens) -> CostSummary:
 
     delta = min b_i lower-bounds every marginal cost only on P >= 0; the
     simulator warns (but continues) if a transient drives powers negative.
+    CostSummary raises AssumptionViolation if delta is zero.
     """
     if not gens:
         raise ConfigurationError("need at least one generator")
-    sigma = 2.0 * min(g.c for g in gens)
-    delta = min(g.b for g in gens)
-    if delta == 0:
-        raise AssumptionViolation("marginal-cost lower bound delta must be nonzero")
-    return CostSummary(sigma=sigma, delta=delta)
+    return CostSummary(sigma=2.0 * min(g.c for g in gens), delta=min(g.b for g in gens))

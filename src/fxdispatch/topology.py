@@ -53,10 +53,14 @@ class LocalTopology:
 
 @dataclass(frozen=True)
 class SpectralSummary:
-    """Sorted Laplacian eigenvalues and the algebraic connectivity phi2."""
+    """Sorted Laplacian eigenvalues; the algebraic connectivity phi2, the
+    second of them (0.0 for one node), is computed from them."""
 
     eigenvalues: tuple
-    phi2: float
+
+    @property
+    def phi2(self) -> float:
+        return self.eigenvalues[1] if len(self.eigenvalues) > 1 else 0.0
 
 
 def check_connected(top: LocalTopology) -> bool:
@@ -106,8 +110,7 @@ def spectrum(top: LocalTopology) -> SpectralSummary:
     eig = jacobi_eigenvalues(laplacian(top))
     if top.n > 1 and eig[1] <= 1e-10:
         raise AssumptionViolation(f"graph is numerically disconnected (phi2={eig[1]:.3e})")
-    phi2 = float(eig[1]) if top.n > 1 else 0.0
-    return SpectralSummary(eigenvalues=tuple(float(e) for e in eig), phi2=phi2)
+    return SpectralSummary(eigenvalues=tuple(float(e) for e in eig))
 
 
 def path_topology(n: int) -> LocalTopology:

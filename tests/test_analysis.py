@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -236,6 +238,13 @@ class TestAssumptionReport:
         assert rep.delta == 1.21
         assert rep.rho == pytest.approx(1.0e-3)
         assert rep.a2_value == pytest.approx(0.1641, abs=5e-4)
+
+    def test_verdicts_follow_their_evidence(self, ref_model, ref_gens, ref_top):
+        rep = assemble_assumption_report(ref_model, ref_gens, ref_top)
+        assert rep.a1_ok and rep.a2_ok
+        assert not dataclasses.replace(rep, a1_per_generator=(True, False, True, True)).a1_ok
+        assert not dataclasses.replace(rep, a2_value=-rep.a2_value).a2_ok
+        assert not dataclasses.replace(rep, a2_value=-rep.a2_value).all_ok
 
     def test_tau1_positive_whenever_a2_passes(self):
         rng = np.random.default_rng(9)

@@ -16,7 +16,9 @@ from fxdispatch import (
     ConfigurationError,
     DisturbanceSpec,
     GeneratorSpec,
+    NewtonFailure,
     load_config,
+    oracle,
     run,
     save_config,
     solve_equilibrium,
@@ -154,6 +156,16 @@ class TestLoadConfig:
         path = tmp_path / "saved.yaml"
         save_config(reference_config, str(path))
         assert path.read_bytes() == expected.read_bytes()
+
+    def test_integral_numbers_and_numeric_strings_accepted(self, base_dict):
+        base_dict["output"]["stride"] = 2.0
+        base_dict["params"].update(fp_tol="1e-3", fp_max_iter="50")
+        base_dict["topology"].update(nodes=4.0, edges=[[0.0, 1, "1e0"], [1, 2.0, 1], [2, 3, 1.0]])
+        config = config_from_dict(base_dict)
+        assert type(config.output.stride) is int and config.output.stride == 2
+        assert (config.params.fp_tol, config.params.fp_max_iter) == (1e-3, 50)
+        assert config.topology.n == 4
+        assert config.topology.edges == ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0))
 
     def test_parse_error_reported(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -306,6 +318,42 @@ class TestRun:
         code, text = run_cmd(cmd_run, config, out_dir=str(tmp_path))
         assert code == EXIT_VALIDATION
         assert not (tmp_path / "report.json").exists()
+
+    def test_forced_run_with_failed_a2_has_no_bound(self, base_dict, tmp_path):
+        # A2 fails, so tau1 <= 0 and settling_bound raises; the run goes on without a bound
+        base_dict["params"]["t_end"] = 0.05
+        code, _ = run_cmd(cmd_run, failing_config(base_dict), out_dir=str(tmp_path), force=True)
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert report["assumptions"]["a2_ok"] is False
+        assert report["settling_time_bound"] is None
+        assert report["settling_within_bound"] is None
+
+    @staticmethod
+    def _fail(*args):
+        raise NewtonFailure("no convergence", None)
+
+    def test_oracle_failure_leaves_gaps_null_and_c_star_terminal(self, base_dict, tmp_path, monkeypatch):
+        monkeypatch.setattr(oracle, "solve_equilibrium", self._fail)
+        base_dict["params"]["t_end"] = 0.1
+        code, _ = run_cmd(cmd_run, config_from_dict(base_dict), out_dir=str(tmp_path))
+        assert code == EXIT_OK
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert set(report["oracle_gap"].values()) == {None}
+        last = (tmp_path / "trajectory.csv").read_text().splitlines()[-1]
+        assert float(last.split(",")[-1]) == 0.0  # V = 0.5 (C - C*)^2 with C* the terminal cost
+
+    def test_penalty_failure_keeps_the_consensus_point(self, base_dict, tmp_path, monkeypatch):
+        monkeypatch.setattr(oracle, "kkt_penalty_solution", self._fail)
+        base_dict["params"]["t_end"] = 0.1
+        config = config_from_dict(base_dict)
+        code, _ = run_cmd(cmd_run, config, out_dir=str(tmp_path))
+        assert code == EXIT_OK
+        gap = json.loads((tmp_path / "report.json").read_text())["oracle_gap"]
+        eq = solve_equilibrium(config.generators, config.loss, sum(g.d0 for g in config.generators))
+        assert gap["consensus_equilibrium"] == pytest.approx(eq.P_star.tolist(), abs=1e-9)
+        assert gap["max_abs_gap_consensus"] is not None
+        assert gap["penalty_factor"] is None and gap["max_abs_gap_penalty"] is None
 
 
 class TestOracle:
@@ -471,7 +519,7 @@ MALFORMED = [
                  id="negative-amplitude"),
     pytest.param(lambda d: d["disturbance"].update(enabled="no"), r"disturbance\.enabled: expected true or false",
                  id="string-boolean"),
-    pytest.param(_set_edge, "topology: .*expected 3, got 2", id="two-element-edge"),
+    pytest.param(_set_edge, r"topology\.edges: .*expected 3, got 2", id="two-element-edge"),
     pytest.param(lambda d: d["disturbance"].update(amplitud=0.5), "disturbance: unknown key.*'amplitud'",
                  id="disturbance-typo"),
     pytest.param(lambda d: d["output"].update(strid=7), "output: unknown key.*'strid'", id="output-typo"),
@@ -525,6 +573,26 @@ MALFORMED = [
                                             b0=d["loss"]["b0"][:3]),
                  r"loss: 4 generators but loss matrix is 3x3", id="three-by-three-loss"),
     pytest.param(_one_generator, "'generators' must be a list of at least two generators", id="one-generator"),
+    pytest.param(lambda d: d["output"].update(stride=2.5), r"output\.stride: expected an integer, got 2\.5",
+                 id="fractional-stride"),
+    pytest.param(lambda d: d["params"].update(fp_max_iter=2.9), r"params\.fp_max_iter: expected an integer, got 2\.9",
+                 id="fractional-fp-max-iter"),
+    pytest.param(lambda d: d["disturbance"].update(seed=1.7), r"disturbance\.seed: expected an integer, got 1\.7",
+                 id="fractional-seed"),
+    pytest.param(lambda d: d["topology"].update(nodes=4.5), r"topology\.nodes: expected an integer, got 4\.5",
+                 id="fractional-nodes"),
+    pytest.param(lambda d: d["topology"]["edges"].__setitem__(0, [0.5, 1, 1.0]),
+                 r"topology\.edges: expected an integer, got 0\.5", id="fractional-edge-endpoint"),
+    pytest.param(lambda d: d["params"].update(k1=True), r"params\.k1: expected a number, got True",
+                 id="boolean-k1"),
+    pytest.param(lambda d: d["generators"][0].update(c=True), r"generators\[0\]\.c: expected a number, got True",
+                 id="boolean-quadratic-cost"),
+    pytest.param(lambda d: d["topology"]["edges"].__setitem__(0, [0, 1, True]),
+                 r"topology\.edges: expected a number, got True", id="boolean-edge-weight"),
+    pytest.param(lambda d: d.update(initial={"z0": [0.0, True, 0.0, 0.0]}), "initial: expected a number, got True",
+                 id="boolean-z0"),
+    pytest.param(lambda d: d["output"].update(stride=float("inf")),
+                 r"output\.stride: cannot convert float infinity to integer", id="infinite-stride"),
 ]
 
 

@@ -208,7 +208,7 @@ class TestZDerivative:
         state = SimulationState(
             t=0.0, z=np.zeros(2), P=np.array([0.0, 1.0]),
             lam=np.array([0.0, 1.0]), H=np.ones(2),
-            cost=0.0, loss=0.0, total_power=1.0, residual=0.5,
+            cost=0.0, loss=0.0,
         )
         params = AlgorithmParams(k1=1.0, k2=1.0, mu=0.5, nu=2.0)
         dz = _z_dot(state_r(state, system), params, None)
@@ -725,6 +725,18 @@ class TestRun:
             run(system, REF_PARAMS)
         with pytest.raises(ValueError, match="loop gain is 0: no generator has a linked neighbour"):
             step(state, system, REF_PARAMS)
+
+    def test_verdicts_follow_their_evidence(self, ref_system):
+        res = run(ref_system, dataclasses.replace(REF_PARAMS, t_end=0.1))
+        assert (res.status, res.settled, res.negative_power_seen) == ("ok", False, False)
+        assert dataclasses.replace(res, fail_step=3).status == "step_failure"
+        settled = dataclasses.replace(res, settle_time=0.05)
+        assert settled.settled is True and dataclasses.replace(settled, settle_time=None).settled is False
+        flipped = dataclasses.replace(res.trajectory, P=-res.trajectory.P)
+        assert dataclasses.replace(res, trajectory=flipped).negative_power_seen is True
+        term = res.terminal
+        assert term.total_power == float(term.P.sum())
+        assert term.residual == _residual(term.H * term.lam)
 
     def test_settled_run_reports_window_start(self, ref_system):
         params = dataclasses.replace(REF_PARAMS, dt=2.5e-4, t_end=20.0)

@@ -256,8 +256,11 @@ class TestCostSummary:
         assert cost_summary(gens).delta == pytest.approx(0.9)
 
     def test_zero_delta_rejected(self):
-        with pytest.raises(AssumptionViolation):
+        message = "^marginal-cost lower bound delta must be nonzero$"
+        with pytest.raises(AssumptionViolation, match=message):
             cost_summary([GeneratorSpec(a=0.0, b=0.0, c=1.0)])
+        with pytest.raises(AssumptionViolation, match=message):
+            CostSummary(sigma=1.0, delta=0.0)
 
     def test_empty_rejected(self):
         with pytest.raises(ConfigurationError):

@@ -75,8 +75,8 @@ def test_benchmark_attributes_exist():
 PUBLIC_PARAMETERS = {
     "AlgorithmParams": ("k1", "k2", "mu", "nu", "dt", "t_end", "fp_tol", "fp_max_iter", "settle_tol",
                         "settle_window"),
-    "AssumptionReport": ("connected_ok", "a1_ok", "a1_per_generator", "remark2_ok", "sigma", "delta", "rho",
-                         "b1", "bN", "a2_value", "a2_ok"),
+    "AssumptionReport": ("connected_ok", "a1_per_generator", "remark2_ok", "sigma", "delta", "rho", "b1", "bN",
+                         "a2_value"),
     "AssumptionViolation": (),
     "ConfigurationError": (),
     "CostSummary": ("sigma", "delta"),
@@ -89,13 +89,12 @@ PUBLIC_PARAMETERS = {
     "LocalTopology": ("n", "edges"),
     "NewtonFailure": ("msg", "best"),
     "RunConfig": ("generators", "loss", "topology", "params", "disturbance", "output", "z0"),
-    "RunResult": ("trajectory", "terminal", "settled", "settle_time", "status", "c_star", "negative_power_seen",
-                  "fail_step", "steps", "switch_time", "implicit_newton_iters", "power_solve_iters",
-                  "rejected_steps"),
+    "RunResult": ("trajectory", "terminal", "settle_time", "c_star", "fail_step", "steps", "switch_time",
+                  "implicit_newton_iters", "power_solve_iters", "rejected_steps"),
     "SMatrix": ("S", "tau"),
     "SettlingBound": ("ts", "alpha", "beta", "p", "q"),
-    "SimulationState": ("t", "z", "P", "lam", "H", "cost", "loss", "total_power", "residual"),
-    "SpectralSummary": ("eigenvalues", "phi2"),
+    "SimulationState": ("t", "z", "P", "lam", "H", "cost", "loss"),
+    "SpectralSummary": ("eigenvalues",),
     "StepFailure": (),
     "assemble_assumption_report": ("model", "gens", "top"),
     "brute_force_optimum": ("gens", "model", "d_total", "grid_step"),

@@ -77,6 +77,10 @@ class TestSpectrum:
         assert abs(s.eigenvalues[0]) <= 1e-10
         assert min(s.eigenvalues) >= -1e-10
 
+    def test_one_node_has_phi2_zero(self):
+        s = spectrum(LocalTopology(1, []))
+        assert s.eigenvalues == (0.0,) and s.phi2 == 0.0
+
     def test_disconnected_raises(self):
         # connected, but its second eigenvalue is numerically zero
         top = LocalTopology(4, [(0, 1, 1.0), (1, 2, 1e-12), (2, 3, 1.0)])
