@@ -18,6 +18,7 @@ from .grid_model import (
     AssumptionViolation,
     CostSummary,
     KronLossModel,
+    _demand_shares,
     cost_coefficients,
     cost_summary,
     marginal_costs,
@@ -59,12 +60,12 @@ class A2Report:
 
 
 @dataclass(frozen=True)
-class AssumptionReport:
+class AssumptionReport(A2Report):
     """Outcome of every standing-assumption gate for one configuration.
 
-    The fields hold the evidence: the per-generator A1 verdicts, the
-    remark-2 row-sum verdict, (sigma, delta) and the A2 scalars of
-    A2Report. a1_ok (every generator passes A1) and a2_ok (a2_value > 0)
+    The fields hold the evidence: the A2 scalars it takes from A2Report,
+    the per-generator A1 verdicts, the remark-2 row-sum verdict and
+    (sigma, delta). a1_ok (every generator passes A1) and A2Report's a2_ok
     are properties computed from it.
 
     connected_ok is always True: a LocalTopology is connected once its
@@ -79,18 +80,10 @@ class AssumptionReport:
     remark2_ok: bool
     sigma: float
     delta: float
-    rho: float
-    b1: float
-    bN: float
-    a2_value: float
 
     @property
     def a1_ok(self) -> bool:
         return all(self.a1_per_generator)
-
-    @property
-    def a2_ok(self) -> bool:
-        return self.a2_value > 0
 
     @property
     def all_ok(self) -> bool:
@@ -99,13 +92,27 @@ class AssumptionReport:
 
 @dataclass(frozen=True)
 class SettlingBound:
-    """Fixed-time settling estimate ts = 4/(alpha(1-mu)) + 4/(beta(nu-1))."""
+    """Fixed-time settling estimate from the gains alpha and beta of the
+    Lyapunov decay dV/dt <= -alpha V^p - beta V^q and the exponents mu and
+    nu, from which ts, p and q are computed."""
 
-    ts: float
     alpha: float
     beta: float
-    p: float
-    q: float
+    mu: float
+    nu: float
+
+    @property
+    def ts(self) -> float:
+        """The settling-time bound 4/(alpha(1-mu)) + 4/(beta(nu-1)) (s)."""
+        return 4.0 / (self.alpha * (1.0 - self.mu)) + 4.0 / (self.beta * (self.nu - 1.0))
+
+    @property
+    def p(self) -> float:
+        return (3.0 + self.mu) / 4.0
+
+    @property
+    def q(self) -> float:
+        return (3.0 + self.nu) / 4.0
 
 
 @dataclass(frozen=True)
@@ -234,8 +241,7 @@ def settling_bound(params: AlgorithmParams, rho: float, tau1: float, phi2: float
     base = (1.0 + rho) * tau1 * phi2**2
     alpha = k1 * base ** ((1.0 + mu) / 2.0) * 2.0 ** ((1.0 - mu) / 4.0)
     beta = k2 * n ** ((1.0 - nu) / 2.0) * base ** ((1.0 + nu) / 2.0) * 2.0 ** ((1.0 - nu) / 4.0)
-    ts = 4.0 / (alpha * (1.0 - mu)) + 4.0 / (beta * (nu - 1.0))
-    return SettlingBound(ts=ts, alpha=alpha, beta=beta, p=(3.0 + mu) / 4.0, q=(3.0 + nu) / 4.0)
+    return SettlingBound(alpha=alpha, beta=beta, mu=mu, nu=nu)
 
 
 def power_mean_check(zeta, m: float) -> bool:
@@ -267,7 +273,7 @@ def assemble_assumption_report(model: KronLossModel, gens, top) -> AssumptionRep
     """
     summary = cost_summary(gens)
     dbar = total_demand(gens)
-    own_grad = model.own_loss_gradient(np.array([g.d0 for g in gens], dtype=float))
+    own_grad = model.own_loss_gradient(_demand_shares(gens))
     a1_per_gen = tuple(bool(0.0 <= g < 1.0) for g in own_grad)
     remark2 = check_a1(model, dbar) if dbar > 0 else np.zeros(model.n, dtype=bool)
     return AssumptionReport(

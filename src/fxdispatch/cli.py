@@ -113,7 +113,7 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False, 
     t0 = time.perf_counter()
     result = dynamics.run(
         config.system(), config.params, disturbance=config.disturbance,
-        z0=np.array(config.z0) if config.z0 is not None else None,
+        z0=config.z0,
         c_star=eq.cost_star if eq is not None else None,
         stride=config.output.stride,
     )

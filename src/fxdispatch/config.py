@@ -5,8 +5,9 @@ A run file has sections `generators`, `loss`, `topology`, `params`,
 $/h. The fields of `GeneratorSpec`, `AlgorithmParams`, `DisturbanceSpec`
 and `OutputSpec` are the keys, types, defaults and written order of a
 generator entry and of the last three sections. A generator entry may
-omit `d0`, in which case its demand share is derived as p0 - P_Li(P(0))
-so that the stated initial powers satisfy the balance equation exactly.
+omit `d0`, in which case its demand share is derived as p0 - P_Li(p0), so
+that the powers p0 satisfy the balance equation exactly and a run from
+z0 = 0 starts at them.
 An unknown key or a value a constructor rejects raises ConfigurationError
 naming the file and the section.
 """
@@ -120,6 +121,12 @@ def _as_int(value) -> int:
     return n
 
 
+def _floats(value):
+    """value, a number or a nested list of numbers, with every number read
+    by _as_float."""
+    return [_floats(v) for v in value] if isinstance(value, list) else _as_float(value)
+
+
 #: run-file value -> field value, by the field's annotation (a string: the spec
 #: modules use postponed evaluation of annotations)
 _CONVERT = {"float": _as_float, "int": _as_int, "str": str, "bool": _as_bool}
@@ -146,7 +153,8 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
         raise ConfigurationError(f"{path}: 'generators' must be a list of at least two generators")
     loss_sec = _mapping(data.get("loss"), ("b_matrix", "b0", "b00"), "loss", path)
     with _errors(path, "loss"):
-        loss = KronLossModel(loss_sec["b_matrix"], loss_sec["b0"], loss_sec.get("b00", 0.0))
+        loss = KronLossModel(_floats(loss_sec["b_matrix"]), _floats(loss_sec["b0"]),
+                             _as_float(loss_sec.get("b00", 0.0)))
         _check_sizes(len(gens_sec), loss=loss)
 
     gens = [_spec(GeneratorSpec, g, f"generators[{k}]", path) for k, g in enumerate(gens_sec)]

@@ -16,15 +16,15 @@ implicit power equation by a warm-started chord (simplified Newton)
 iteration on one loss-Jacobian factor per step (a stage whose solve stalls
 fails its step), whose balance residual is one folded expression with its
 constants stored, and every solved P has its H lam formed once; dz/dt at
-the end of an RK4 step is both the error estimate's k5 and the next step's
-k1, formed at the w(t + dt) of the step's stage 4. Matrix products are
-ndarray.dot (see the comment after _amax). Explicit RK4 on the
-non-Lipschitz k1 sig(r)^mu term chatters once g k1 h |r|^(mu - 1) is of order
-one at width h, g being the loop gain, so one rule, _chatter_width, bounds
-RK4's width at the disagreement r, and where that bound falls below dt the
-integrator takes linearly implicit, chattering-free steps of width dt
-instead (backward Euler on the consensus law, after Acary & Brogliato 2010
-and Polyakov, Efimov & Brogliato 2019), which reach consensus to roundoff;
+the end of every step, formed at the w(t + dt) the step used, is the next
+step's k1 and an RK4 step's k5. Matrix products are ndarray.dot (see the
+comment after _amax). Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term
+chatters once g k1 h |r|^(mu - 1) is of order one at width h, g being the
+loop gain, so one rule, _chatter_width, bounds RK4's width at the
+disagreement r, and where that bound falls below dt the integrator takes
+linearly implicit, chattering-free steps of width dt instead (backward
+Euler on the consensus law, after Acary & Brogliato 2010 and Polyakov,
+Efimov & Brogliato 2019), which reach consensus to roundoff;
 once an undisturbed run is below settle_tol each implicit step doubles its
 width, so the settle window is confirmed in about ten steps. A failed step
 is retried narrower: an RK4 step at the error controller's width (a quarter
@@ -46,7 +46,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid_model import KronLossModel, cost_coefficients, fleet_cost, total_demand, weighted_cost_jacobian
+from .grid_model import (KronLossModel, _demand_shares, cost_coefficients, fleet_cost, total_demand,
+                         weighted_cost_jacobian)
 from .topology import LocalTopology, laplacian
 
 logger = logging.getLogger(__name__)
@@ -211,7 +212,7 @@ class DispatchSystem:
         _, self.b_coef, self.c_coef = self.cost_coef
         #: 2c, the slope of the marginal costs
         self.two_c = 2.0 * self.c_coef
-        self.d0 = np.array([g.d0 for g in self.gens])
+        self.d0 = _demand_shares(self.gens)
         #: d0 + B00/N, the constant term of the power solve's folded residual
         self._d0_b00 = self.d0 + self.loss._b00_share
         #: -L, with which _disagreement forms sum_j a_ij (x_j - x_i) in one product
@@ -387,15 +388,15 @@ def _chatter_width(system: DispatchSystem, params: AlgorithmParams, r_max: float
 
 class _Step(NamedTuple):
     """One advance: the new z and P, h = _h_lambda and the disagreement r at
-    P, the RK4 error estimate (None after an implicit step) and the RK4
-    step's k5, dz/dt at (t + dt, z') (None after an implicit step)."""
+    P, the error estimate (0.0 after an implicit step) and k5, dz/dt at
+    (t + dt, z')."""
 
     z: np.ndarray
     P: np.ndarray
     h: tuple
     r: np.ndarray
-    err: float | None
-    k: np.ndarray | None
+    err: float
+    k: np.ndarray
 
 
 class _Stepper:
@@ -438,16 +439,15 @@ class _Stepper:
         self.max_evals = max(self.max_evals, evals)
         return P
 
-    def rk4(self, t, z, P, r, dt, k1=None):
+    def rk4(self, t, z, P, k1, dt):
         """The RK4 advance over a step of width dt: (z', P', k4, w(t + dt)).
 
-        P is the solved power at (t, z) and r the disagreement there, which
-        give stage 1; k1 is dz/dt there if already formed (the k5 of the step
-        before), else it is formed from r. Each later stage and the
-        end-of-step solve warm-start from the chord step off the stage
-        before, P + A (-L) (z' - z), which needs no loss evaluation. Only P, r
-        and dz are formed per stage; k4 is returned for the error estimate,
-        and w(t + dt) (None in a quiet run) for the k5 that closes the step.
+        P is the solved power at (t, z) and k1 dz/dt there, which give
+        stage 1. Each later stage and the end-of-step solve warm-start from
+        the chord step off the stage before, P + A (-L) (z' - z), which needs
+        no loss evaluation. Only P, r and dz are formed per stage; k4 is
+        returned for the error estimate, and w(t + dt) (None in a quiet run)
+        for the k5 that closes the step.
         The solves share one chord factor A, (I - J(P))^-1 to first order
         about system.chord0: A0 + A0 (J(P) - J0) A0, and A (-L) is formed
         once per step. A failed solve raises StepFailure naming the stage, t
@@ -469,18 +469,18 @@ class _Stepper:
             return _z_dot(_disagreement(_h_lambda(P, system)[2], system), params, w), P
 
         w_half, w_end = w_at(t + dt / 2.0), w_at(t + dt)
-        k1v = k1 if k1 is not None else _z_dot(r, params, w_at(t))
-        z2 = z + dt / 2.0 * k1v
+        z2 = z + dt / 2.0 * k1
         k2v, P2 = deriv("stage 2", z2, z, P, w_half)
         z3 = z + dt / 2.0 * k2v
         k3v, P3 = deriv("stage 3", z3, z2, P2, w_half)
         z4 = z + dt * k3v
         k4v, P4 = deriv("stage 4", z4, z3, P3, w_end)
-        z_new = z + dt / 6.0 * (k1v + 2.0 * k2v + 2.0 * k3v + k4v)
+        z_new = z + dt / 6.0 * (k1 + 2.0 * k2v + 2.0 * k3v + k4v)
         return z_new, solve("end-of-step solve", z_new, z4, P4), k4v, w_end
 
     def implicit(self, t, z, P, h, r, dt):
-        """The linearly implicit advance over a step of width dt: (z', P').
+        """The linearly implicit advance over a step of width dt:
+        (z', P', w(t + dt)).
 
         With h = _h_lambda(P), r the disagreement at P and M = _sensitivity
         at P it solves
@@ -519,30 +519,28 @@ class _Stepper:
         z_new = z + dz
         P_new = self.solve(z_new, P, jinv)
         self.newton_iters.append(iters)
-        return z_new, P_new
+        return z_new, P_new, w
 
-    def advance(self, t, z, P, h, r, dt, implicit, k1=None) -> _Step:
+    def advance(self, t, z, P, h, r, dt, implicit, k1) -> _Step:
         """One step of width dt, implicit or RK4 as kind(r) decided, from the
-        solved P at (t, z); h is _h_lambda at P, (lam, H, H * lam), and r the
-        disagreement there.
+        solved P at (t, z); h is _h_lambda at P, (lam, H, H * lam), r the
+        disagreement there and k1 dz/dt there.
 
-        For an RK4 step err = dt/6 max|k4 - k5|, with k5 = dz/dt at
-        (t + dt, z'): the distance to the order-3 solution with weights
-        (1/6, 1/3, 1/3, 0, 1/6) on (k1, ..., k5), which costs no solve and in
-        which the disturbance w(t + dt) cancels; w(t + dt) is the one the RK4
-        step formed for its stage 4. k5 is returned as _Step.k, and a caller
-        may pass it back as k1 to the next step from (t + dt, z').
+        Either kind returns k5 = dz/dt at (t + dt, z'), formed at the
+        w(t + dt) the step used, as _Step.k; it is k1 of the next step from
+        (t + dt, z'). For an RK4 step err = dt/6 max|k4 - k5|: the distance
+        to the order-3 solution with weights (1/6, 1/3, 1/3, 0, 1/6) on
+        (k1, ..., k5), which costs no solve and in which w(t + dt) cancels.
+        An implicit step has no error estimate: err is 0.0.
         """
         if implicit:
-            z, P = self.implicit(t, z, P, h, r, dt)
+            z, P, w_end = self.implicit(t, z, P, h, r, dt)
         else:
-            z, P, k4, w_end = self.rk4(t, z, P, r, dt, k1)
+            z, P, k4, w_end = self.rk4(t, z, P, k1, dt)
         h = _h_lambda(P, self.system)
         r = _disagreement(h[2], self.system)
-        if implicit:
-            return _Step(z, P, h, r, None, None)
         k5 = _z_dot(r, self.params, w_end)
-        return _Step(z, P, h, r, dt / 6.0 * float(_amax(np.abs(k4 - k5))), k5)
+        return _Step(z, P, h, r, 0.0 if implicit else dt / 6.0 * float(_amax(np.abs(k4 - k5))), k5)
 
 
 def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams) -> SimulationState:
@@ -562,7 +560,7 @@ def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams
     stepper = _Stepper(system, params, None)
     t_new = state.t + params.dt
     out = stepper.advance(state.t, np.asarray(state.z, dtype=float), np.asarray(state.P, dtype=float), h, r,
-                          t_new - state.t, stepper.kind(r)[0])
+                          t_new - state.t, stepper.kind(r)[0], _z_dot(r, params, None))
     return _state(t_new, out.z, out.P, system, out.h)
 
 
@@ -661,6 +659,7 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     t, z, P, res = state.t, state.z, state.P, state.residual
     h = (state.lam, state.H, state.H * state.lam)
     r = _disagreement(h[2], system)
+    k1 = _z_dot(r, params, stepper.w_at(t))  # dz/dt at (t, z); each step returns the next one
     rows = [(t, z, P, state.loss, state.cost, res)]
 
     def emit():
@@ -673,7 +672,6 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     rk4_width, implicit_width, may_grow = params.dt, params.dt, True
     settle_time, fail_step, switch_time = None, None, None
     steps = rejected = 0
-    k1 = None  # dz/dt at (t, z), once an RK4 step has formed it
     while t < params.t_end:
         implicit, cap = stepper.kind(r)
         widening = implicit and stepper.quiet and window_start is not None
@@ -688,7 +686,7 @@ def run(system: DispatchSystem, params: AlgorithmParams,
             out, failure = None, e
         else:
             failure = None
-            if out.err is not None and out.err > STEP_TOL:
+            if out.err > STEP_TOL:
                 failure = StepFailure(f"RK4 step at t = {t:.9g} s, width {dt:.3g} s: "
                                       f"error estimate {out.err:.3g} above STEP_TOL")
         if failure is not None:
@@ -709,9 +707,7 @@ def run(system: DispatchSystem, params: AlgorithmParams,
             implicit_width = 2.0 * implicit_width if widening else params.dt
         else:
             rk4_width, may_grow = dt * min(_width_scale(out.err), _GROWTH if may_grow else 1.0), True
-        # k5 was formed at w(t + dt), which is the next step's w(t_new) only where t + dt == t_new
-        k1 = out.k if stepper.quiet or t + dt == t_new else None
-        t, z, P, h, r = t_new, out.z, out.P, out.h, out.r
+        t, z, P, h, r, k1 = t_new, out.z, out.P, out.h, out.r, out.k
         res = _residual(h[2])
         steps += 1
         if steps % stride == 0:

@@ -26,11 +26,14 @@ class AssumptionViolation(ValueError):
 
 @dataclass(frozen=True)
 class GeneratorSpec:
-    """One generator: quadratic cost coefficients, initial power, demand share.
+    """One generator: quadratic cost coefficients, the power p0, demand share.
 
     a: cost offset ($/h); b: linear coefficient ($/MWh); c: quadratic
-    coefficient ($/MW^2 h), must be positive; p0: initial power (MW);
-    d0: this generator's share of the load demand (MW).
+    coefficient ($/MW^2 h), must be positive; p0: the power (MW, >= 0) from
+    which a run file that omits d0 derives it, so that a run from z0 = 0
+    starts at p0; d0: this generator's share of the load demand (MW). A run
+    starts where P = -L z0 + d0 + P_L(P), so where d0 is given p0 is only
+    checked to be >= 0.
     """
 
     a: float
@@ -176,10 +179,15 @@ def fleet_cost(abc: np.ndarray, P: np.ndarray) -> np.ndarray:
     return np.add.reduce(c * P * P + b * P + a, axis=-1)
 
 
+def _demand_shares(gens) -> np.ndarray:
+    """The demand shares d0 of a fleet as one array (MW)."""
+    return np.array([g.d0 for g in gens], dtype=float)
+
+
 def total_demand(gens) -> float:
     """The fleet's total demand (MW): NumPy's sum of the demand shares d0, the one
     place they are summed (DispatchSystem.dbar returns it)."""
-    return float(np.array([g.d0 for g in gens], dtype=float).sum())
+    return float(_demand_shares(gens).sum())
 
 
 def marginal_costs(b, c, P):

@@ -209,6 +209,10 @@ class TestSettlingBound:
         with pytest.raises(AssumptionViolation):
             settling_bound(self.PARAMS, 1e-3, 0.0, 0.5858, 4)
 
+    def test_nonpositive_phi2_rejected(self):
+        with pytest.raises(AssumptionViolation, match=r"phi2=0\.0 <= 0"):
+            settling_bound(self.PARAMS, 0.0, 1.0, 0.0, 1)
+
 
 class TestPowerMean:
     def test_equal_elements_equality_case(self):
@@ -228,6 +232,10 @@ class TestPowerMean:
     def test_rejects_negative_entries(self):
         with pytest.raises(ValueError):
             power_mean_check(np.array([-1.0, 1.0]), 0.5)
+
+    def test_rejects_nonpositive_exponent(self):
+        with pytest.raises(ValueError, match="exponent must be positive"):
+            power_mean_check([1.0], 0.0)
 
 
 class TestAssumptionReport:

@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import logging
+import os
 import pathlib
 
 import numpy as np
@@ -35,7 +36,7 @@ from fxdispatch.cli import (
     cmd_run,
     main,
 )
-from fxdispatch.config import OutputSpec, config_from_dict
+from fxdispatch.config import OutputSpec, atomic_write_text, config_from_dict
 from fxdispatch.topology import laplacian
 from tests.conftest import ring_fleet_dict
 
@@ -161,11 +162,24 @@ class TestLoadConfig:
         base_dict["output"]["stride"] = 2.0
         base_dict["params"].update(fp_tol="1e-3", fp_max_iter="50")
         base_dict["topology"].update(nodes=4.0, edges=[[0.0, 1, "1e0"], [1, 2.0, 1], [2, 3, 1.0]])
+        base_dict["loss"].update(b00="4e0")
+        base_dict["loss"]["b0"][0] = "2e-3"
+        base_dict["loss"]["b_matrix"][0][0] = "1.2e-4"
         config = config_from_dict(base_dict)
         assert type(config.output.stride) is int and config.output.stride == 2
         assert (config.params.fp_tol, config.params.fp_max_iter) == (1e-3, 50)
+        assert (config.loss.B[0, 0], config.loss.B0[0], config.loss.B00) == (1.2e-4, 2e-3, 4.0)
         assert config.topology.n == 4
         assert config.topology.edges == ((0, 1, 1.0), (1, 2, 1.0), (2, 3, 1.0))
+
+    def test_failed_rename_leaves_no_temporary_file(self, tmp_path, monkeypatch):
+        def refuse(src, dst):
+            raise OSError("rename refused")
+
+        monkeypatch.setattr(os, "replace", refuse)
+        with pytest.raises(OSError, match="rename refused"):
+            atomic_write_text(str(tmp_path / "report.json"), "{}\n")
+        assert list(tmp_path.iterdir()) == []
 
     def test_parse_error_reported(self, tmp_path):
         bad = tmp_path / "bad.yaml"
@@ -593,6 +607,19 @@ MALFORMED = [
                  id="boolean-z0"),
     pytest.param(lambda d: d["output"].update(stride=float("inf")),
                  r"output\.stride: cannot convert float infinity to integer", id="infinite-stride"),
+    pytest.param(lambda d: d["loss"].update(b00=True), "loss: expected a number, got True", id="boolean-b00"),
+    pytest.param(lambda d: d["loss"]["b0"].__setitem__(0, True), "loss: expected a number, got True",
+                 id="boolean-b0-entry"),
+    pytest.param(lambda d: d["loss"]["b_matrix"][0].__setitem__(0, True), "loss: expected a number, got True",
+                 id="boolean-b-entry"),
+    pytest.param(lambda d: d["output"].update(stride=0), "output: output stride must be >= 1", id="zero-stride"),
+    pytest.param(lambda d: d["loss"].pop("b_matrix"), "loss: missing key 'b_matrix'", id="missing-b-matrix"),
+    pytest.param(lambda d: d["output"].update(stride=True), r"output\.stride: expected an integer, got True",
+                 id="boolean-stride"),
+    pytest.param(lambda d: d.update(topology={"nodes": 0, "edges": []}), "topology: need at least one node",
+                 id="zero-nodes"),
+    pytest.param(lambda d: d["loss"].update(b_matrix=[row[:3] for row in d["loss"]["b_matrix"]]),
+                 r"loss: B must be square, got shape \(4, 3\)", id="four-by-three-loss"),
 ]
 
 

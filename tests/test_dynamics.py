@@ -24,6 +24,7 @@ from fxdispatch import (
 from fxdispatch import dynamics
 from fxdispatch.config import config_from_dict, load_config
 from fxdispatch.dynamics import (
+    _GROWTH,
     _chatter_width,
     _disagreement,
     _disturbance_fn,
@@ -31,6 +32,7 @@ from fxdispatch.dynamics import (
     _residual,
     _state,
     _Stepper,
+    _width_scale,
     _z_dot,
     make_state,
 )
@@ -319,15 +321,18 @@ class TestStep:
 def replay(system, params, disturbance, res, z0=None):
     """States at the row times of a stride-1 run, each advanced from the one
     before through the stepper's advance, of the kind it decides, over the
-    width between their times."""
+    width between their times; k1 is dz/dt at t = 0, then the k5 of the
+    advance before."""
     stepper = _Stepper(system, params, disturbance)
     z0 = np.zeros(system.n) if z0 is None else z0
     states = [make_state(0.0, z0, system, params=params)]
+    k1 = _z_dot(state_r(states[0], system), params, stepper.w_at(0.0))
     for t_next in res.trajectory.t[1:]:
         s = states[-1]
         h = (s.lam, s.H, s.H * s.lam)
         r = _disagreement(h[2], system)
-        out = stepper.advance(s.t, s.z, s.P, h, r, t_next - s.t, stepper.kind(r)[0])
+        out = stepper.advance(s.t, s.z, s.P, h, r, t_next - s.t, stepper.kind(r)[0], k1)
+        k1 = out.k
         states.append(_state(t_next, out.z, out.P, system))
     return states
 
@@ -422,7 +427,7 @@ def implicit_step(system, params, disturbance=None):
     stepper = _Stepper(system, params, disturbance)
 
     def advance(s):
-        z, P = stepper.implicit(s.t, s.z, s.P, (s.lam, s.H, s.H * s.lam), state_r(s, system), params.dt)
+        z, P, _ = stepper.implicit(s.t, s.z, s.P, (s.lam, s.H, s.H * s.lam), state_r(s, system), params.dt)
         return z, P, stepper.newton_iters[-1]
     return advance
 
@@ -451,7 +456,8 @@ class TestImplicitStep:
         state = make_state(0.0, equilibrium_z(system), system, params=params)
         floor = []
         for k in range(400):
-            z, P = advance(state.t, state.z, state.P, state_r(state, system), params.dt)[:2]
+            dz = _z_dot(state_r(state, system), params, None)
+            z, P = advance(state.t, state.z, state.P, dz, params.dt)[:2]
             state = _state(state.t + params.dt, z, P, system)
             if k >= 200:
                 floor.append(state)
@@ -516,10 +522,10 @@ def calls_per_try(ref_system, monkeypatch, names):
     entries = []  # the counts when each try starts, its start time and kind
     real_advance = dynamics._Stepper.advance
 
-    def counting_advance(self, *step_args):
+    def counting_advance(self, t, z, P, h, r, dt, implicit, k1):
         start = dict(counts)
-        out = real_advance(self, *step_args)
-        entries.append((start, step_args[0], "rk4" if out.err is not None else "implicit"))
+        out = real_advance(self, t, z, P, h, r, dt, implicit, k1)
+        entries.append((start, t, "implicit" if implicit else "rk4"))
         return out
 
     monkeypatch.setattr(dynamics._Stepper, "advance", counting_advance)
@@ -545,14 +551,13 @@ class TestWorkPerStep:
 
     def test_four_z_dot_per_rk4_try(self, ref_system, monkeypatch):
         # dz/dt at the three later stages and k5 at the end, which the tries
-        # from there take as their k1; tries from t = 0, where no step ended
-        # (the first is rejected here), form k1 too, and implicit steps form none
+        # from there take as their k1; run() forms the k1 at t = 0 before its
+        # first try (rejected here), and an implicit step forms only its k5
         tries = calls_per_try(ref_system, monkeypatch, ("_z_dot",))
-        first = [calls for t, _, _, calls in tries if t == 0.0]
-        assert len(first) == 2 and set(first) == {(5,)}
-        rk4 = [calls for t, kind, _, calls in tries if kind == "rk4" and t > 0.0]
+        assert len([t for t, _, _, _ in tries if t == 0.0]) == 2
+        rk4 = [calls for _, kind, _, calls in tries if kind == "rk4"]
         assert len(rk4) > 200 and set(rk4) == {(4,)}
-        assert {calls for _, kind, _, calls in tries if kind == "implicit"} == {(0,)}
+        assert {calls for _, kind, _, calls in tries if kind == "implicit"} == {(1,)}
 
     def test_at_most_three_loss_evaluations_per_power_solve(self, ref_system, monkeypatch):
         # the chord iteration needs about 2.5; the plain fixed-point sweep needed
@@ -780,6 +785,9 @@ class TestErrorControl:
         assert res.terminal.t == 0.5
         assert np.abs(res.terminal.P - fine).max() < 1e-3
 
+    def test_zero_error_estimate_grows_the_width_the_most(self):
+        assert _width_scale(0.0) == _GROWTH
+
     def test_far_initial_state_runs_without_warnings(self, ref_system):
         # the first RK4 step of width dt fails in its power solve; it is rejected, not fatal
         params = dataclasses.replace(REF_PARAMS, t_end=20.0)
@@ -793,11 +801,12 @@ class TestErrorControl:
     def test_failed_stage_names_its_step(self, ref_system):
         state = make_state(0.0, 100.0 * np.array([1.0, -1.0, 1.0, -1.0]), ref_system, params=REF_PARAMS)
         advance = _Stepper(ref_system, REF_PARAMS, None).rk4
+        k1 = _z_dot(state_r(state, ref_system), REF_PARAMS, None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepFailure, match=r"RK4 stage \d at t = 0 s, width 0.001 s: power solve did not "
                                                   r"converge; the largest own-loss gradient at its warm start is \d"):
-                advance(0.0, state.z, state.P, state_r(state, ref_system), REF_PARAMS.dt)
+                advance(0.0, state.z, state.P, k1, REF_PARAMS.dt)
 
     def test_diverging_power_solve_stops_before_overflow(self, ref_system):
         with warnings.catch_warnings():

@@ -189,6 +189,10 @@ class TestCosts:
         g = GeneratorSpec(a=2.0, b=3.0, c=4.0)
         assert total_cost([g], [1.0]) == pytest.approx(9.0)
 
+    def test_total_cost_rejects_a_power_count_that_does_not_match(self, ref_gens):
+        with pytest.raises(ConfigurationError, match="4 generators but 3 powers"):
+            total_cost(ref_gens, [1.0, 2.0, 3.0])
+
 
 
 class TestTotalDemand:

@@ -75,8 +75,8 @@ def test_benchmark_attributes_exist():
 PUBLIC_PARAMETERS = {
     "AlgorithmParams": ("k1", "k2", "mu", "nu", "dt", "t_end", "fp_tol", "fp_max_iter", "settle_tol",
                         "settle_window"),
-    "AssumptionReport": ("connected_ok", "a1_per_generator", "remark2_ok", "sigma", "delta", "rho", "b1", "bN",
-                         "a2_value"),
+    "AssumptionReport": ("rho", "b1", "bN", "a2_value", "connected_ok", "a1_per_generator", "remark2_ok", "sigma",
+                         "delta"),
     "AssumptionViolation": (),
     "ConfigurationError": (),
     "CostSummary": ("sigma", "delta"),
@@ -92,7 +92,7 @@ PUBLIC_PARAMETERS = {
     "RunResult": ("trajectory", "terminal", "settle_time", "c_star", "fail_step", "steps", "switch_time",
                   "implicit_newton_iters", "power_solve_iters", "rejected_steps"),
     "SMatrix": ("S", "tau"),
-    "SettlingBound": ("ts", "alpha", "beta", "p", "q"),
+    "SettlingBound": ("alpha", "beta", "mu", "nu"),
     "SimulationState": ("t", "z", "P", "lam", "H", "cost", "loss"),
     "SpectralSummary": ("eigenvalues",),
     "StepFailure": (),

@@ -110,3 +110,7 @@ class TestJacobiEigensolver:
     def test_rejects_asymmetric(self):
         with pytest.raises(ValueError):
             jacobi_eigenvalues(np.array([[1.0, 2.0], [0.0, 1.0]]))
+
+    def test_rejects_non_square(self):
+        with pytest.raises(ValueError, match=r"square matrix, got shape \(2, 3\)"):
+            jacobi_eigenvalues(np.zeros((2, 3)))
