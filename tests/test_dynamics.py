@@ -321,18 +321,17 @@ class TestStep:
 def replay(system, params, disturbance, res, z0=None):
     """States at the row times of a stride-1 run, each advanced from the one
     before through the stepper's advance, of the kind it decides, over the
-    width between their times; k1 is dz/dt at t = 0, then the k5 of the
-    advance before."""
+    width between their times. Each k1 is formed afresh at its state, so
+    the k5 that run() takes as the next k1 is checked against it."""
     stepper = _Stepper(system, params, disturbance)
     z0 = np.zeros(system.n) if z0 is None else z0
     states = [make_state(0.0, z0, system, params=params)]
-    k1 = _z_dot(state_r(states[0], system), params, stepper.w_at(0.0))
     for t_next in res.trajectory.t[1:]:
         s = states[-1]
         h = (s.lam, s.H, s.H * s.lam)
         r = _disagreement(h[2], system)
+        k1 = _z_dot(r, params, stepper.w_at(s.t))
         out = stepper.advance(s.t, s.z, s.P, h, r, t_next - s.t, stepper.kind(r)[0], k1)
-        k1 = out.k
         states.append(_state(t_next, out.z, out.P, system))
     return states
 
