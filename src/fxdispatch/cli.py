@@ -231,7 +231,7 @@ def main(argv=None) -> int:
         ("oracle", "solve the equilibrium independently of the dynamics"),
     ]:
         p = sub.add_parser(name, help=helptext)
-        p.add_argument("--config", required=True, help="path to the YAML run file")
+        p.add_argument("--config", required=True, help="path to the YAML or JSON run file")
         p.add_argument("-v", "--verbose", action="store_true",
                        help="log fxdispatch messages at INFO and above to stderr")
     run = sub.choices["run"]

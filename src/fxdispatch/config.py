@@ -1,4 +1,9 @@
-"""Run configuration: YAML schema, validation, and round-trip serialization.
+"""Run configuration: run-file schema, validation, and round-trip serialization.
+
+A run file is JSON or YAML. `save_config` writes JSON, which is also valid
+YAML; `load_config` tries JSON first and parses the file as YAML only if it
+is not JSON, so a saved file loads without PyYAML's Python-level
+constructor and a hand-written YAML file loads as before.
 
 A run file has sections `generators`, `loss`, `topology`, `params`,
 `disturbance`, `output`, and optionally `initial`. Powers are MW, costs
@@ -15,6 +20,7 @@ naming the file and the section.
 from __future__ import annotations
 
 import contextlib
+import json
 import os
 import tempfile
 from dataclasses import asdict, dataclass, field, fields, replace
@@ -189,13 +195,18 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
 
 
 def load_config(path: str) -> RunConfig:
-    """Parse and fully validate a run file; raises ConfigurationError with
-    field context on any structural problem."""
+    """Parse a JSON or YAML run file and fully validate it; raises
+    ConfigurationError with field context on any structural problem."""
     with open(path) as fh:
         try:
-            data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
-        except yaml.YAMLError as e:
-            raise ConfigurationError(f"{path}: parse error: {e}") from e
+            data = json.loads(fh.read())
+        except json.JSONDecodeError:
+            # from the file, so that a YAML parse error names it
+            fh.seek(0)
+            try:
+                data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
+            except yaml.YAMLError as e:
+                raise ConfigurationError(f"{path}: parse error: {e}") from e
     return config_from_dict(data, path)
 
 
@@ -215,5 +226,4 @@ def atomic_write_text(path: str, text: str) -> None:
 
 
 def save_config(config: RunConfig, path: str) -> None:
-    dumper = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
-    atomic_write_text(path, yaml.dump(config.to_dict(), Dumper=dumper, sort_keys=False))
+    atomic_write_text(path, json.dumps(config.to_dict(), indent=1) + "\n")

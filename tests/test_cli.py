@@ -53,6 +53,21 @@ def base_dict(reference_config):
     return copy.deepcopy(reference_config.to_dict())
 
 
+def non_default_dict(base_dict):
+    """base_dict with a value other than the default in every optional
+    section, an initial z0, and generator 2's d0 left to be derived."""
+    base_dict["disturbance"].update(enabled=True, amplitude=0.5, seed=11)
+    base_dict["output"] = {"directory": "elsewhere", "stride": 7,
+                           "write_trajectory": False, "write_report": False}
+    base_dict["initial"] = {"z0": [0.5, -0.25, 0.0, 1.0]}
+    base_dict["params"]["fp_max_iter"] = 50
+    del base_dict["generators"][2]["d0"]
+    return base_dict
+
+
+YAML_LOADERS = [yaml.SafeLoader] + ([yaml.CSafeLoader] if yaml.__with_libyaml__ else [])
+
+
 class TestLoadConfig:
     def test_shipped_reference_config(self, reference_config):
         gens = reference_config.generators
@@ -72,13 +87,7 @@ class TestLoadConfig:
         assert load_config(str(path)) == reference_config
 
     def test_round_trip_of_non_default_fields(self, base_dict, tmp_path):
-        base_dict["disturbance"].update(enabled=True, amplitude=0.5, seed=11)
-        base_dict["output"] = {"directory": "elsewhere", "stride": 7,
-                               "write_trajectory": False, "write_report": False}
-        base_dict["initial"] = {"z0": [0.5, -0.25, 0.0, 1.0]}
-        base_dict["params"]["fp_max_iter"] = 50
-        del base_dict["generators"][2]["d0"]
-        config = config_from_dict(base_dict)
+        config = config_from_dict(non_default_dict(base_dict))
         path = tmp_path / "rt.yaml"
         save_config(config, str(path))
         assert load_config(str(path)) == config
@@ -142,21 +151,62 @@ class TestLoadConfig:
             text = path.read_text()
             assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
 
-    def test_saved_bytes_match_the_python_dumper(self, reference_config, tmp_path):
+    def test_saved_bytes_are_indented_json(self, reference_config, tmp_path):
         for config in (reference_config, config_from_dict(ring_fleet_dict(64))):
-            path = tmp_path / "saved.yaml"
+            path = tmp_path / "saved.json"
             save_config(config, str(path))
-            assert path.read_text() == yaml.dump(config.to_dict(), Dumper=yaml.SafeDumper, sort_keys=False)
+            assert path.read_text() == json.dumps(config.to_dict(), indent=1) + "\n"
 
-    def test_falls_back_to_the_python_loader_without_libyaml(self, reference_config, tmp_path, monkeypatch):
-        expected = tmp_path / "expected.yaml"
-        save_config(reference_config, str(expected))
+    @pytest.mark.parametrize("loader", YAML_LOADERS, ids=lambda loader: loader.__name__)
+    def test_saved_json_loads_alike_as_yaml(self, reference_config, base_dict, loader, tmp_path):
+        configs = (reference_config, config_from_dict(ring_fleet_dict(64)),
+                   config_from_dict(non_default_dict(base_dict)))
+        for config in configs:
+            path = tmp_path / "saved.json"
+            save_config(config, str(path))
+            assert config_from_dict(yaml.load(path.read_text(), Loader=loader)) == load_config(str(path))
+
+    def test_saved_file_never_reaches_yaml(self, base_dict, tmp_path, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("yaml.load called")
+
+        monkeypatch.setattr(yaml, "load", refuse)
+        for config in (config_from_dict(non_default_dict(base_dict)), config_from_dict(ring_fleet_dict(64))):
+            path = tmp_path / "saved.json"
+            save_config(config, str(path))
+            assert load_config(str(path)) == config
+
+    def test_shipped_yaml_loads_through_the_fallback(self, monkeypatch):
+        expected = config_from_dict(yaml.safe_load(CONFIG_PATH.read_text()))
+        calls = []
+        yaml_load = yaml.load
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return yaml_load(*args, **kwargs)
+
+        monkeypatch.setattr(yaml, "load", counted)
+        assert load_config(str(CONFIG_PATH)) == expected
+        assert len(calls) == 1
+
+    def test_falls_back_to_the_python_loader_without_libyaml(self, reference_config, monkeypatch):
         monkeypatch.delattr(yaml, "CSafeLoader")
-        monkeypatch.delattr(yaml, "CSafeDumper")
         assert load_config(str(CONFIG_PATH)) == reference_config
-        path = tmp_path / "saved.yaml"
-        save_config(reference_config, str(path))
-        assert path.read_bytes() == expected.read_bytes()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+    def test_json_non_finite_tokens_rejected(self, base_dict, token, tmp_path):
+        base_dict["loss"]["b0"][0] = float(token)
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(base_dict, indent=1))
+        assert f"{token}," in path.read_text()
+        with pytest.raises(ConfigurationError, match="loss: .*must be finite"):
+            load_config(str(path))
+
+    def test_json_top_level_list_rejected(self, base_dict, tmp_path):
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps([base_dict]))
+        with pytest.raises(ConfigurationError, match="top level is missing or not a mapping"):
+            load_config(str(path))
 
     def test_integral_numbers_and_numeric_strings_accepted(self, base_dict):
         base_dict["output"]["stride"] = 2.0
@@ -181,9 +231,10 @@ class TestLoadConfig:
             atomic_write_text(str(tmp_path / "report.json"), "{}\n")
         assert list(tmp_path.iterdir()) == []
 
-    def test_parse_error_reported(self, tmp_path):
+    @pytest.mark.parametrize("text", ["generators: [}{", '{"generators": ['], ids=["yaml", "json"])
+    def test_parse_error_reported(self, text, tmp_path):
         bad = tmp_path / "bad.yaml"
-        bad.write_text("generators: [}{")
+        bad.write_text(text)
         with pytest.raises(ConfigurationError, match="parse error"):
             load_config(str(bad))
 
