@@ -1,7 +1,8 @@
 """Command-line front end: `check`, `bound`, `run`, `oracle`.
 
 Exit codes: 0 success / all gates pass, 1 validation or assumption
-failure, 2 runtime failure (integration or equilibrium solve).
+failure, 2 runtime failure (integration or equilibrium solve, or writing
+the run's outputs).
 """
 
 from __future__ import annotations
@@ -120,8 +121,9 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False, 
     wall = time.perf_counter() - t0
 
     term, iters, solves = result.terminal, result.implicit_newton_iters, result.power_solve_iters
-    within = (result.settle_time is not None and ts_bound is not None
-              and result.settle_time <= ts_bound) if g.all_ok else None
+    # null wherever there is no bound to be within: failed gates, or a bound that is undefined
+    within = (result.settle_time is not None and result.settle_time <= ts_bound
+              if g.all_ok and ts_bound is not None else None)
     report = {
         "status": result.status,
         "terminal_power": [float(p) for p in term.P],
@@ -175,12 +177,16 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False, 
     }
 
     directory = out_dir or config.output.directory
-    if config.output.write_trajectory:
-        atomic_write_text(os.path.join(directory, "trajectory.csv"),
-                          _csv_text(result.trajectory, n))
-    if config.output.write_report:
-        atomic_write_text(os.path.join(directory, "report.json"),
-                          json.dumps(report, indent=2) + "\n")
+    try:
+        if config.output.write_trajectory:
+            atomic_write_text(os.path.join(directory, "trajectory.csv"),
+                              _csv_text(result.trajectory, n))
+        if config.output.write_report:
+            atomic_write_text(os.path.join(directory, "report.json"),
+                              json.dumps(report, indent=2) + "\n")
+    except OSError as e:  # such as an output directory under a regular file
+        print(f"output error: {e}", file=sys.stderr)
+        return EXIT_RUNTIME
     print(f"run {result.status}: terminal P = {[round(float(p), 3) for p in term.P]}, "
           f"cost = {term.cost:.2f}, loss = {term.loss:.3f}, "
           f"settled = {result.settled}, wall = {wall:.1f}s", file=out)

@@ -15,16 +15,17 @@ Norsett & Wanner, Solving ODEs I, II.4). Each later stage solves the
 implicit power equation by a warm-started chord (simplified Newton)
 iteration on one loss-Jacobian factor per step (a stage whose solve stalls
 fails its step), whose balance residual is one folded expression with its
-constants stored, and every solved P has its H lam formed once; dz/dt at
-the end of every step, formed at the w(t + dt) the step used, is the next
-step's k1 and an RK4 step's k5. Matrix products are ndarray.dot (see the
-comment after _amax). Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term
-chatters once g k1 h |r|^(mu - 1) is of order one at width h, g being the
-loop gain, so one rule, _chatter_width, bounds RK4's width at the
-disagreement r, and where that bound falls below dt the integrator takes
-linearly implicit, chattering-free steps of width dt instead (backward
-Euler on the consensus law, after Acary & Brogliato 2010 and Polyakov,
-Efimov & Brogliato 2019), which reach consensus to roundoff;
+constants stored. A solved instant is one _Point (t, z, P, H lam with its
+factors, the disagreement and dz/dt), formed only by _Stepper.at: the point
+that ends a step, its dz/dt formed at the w(t + dt) the step used, starts
+the next, that dz/dt being the next step's k1 and an RK4 step's k5. Matrix
+products are ndarray.dot (see the comment after _amax). Explicit RK4 on the
+non-Lipschitz k1 sig(r)^mu term chatters once g k1 h |r|^(mu - 1) is of
+order one at width h, g being the loop gain, so one rule, _chatter_width,
+bounds RK4's width at the disagreement r, and where that bound falls below
+dt the integrator takes linearly implicit, chattering-free steps of width dt
+instead (backward Euler on the consensus law, after Acary & Brogliato 2010
+and Polyakov, Efimov & Brogliato 2019), which reach consensus to roundoff;
 once an undisturbed run is below settle_tol each implicit step doubles its
 width, so the settle window is confirmed in about ten steps. A failed step
 is retried narrower: an RK4 step at the error controller's width (a quarter
@@ -33,7 +34,7 @@ only a failure below _MIN_STEP dt ends a run. The kind of step depends only
 on the state. One _Stepper per call holds the disturbance, the solver
 counters and both kinds of step, and carries both the public `step` (width
 dt, which adds the monitors) and `run` (which forms the residual every
-step, cost and loss only on emitted rows).
+step, and cost and loss once, over the emitted rows).
 """
 
 from __future__ import annotations
@@ -386,16 +387,16 @@ def _chatter_width(system: DispatchSystem, params: AlgorithmParams, r_max: float
     return _CHATTER_WIDTH * r_max ** (1.0 - params.mu) / (system.loop_gain * params.k1)
 
 
-class _Step(NamedTuple):
-    """One advance: the new z and P, h = _h_lambda and the disagreement r at
-    P, the error estimate (0.0 after an implicit step) and k5, dz/dt at
-    (t + dt, z')."""
+class _Point(NamedTuple):
+    """A solved instant: time t, state z, the solved power P, h = _h_lambda
+    at P (lam, H, H lam), the disagreement r = -L (H lam) and k = dz/dt at
+    (t, z); _Stepper.at forms it."""
 
+    t: float
     z: np.ndarray
     P: np.ndarray
     h: tuple
     r: np.ndarray
-    err: float
     k: np.ndarray
 
 
@@ -431,6 +432,13 @@ class _Stepper:
         cap = _chatter_width(self.system, self.params, float(_amax(np.abs(r))))
         return cap < self.params.dt, cap
 
+    def at(self, t: float, z: np.ndarray, P: np.ndarray, w) -> _Point:
+        """The point at (t, z) with the solved power P there, its dz/dt formed
+        at the disturbance w (None for none)."""
+        h = _h_lambda(P, self.system)
+        r = _disagreement(h[2], self.system)
+        return _Point(t, z, P, h, r, _z_dot(r, self.params, w))
+
     def solve(self, z: np.ndarray, P: np.ndarray, A: np.ndarray) -> np.ndarray:
         """solve_power at z from P with chord factor A, counted."""
         P, evals = _solve_power(z, self.system, P, A, self.params.fp_tol, self.params.fp_max_iter)
@@ -439,21 +447,21 @@ class _Stepper:
         self.max_evals = max(self.max_evals, evals)
         return P
 
-    def rk4(self, t, z, P, k1, dt):
-        """The RK4 advance over a step of width dt: (z', P', k4, w(t + dt)).
+    def rk4(self, p: _Point, dt: float):
+        """The RK4 advance from the point p over a step of width dt:
+        (z', P', k4, w(t + dt)).
 
-        P is the solved power at (t, z) and k1 dz/dt there, which give
-        stage 1. Each later stage and the end-of-step solve warm-start from
-        the chord step off the stage before, P + A (-L) (z' - z), which needs
-        no loss evaluation. Only P, r and dz are formed per stage; k4 is
-        returned for the error estimate, and w(t + dt) (None in a quiet run)
-        for the k5 that closes the step.
-        The solves share one chord factor A, (I - J(P))^-1 to first order
+        p's P and k give stage 1. Each later stage and the end-of-step solve
+        warm-start from the chord step off the stage before, P + A (-L)
+        (z' - z), which needs no loss evaluation. Only P, r and dz are formed
+        per stage; k4 is returned for the error estimate, and w(t + dt) (None
+        in a quiet run) for the k5 that closes the step. The solves share one chord factor A, (I - J(P))^-1 to first order
         about system.chord0: A0 + A0 (J(P) - J0) A0, and A (-L) is formed
         once per step. A failed solve raises StepFailure naming the stage, t
         and dt.
         """
         system, params, w_at = self.system, self.params, self.w_at
+        t, z, P, k1 = p.t, p.z, p.P, p.k
         a0 = system.chord0
         A = a0 + a0.dot(system.loss._jacobian(P) - system.loss_jac0).dot(a0)
         AL = A.dot(system.neg_laplacian)
@@ -478,12 +486,11 @@ class _Stepper:
         z_new = z + dt / 6.0 * (k1 + 2.0 * k2v + 2.0 * k3v + k4v)
         return z_new, solve("end-of-step solve", z_new, z4, P4), k4v, w_end
 
-    def implicit(self, t, z, P, h, r, dt):
-        """The linearly implicit advance over a step of width dt:
-        (z', P', w(t + dt)).
+    def implicit(self, p: _Point, dt: float):
+        """The linearly implicit advance from the point p over a step of
+        width dt: (z', P', w(t + dt)).
 
-        With h = _h_lambda(P), r the disagreement at P and M = _sensitivity
-        at P it solves
+        With p's P, h and disagreement r, and M = _sensitivity at P, it solves
         y = r + M dz, dz = -dt (k1 sig(y)^mu + k2 sig(y)^nu) + dt w(t + dt)
         for the next disagreement y, which is backward Euler on the consensus
         law linearised at P, so it has no chatter: exact consensus is its
@@ -496,10 +503,10 @@ class _Stepper:
         """
         params = self.params
         k1, k2, mu, nu = params.k1, params.k2, params.mu, params.nu
-        lam, H, hl = h
+        (lam, H, hl), P, r = p.h, p.P, p.r
         jinv = np.linalg.inv(self.eye - self.system.loss._jacobian(P))
         M = _sensitivity(lam, H, self.system, jinv)
-        w = self.w_at(t + dt)
+        w = self.w_at(p.t + dt)
         dtw = None if w is None else dt * w
         f0 = _amax(np.abs(r if dtw is None else r + M.dot(dtw)))  # max|F| at s = 0
         tol = max(_IMPLICIT_RTOL * f0, _EPS * self.deg_max * _amax(np.abs(hl)))
@@ -511,36 +518,32 @@ class _Stepper:
             if _amax(np.abs(F)) <= tol:
                 break
             if iters == _IMPLICIT_MAX_ITER:
-                raise StepFailure(f"implicit step at t = {t:.9g} s, width {dt:.3g} s did not converge "
+                raise StepFailure(f"implicit step at t = {p.t:.9g} s, width {dt:.3g} s did not converge "
                                   f"in {_IMPLICIT_MAX_ITER} Newton iterations")
             a = np.abs(s)
             jac = np.diag(a ** (1.0 / mu - 1.0) / mu) + dt * M * (k1 + k2 * nu / mu * a ** (nu / mu - 1.0))
             s = s - np.linalg.lstsq(jac, F, rcond=None)[0]
-        z_new = z + dz
+        z_new = p.z + dz
         P_new = self.solve(z_new, P, jinv)
         self.newton_iters.append(iters)
         return z_new, P_new, w
 
-    def advance(self, t, z, P, h, r, dt, implicit, k1) -> _Step:
-        """One step of width dt, implicit or RK4 as kind(r) decided, from the
-        solved P at (t, z); h is _h_lambda at P, (lam, H, H * lam), r the
-        disagreement there and k1 dz/dt there.
+    def advance(self, p: _Point, t_new: float, implicit: bool) -> tuple[_Point, float]:
+        """One step from the point p to t_new, of width dt = t_new - p.t,
+        implicit or RK4 as kind(p.r) decided: (the point at t_new, err).
 
-        Either kind returns k5 = dz/dt at (t + dt, z'), formed at the
-        w(t + dt) the step used, as _Step.k; it is k1 of the next step from
-        (t + dt, z'). For an RK4 step err = dt/6 max|k4 - k5|: the distance
-        to the order-3 solution with weights (1/6, 1/3, 1/3, 0, 1/6) on
-        (k1, ..., k5), which costs no solve and in which w(t + dt) cancels.
-        An implicit step has no error estimate: err is 0.0.
-        """
+        The new point's k, formed at the w(t_new) the step used, is k5 and
+        the next step's k1. An RK4 step's err is dt/6 max|k4 - k5|, the
+        distance to the order-3 solution with weights (1/6, 1/3, 1/3, 0, 1/6)
+        on (k1, ..., k5), which costs no solve and in which w(t_new) cancels;
+        an implicit step's is 0.0."""
+        dt = t_new - p.t
         if implicit:
-            z, P, w_end = self.implicit(t, z, P, h, r, dt)
+            z, P, w_end = self.implicit(p, dt)
         else:
-            z, P, k4, w_end = self.rk4(t, z, P, k1, dt)
-        h = _h_lambda(P, self.system)
-        r = _disagreement(h[2], self.system)
-        k5 = _z_dot(r, self.params, w_end)
-        return _Step(z, P, h, r, 0.0 if implicit else dt / 6.0 * float(_amax(np.abs(k4 - k5))), k5)
+            z, P, k4, w_end = self.rk4(p, dt)
+        q = self.at(t_new, z, P, w_end)
+        return q, 0.0 if implicit else dt / 6.0 * float(_amax(np.abs(k4 - q.k)))
 
 
 def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams) -> SimulationState:
@@ -548,20 +551,18 @@ def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams
     Runge-Kutta, or the linearly implicit step where _chatter_width at the
     disagreement of state.P is below dt; the kind is decided as in run().
 
-    Stage 1 is state (its P, lam and H); each later RK4 stage solves the
-    implicit power equation (warm-started from the stage before). As in
-    run(), the width integrated is the time increment t' - t as rounded,
-    t' = t + dt. The returned state carries fresh monitors. StepFailure if
-    the step fails (step() does not retry it); ValueError on a system
-    with loop gain 0, such as one generator.
+    Stage 1 is the point at state's (t, z, P); _Stepper.at forms its H lam
+    afresh from state.P, which for every state this library makes equals
+    the state's own. Each later RK4 stage solves the implicit power equation
+    (warm-started from the stage before). As in run(), the width integrated
+    is t' - t as rounded, t' = t + dt. The returned state carries fresh
+    monitors. StepFailure if the step fails (step() does not retry it);
+    ValueError on a system with loop gain 0, such as one generator.
     """
-    h = (state.lam, state.H, state.H * state.lam)
-    r = _disagreement(h[2], system)
     stepper = _Stepper(system, params, None)
-    t_new = state.t + params.dt
-    out = stepper.advance(state.t, np.asarray(state.z, dtype=float), np.asarray(state.P, dtype=float), h, r,
-                          t_new - state.t, stepper.kind(r)[0], _z_dot(r, params, None))
-    return _state(t_new, out.z, out.P, system, out.h)
+    p = stepper.at(state.t, np.asarray(state.z, dtype=float), np.asarray(state.P, dtype=float), None)
+    p = stepper.advance(p, state.t + params.dt, stepper.kind(p.r)[0])[0]
+    return _state(p.t, p.z, p.P, system, p.h)
 
 
 @dataclass
@@ -583,10 +584,11 @@ class RunResult:
     computed from, and its solver counters.
 
     settle_time is the start of the confirmed settle window (None if the
-    run did not settle) and fail_step the number of accepted steps before a
-    step failed (None if none did); the verdicts settled, status and
-    negative_power_seen are properties of these and of the trajectory. The
-    counters: accepted and rejected steps, the time of the first implicit
+    run did not settle), min_power the least power at the initial point and
+    at every accepted step, in a trajectory row or not, and fail_step the
+    number of accepted steps before a step failed (None if none did); the
+    verdicts settled, negative_power_seen and status are properties of
+    these. The counters: accepted and rejected steps, the time of the first implicit
     step (None if RK4 did every step), the mean and max Newton iterations of
     the implicit steps (None if there were none), and the mean and max loss
     evaluations per power solve over every solve of the run."""
@@ -595,6 +597,7 @@ class RunResult:
     terminal: SimulationState
     settle_time: float | None
     c_star: float
+    min_power: float
     fail_step: int | None = None
     steps: int = 0
     switch_time: float | None = None
@@ -613,8 +616,8 @@ class RunResult:
 
     @property
     def negative_power_seen(self) -> bool:
-        """Whether a trajectory row has a negative power."""
-        return bool((self.trajectory.P < 0).any())
+        """Whether a power was negative at the initial point or at an accepted step."""
+        return self.min_power < 0.0
 
 
 def _width_scale(err: float) -> float:
@@ -655,88 +658,85 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     z0 = np.zeros(system.n) if z0 is None else np.asarray(z0, dtype=float)
     min_width = _MIN_STEP * params.dt
 
-    state = _state(0.0, z0, stepper.solve(z0, system.d0, system.chord0), system)
-    t, z, P, res = state.t, state.z, state.P, state.residual
-    h = (state.lam, state.H, state.H * state.lam)
-    r = _disagreement(h[2], system)
-    k1 = _z_dot(r, params, stepper.w_at(t))  # dz/dt at (t, z); each step returns the next one
-    rows = [(t, z, P, state.loss, state.cost, res)]
-
-    def emit():
-        rows.append((t, z, P, system.loss.total_loss(P), fleet_cost(system.cost_coef, P), res))
+    p = stepper.at(0.0, z0, stepper.solve(z0, system.d0, system.chord0), stepper.w_at(0.0))
+    res = _residual(p.h[2])
+    rows = [(p, res)]
+    low = p.P.copy()  # the elementwise least power so far
 
     # the settle window open since window_start (None if the residual is above settle_tol)
     window_start = window_end = None
     if res < params.settle_tol:
-        window_start, window_end = t, t + params.settle_window
+        window_start, window_end = p.t, p.t + params.settle_window
     rk4_width, implicit_width, may_grow = params.dt, params.dt, True
     settle_time, fail_step, switch_time = None, None, None
     steps = rejected = 0
-    while t < params.t_end:
-        implicit, cap = stepper.kind(r)
+    while p.t < params.t_end:
+        implicit, cap = stepper.kind(p.r)
         widening = implicit and stepper.quiet and window_start is not None
         width = implicit_width if implicit else min(rk4_width, cap)
-        t_new = min(t + width, params.t_end)
-        if window_start is not None and t < window_end < t_new:
+        t_new = min(p.t + width, params.t_end)
+        if window_start is not None and p.t < window_end < t_new:
             t_new = window_end
-        dt = t_new - t
+        dt = t_new - p.t
         try:
-            out = stepper.advance(t, z, P, h, r, dt, implicit, k1)
+            out, err = stepper.advance(p, t_new, implicit)
         except StepFailure as e:
-            out, failure = None, e
+            err, failure = None, e
         else:
             failure = None
-            if out.err > STEP_TOL:
-                failure = StepFailure(f"RK4 step at t = {t:.9g} s, width {dt:.3g} s: "
-                                      f"error estimate {out.err:.3g} above STEP_TOL")
+            if err > STEP_TOL:
+                failure = StepFailure(f"RK4 step at t = {p.t:.9g} s, width {dt:.3g} s: "
+                                      f"error estimate {err:.3g} above STEP_TOL")
         if failure is not None:
             if dt < min_width:
                 fail_step = steps
-                logger.warning("run ended at t = %.9g s: %s", t, failure)
+                logger.warning("run ended at t = %.9g s: %s", p.t, failure)
                 break
             if implicit:
                 implicit_width = dt / 2.0
             else:  # a failed solve is retried at a quarter of the width
-                rk4_width, may_grow = dt * (_width_scale(out.err) if out is not None else 0.25), False
+                rk4_width, may_grow = dt * (_width_scale(err) if err is not None else 0.25), False
             rejected += 1
             continue
         if implicit:
             if switch_time is None:
-                switch_time = t
-                logger.info("implicit step took over at t = %.3f s (residual %.3g)", t, res)
+                switch_time = p.t
+                logger.info("implicit step took over at t = %.3f s (residual %.3g)", p.t, res)
             implicit_width = 2.0 * implicit_width if widening else params.dt
         else:
-            rk4_width, may_grow = dt * min(_width_scale(out.err), _GROWTH if may_grow else 1.0), True
-        t, z, P, h, r, k1 = t_new, out.z, out.P, out.h, out.r, out.k
-        res = _residual(h[2])
+            rk4_width, may_grow = dt * min(_width_scale(err), _GROWTH if may_grow else 1.0), True
+        p = out
+        res = _residual(p.h[2])
+        np.minimum(low, p.P, out=low)
         steps += 1
         if steps % stride == 0:
-            emit()
+            rows.append((p, res))
         if res < params.settle_tol:
             if window_start is None:
-                window_start, window_end = t, t + params.settle_window
-            if t >= window_end:
+                window_start, window_end = p.t, p.t + params.settle_window
+            if p.t >= window_end:
                 settle_time = window_start
                 break
         else:
             window_start, implicit_width = None, params.dt
     if steps % stride:
-        emit()
+        rows.append((p, res))
     iters = stepper.newton_iters
-    terminal = _state(t, z, P, system, h)
+    terminal = _state(p.t, p.z, p.P, system, p.h)
     c_star = terminal.cost if c_star is None else c_star
-    rows_t, rows_z, rows_p, rows_pl, rows_c, rows_r = zip(*rows)
-    cost = np.array(rows_c)
-    traj = Trajectory(
-        t=np.array(rows_t), z=np.array(rows_z), P=np.array(rows_p),
-        loss=np.array(rows_pl), cost=cost, residual=np.array(rows_r), V=0.5 * (cost - c_star) ** 2,
-    )
+    points, residuals = zip(*rows)
+    P_rows = np.array([q.P for q in points])
+    cost = fleet_cost(system.cost_coef, P_rows)
+    traj = Trajectory(t=np.array([q.t for q in points]), z=np.array([q.z for q in points]), P=P_rows,
+                      loss=np.array([system.loss.total_loss(q.P) for q in points]), cost=cost,
+                      residual=np.array(residuals), V=0.5 * (cost - c_star) ** 2)
     result = RunResult(
-        trajectory=traj, terminal=terminal, settle_time=settle_time, c_star=float(c_star), fail_step=fail_step,
-        steps=steps, switch_time=switch_time,
+        trajectory=traj, terminal=terminal, settle_time=settle_time, c_star=float(c_star),
+        min_power=float(np.minimum.reduce(low)), fail_step=fail_step, steps=steps, switch_time=switch_time,
         implicit_newton_iters=(sum(iters) / len(iters), max(iters)) if iters else None,
         power_solve_iters=(stepper.evals / stepper.solves, stepper.max_evals), rejected_steps=rejected,
     )
     if result.negative_power_seen:
-        logger.warning("negative transient powers observed; delta = min b is only valid on P >= 0")
+        logger.warning("negative transient power %.6g MW observed; delta = min b is only valid on P >= 0",
+                       result.min_power)
     return result

@@ -34,6 +34,7 @@ from fxdispatch.cli import (
     cmd_check,
     cmd_oracle,
     cmd_run,
+    evaluate_gates,
     main,
 )
 from fxdispatch.config import OutputSpec, atomic_write_text, config_from_dict
@@ -305,8 +306,6 @@ class TestBound:
         code, text = run_cmd(cmd_bound, config)
         ts = float(text.split("settling_time_bound_s=")[1].split()[0])
         # independent evaluation of the closed form at mu = 0.9
-        from fxdispatch.cli import evaluate_gates
-
         g = evaluate_gates(config)
         base = (1.0 + g.report.rho) * g.tau1 * g.phi2**2
         alpha = 5.0 * base**0.95 * 2.0**0.025
@@ -393,6 +392,32 @@ class TestRun:
         assert report["assumptions"]["a2_ok"] is False
         assert report["settling_time_bound"] is None
         assert report["settling_within_bound"] is None
+
+    def test_undefined_bound_leaves_within_null(self, tmp_path):
+        # b = -700 makes delta < 0, and these two units pass every gate with
+        # tau1 = -0.04, for which the settling bound is undefined
+        d = {"generators": [{"a": 10.0, "b": -700.0, "c": 0.05, "p0": 100.0, "d0": 100.0}] * 2,
+             "loss": {"b_matrix": [[1e-4, 0.0], [0.0, 1e-4]], "b0": [0.0, 0.0], "b00": 0.0},
+             "topology": {"nodes": 2, "edges": [[0, 1, 1.0]]},
+             "params": {"k1": 5.0, "k2": 5.0, "mu": 0.5, "nu": 2.0, "t_end": 2.0, "settle_window": 0.1}}
+        config = config_from_dict(d)
+        gates = evaluate_gates(config)
+        assert gates.all_ok and gates.tau1 == pytest.approx(-0.04)
+        code, _ = run_cmd(cmd_run, config, out_dir=str(tmp_path))
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert code == EXIT_OK and report["settled"] is True
+        assert report["settling_time_bound"] is None and report["settling_within_bound"] is None
+
+    def test_negative_power_between_rows_is_reported(self, base_dict, tmp_path):
+        # a power dips below zero between the rows of the shipped stride 100
+        for g, share in zip(base_dict["generators"], (10.0, 10.0, 290.0, 290.0)):
+            g["p0"] = g["d0"] = share
+        base_dict["params"]["t_end"] = 0.5
+        assert base_dict["output"]["stride"] == 100
+        run_cmd(cmd_run, config_from_dict(base_dict), out_dir=str(tmp_path))
+        rows = (tmp_path / "trajectory.csv").read_text().splitlines()[1:]
+        assert min(float(v) for row in rows for v in row.split(",")[1:5]) > 0.0
+        assert json.loads((tmp_path / "report.json").read_text())["negative_power_seen"] is True
 
     @staticmethod
     def _fail(*args):
@@ -551,6 +576,14 @@ class TestMain:
         path.write_text(yaml.safe_dump(base_dict, sort_keys=False))
         assert main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == EXIT_RUNTIME
         assert capsys.readouterr().err.startswith("runtime failure: power solve did not converge")
+
+    def test_unwritable_output_exits_2(self, tmp_path, capsys):
+        (tmp_path / "file").write_text("")
+        out = tmp_path / "file" / "sub"
+        assert main(["run", "--config", str(CONFIG_PATH), "--out", str(out), "--t-end", "0.01"]) == EXIT_RUNTIME
+        err = capsys.readouterr().err
+        assert err.startswith("output error: ") and str(tmp_path / "file") in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("command", ["check", "run"])
     def test_zero_delta_exits_1(self, command, base_dict, tmp_path, capsys):

@@ -320,18 +320,16 @@ class TestStep:
 
 def replay(system, params, disturbance, res, z0=None):
     """States at the row times of a stride-1 run, each advanced from the one
-    before through the stepper's advance, of the kind it decides, over the
-    width between their times. Each k1 is formed afresh at its state, so
-    the k5 that run() takes as the next k1 is checked against it."""
+    before through the stepper's advance, of the kind it decides, to the
+    next row time. Each point, its k1 included, is formed afresh at its
+    state, so the k5 that run() takes as the next k1 is checked against it."""
     stepper = _Stepper(system, params, disturbance)
     z0 = np.zeros(system.n) if z0 is None else z0
     states = [make_state(0.0, z0, system, params=params)]
     for t_next in res.trajectory.t[1:]:
         s = states[-1]
-        h = (s.lam, s.H, s.H * s.lam)
-        r = _disagreement(h[2], system)
-        k1 = _z_dot(r, params, stepper.w_at(s.t))
-        out = stepper.advance(s.t, s.z, s.P, h, r, t_next - s.t, stepper.kind(r)[0], k1)
+        p = stepper.at(s.t, s.z, s.P, stepper.w_at(s.t))
+        out = stepper.advance(p, t_next, stepper.kind(p.r)[0])[0]
         states.append(_state(t_next, out.z, out.P, system))
     return states
 
@@ -422,11 +420,11 @@ def symmetric_lossy_pair():
 
 def implicit_step(system, params, disturbance=None):
     """The implicit advance over width dt as a function of a state, returning
-    (z', P', Newton iterations): its (P, (lam, H, H lam), r) start the step."""
+    (z', P', Newton iterations): the stepper's point at the state starts the step."""
     stepper = _Stepper(system, params, disturbance)
 
     def advance(s):
-        z, P, _ = stepper.implicit(s.t, s.z, s.P, (s.lam, s.H, s.H * s.lam), state_r(s, system), params.dt)
+        z, P, _ = stepper.implicit(stepper.at(s.t, s.z, s.P, None), params.dt)
         return z, P, stepper.newton_iters[-1]
     return advance
 
@@ -451,12 +449,11 @@ class TestImplicitStep:
         top = LocalTopology(4, [(i, i + 1, weight) for i in range(3)])
         system = DispatchSystem(gens=ref_system.gens, loss=ref_system.loss, top=top)
         params = dataclasses.replace(REF_PARAMS, k1=k1, mu=mu)
-        advance = _Stepper(system, params, None).rk4
+        stepper = _Stepper(system, params, None)
         state = make_state(0.0, equilibrium_z(system), system, params=params)
         floor = []
         for k in range(400):
-            dz = _z_dot(state_r(state, system), params, None)
-            z, P = advance(state.t, state.z, state.P, dz, params.dt)[:2]
+            z, P = stepper.rk4(stepper.at(state.t, state.z, state.P, None), params.dt)[:2]
             state = _state(state.t + params.dt, z, P, system)
             if k >= 200:
                 floor.append(state)
@@ -521,10 +518,10 @@ def calls_per_try(ref_system, monkeypatch, names):
     entries = []  # the counts when each try starts, its start time and kind
     real_advance = dynamics._Stepper.advance
 
-    def counting_advance(self, t, z, P, h, r, dt, implicit, k1):
+    def counting_advance(self, p, t_new, implicit):
         start = dict(counts)
-        out = real_advance(self, t, z, P, h, r, dt, implicit, k1)
-        entries.append((start, t, "implicit" if implicit else "rk4"))
+        out = real_advance(self, p, t_new, implicit)
+        entries.append((start, p.t, "implicit" if implicit else "rk4"))
         return out
 
     monkeypatch.setattr(dynamics._Stepper, "advance", counting_advance)
@@ -736,11 +733,24 @@ class TestRun:
         assert dataclasses.replace(res, fail_step=3).status == "step_failure"
         settled = dataclasses.replace(res, settle_time=0.05)
         assert settled.settled is True and dataclasses.replace(settled, settle_time=None).settled is False
-        flipped = dataclasses.replace(res.trajectory, P=-res.trajectory.P)
-        assert dataclasses.replace(res, trajectory=flipped).negative_power_seen is True
+        assert 0.0 < res.min_power <= res.trajectory.P.min()
+        assert dataclasses.replace(res, min_power=-1e-9).negative_power_seen is True
         term = res.terminal
         assert term.total_power == float(term.P.sum())
         assert term.residual == _residual(term.H * term.lam)
+
+    def test_negative_power_between_rows_is_seen_at_any_stride(self, ref_system, caplog):
+        # from this split a power dips to -11.32 MW at step 28, between the
+        # rows at the shipped stride 100, whose least power is positive
+        gens = tuple(dataclasses.replace(g, p0=s, d0=s) for g, s in zip(ref_system.gens, (10, 10, 290, 290)))
+        system = DispatchSystem(gens=gens, loss=ref_system.loss, top=ref_system.top)
+        params = dataclasses.replace(REF_PARAMS, t_end=0.5)
+        every, strided = (run(system, params, stride=stride) for stride in (1, 100))
+        assert every.min_power == every.trajectory.P.min() == strided.min_power
+        assert every.min_power == pytest.approx(-11.32, abs=0.01) and strided.trajectory.P.min() > 0.0
+        assert every.negative_power_seen and strided.negative_power_seen
+        warned = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warned == 2 * ["negative transient power -11.3204 MW observed; delta = min b is only valid on P >= 0"]
 
     def test_settled_run_reports_window_start(self, ref_system):
         params = dataclasses.replace(REF_PARAMS, dt=2.5e-4, t_end=20.0)
@@ -799,13 +809,12 @@ class TestErrorControl:
 
     def test_failed_stage_names_its_step(self, ref_system):
         state = make_state(0.0, 100.0 * np.array([1.0, -1.0, 1.0, -1.0]), ref_system, params=REF_PARAMS)
-        advance = _Stepper(ref_system, REF_PARAMS, None).rk4
-        k1 = _z_dot(state_r(state, ref_system), REF_PARAMS, None)
+        stepper = _Stepper(ref_system, REF_PARAMS, None)
         with warnings.catch_warnings():
             warnings.simplefilter("error")
             with pytest.raises(StepFailure, match=r"RK4 stage \d at t = 0 s, width 0.001 s: power solve did not "
                                                   r"converge; the largest own-loss gradient at its warm start is \d"):
-                advance(0.0, state.z, state.P, k1, REF_PARAMS.dt)
+                stepper.rk4(stepper.at(0.0, state.z, state.P, None), REF_PARAMS.dt)
 
     def test_diverging_power_solve_stops_before_overflow(self, ref_system):
         with warnings.catch_warnings():
@@ -836,11 +845,11 @@ class TestErrorControl:
         real = dynamics._Stepper.implicit
         tries = []
 
-        def refusing(self, t, z, P, h, r, dt):
-            tries.append((t, dt))
+        def refusing(self, p, dt):
+            tries.append((p.t, dt))
             if refuse(dt, tries[:-1]):
                 raise StepFailure("refused")
-            return real(self, t, z, P, h, r, dt)
+            return real(self, p, dt)
 
         monkeypatch.setattr(dynamics._Stepper, "implicit", refusing)
         return tries
