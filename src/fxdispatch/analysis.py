@@ -13,7 +13,7 @@ from dataclasses import asdict, dataclass
 
 import numpy as np
 
-from .dynamics import AlgorithmParams
+from .dynamics import AlgorithmParams, _check_sizes
 from .grid_model import (
     AssumptionViolation,
     CostSummary,
@@ -26,7 +26,7 @@ from .grid_model import (
     weighted_cost_jacobian,
 )
 # imported by name: perfbench/spans.py patches analysis.jacobi_eigenvalues
-from .topology import check_connected, jacobi_eigenvalues
+from .topology import LocalTopology, jacobi_eigenvalues
 
 #: roundoff slack for element-wise bound checks
 BOUND_SLACK = 1e-12
@@ -45,14 +45,20 @@ class A2Report:
     """Eigenvalue condition on the loss matrix vs cost convexity.
 
     a2_value is (1+rho)*sigma + b1*delta for delta > 0, with b1 replaced
-    by bN for delta < 0; the condition holds iff the value is positive,
-    which the property a2_ok computes.
+    by bN for delta < 0; the condition holds iff the value is positive.
+    Both are properties computed from the fields.
     """
 
     rho: float
     b1: float
     bN: float
-    a2_value: float
+    sigma: float
+    delta: float
+
+    @property
+    def a2_value(self) -> float:
+        b_extreme = self.b1 if self.delta > 0 else self.bN
+        return (1.0 + self.rho) * self.sigma + b_extreme * self.delta
 
     @property
     def a2_ok(self) -> bool:
@@ -64,22 +70,19 @@ class AssumptionReport(A2Report):
     """Outcome of every standing-assumption gate for one configuration.
 
     The fields hold the evidence: the A2 scalars it takes from A2Report,
-    the per-generator A1 verdicts, the remark-2 row-sum verdict and
-    (sigma, delta). a1_ok (every generator passes A1) and A2Report's a2_ok
+    the per-generator A1 verdicts and the remark-2 row-sum verdict; a1_ok
+    (every generator passes A1), all_ok and A2Report's a2_value and a2_ok
     are properties computed from it.
-
-    connected_ok is always True: a LocalTopology is connected once its
-    constructor returns (it raises AssumptionViolation otherwise), so the
-    field only records that the check was made. It is kept for the
-    `connected` line of `fxdispatch check` and report.json's
-    assumptions.connected_ok.
     """
 
-    connected_ok: bool
     a1_per_generator: tuple
     remark2_ok: bool
-    sigma: float
-    delta: float
+
+    @property
+    def connected_ok(self) -> bool:
+        """True: a LocalTopology is connected once its constructor returns.
+        Kept for `fxdispatch check`'s `connected` line and report.json."""
+        return True
 
     @property
     def a1_ok(self) -> bool:
@@ -87,7 +90,7 @@ class AssumptionReport(A2Report):
 
     @property
     def all_ok(self) -> bool:
-        return self.connected_ok and self.a1_ok and self.remark2_ok and self.a2_ok
+        return self.a1_ok and self.remark2_ok and self.a2_ok
 
 
 @dataclass(frozen=True)
@@ -151,10 +154,7 @@ def check_a2(model: KronLossModel, summary: CostSummary) -> A2Report:
     summary.delta is nonzero, as CostSummary refuses zero."""
     eig = jacobi_eigenvalues(model.B)
     b1, bN = float(eig[0]), float(eig[-1])
-    rho = float(model.B0.min())
-    b_extreme = b1 if summary.delta > 0 else bN
-    value = (1.0 + rho) * summary.sigma + b_extreme * summary.delta
-    return A2Report(rho=rho, b1=b1, bN=bN, a2_value=value)
+    return A2Report(rho=float(model.B0.min()), b1=b1, bN=bN, sigma=summary.sigma, delta=summary.delta)
 
 
 def build_s_matrix(model: KronLossModel, summary: CostSummary) -> SMatrix:
@@ -264,23 +264,22 @@ def power_mean_check(zeta, m: float) -> bool:
     return lhs >= rhs - 1e-12 * max(1.0, abs(rhs))
 
 
-def assemble_assumption_report(model: KronLossModel, gens, top) -> AssumptionReport:
+def assemble_assumption_report(model: KronLossModel, gens, top: LocalTopology) -> AssumptionReport:
     """Run every gate and collect the scalars the report prints.
 
     The pointwise own-loss-gradient condition is evaluated at the demand
     shares d0; the sufficient row-sum condition uses the total demand
-    dbar = sum d0.
+    dbar = sum d0. top is connected by construction; ValueError unless it
+    and model fit the fleet.
     """
+    _check_sizes(len(gens), model, top)
     summary = cost_summary(gens)
     dbar = total_demand(gens)
     own_grad = model.own_loss_gradient(_demand_shares(gens))
     a1_per_gen = tuple(bool(0.0 <= g < 1.0) for g in own_grad)
     remark2 = check_a1(model, dbar) if dbar > 0 else np.zeros(model.n, dtype=bool)
     return AssumptionReport(
-        connected_ok=check_connected(top),
         a1_per_generator=a1_per_gen,
         remark2_ok=bool(remark2.all()),
-        sigma=summary.sigma,
-        delta=summary.delta,
         **asdict(check_a2(model, summary)),
     )

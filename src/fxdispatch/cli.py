@@ -51,7 +51,7 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-def cmd_check(config: RunConfig, out=None) -> int:
+def cmd_check(config: RunConfig) -> int:
     g = evaluate_gates(config)
     r = g.report
     rows = [
@@ -61,20 +61,20 @@ def cmd_check(config: RunConfig, out=None) -> int:
         ("eigenvalue_condition (A2)", r.a2_ok, f"value={_fmt(r.a2_value)}"),
     ]
     for name, ok, extra in rows:
-        print(f"{name:36s} {'PASS' if ok else 'FAIL'}  {extra}", file=out)
+        print(f"{name:36s} {'PASS' if ok else 'FAIL'}  {extra}")
     print(f"sigma={_fmt(r.sigma)} delta={_fmt(r.delta)} rho={_fmt(r.rho)} b1={_fmt(r.b1)} "
-          f"bN={_fmt(r.bN)} tau1={_fmt(g.tau1)} phi2={_fmt(g.phi2)}", file=out)
+          f"bN={_fmt(r.bN)} tau1={_fmt(g.tau1)} phi2={_fmt(g.phi2)}")
     return EXIT_OK if g.all_ok else EXIT_VALIDATION
 
 
-def cmd_bound(config: RunConfig, out=None) -> int:
+def cmd_bound(config: RunConfig) -> int:
     g = evaluate_gates(config)
     if not g.all_ok:
-        print("assumption gates failed; settling bound undefined (run `check`)", file=out)
+        print("assumption gates failed; settling bound undefined (run `check`)")
         return EXIT_VALIDATION
     sb = settling_bound(config.params, g.report.rho, g.tau1, g.phi2, len(config.generators))
-    print(f"alpha={_fmt(sb.alpha)} beta={_fmt(sb.beta)} p={_fmt(sb.p)} q={_fmt(sb.q)}", file=out)
-    print(f"settling_time_bound_s={_fmt(sb.ts)}", file=out)
+    print(f"alpha={_fmt(sb.alpha)} beta={_fmt(sb.beta)} p={_fmt(sb.p)} q={_fmt(sb.q)}")
+    print(f"settling_time_bound_s={_fmt(sb.ts)}")
     return EXIT_OK
 
 
@@ -89,19 +89,20 @@ def _csv_text(traj: dynamics.Trajectory, n: int) -> str:
     return "\n".join(lines) + "\n"
 
 
-def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False, out=None) -> int:
+def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False) -> int:
     g = evaluate_gates(config)
     if not g.all_ok and not force:
-        print("assumption gates failed; refusing to run (use --force to override)", file=out)
-        cmd_check(config, out=out)
+        print("assumption gates failed; refusing to run (use --force to override)")
+        cmd_check(config)
         return EXIT_VALIDATION
 
     n = len(config.generators)
-    try:
-        sb = settling_bound(config.params, g.report.rho, g.tau1, g.phi2, n)
-        ts_bound = sb.ts
-    except AssumptionViolation:
-        ts_bound = None
+    ts_bound = None  # null, as is within, where `bound` calls it undefined: failed gates or tau1 <= 0
+    if g.all_ok:
+        try:
+            ts_bound = settling_bound(config.params, g.report.rho, g.tau1, g.phi2, n).ts
+        except AssumptionViolation:
+            pass
 
     dbar = total_demand(config.generators)
     eq = pf = None
@@ -121,9 +122,7 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False, 
     wall = time.perf_counter() - t0
 
     term, iters, solves = result.terminal, result.implicit_newton_iters, result.power_solve_iters
-    # null wherever there is no bound to be within: failed gates, or a bound that is undefined
-    within = (result.settle_time is not None and result.settle_time <= ts_bound
-              if g.all_ok and ts_bound is not None else None)
+    within = None if ts_bound is None else result.settled and result.settle_time <= ts_bound
     report = {
         "status": result.status,
         "terminal_power": [float(p) for p in term.P],
@@ -189,26 +188,26 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False, 
         return EXIT_RUNTIME
     print(f"run {result.status}: terminal P = {[round(float(p), 3) for p in term.P]}, "
           f"cost = {term.cost:.2f}, loss = {term.loss:.3f}, "
-          f"settled = {result.settled}, wall = {wall:.1f}s", file=out)
+          f"settled = {result.settled}, wall = {wall:.1f}s")
     return EXIT_OK if result.status == "ok" else EXIT_RUNTIME
 
 
-def cmd_oracle(config: RunConfig, out=None) -> int:
+def cmd_oracle(config: RunConfig) -> int:
     dbar = total_demand(config.generators)
     try:
         eq = oracle.solve_equilibrium(config.generators, config.loss, dbar)
         pf = oracle.kkt_penalty_solution(config.generators, config.loss, dbar)
     except NewtonFailure as e:
-        print(f"equilibrium solve failed: {e}; best iterate: {e.best}", file=out)
+        print(f"equilibrium solve failed: {e}; best iterate: {e.best}")
         return EXIT_RUNTIME
     gap = np.max(np.abs(eq.P_star - pf.P_star))
-    print("consensus equilibrium (H*lambda equal):", file=out)
-    print(f"  P* = {[round(float(p), 6) for p in eq.P_star]}", file=out)
-    print(f"  mu* = {_fmt(eq.mu_star)} cost = {_fmt(eq.cost_star)} loss = {_fmt(eq.loss_star)}", file=out)
-    print("penalty-factor coordination:", file=out)
-    print(f"  P* = {[round(float(p), 6) for p in pf.P_star]}", file=out)
-    print(f"  mu* = {_fmt(pf.mu_star)} cost = {_fmt(pf.cost_star)} loss = {_fmt(pf.loss_star)}", file=out)
-    print(f"max per-generator dispatch gap = {_fmt(float(gap))} MW", file=out)
+    print("consensus equilibrium (H*lambda equal):")
+    print(f"  P* = {[round(float(p), 6) for p in eq.P_star]}")
+    print(f"  mu* = {_fmt(eq.mu_star)} cost = {_fmt(eq.cost_star)} loss = {_fmt(eq.loss_star)}")
+    print("penalty-factor coordination:")
+    print(f"  P* = {[round(float(p), 6) for p in pf.P_star]}")
+    print(f"  mu* = {_fmt(pf.mu_star)} cost = {_fmt(pf.cost_star)} loss = {_fmt(pf.loss_star)}")
+    print(f"max per-generator dispatch gap = {_fmt(float(gap))} MW")
     return EXIT_OK
 
 

@@ -16,25 +16,25 @@ implicit power equation by a warm-started chord (simplified Newton)
 iteration on one loss-Jacobian factor per step (a stage whose solve stalls
 fails its step), whose balance residual is one folded expression with its
 constants stored. A solved instant is one _Point (t, z, P, H lam with its
-factors, the disagreement and dz/dt), formed only by _Stepper.at: the point
-that ends a step, its dz/dt formed at the w(t + dt) the step used, starts
-the next, that dz/dt being the next step's k1 and an RK4 step's k5. Matrix
-products are ndarray.dot (see the comment after _amax). Explicit RK4 on the
-non-Lipschitz k1 sig(r)^mu term chatters once g k1 h |r|^(mu - 1) is of
-order one at width h, g being the loop gain, so one rule, _chatter_width,
-bounds RK4's width at the disagreement r, and where that bound falls below
-dt the integrator takes linearly implicit, chattering-free steps of width dt
-instead (backward Euler on the consensus law, after Acary & Brogliato 2010
-and Polyakov, Efimov & Brogliato 2019), which reach consensus to roundoff;
-once an undisturbed run is below settle_tol each implicit step doubles its
-width, so the settle window is confirmed in about ten steps. A failed step
-is retried narrower: an RK4 step at the error controller's width (a quarter
-of its width after a failed solve), an implicit step at half its width;
-only a failure below _MIN_STEP dt ends a run. The kind of step depends only
-on the state. One _Stepper per call holds the disturbance, the solver
-counters and both kinds of step, and carries both the public `step` (width
-dt, which adds the monitors) and `run` (which forms the residual every
-step, and cost and loss once, over the emitted rows).
+factors, the disagreement, the residual and dz/dt), formed only by
+_Stepper.at: the point that ends a step, its dz/dt formed at the w(t + dt)
+the step used, starts the next, that dz/dt being the next step's k1 and an
+RK4 step's k5. Matrix products are ndarray.dot (see the comment after
+_amax). Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term chatters once
+g k1 h |r|^(mu - 1) is of order one at width h, g being the loop gain, so
+one rule, _chatter_width, bounds RK4's width at the disagreement r, and where
+that bound falls below dt the integrator takes linearly implicit,
+chattering-free steps of width dt instead (backward Euler on the consensus
+law, after Acary & Brogliato 2010 and Polyakov, Efimov & Brogliato 2019),
+which reach consensus to roundoff; once an undisturbed run is below
+settle_tol each implicit step doubles its width, so the settle window is
+confirmed in about ten steps. A failed step is retried narrower: an RK4 step
+at the error controller's width (a quarter of its width after a failed
+solve), an implicit step at half its width; only a failure below _MIN_STEP
+dt ends a run. The kind of step depends only on the state. One _Stepper per
+call holds the disturbance, the solver counters and both kinds of step, and
+carries both the public `step` (width dt, which adds the monitors) and `run`
+(which forms cost and loss once, over the emitted rows).
 """
 
 from __future__ import annotations
@@ -389,14 +389,16 @@ def _chatter_width(system: DispatchSystem, params: AlgorithmParams, r_max: float
 
 class _Point(NamedTuple):
     """A solved instant: time t, state z, the solved power P, h = _h_lambda
-    at P (lam, H, H lam), the disagreement r = -L (H lam) and k = dz/dt at
-    (t, z); _Stepper.at forms it."""
+    at P (lam, H, H lam), the disagreement r = -L (H lam), the consensus
+    residual res = _residual(H lam) and k = dz/dt at (t, z); _Stepper.at
+    forms it."""
 
     t: float
     z: np.ndarray
     P: np.ndarray
     h: tuple
     r: np.ndarray
+    res: float
     k: np.ndarray
 
 
@@ -437,7 +439,7 @@ class _Stepper:
         at the disturbance w (None for none)."""
         h = _h_lambda(P, self.system)
         r = _disagreement(h[2], self.system)
-        return _Point(t, z, P, h, r, _z_dot(r, self.params, w))
+        return _Point(t, z, P, h, r, _residual(h[2]), _z_dot(r, self.params, w))
 
     def solve(self, z: np.ndarray, P: np.ndarray, A: np.ndarray) -> np.ndarray:
         """solve_power at z from P with chord factor A, counted."""
@@ -455,10 +457,10 @@ class _Stepper:
         warm-start from the chord step off the stage before, P + A (-L)
         (z' - z), which needs no loss evaluation. Only P, r and dz are formed
         per stage; k4 is returned for the error estimate, and w(t + dt) (None
-        in a quiet run) for the k5 that closes the step. The solves share one chord factor A, (I - J(P))^-1 to first order
-        about system.chord0: A0 + A0 (J(P) - J0) A0, and A (-L) is formed
-        once per step. A failed solve raises StepFailure naming the stage, t
-        and dt.
+        in a quiet run) for the k5 that closes the step. The solves share one
+        chord factor A, (I - J(P))^-1 to first order about system.chord0:
+        A0 + A0 (J(P) - J0) A0, and A (-L) is formed once per step. A failed
+        solve raises StepFailure naming the stage, t and dt.
         """
         system, params, w_at = self.system, self.params, self.w_at
         t, z, P, k1 = p.t, p.z, p.P, p.k
@@ -650,22 +652,23 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     rows. The Lyapunov column is V = 0.5 (C - c_star)^2, with c_star
     defaulting to the terminal cost. A step that fails below _MIN_STEP dt
     ends the run with status "step_failure". ValueError on a system with
-    loop gain 0, such as one generator.
+    loop gain 0, such as one generator, or a z0 not of shape (n,).
     """
     if stride < 1:
         raise ValueError("stride must be >= 1")
     stepper = _Stepper(system, params, disturbance)
     z0 = np.zeros(system.n) if z0 is None else np.asarray(z0, dtype=float)
+    if z0.shape != (system.n,):
+        raise ValueError(f"z0 has shape {z0.shape}; expected ({system.n},)")
     min_width = _MIN_STEP * params.dt
 
     p = stepper.at(0.0, z0, stepper.solve(z0, system.d0, system.chord0), stepper.w_at(0.0))
-    res = _residual(p.h[2])
-    rows = [(p, res)]
+    rows = [p]
     low = p.P.copy()  # the elementwise least power so far
 
     # the settle window open since window_start (None if the residual is above settle_tol)
     window_start = window_end = None
-    if res < params.settle_tol:
+    if p.res < params.settle_tol:
         window_start, window_end = p.t, p.t + params.settle_window
     rk4_width, implicit_width, may_grow = params.dt, params.dt, True
     settle_time, fail_step, switch_time = None, None, None
@@ -701,17 +704,16 @@ def run(system: DispatchSystem, params: AlgorithmParams,
         if implicit:
             if switch_time is None:
                 switch_time = p.t
-                logger.info("implicit step took over at t = %.3f s (residual %.3g)", p.t, res)
+                logger.info("implicit step took over at t = %.3f s (residual %.3g)", p.t, p.res)
             implicit_width = 2.0 * implicit_width if widening else params.dt
         else:
             rk4_width, may_grow = dt * min(_width_scale(err), _GROWTH if may_grow else 1.0), True
         p = out
-        res = _residual(p.h[2])
         np.minimum(low, p.P, out=low)
         steps += 1
         if steps % stride == 0:
-            rows.append((p, res))
-        if res < params.settle_tol:
+            rows.append(p)
+        if p.res < params.settle_tol:
             if window_start is None:
                 window_start, window_end = p.t, p.t + params.settle_window
             if p.t >= window_end:
@@ -720,16 +722,15 @@ def run(system: DispatchSystem, params: AlgorithmParams,
         else:
             window_start, implicit_width = None, params.dt
     if steps % stride:
-        rows.append((p, res))
+        rows.append(p)
     iters = stepper.newton_iters
     terminal = _state(p.t, p.z, p.P, system, p.h)
     c_star = terminal.cost if c_star is None else c_star
-    points, residuals = zip(*rows)
-    P_rows = np.array([q.P for q in points])
+    P_rows = np.array([q.P for q in rows])
     cost = fleet_cost(system.cost_coef, P_rows)
-    traj = Trajectory(t=np.array([q.t for q in points]), z=np.array([q.z for q in points]), P=P_rows,
-                      loss=np.array([system.loss.total_loss(q.P) for q in points]), cost=cost,
-                      residual=np.array(residuals), V=0.5 * (cost - c_star) ** 2)
+    traj = Trajectory(t=np.array([q.t for q in rows]), z=np.array([q.z for q in rows]), P=P_rows,
+                      loss=np.array([system.loss.total_loss(q.P) for q in rows]), cost=cost,
+                      residual=np.array([q.res for q in rows]), V=0.5 * (cost - c_star) ** 2)
     result = RunResult(
         trajectory=traj, terminal=terminal, settle_time=settle_time, c_star=float(c_star),
         min_power=float(np.minimum.reduce(low)), fail_step=fail_step, steps=steps, switch_time=switch_time,

@@ -251,8 +251,15 @@ class TestAssumptionReport:
         rep = assemble_assumption_report(ref_model, ref_gens, ref_top)
         assert rep.a1_ok and rep.a2_ok
         assert not dataclasses.replace(rep, a1_per_generator=(True, False, True, True)).a1_ok
-        assert not dataclasses.replace(rep, a2_value=-rep.a2_value).a2_ok
-        assert not dataclasses.replace(rep, a2_value=-rep.a2_value).all_ok
+        failing = dataclasses.replace(rep, sigma=-rep.sigma)
+        assert failing.a2_value < 0
+        assert not failing.a2_ok
+        assert not failing.all_ok
+
+    def test_refuses_a_topology_of_another_size(self, ref_model, ref_gens):
+        # any LocalTopology is connected, so every gate would pass
+        with pytest.raises(ValueError, match="4 generators but topology has 7 nodes"):
+            assemble_assumption_report(ref_model, ref_gens, path_topology(7))
 
     def test_tau1_positive_whenever_a2_passes(self):
         rng = np.random.default_rng(9)

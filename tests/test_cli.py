@@ -242,7 +242,8 @@ class TestLoadConfig:
 
 def run_cmd(fn, config, **kwargs):
     buf = io.StringIO()
-    code = fn(config, out=buf, **kwargs)
+    with contextlib.redirect_stdout(buf):
+        code = fn(config, **kwargs)
     return code, buf.getvalue()
 
 
@@ -269,11 +270,6 @@ class TestCheck:
             "connected", "gradient_condition", "coefficient_magnitude", "eigenvalue_condition"]
         assert "convexity" not in text
         assert lines[-1].startswith("sigma=0.164 delta=1.21 rho=0.001 ")
-        # with no stream given, the table goes to whatever sys.stdout is at call time
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            assert cmd_check(reference_config) == code
-        assert buf.getvalue() == text
 
     def test_constructed_failure(self, base_dict):
         code, text = run_cmd(cmd_check, failing_config(base_dict))
@@ -392,6 +388,20 @@ class TestRun:
         assert report["assumptions"]["a2_ok"] is False
         assert report["settling_time_bound"] is None
         assert report["settling_within_bound"] is None
+
+    def test_forced_run_with_failed_remark2_has_no_bound(self, base_dict, tmp_path):
+        # only the remark-2 row sum fails, so tau1 > 0 and settling_bound would
+        # return a bound, which `bound` refuses to print
+        base_dict["loss"]["b_matrix"] = [[4e-4 if i == j else 3e-4 for j in range(4)] for i in range(4)]
+        base_dict["params"]["t_end"] = 0.05
+        config = config_from_dict(base_dict)
+        gates = evaluate_gates(config)
+        assert not gates.report.remark2_ok and gates.report.a1_ok and gates.report.a2_ok and gates.tau1 > 0
+        assert run_cmd(cmd_bound, config)[0] == EXIT_VALIDATION
+        code, _ = run_cmd(cmd_run, config, out_dir=str(tmp_path), force=True)
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert code == EXIT_OK and report["assumptions"]["all_ok"] is False
+        assert report["settling_time_bound"] is None and report["settling_within_bound"] is None
 
     def test_undefined_bound_leaves_within_null(self, tmp_path):
         # b = -700 makes delta < 0, and these two units pass every gate with

@@ -671,6 +671,12 @@ class TestRun:
         with pytest.raises(ValueError, match="stride must be >= 1"):
             run(ref_system, REF_PARAMS, stride=0)
 
+    @pytest.mark.parametrize("z0, shape", [(1.0, r"\(\)"), (np.zeros((4, 1)), r"\(4, 1\)"),
+                                           (np.zeros(2), r"\(2,\)")])
+    def test_rejects_z0_not_of_shape_n(self, ref_system, z0, shape):
+        with pytest.raises(ValueError, match=rf"z0 has shape {shape}; expected \(4,\)"):
+            run(ref_system, REF_PARAMS, z0=z0)
+
     def test_zero_horizon_single_row(self, ref_system):
         params = dataclasses.replace(REF_PARAMS, t_end=0.0)
         res = run(ref_system, params)

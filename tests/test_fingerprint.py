@@ -18,6 +18,14 @@ def test_reference_run_outputs_keep_their_bytes(tmp_path):
     assert rec["run.trajectory.csv"] == "76bc8988f7c3378c983fe0d52caadd4e6dc8eb43b7b8a3cef29d50c22a1a4b2a"
 
 
+def test_fleet_run_outputs_keep_their_bytes(tmp_path):
+    # `fxdispatch run` on the benchmark's seed-1 fleet of 64 units at its own t_end
+    fx, workloads = fingerprint.import_modules()
+    rec = fingerprint.named_runs(fx, workloads, tmp_path)["cli/fleet1"]()
+    assert rec["run.report.json"] == "3fa1205609f1f2cd1cabf56ab49be5c8ff85c1ed1575671cdfffa5afd59b10df"
+    assert rec["run.trajectory.csv"] == "d88c04cdc5e1e1710a780d97fecb0c539a8407d4b1975580edeb9f110b1d437f"
+
+
 def test_record_covers_fields_properties_and_nested_dataclasses():
     fx, _ = fingerprint.import_modules()
     system = fx.config.load_config(str(fingerprint.REFERENCE)).system()
