@@ -83,9 +83,11 @@ def _csv_text(traj: dynamics.Trajectory, n: int) -> str:
             + ["PL", "Ptotal", "cost", "residual", "V"])
     table = np.column_stack((traj.t, traj.P, traj.z, traj.loss, traj.P.sum(axis=1),
                              traj.cost, traj.residual, traj.V))
+    # one %-format per row of Python floats from tolist(): the same text as
+    # f"{v:.12g}" per value, nan, inf and -0.0 included, in one call
+    fmt = ",".join(["%.12g"] * len(cols))
     lines = [",".join(cols)]
-    # Python floats from tolist() format faster than NumPy scalars, to the same text
-    lines.extend(",".join(f"{v:.12g}" for v in row) for row in table.tolist())
+    lines.extend(fmt % tuple(row) for row in table.tolist())
     return "\n".join(lines) + "\n"
 
 

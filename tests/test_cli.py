@@ -5,6 +5,7 @@ import dataclasses
 import io
 import json
 import logging
+import math
 import os
 import pathlib
 
@@ -38,6 +39,7 @@ from fxdispatch.cli import (
     main,
 )
 from fxdispatch.config import OutputSpec, atomic_write_text, config_from_dict
+from fxdispatch.dynamics import Trajectory
 from fxdispatch.topology import laplacian
 from tests.conftest import ring_fleet_dict
 
@@ -372,6 +374,21 @@ class TestRun:
             header, _, body = _csv_text(traj, n).partition("\n")
             assert len(rows) > 50 and len(header.split(",")) == 2 * n + 6
             assert body == "\n".join(rows) + "\n"
+
+    def test_csv_text_of_special_values_matches_f_string_formatting(self):
+        special = [math.nan, math.inf, -math.inf, -0.0, 0.0, 5e-324, 1.797e308, -1.234567890123456e-300]
+        col = np.array(special)
+        # P's second column is zero, so that the Ptotal column is P1 again
+        # and the sum raises no overflow or invalid-value warning
+        traj = Trajectory(t=col, z=np.stack([-col, np.roll(col, 1)], axis=1),
+                          P=np.stack([col, np.zeros_like(col)], axis=1), loss=-col, cost=col[::-1],
+                          residual=np.abs(col), V=np.roll(col, 3))
+        table = np.column_stack((traj.t, traj.P, traj.z, traj.loss, traj.P.sum(axis=1), traj.cost,
+                                 traj.residual, traj.V))
+        rows = [",".join(f"{v:.12g}" for v in row) for row in table.tolist()]
+        body = _csv_text(traj, 2).partition("\n")[2]
+        assert body == "\n".join(rows) + "\n"
+        assert {"nan", "inf", "-inf", "-0"} <= set(body.replace("\n", ",").split(","))
 
     def test_refuses_failed_gates_without_force(self, base_dict, tmp_path):
         config = failing_config(base_dict)
