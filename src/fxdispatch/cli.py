@@ -174,6 +174,7 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False) 
             "switch_time": result.switch_time,
             "implicit_newton_iters": {"mean": iters[0], "max": iters[1]} if iters else None,
             "power_solve_iters": {"mean": solves[0], "max": solves[1]},
+            "chord_factors": result.chord_factors,
         },
     }
 

@@ -13,10 +13,14 @@ before (first same as last), so the order-3 embedded solution with weights
 error estimate, and a step is accepted when it is within STEP_TOL (Hairer,
 Norsett & Wanner, Solving ODEs I, II.4). Each later stage solves the
 implicit power equation by a warm-started chord (simplified Newton)
-iteration on one loss-Jacobian factor per step (a stage whose solve stalls
-fails its step), whose balance residual is one folded expression with its
-constants stored. A solved instant is one _Point (t, z, P, H lam with its
-factors, the disagreement, the residual and dz/dt), formed only by
+iteration (a stage whose solve stalls fails its step), whose balance
+residual is one folded expression with its constants stored. The RK4 tries
+of a call share one loss-Jacobian chord factor, formed again only once a
+solve shows it stale (one chord correction no longer reaches fp_tol, or the
+solve failed), as simplified Newton iterations reuse their Jacobian
+(Hairer & Wanner, Solving ODEs II, IV.8). A solved instant is one _Point
+(t, z, P, H lam with its factors, the disagreement, the residual and dz/dt),
+formed only by
 _Stepper.at: the point that ends a step, its dz/dt formed at the w(t + dt)
 the step used, starts the next, that dz/dt being the next step's k1 and an
 RK4 step's k5. Matrix products are ndarray.dot (see the comment after
@@ -90,6 +94,9 @@ _MIN_STEP = 1e-6
 #: solved from; it fails after _IMPLICIT_MAX_ITER iterations.
 _IMPLICIT_RTOL = 1e-12
 _IMPLICIT_MAX_ITER = 50
+#: An RK4 power solve that needs more loss evaluations than this, so more
+#: than one chord correction, marks the chord factor stale.
+_FRESH_EVALS = 2
 _EPS = float(np.finfo(float).eps)
 #: max over a 1-D array, without ndarray.max()'s Python-level wrapper
 _amax = np.maximum.reduce
@@ -409,8 +416,10 @@ class _Stepper:
     from one DisturbanceSpec, None for none. solves and evals count the power
     solves and their loss evaluations (max_evals the most in one solve);
     newton_iters lists the Newton iterations of each implicit step that
-    succeeded. ValueError unless the loop gain, which _chatter_width divides
-    by, is positive.
+    succeeded. chord is the RK4 tries' pair (A, A (-L)), None until rk4 forms
+    it and again once a solve has found it stale; chord_factors counts the
+    pairs formed. ValueError unless the loop gain, which _chatter_width
+    divides by, is positive.
     """
 
     def __init__(self, system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None):
@@ -423,6 +432,8 @@ class _Stepper:
         self.w_at = _disturbance_fn(spec, system.n)
         self.solves = self.evals = self.max_evals = 0
         self.newton_iters: list[int] = []
+        self.chord: tuple[np.ndarray, np.ndarray] | None = None
+        self.chord_factors = 0
         self.eye = np.eye(system.n)
         #: the largest weighted degree, max diag(L)
         self.deg_max = -float(np.minimum.reduce(system.neg_laplacian.diagonal()))
@@ -441,13 +452,14 @@ class _Stepper:
         r = _disagreement(h[2], self.system)
         return _Point(t, z, P, h, r, _residual(h[2]), _z_dot(r, self.params, w))
 
-    def solve(self, z: np.ndarray, P: np.ndarray, A: np.ndarray) -> np.ndarray:
-        """solve_power at z from P with chord factor A, counted."""
+    def solve(self, z: np.ndarray, P: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, int]:
+        """solve_power at z from P with chord factor A, counted: (P, loss
+        evaluations)."""
         P, evals = _solve_power(z, self.system, P, A, self.params.fp_tol, self.params.fp_max_iter)
         self.solves += 1
         self.evals += evals
         self.max_evals = max(self.max_evals, evals)
-        return P
+        return P, evals
 
     def rk4(self, p: _Point, dt: float):
         """The RK4 advance from the point p over a step of width dt:
@@ -457,22 +469,32 @@ class _Stepper:
         warm-start from the chord step off the stage before, P + A (-L)
         (z' - z), which needs no loss evaluation. Only P, r and dz are formed
         per stage; k4 is returned for the error estimate, and w(t + dt) (None
-        in a quiet run) for the k5 that closes the step. The solves share one
-        chord factor A, (I - J(P))^-1 to first order about system.chord0:
-        A0 + A0 (J(P) - J0) A0, and A (-L) is formed once per step. A failed
-        solve raises StepFailure naming the stage, t and dt.
+        in a quiet run) for the k5 that closes the step. The solves use the
+        chord factor A and A (-L) of self.chord. A try that finds it None
+        forms it at p's P: (I - J(P))^-1 to first order about
+        system.chord0, A0 + A0 (J(P) - J0) A0. Later tries reuse it until a
+        solve needs more than _FRESH_EVALS loss evaluations or fails, which
+        sets it to None for the next try; the try itself goes on with A. A
+        failed solve raises StepFailure naming the stage, t and dt.
         """
         system, params, w_at = self.system, self.params, self.w_at
         t, z, P, k1 = p.t, p.z, p.P, p.k
-        a0 = system.chord0
-        A = a0 + a0.dot(system.loss._jacobian(P) - system.loss_jac0).dot(a0)
-        AL = A.dot(system.neg_laplacian)
+        if self.chord is None:
+            a0 = system.chord0
+            A = a0 + a0.dot(system.loss._jacobian(P) - system.loss_jac0).dot(a0)
+            self.chord = A, A.dot(system.neg_laplacian)
+            self.chord_factors += 1
+        A, AL = self.chord
 
         def solve(stage, z, z_from, P_from):
             try:
-                return self.solve(z, P_from + AL.dot(z - z_from), A)
+                P, evals = self.solve(z, P_from + AL.dot(z - z_from), A)
             except StepFailure as e:
+                self.chord = None
                 raise StepFailure(f"RK4 {stage} at t = {t:.9g} s, width {dt:.3g} s: {e}") from e
+            if evals > _FRESH_EVALS:
+                self.chord = None
+            return P
 
         def deriv(stage, z, z_from, P_from, w):
             P = solve(stage, z, z_from, P_from)
@@ -526,7 +548,7 @@ class _Stepper:
             jac = np.diag(a ** (1.0 / mu - 1.0) / mu) + dt * M * (k1 + k2 * nu / mu * a ** (nu / mu - 1.0))
             s = s - np.linalg.lstsq(jac, F, rcond=None)[0]
         z_new = p.z + dz
-        P_new = self.solve(z_new, P, jinv)
+        P_new = self.solve(z_new, P, jinv)[0]
         self.newton_iters.append(iters)
         return z_new, P_new, w
 
@@ -592,8 +614,9 @@ class RunResult:
     verdicts settled, negative_power_seen and status are properties of
     these. The counters: accepted and rejected steps, the time of the first implicit
     step (None if RK4 did every step), the mean and max Newton iterations of
-    the implicit steps (None if there were none), and the mean and max loss
-    evaluations per power solve over every solve of the run."""
+    the implicit steps (None if there were none), the mean and max loss
+    evaluations per power solve over every solve of the run, and the number
+    of RK4 chord factors formed."""
 
     trajectory: Trajectory
     terminal: SimulationState
@@ -606,6 +629,7 @@ class RunResult:
     implicit_newton_iters: tuple[float, int] | None = None
     power_solve_iters: tuple[float, int] | None = None
     rejected_steps: int = 0
+    chord_factors: int = 0
 
     @property
     def settled(self) -> bool:
@@ -662,7 +686,7 @@ def run(system: DispatchSystem, params: AlgorithmParams,
         raise ValueError(f"z0 has shape {z0.shape}; expected ({system.n},)")
     min_width = _MIN_STEP * params.dt
 
-    p = stepper.at(0.0, z0, stepper.solve(z0, system.d0, system.chord0), stepper.w_at(0.0))
+    p = stepper.at(0.0, z0, stepper.solve(z0, system.d0, system.chord0)[0], stepper.w_at(0.0))
     rows = [p]
     low = p.P.copy()  # the elementwise least power so far
 
@@ -736,6 +760,7 @@ def run(system: DispatchSystem, params: AlgorithmParams,
         min_power=float(np.minimum.reduce(low)), fail_step=fail_step, steps=steps, switch_time=switch_time,
         implicit_newton_iters=(sum(iters) / len(iters), max(iters)) if iters else None,
         power_solve_iters=(stepper.evals / stepper.solves, stepper.max_evals), rejected_steps=rejected,
+        chord_factors=stepper.chord_factors,
     )
     if result.negative_power_seen:
         logger.warning("negative transient power %.6g MW observed; delta = min b is only valid on P >= 0",

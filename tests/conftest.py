@@ -1,3 +1,6 @@
+import pathlib
+import sys
+
 import numpy as np
 import pytest
 
@@ -38,6 +41,17 @@ def ring_fleet_dict(n):
         "topology": {"nodes": n, "edges": [[i, (i + 1) % n, 1.0] for i in range(n)]},
         "params": {"k1": 5.0, "k2": 5.0, "mu": 0.5, "nu": 2.0, "dt": 1e-3, "t_end": 0.2},
     }
+
+
+def benchmark_fleet_dict(seed):
+    """perfbench/workloads.py's fleet_dict(seed): the benchmark's seeded
+    64-unit fleet, at its t_end of 0.2 s."""
+    perfbench = str(pathlib.Path(__file__).resolve().parent.parent / "perfbench")
+    if perfbench not in sys.path:
+        sys.path.insert(0, perfbench)
+    import workloads
+
+    return workloads.fleet_dict(seed)
 
 
 @pytest.fixture(scope="session")

@@ -551,9 +551,11 @@ class TestMain:
     def test_rk4_only_run_reports_no_switch(self, tmp_path):
         assert main(["run", "--config", str(CONFIG_PATH), "--out", str(tmp_path), "--t-end", "0.1"]) == EXIT_OK
         solver = json.loads((tmp_path / "report.json").read_text())["solver"]
-        solves = solver.pop("power_solve_iters")
+        solves, chords = solver.pop("power_solve_iters"), solver.pop("chord_factors")
         assert solver == {"steps": 38, "rejected_steps": 3, "switch_time": None, "implicit_newton_iters": None}
         assert 1.0 <= solves["mean"] <= solves["max"] <= 10
+        # at most one chord factor per RK4 try
+        assert 1 <= chords <= 38 + 3
 
     def test_missing_config_path(self, capsys):
         assert main(["check", "--config", "/nonexistent/nope.yaml"]) == EXIT_VALIDATION

@@ -38,7 +38,7 @@ from fxdispatch.dynamics import (
 )
 from fxdispatch.grid_model import marginal_costs, total_cost
 from fxdispatch.topology import laplacian
-from tests.conftest import REF_DEMAND, REF_P0, ring_fleet_dict
+from tests.conftest import REF_DEMAND, REF_P0, benchmark_fleet_dict, ring_fleet_dict
 
 REF_PARAMS = AlgorithmParams(k1=5.0, k2=5.0, mu=0.5, nu=2.0)
 REF_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference_case.yaml"
@@ -352,14 +352,18 @@ class TestRunMatchesStep:
     """run() must reproduce its accepted steps, replayed through the advance
     it shares with step(), bit for bit."""
 
-    @pytest.mark.parametrize("disturbance", [
-        None,
-        DisturbanceSpec(enabled=True, amplitude=0.5, seed=21),
-    ], ids=["plain", "disturbed"])
-    def test_rows_and_terminal_bit_identical(self, ref_system, disturbance):
-        params = dataclasses.replace(REF_PARAMS, t_end=0.1)
-        res = run(ref_system, params, disturbance=disturbance, stride=1)
-        states = replay(ref_system, params, disturbance, res)
+    @pytest.mark.parametrize("fleet, disturbance, t_end", [
+        (None, None, 0.1),
+        (None, DisturbanceSpec(enabled=True, amplitude=0.5, seed=21), 0.1),
+        (1, None, 0.05),
+    ], ids=["plain", "disturbed", "fleet1"])
+    def test_rows_and_terminal_bit_identical(self, ref_system, fleet, disturbance, t_end):
+        # the reference case forms its RK4 chord factor again on most tries,
+        # the benchmark's seed-1 fleet once, before its first rejected try
+        system = ref_system if fleet is None else config_from_dict(benchmark_fleet_dict(fleet)).system()
+        params = dataclasses.replace(REF_PARAMS, t_end=t_end)
+        res = run(system, params, disturbance=disturbance, stride=1)
+        states = replay(system, params, disturbance, res)
         assert_rows_are_states(res.trajectory, states)
         assert_same_state(res.terminal, states[-1])
         # error control varies the width, after rejected steps too, and lands on t_end
@@ -480,6 +484,8 @@ class TestImplicitStep:
         assert res.terminal.residual < 1e-12
         assert np.max(np.abs(res.terminal.P - sol.P_star)) < 1e-9
         assert (res.steps, res.rejected_steps) == (246, 3)
+        # the chord factor goes stale on about half of the 214 RK4 tries
+        assert 1 < res.chord_factors < (res.steps + res.rejected_steps) / 2
         assert res.switch_time < res.settle_time
         mean_iters, max_iters = res.implicit_newton_iters
         assert 0.0 < mean_iters <= max_iters <= 10
@@ -582,7 +588,7 @@ class TestWorkPerStep:
     @pytest.mark.parametrize("mu, expected", [
         (0.5, [(5.0089910775, 4.9839910775, 246, 5.0075), (4.6916834404, 4.6666834404, 224, 4.69025),
                (5.6795236420, 5.6555236420, 277, 5.67875)]),
-        (0.2, [(3.3775342763, 3.3595342763, 421, 3.376), (3.0503935896, 3.0323935896, 400, 3.049),
+        (0.2, [(3.3775366885, 3.3595366885, 421, 3.376), (3.0503869351, 3.0323869351, 400, 3.049),
                (4.0782828235, 4.0612828235, 461, 4.07725)]),
     ])
     def test_verdicts_of_the_demand_splits(self, ref_system, mu, expected):
@@ -608,6 +614,34 @@ class TestWorkPerStep:
         assert res.settled
         assert abs(res.settle_time - 1.21975) < 0.01  # fixed step at dt = 2.5e-4
         assert np.abs(res.terminal.P - FINE_TERMINAL).max() < 1e-9
+
+
+class TestChordFactor:
+    """RK4's tries share one chord factor, formed again after a try whose
+    solve needed more than one chord correction or failed."""
+
+    def test_failed_solve_forms_a_fresh_factor(self, monkeypatch):
+        config = config_from_dict(benchmark_fleet_dict(1))
+        system, params = config.system(), dataclasses.replace(config.params, t_end=0.05)
+        plain = run(system, params, stride=1)
+        real, calls = dynamics._solve_power, []
+
+        def failing_once(*args):
+            # call 1 is the initial solve, and each RK4 try makes 4
+            calls.append(args)
+            if len(calls) == 30:
+                raise StepFailure("refused")
+            return real(*args)
+
+        monkeypatch.setattr(dynamics, "_solve_power", failing_once)
+        res = run(system, params, stride=1)
+        # the fleet keeps its first factor over every try (as over the 124 of
+        # its run to t_end 0.2, see tests/test_fingerprint.py), until the failure
+        assert (plain.chord_factors, res.chord_factors) == (1, 2)
+        assert res.status == "ok" and res.rejected_steps > plain.rejected_steps
+        traj = res.trajectory
+        drift = np.abs(traj.P.sum(axis=1) - system.dbar - traj.loss)
+        assert drift.max() <= system.n * params.fp_tol
 
 
 def disturbances_added(system, disturbance, monkeypatch):

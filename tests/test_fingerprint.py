@@ -1,7 +1,10 @@
 """The committed equivalence fingerprint, tools/fingerprint.py."""
 
 import importlib.util
+import json
 import pathlib
+
+import numpy as np
 
 TOOL = pathlib.Path(__file__).resolve().parent.parent / "tools" / "fingerprint.py"
 _spec = importlib.util.spec_from_file_location("fingerprint", TOOL)
@@ -10,20 +13,21 @@ _spec.loader.exec_module(fingerprint)
 
 
 def test_reference_run_outputs_keep_their_bytes(tmp_path):
-    # `fxdispatch run` on the reference case cut to --t-end 10: the bytes of
-    # both output files have been the same since before the fingerprint existed
+    # `fxdispatch run` on the reference case cut to --t-end 10
     fx, workloads = fingerprint.import_modules()
-    rec = fingerprint.named_runs(fx, workloads, tmp_path)["cli/reference"]()
-    assert rec["run.report.json"] == "dfb111962b2e0f986623b45178456ad72abd3fa8029e8b1975b25db865cb00ff"
-    assert rec["run.trajectory.csv"] == "76bc8988f7c3378c983fe0d52caadd4e6dc8eb43b7b8a3cef29d50c22a1a4b2a"
+    rec = fingerprint.hashes(fingerprint.named_runs(fx, workloads, tmp_path)["cli/reference"]())
+    assert rec["run.report.json"] == "258683288cc13aa5eedd7fa5e5ce4eb0dcbfbcfe08c317f3269cd21a43e0dc26"
+    assert rec["run.trajectory.csv"] == "5eb9f957786cef29eefac833370807529972494827a5b5a539666ae844b606c8"
 
 
 def test_fleet_run_outputs_keep_their_bytes(tmp_path):
     # `fxdispatch run` on the benchmark's seed-1 fleet of 64 units at its own t_end
     fx, workloads = fingerprint.import_modules()
     rec = fingerprint.named_runs(fx, workloads, tmp_path)["cli/fleet1"]()
-    assert rec["run.report.json"] == "3fa1205609f1f2cd1cabf56ab49be5c8ff85c1ed1575671cdfffa5afd59b10df"
-    assert rec["run.trajectory.csv"] == "d88c04cdc5e1e1710a780d97fecb0c539a8407d4b1975580edeb9f110b1d437f"
+    assert json.loads(rec["run.report.json"])["solver"]["chord_factors"] == 1
+    rec = fingerprint.hashes(rec)
+    assert rec["run.report.json"] == "ab7568ecf0f4b52529d0b32942fa03c7a113060b85b591a232f3bc5217cf2760"
+    assert rec["run.trajectory.csv"] == "00f2b5bc71de95070ed357c6c9f9239731b00b884af00a096cfffc80c8887b4c"
 
 
 def test_record_covers_fields_properties_and_nested_dataclasses():
@@ -40,3 +44,29 @@ def test_compare_names_values_that_differ_or_are_one_sided():
     new = {"a": {"x": "1", "y": "3", "z": "4"}, "b": {"x": "1", "z": "4"}}
     assert fingerprint.compare(new, old) == (["a: y"], ["z only in the new records, in 2 runs"])
     assert fingerprint.compare(old, old) == ([], [])
+
+
+def test_numbers_round_trip_and_give_max_abs_delta(tmp_path):
+    rec = {"steps": 3, "status": "ok", "switch_time": None, "iters": (2.5, 4), "P": np.array([1.0, np.inf]),
+           "check.stdout": b"PASS\n",
+           "run.trajectory.csv": b"t,P1\n0,1.5\n0.1,nan\n",
+           "run.report.json": b'{"a": {"b": [1, 2.5], "c": null, "d": "x"}, "e": true}'}
+    values = fingerprint.numbers(rec)
+    assert set(values) == {"steps", "iters", "P", "run.trajectory.csv", "run.report.json.a.b", "run.report.json.e"}
+    assert values["run.trajectory.csv"].shape == (2, 2)
+    path = tmp_path / "records.npz"
+    fingerprint.save_numbers(path, {"split0/mu=0.5,k1=5.0": values})
+    old = fingerprint.load_numbers(path)["split0/mu=0.5,k1=5.0"]
+    assert old.keys() == values.keys()
+    assert all(np.array_equal(old[key], values[key], equal_nan=True) for key in values)
+
+    moved = dict(rec, steps=5, P=np.array([1.25, np.inf]), **{
+        "run.trajectory.csv": b"t,P1\n0,1.5\n0.1,nan\n0.2,1\n",
+        "run.report.json": b'{"a": {"b": [1, 2], "new": 7}, "e": true}'})
+    new_values = fingerprint.numbers(moved)
+    new, before = ({"r": fingerprint.hashes(r)} for r in (moved, rec))
+    # the CSV has another shape, so no magnitude; report.json's shared numbers give one
+    assert fingerprint.compare(new, before, {"r": new_values}, {"r": old}) == (
+        ["r: P (max |Δ| 0.25)", "r: run.report.json (max |Δ| 0.5)", "r: run.trajectory.csv",
+         "r: steps (max |Δ| 2)"], [])
+    assert fingerprint.max_delta(new_values, old, "P") == 0.25

@@ -89,7 +89,8 @@ PUBLIC_PARAMETERS = {
     "NewtonFailure": ("msg", "best"),
     "RunConfig": ("generators", "loss", "topology", "params", "disturbance", "output", "z0"),
     "RunResult": ("trajectory", "terminal", "settle_time", "c_star", "min_power", "fail_step", "steps",
-                  "switch_time", "implicit_newton_iters", "power_solve_iters", "rejected_steps"),
+                  "switch_time", "implicit_newton_iters", "power_solve_iters", "rejected_steps",
+                  "chord_factors"),
     "SMatrix": ("S", "tau"),
     "SettlingBound": ("alpha", "beta", "mu", "nu"),
     "SimulationState": ("t", "z", "P", "lam", "H", "cost", "loss"),

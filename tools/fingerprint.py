@@ -10,9 +10,14 @@ Each run's record maps every value it produced to a sha256: for a run, every
 trajectory and the terminal state; for a CLI command, its exit code and
 stdout, and for `run` its two output files. A run's digest is over its
 record, and the combined digest over every run's. --json writes the
-records; --against reads records so written (say, by a copy of this script
-in a checkout of the parent commit) and exits 1 if a value both trees have
-differs, listing apart the values only one has.
+records, and beside them, with the suffix .npz, every numeric value of every
+record as a float64 array: the numbers, tuples and arrays of a run, the
+table of `trajectory.csv` and each number or list of numbers of
+`report.json`. --against reads records so written (say, by a copy of this
+script in a checkout of the parent commit) and exits 1 if a value both trees
+have differs, listing apart the values only one has; where the .npz beside
+the old records holds a differing value, or report.json's numbers, with the
+shape it has now, the line gives max |new - old| over them.
 
 The runs (on `configs/reference_case.yaml` unless named otherwise):
 - `reference`: the run file as it is (t_end 200);
@@ -61,16 +66,18 @@ def import_modules():
 
 
 def _encode(value) -> bytes:
+    if isinstance(value, bytes):  # a CLI output, hashed as written
+        return value
     if isinstance(value, np.ndarray):
         return f"{value.dtype.str}{value.shape}".encode() + np.ascontiguousarray(value).tobytes()
     return repr(value.item() if isinstance(value, np.generic) else value).encode()
 
 
-def record(value, name: str = "") -> dict[str, str]:
-    """{dotted name: sha256} over a dataclass's fields and read-only
+def record(value, name: str = "") -> dict:
+    """{dotted name: value} over a dataclass's fields and read-only
     properties, recursing into dataclass values."""
     if not dataclasses.is_dataclass(value):
-        return {name: hashlib.sha256(_encode(value)).hexdigest()}
+        return {name: value}
     attrs = [f.name for f in dataclasses.fields(value)]
     attrs += [attr for attr, _ in inspect.getmembers(type(value), lambda m: isinstance(m, property))]
     out = {}
@@ -79,13 +86,72 @@ def record(value, name: str = "") -> dict[str, str]:
     return out
 
 
+def hashes(rec: dict) -> dict[str, str]:
+    """{name: sha256} of a record's values."""
+    return {key: hashlib.sha256(_encode(value)).hexdigest() for key, value in rec.items()}
+
+
+def _json_numbers(value, name: str) -> dict[str, np.ndarray]:
+    """{dotted name: array} of each number, bool or list of them in parsed JSON."""
+    if isinstance(value, dict):
+        return {k: v for key, item in value.items() for k, v in _json_numbers(item, f"{name}.{key}").items()}
+    items = value if isinstance(value, list) else [value]
+    if items and all(isinstance(v, (bool, int, float)) for v in items):
+        return {name: np.asarray(value, dtype=float)}
+    return {}
+
+
+def numbers(rec: dict) -> dict[str, np.ndarray]:
+    """{name: float64 array} of each numeric value of a record (see the
+    module docstring); strings, None and stdout have none."""
+    out = {}
+    for key, value in rec.items():
+        if key.endswith(".csv"):
+            out[key] = np.loadtxt(io.BytesIO(value), delimiter=",", skiprows=1, ndmin=2)
+        elif key.endswith(".json"):
+            out.update(_json_numbers(json.loads(value), key))
+        elif value is not None and not isinstance(value, (str, bytes)):
+            out[key] = np.asarray(value, dtype=float)
+    return out
+
+
+def save_numbers(path: pathlib.Path, values: dict[str, dict[str, np.ndarray]]) -> None:
+    """Write {run: numbers(record)} to one .npz, keyed "run::name"."""
+    np.savez(path, **{f"{run}::{key}": array for run, arrays in values.items() for key, array in arrays.items()})
+
+
+def load_numbers(path: pathlib.Path) -> dict[str, dict[str, np.ndarray]]:
+    """The {run: {name: array}} that save_numbers wrote."""
+    values = {}
+    with np.load(path) as npz:
+        for entry in npz.files:
+            run, key = entry.split("::", 1)
+            values.setdefault(run, {})[key] = npz[entry]
+    return values
+
+
+def max_delta(new: dict[str, np.ndarray], old: dict[str, np.ndarray], key: str) -> float | None:
+    """max |new - old| over the arrays named key or key.<...> that both hold
+    with one shape (equal values, infinities and nan included, count 0);
+    None if there are none."""
+    deltas = []
+    for name, a in new.items():
+        b = old.get(name)
+        if (name == key or name.startswith(key + ".")) and b is not None and a.shape == b.shape:
+            with np.errstate(invalid="ignore"):
+                gap = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, np.abs(a - b))
+            deltas.append(float(np.max(gap, initial=0.0)))
+    return max(deltas) if deltas else None
+
+
 def digest(rec: dict[str, str]) -> str:
     return hashlib.sha256("".join(f"{k} {v}\n" for k, v in sorted(rec.items())).encode()).hexdigest()
 
 
-def cli_record(fx, config_path: str, out_dir: pathlib.Path, t_end: float | None = None) -> dict[str, str]:
+def cli_record(fx, config_path: str, out_dir: pathlib.Path, t_end: float | None = None) -> dict:
     """Exit code and stdout of check, bound and oracle, and exit code and
-    output files of run (its stdout holds the wall time, so is left out)."""
+    output files of run (its stdout holds the wall time, so is left out);
+    stdout and the files as bytes."""
     rec = {}
     for command in ("check", "bound", "oracle", "run"):
         argv = [command, "--config", config_path]
@@ -94,11 +160,11 @@ def cli_record(fx, config_path: str, out_dir: pathlib.Path, t_end: float | None 
         text = io.StringIO()
         with contextlib.redirect_stdout(text):
             code = fx.cli.main(argv)
-        rec[f"{command}.exit"] = hashlib.sha256(str(code).encode()).hexdigest()
+        rec[f"{command}.exit"] = code
         if command != "run":
-            rec[f"{command}.stdout"] = hashlib.sha256(text.getvalue().encode()).hexdigest()
+            rec[f"{command}.stdout"] = text.getvalue().encode()
     for name in ("report.json", "trajectory.csv"):
-        rec[f"run.{name}"] = hashlib.sha256((out_dir / name).read_bytes()).hexdigest()
+        rec[f"run.{name}"] = (out_dir / name).read_bytes()
     return rec
 
 
@@ -161,13 +227,19 @@ def named_runs(fx, workloads, work: pathlib.Path) -> dict:
     return runs
 
 
-def compare(new: dict, old: dict) -> tuple[list[str], list[str]]:
-    """(each run value both records hold that differs, as "run: value";
-    each value only one side holds, with the number of runs that have it)."""
+def compare(new: dict, old: dict, new_values: dict | None = None,
+            old_values: dict | None = None) -> tuple[list[str], list[str]]:
+    """(each run value both records hold that differs, as "run: value",
+    followed by its max_delta where the {run: numbers} dicts give one; each
+    value only one side holds, with the number of runs that have it)."""
+    new_values, old_values = new_values or {}, old_values or {}
     differs, one_sided = [], {}
     for name in sorted(set(new) & set(old)):
         a, b = new[name], old[name]
-        differs += [f"{name}: {key}" for key in sorted(set(a) & set(b)) if a[key] != b[key]]
+        for key in sorted(set(a) & set(b)):
+            if a[key] != b[key]:
+                delta = max_delta(new_values.get(name, {}), old_values.get(name, {}), key)
+                differs.append(f"{name}: {key}" + ("" if delta is None else f" (max |Δ| {delta:.3g})"))
         for key in set(a) ^ set(b):
             side = "new" if key in a else "old"
             one_sided[key, side] = one_sided.get((key, side), 0) + 1
@@ -177,21 +249,25 @@ def compare(new: dict, old: dict) -> tuple[list[str], list[str]]:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
-    parser.add_argument("--json", help="write every run's record to this file")
+    parser.add_argument("--json", help="write every run's record to this file, and its numbers beside it as .npz")
     parser.add_argument("--against", help="compare with records written by --json")
     args = parser.parse_args(argv)
     fx, workloads = import_modules()
-    records = {}
+    records, values = {}, {}
     with tempfile.TemporaryDirectory() as work:
         for name, make in named_runs(fx, workloads, pathlib.Path(work)).items():
-            records[name] = make()
+            rec = make()
+            records[name], values[name] = hashes(rec), numbers(rec)
             print(f"{digest(records[name])}  {name}", flush=True)
     print(f"{hashlib.sha256(''.join(digest(r) for r in records.values()).encode()).hexdigest()}  combined")
     if args.json:
         pathlib.Path(args.json).write_text(json.dumps(records, indent=1, sort_keys=True) + "\n")
+        save_numbers(pathlib.Path(args.json).with_suffix(".npz"), values)
     if args.against:
         old = json.loads(pathlib.Path(args.against).read_text())
-        differs, one_sided = compare(records, old)
+        old_npz = pathlib.Path(args.against).with_suffix(".npz")
+        old_values = load_numbers(old_npz) if old_npz.is_file() else {}
+        differs, one_sided = compare(records, old, values, old_values)
         for line in [f"DIFFERS {line}" for line in differs] + one_sided:
             print(line)
         print(f"{len(differs)} values differ of those both records hold")
