@@ -229,13 +229,13 @@ def settling_bound(params: AlgorithmParams, rho: float, tau1: float, phi2: float
     """Closed-form fixed-time settling estimate from gains and spectra.
 
     params is an AlgorithmParams, whose constructor ensures k1, k2 > 0 and
-    0 < mu < 1 < nu. AssumptionViolation unless tau1 > 0 (the eigenvalue
-    gate; a forced run can reach here with it failed) and phi2 > 0
-    (connectivity; a one-node spectrum has phi2 = 0).
+    0 < mu < 1 < nu. AssumptionViolation unless tau1 > 0 (the curvature
+    gate of `fxdispatch check`, which the CLI passes before calling here) and
+    phi2 > 0 (connectivity; a one-node spectrum has phi2 = 0).
     """
     k1, k2, mu, nu = params.k1, params.k2, params.mu, params.nu
     if tau1 <= 0:
-        raise AssumptionViolation(f"tau1={tau1} <= 0: eigenvalue gate failed, bound undefined")
+        raise AssumptionViolation(f"tau1={tau1} <= 0: curvature condition failed, bound undefined")
     if phi2 <= 0:
         raise AssumptionViolation(f"phi2={phi2} <= 0: graph disconnected, bound undefined")
     base = (1.0 + rho) * tau1 * phi2**2

@@ -37,7 +37,8 @@ class Gates:
 
     @property
     def all_ok(self) -> bool:
-        return self.report.all_ok
+        """The report's gates and tau1 > 0, which A2 on eig(B) implies only for delta > 0."""
+        return self.report.all_ok and self.tau1 > 0
 
 
 def evaluate_gates(config: RunConfig) -> Gates:
@@ -59,6 +60,7 @@ def cmd_check(config: RunConfig) -> int:
         ("gradient_condition (A1)", r.a1_ok, ""),
         ("coefficient_magnitude", r.remark2_ok, ""),
         ("eigenvalue_condition (A2)", r.a2_ok, f"value={_fmt(r.a2_value)}"),
+        ("curvature_condition (tau1 > 0)", g.tau1 > 0, f"value={_fmt(g.tau1)}"),
     ]
     for name, ok, extra in rows:
         print(f"{name:36s} {'PASS' if ok else 'FAIL'}  {extra}")
@@ -99,12 +101,8 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False) 
         return EXIT_VALIDATION
 
     n = len(config.generators)
-    ts_bound = None  # null, as is within, where `bound` calls it undefined: failed gates or tau1 <= 0
-    if g.all_ok:
-        try:
-            ts_bound = settling_bound(config.params, g.report.rho, g.tau1, g.phi2, n).ts
-        except AssumptionViolation:
-            pass
+    # null, as is within, where `bound` refuses it: some gate failed under --force
+    ts_bound = settling_bound(config.params, g.report.rho, g.tau1, g.phi2, n).ts if g.all_ok else None
 
     dbar = total_demand(config.generators)
     eq = pf = None
@@ -124,7 +122,9 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False) 
     wall = time.perf_counter() - t0
 
     term, iters, solves = result.terminal, result.implicit_newton_iters, result.power_solve_iters
-    within = None if ts_bound is None else result.settled and result.settle_time <= ts_bound
+    # null after a negative power as well: delta = min b bounds the marginal costs only on P >= 0
+    within = (None if ts_bound is None or result.negative_power_seen
+              else result.settled and result.settle_time <= ts_bound)
     report = {
         "status": result.status,
         "terminal_power": [float(p) for p in term.P],
@@ -142,7 +142,7 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False) 
             "a1_ok": g.report.a1_ok,
             "remark2_ok": g.report.remark2_ok,
             "a2_ok": g.report.a2_ok,
-            "all_ok": g.report.all_ok,
+            "all_ok": g.all_ok,
             "sigma": g.report.sigma,
             "delta": g.report.delta,
             "a2_value": g.report.a2_value,

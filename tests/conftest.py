@@ -43,6 +43,37 @@ def ring_fleet_dict(n):
     }
 
 
+def _path_fleet_dict(gens, B):
+    n = len(gens)
+    return {
+        "generators": gens,
+        "loss": {"b_matrix": B.tolist(), "b0": [0.0] * n, "b00": 0.0},
+        "topology": {"nodes": n, "edges": [[i, i + 1, 1.0] for i in range(n - 1)]},
+        "params": {"k1": 5.0, "k2": 5.0, "mu": 0.5, "nu": 2.0, "t_end": 2.0, "settle_window": 0.1},
+    }
+
+
+def two_unit_negative_delta_dict():
+    """Two units with b = -700 (delta < 0) on one link that pass A1, remark 2
+    and A2 (value 0.1 - 700 * 1e-4 = 0.03) while tau1 = 0.1 - 700 * 2e-4 = -0.04."""
+    gen = {"a": 10.0, "b": -700.0, "c": 0.05, "p0": 100.0, "d0": 100.0}
+    return _path_fleet_dict([dict(gen), dict(gen)], np.diag([1e-4, 1e-4]))
+
+
+def negative_delta_fleet_dict(seed):
+    """A seeded path fleet of 2-6 units with b ~ U(-800, 5), so nearly always
+    delta < 0, c ~ U(0.02, 0.12), diag B ~ U(5e-5, 2e-4) and off-diagonal
+    entries in [0, 1e-5]. Of seeds 0-199, 40 pass A2 with tau1 <= 0."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(2, 7))
+    off = rng.uniform(0.0, 1e-5, (n, n))
+    B = (off + off.T) / 2.0
+    np.fill_diagonal(B, rng.uniform(5e-5, 2e-4, n))
+    gens = [{"a": 10.0, "b": float(rng.uniform(-800.0, 5.0)), "c": float(rng.uniform(0.02, 0.12)),
+             "p0": 100.0, "d0": 100.0} for _ in range(n)]
+    return _path_fleet_dict(gens, B)
+
+
 def benchmark_fleet_dict(seed):
     """perfbench/workloads.py's fleet_dict(seed): the benchmark's seeded
     64-unit fleet, at its t_end of 0.2 s."""

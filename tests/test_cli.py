@@ -41,7 +41,7 @@ from fxdispatch.cli import (
 from fxdispatch.config import OutputSpec, atomic_write_text, config_from_dict
 from fxdispatch.dynamics import Trajectory
 from fxdispatch.topology import laplacian
-from tests.conftest import ring_fleet_dict
+from tests.conftest import negative_delta_fleet_dict, ring_fleet_dict, two_unit_negative_delta_dict
 
 CONFIG_PATH = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference_case.yaml"
 
@@ -265,13 +265,24 @@ class TestCheck:
         assert "FAIL" not in text
         assert "value=0.164" in text
 
-    def test_four_gate_rows_then_one_values_line(self, reference_config):
+    def test_five_gate_rows_then_one_values_line(self, reference_config):
         code, text = run_cmd(cmd_check, reference_config)
         lines = text.splitlines()
         assert [line.split()[0] for line in lines[:-1]] == [
-            "connected", "gradient_condition", "coefficient_magnitude", "eigenvalue_condition"]
+            "connected", "gradient_condition", "coefficient_magnitude", "eigenvalue_condition",
+            "curvature_condition"]
         assert "convexity" not in text
+        tau1 = lines[-1].split("tau1=")[1].split()[0]
+        assert lines[-2].split()[-2:] == ["PASS", f"value={tau1}"] and tau1.startswith("0.16438")
         assert lines[-1].startswith("sigma=0.164 delta=1.21 rho=0.001 ")
+
+    def test_negative_tau1_is_the_only_failed_row(self):
+        # A2 on eig(B) passes, but tau1 = lambda_min(S) < 0: the bound's premise fails
+        code, text = run_cmd(cmd_check, config_from_dict(two_unit_negative_delta_dict()))
+        assert code == EXIT_VALIDATION
+        assert [line.split()[0] for line in text.splitlines() if "FAIL" in line] == ["curvature_condition"]
+        assert "eigenvalue_condition (A2)" in text and "PASS  value=0.03" in text
+        assert "FAIL  value=-0.04" in text
 
     def test_constructed_failure(self, base_dict):
         code, text = run_cmd(cmd_check, failing_config(base_dict))
@@ -313,6 +324,14 @@ class TestBound:
     def test_refuses_on_failed_gates(self, base_dict):
         code, text = run_cmd(cmd_bound, failing_config(base_dict))
         assert code == EXIT_VALIDATION
+
+    def test_negative_tau1_refused_by_the_gates(self, tmp_path, capsys):
+        path = tmp_path / "two_units.json"
+        path.write_text(json.dumps(two_unit_negative_delta_dict()))
+        assert main(["bound", "--config", str(path)]) == EXIT_VALIDATION
+        out, err = capsys.readouterr()
+        assert out.startswith("assumption gates failed; settling bound undefined")
+        assert "assumption violation" not in out + err
 
 
 class TestRun:
@@ -397,7 +416,7 @@ class TestRun:
         assert not (tmp_path / "report.json").exists()
 
     def test_forced_run_with_failed_a2_has_no_bound(self, base_dict, tmp_path):
-        # A2 fails, so tau1 <= 0 and settling_bound raises; the run goes on without a bound
+        # A2 fails, so the bound is not formed; the run goes on without it
         base_dict["params"]["t_end"] = 0.05
         code, _ = run_cmd(cmd_run, failing_config(base_dict), out_dir=str(tmp_path), force=True)
         assert code == EXIT_OK
@@ -421,19 +440,31 @@ class TestRun:
         assert report["settling_time_bound"] is None and report["settling_within_bound"] is None
 
     def test_undefined_bound_leaves_within_null(self, tmp_path):
-        # b = -700 makes delta < 0, and these two units pass every gate with
-        # tau1 = -0.04, for which the settling bound is undefined
-        d = {"generators": [{"a": 10.0, "b": -700.0, "c": 0.05, "p0": 100.0, "d0": 100.0}] * 2,
-             "loss": {"b_matrix": [[1e-4, 0.0], [0.0, 1e-4]], "b0": [0.0, 0.0], "b00": 0.0},
-             "topology": {"nodes": 2, "edges": [[0, 1, 1.0]]},
-             "params": {"k1": 5.0, "k2": 5.0, "mu": 0.5, "nu": 2.0, "t_end": 2.0, "settle_window": 0.1}}
-        config = config_from_dict(d)
+        # b = -700 makes delta < 0: these two units pass A1, remark 2 and A2,
+        # but tau1 = -0.04, so the gates fail and the bound is undefined
+        config = config_from_dict(two_unit_negative_delta_dict())
         gates = evaluate_gates(config)
-        assert gates.all_ok and gates.tau1 == pytest.approx(-0.04)
-        code, _ = run_cmd(cmd_run, config, out_dir=str(tmp_path))
+        assert gates.report.all_ok and gates.tau1 == pytest.approx(-0.04) and not gates.all_ok
+        code, text = run_cmd(cmd_run, config, out_dir=str(tmp_path))
+        assert code == EXIT_VALIDATION and "curvature_condition" in text
+        assert not (tmp_path / "report.json").exists()
+        code, _ = run_cmd(cmd_run, config, out_dir=str(tmp_path), force=True)
         report = json.loads((tmp_path / "report.json").read_text())
         assert code == EXIT_OK and report["settled"] is True
+        assert report["assumptions"]["a2_ok"] is True and report["assumptions"]["all_ok"] is False
         assert report["settling_time_bound"] is None and report["settling_within_bound"] is None
+
+    def test_negative_power_leaves_within_null(self, base_dict, tmp_path):
+        # delta = min b bounds the marginal costs only on P >= 0; this run
+        # settles within the bound's figure after a power went negative
+        base_dict["initial"] = {"z0": [60.0, -60.0, 60.0, -60.0]}
+        base_dict["params"]["t_end"] = 20.0
+        code, _ = run_cmd(cmd_run, config_from_dict(base_dict), out_dir=str(tmp_path))
+        report = json.loads((tmp_path / "report.json").read_text())
+        assert code == EXIT_OK and report["negative_power_seen"] is True
+        assert report["settled"] is True and report["measured_settling_time"] < report["settling_time_bound"]
+        assert report["assumptions"]["all_ok"] is True
+        assert report["settling_within_bound"] is None
 
     def test_negative_power_between_rows_is_reported(self, base_dict, tmp_path):
         # a power dips below zero between the rows of the shipped stride 100
@@ -478,6 +509,22 @@ class TestOracle:
         code, text = run_cmd(cmd_oracle, reference_config)
         assert code == EXIT_OK
         assert "dispatch gap" in text
+
+
+def test_check_passes_iff_bound_does_over_negative_delta_fleets(tmp_path):
+    passed = a2_only = 0
+    for seed in range(200):
+        d = negative_delta_fleet_dict(seed)
+        path = tmp_path / f"fleet{seed}.json"
+        path.write_text(json.dumps(d))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            check, bound = (main([command, "--config", str(path)]) for command in ("check", "bound"))
+        assert (check == EXIT_OK) == (bound == EXIT_OK), seed
+        passed += check == EXIT_OK
+        gates = evaluate_gates(config_from_dict(d))
+        a2_only += gates.report.a2_ok and gates.tau1 <= 0
+    # the family holds fleets that pass both, and fleets whose A2 row passes with tau1 <= 0
+    assert (passed, a2_only) == (12, 40)
 
 
 class TestMain:

@@ -4,7 +4,8 @@ keeps every result bit for bit.
     python3 tools/fingerprint.py [--json OUT.json] [--against OLD.json]
 
 Imports fxdispatch from this checkout's `src/` and reads the benchmark's
-seeded inputs (`fleet_dict`, `sweep_scenarios`) from `perfbench/workloads.py`.
+seeded inputs (`fleet_dict`, `sweep_scenarios`) from `perfbench/workloads.py`
+and the gate tests' negative-delta fleets from `tests/conftest.py`.
 Each run's record maps every value it produced to a sha256: for a run, every
 `RunResult` field and read-only property (the verdicts), recursing into the
 trajectory and the terminal state; for a CLI command, its exit code and
@@ -31,7 +32,10 @@ The runs (on `configs/reference_case.yaml` unless named otherwise):
 - `step50`: 50 public step() calls from z = 0;
 - `cli/reference`, `cli/fleet1`: `check`, `bound`, `oracle` and `run` (the
   reference case cut to --t-end 10, fleet 1 at its own t_end);
-- `gates`: the assumption gates of 300 seeded fleets of 4 to 11 units.
+- `gates`: the assumption gates of 300 seeded fleets of 4 to 11 units;
+- `gates/delta<0`: the assumption gates of the two-unit case whose A2 passes
+  with tau1 < 0, and of the 200 negative-delta fleets (seeds 0-199) over
+  which `check` must pass exactly when `bound` does.
 """
 
 from __future__ import annotations
@@ -55,8 +59,9 @@ SPLITS = ((170.0, 110.0, 140.0, 180.0), (150.0, 150.0, 150.0, 150.0), (300.0, 10
 
 
 def import_modules():
-    """fxdispatch from this checkout's src/, and perfbench's workloads module."""
-    for sub in ("perfbench", "src"):
+    """fxdispatch from this checkout's src/, and perfbench's workloads module;
+    the checkout's root goes on the path too, for the tests' fleets."""
+    for sub in ("", "perfbench", "src"):
         sys.path.insert(0, str(ROOT / sub))
     import fxdispatch
     import fxdispatch.cli
@@ -224,6 +229,17 @@ def named_runs(fx, workloads, work: pathlib.Path) -> dict:
             rec.update(record(fx.cli.evaluate_gates(config), str(seed)))
         return rec
     runs["gates"] = gates
+
+    def negative_delta_gates():
+        from tests import conftest
+
+        rec = record(fx.cli.evaluate_gates(fx.config.config_from_dict(conftest.two_unit_negative_delta_dict())),
+                     "two_unit")
+        for seed in range(200):
+            config = fx.config.config_from_dict(conftest.negative_delta_fleet_dict(seed), f"delta<0 {seed}")
+            rec.update(record(fx.cli.evaluate_gates(config), str(seed)))
+        return rec
+    runs["gates/delta<0"] = negative_delta_gates
     return runs
 
 
