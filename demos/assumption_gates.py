@@ -5,20 +5,22 @@ Standing-assumption gates
 Loads the shipped reference configuration and evaluates every gate the
 convergence analysis relies on: graph connectivity, the own-loss gradient
 condition, the coefficient-magnitude condition, and the eigenvalue
-condition coupling the loss matrix with cost convexity. Then breaks the
+condition coupling the loss matrix with cost convexity, and prints the
+verdict `fxdispatch check` gives, which also needs tau1 > 0. Then breaks the
 eigenvalue condition on purpose to show what a failing report looks like.
 
 Run:  python3 demos/assumption_gates.py
 """
 
+import dataclasses
 import pathlib
 
 from fxdispatch import (
     GeneratorSpec,
-    KronLossModel,
     assemble_assumption_report,
     load_config,
 )
+from fxdispatch.cli import evaluate_gates
 
 config = load_config(str(pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference_case.yaml"))
 
@@ -30,7 +32,7 @@ print(f"  magnitude gate   {report.remark2_ok}")
 print(f"  eigenvalue gate  {report.a2_ok}  (value {report.a2_value:.6f})")
 print(f"  sigma={report.sigma}  delta={report.delta}  rho={report.rho}")
 print(f"  extreme loss-matrix eigenvalues: b1={report.b1:.4e}  bN={report.bN:.4e}")
-print(f"  all gates pass:  {report.all_ok}")
+print(f"  check verdict    {evaluate_gates(config).all_ok}  (all gates and tau1 > 0)")
 
 # Now flip delta negative with tiny curvature: the eigenvalue condition
 # (1+rho)*sigma + bN*delta must go negative.
@@ -39,4 +41,5 @@ broken = tuple(GeneratorSpec(a=g.a, b=-1.0, c=1e-5, p0=g.p0, d0=g.d0)
 bad = assemble_assumption_report(config.loss, broken, config.topology)
 print("\nnegative-delta fleet:")
 print(f"  eigenvalue gate  {bad.a2_ok}  (value {bad.a2_value:.3e})")
-print(f"  all gates pass:  {bad.all_ok}")
+print(f"  check verdict    {evaluate_gates(dataclasses.replace(config, generators=broken)).all_ok}"
+      "  (all gates and tau1 > 0)")

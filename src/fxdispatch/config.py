@@ -1,9 +1,10 @@
 """Run configuration: run-file schema, validation, and round-trip serialization.
 
 A run file is JSON or YAML. `save_config` writes JSON, which is also valid
-YAML; `load_config` tries JSON first and parses the file as YAML only if it
-is not JSON, so a saved file loads without PyYAML's Python-level
-constructor and a hand-written YAML file loads as before.
+YAML; `load_config` tries JSON first and imports PyYAML to parse the file
+only if it is not JSON, so a saved file loads without PyYAML and a
+hand-written YAML file loads as before. B and B0 are converted in bulk:
+one pass over their elements' types, then one array each.
 
 A run file has sections `generators`, `loss`, `topology`, `params`,
 `disturbance`, `output`, and optionally `initial`. Powers are MW, costs
@@ -26,7 +27,6 @@ import tempfile
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
-import yaml
 
 from .dynamics import AlgorithmParams, DisturbanceSpec, DispatchSystem, _check_sizes
 from .grid_model import ConfigurationError, GeneratorSpec, KronLossModel
@@ -80,16 +80,20 @@ class RunConfig:
         return isinstance(other, RunConfig) and self.to_dict() == other.to_dict()
 
 
+#: the errors a conversion or a constructor raises for a refused value;
+#: OverflowError is int of an infinity
+_REFUSED = (TypeError, ValueError, OverflowError)
+
+
 @contextlib.contextmanager
 def _errors(path: str, where: str):
-    """Re-raise a KeyError, TypeError, ValueError or OverflowError (int of an
-    infinity) from the body as a ConfigurationError naming the file and the
-    section."""
+    """Re-raise a KeyError or a _REFUSED error from the body as a
+    ConfigurationError naming the file and the section."""
     try:
         yield
     except KeyError as e:
         raise ConfigurationError(f"{path}: {where}: missing key {e}") from e
-    except (TypeError, ValueError, OverflowError) as e:
+    except _REFUSED as e:
         raise ConfigurationError(f"{path}: {where}: {e}") from e
 
 
@@ -127,27 +131,49 @@ def _as_int(value) -> int:
     return n
 
 
-def _floats(value):
-    """value, a number or a nested list of numbers, with every number read
-    by _as_float."""
-    return [_floats(v) for v in value] if isinstance(value, list) else _as_float(value)
+#: the exact types of a number that np.array reads as float(value) does;
+#: bool, a subclass of int, is not one
+_NUMBER = (int, float)
+
+
+def _numbers(value):
+    """value, a number or a nested list of numbers, with every element that
+    is not an int or a float (a YAML numeric string such as "1e-3", a
+    boolean) read by _as_float."""
+    if isinstance(value, list):
+        return [v if type(v) in _NUMBER else _numbers(v) for v in value]
+    return _as_float(value)
+
+
+def _floats(value) -> np.ndarray:
+    """value, a number or a nested list of numbers, as one float array."""
+    return np.array(_numbers(value), dtype=float)
 
 
 #: run-file value -> field value, by the field's annotation (a string: the spec
 #: modules use postponed evaluation of annotations)
 _CONVERT = {"float": _as_float, "int": _as_int, "str": str, "bool": _as_bool}
 
+#: field name -> converter, for each spec dataclass of a run file
+_CONVERTERS = {cls: {f.name: _CONVERT[f.type] for f in fields(cls)}
+               for cls in (GeneratorSpec, AlgorithmParams, DisturbanceSpec, OutputSpec)}
+
 
 def _spec(cls, sec, where: str, path: str):
     """Build a spec dataclass from its run-file mapping; keys, types and
-    defaults come from the dataclass fields."""
-    convert = {f.name: _CONVERT[f.type] for f in fields(cls)}
+    defaults come from the dataclass fields (_CONVERTERS)."""
+    convert = _CONVERTERS[cls]
+    items = _mapping(sec, convert, where, path).items()
     kwargs = {}
-    for key, value in _mapping(sec, convert, where, path).items():
-        with _errors(path, f"{where}.{key}"):
+    try:
+        for key, value in items:
             kwargs[key] = convert[key](value)
-    with _errors(path, where):
+    except _REFUSED as e:
+        raise ConfigurationError(f"{path}: {where}.{key}: {e}") from e
+    try:
         return cls(**kwargs)
+    except _REFUSED as e:
+        raise ConfigurationError(f"{path}: {where}: {e}") from e
 
 
 def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
@@ -164,10 +190,11 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
         _check_sizes(len(gens_sec), loss=loss)
 
     gens = [_spec(GeneratorSpec, g, f"generators[{k}]", path) for k, g in enumerate(gens_sec)]
-    with _errors(path, "generators"):
-        own = loss.generator_losses(np.array([g.p0 for g in gens]))
-    gens = [g if "d0" in raw else replace(g, d0=float(g.p0 - own[k]))
-            for k, (g, raw) in enumerate(zip(gens, gens_sec))]
+    if not all("d0" in raw for raw in gens_sec):
+        with _errors(path, "generators"):
+            own = loss.generator_losses(np.array([g.p0 for g in gens]))
+        gens = [g if "d0" in raw else replace(g, d0=float(g.p0 - own[k]))
+                for k, (g, raw) in enumerate(zip(gens, gens_sec))]
 
     topo_sec = _mapping(data.get("topology"), ("nodes", "edges"), "topology", path)
     with _errors(path, "topology.nodes"):
@@ -203,6 +230,8 @@ def load_config(path: str) -> RunConfig:
         except json.JSONDecodeError:
             # from the file, so that a YAML parse error names it
             fh.seek(0)
+            import yaml  # only a file that is not JSON needs PyYAML
+
             try:
                 data = yaml.load(fh, Loader=getattr(yaml, "CSafeLoader", yaml.SafeLoader))
             except yaml.YAMLError as e:

@@ -89,9 +89,8 @@ class KronLossModel:
             raise ConfigurationError(f"B0 length {B0.shape} does not match B ({n}x{n})")
         if not (np.isfinite(B).all() and np.isfinite(B0).all() and np.isfinite(B00)):
             raise ConfigurationError("all entries of B and B0, and B00, must be finite")
-        bad = np.argwhere(B != B.T)
-        if bad.size:
-            i, j = bad[0]
+        if (B != B.T).any():
+            i, j = np.argwhere(B != B.T)[0]
             raise ConfigurationError(f"B is not symmetric at indices ({i},{j})")
         if (B < 0).any() or (B0 < 0).any():
             raise ConfigurationError("all entries of B and B0 must be >= 0")

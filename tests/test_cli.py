@@ -8,6 +8,9 @@ import logging
 import math
 import os
 import pathlib
+import re
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -179,6 +182,60 @@ class TestLoadConfig:
             save_config(config, str(path))
             assert load_config(str(path)) == config
 
+    def test_saved_file_loads_without_importing_yaml(self, tmp_path):
+        path = tmp_path / "fleet.json"
+        save_config(config_from_dict(ring_fleet_dict(64)), str(path))
+        code = ("import sys, fxdispatch\n"
+                "for path in sys.argv[1:]:\n"
+                "    fxdispatch.load_config(path)\n"
+                "    print('yaml' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(CONFIG_PATH.parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code, str(path), str(CONFIG_PATH)], env=env,
+                              capture_output=True, text=True, timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        # the hand-written YAML file then imports it
+        assert proc.stdout == "False\nTrue\n"
+
+    def test_fleet_sized_file_loads_as_the_per_value_conversion(self, tmp_path):
+        config = config_from_dict(ring_fleet_dict(64))
+        path = tmp_path / "fleet.json"
+        save_config(config, str(path))
+        loaded = load_config(str(path))
+        assert loaded == config
+        saved = json.loads(path.read_text())["loss"]
+        per_value = (np.array([[float(v) for v in row] for row in saved["b_matrix"]]),
+                     np.array([float(v) for v in saved["b0"]]))
+        for got, expected in zip((loaded.loss.B, loaded.loss.B0), per_value):
+            assert got.dtype == np.float64 and got.shape == expected.shape
+            assert got.tobytes() == expected.tobytes()
+
+    def test_fleet_b_matrix_of_ints_and_numeric_strings_loads_to_the_same_floats(self, tmp_path):
+        data = ring_fleet_dict(64)
+        B = data["loss"]["b_matrix"]
+        B[10][20] = B[20][10] = 1e-5
+        B[0][5] = B[5][0] = B[7][7] = 0.0
+        expected = config_from_dict(data).loss.B
+        B[10][20] = B[20][10] = "1e-5"
+        B[0][5] = B[5][0] = B[7][7] = 0
+        path = tmp_path / "fleet.yaml"
+        path.write_text(yaml.safe_dump(data))
+        # YAML reads an exponent without a dot as a string
+        assert yaml.safe_load(path.read_text())["loss"]["b_matrix"][20][10] == "1e-5"
+        assert load_config(str(path)).loss.B.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("edit, message", [
+        (lambda B: B[63].__setitem__(62, True), "expected a number, got True$"),
+        (lambda B: B[63].__setitem__(62, None),
+         r"float\(\) argument must be a string or a real number, not 'NoneType'$"),
+        (lambda B: B[63].pop(), "setting an array element with a sequence"),
+    ], ids=["true", "none", "ragged"])
+    def test_fleet_b_matrix_refusals_name_the_loss_section(self, edit, message):
+        data = ring_fleet_dict(64)
+        edit(data["loss"]["b_matrix"])
+        with pytest.raises(ConfigurationError, match="^fleet.json: loss: " + message):
+            config_from_dict(data, "fleet.json")
+
     def test_shipped_yaml_loads_through_the_fallback(self, monkeypatch):
         expected = config_from_dict(yaml.safe_load(CONFIG_PATH.read_text()))
         calls = []
@@ -238,7 +295,7 @@ class TestLoadConfig:
     def test_parse_error_reported(self, text, tmp_path):
         bad = tmp_path / "bad.yaml"
         bad.write_text(text)
-        with pytest.raises(ConfigurationError, match="parse error"):
+        with pytest.raises(ConfigurationError, match=f"^{re.escape(str(bad))}: parse error"):
             load_config(str(bad))
 
 

@@ -40,9 +40,11 @@ def test_record_covers_fields_properties_and_nested_dataclasses():
 
 
 def test_compare_names_values_that_differ_or_are_one_sided():
-    old = {"a": {"x": "1", "y": "2"}, "b": {"x": "1"}}
-    new = {"a": {"x": "1", "y": "3", "z": "4"}, "b": {"x": "1", "z": "4"}}
-    assert fingerprint.compare(new, old) == (["a: y"], ["z only in the new records, in 2 runs"])
+    old = {"a": {"x": "1", "y": "2"}, "b": {"x": "1"}, "gone": {"x": "1"}}
+    new = {"a": {"x": "1", "y": "3", "z": "4"}, "b": {"x": "1", "z": "4"}, "added": {"x": "1"}}
+    assert fingerprint.compare(new, old) == (["a: y"], ["run added only in the new records",
+                                                        "run gone only in the old records",
+                                                        "z only in the new records, in 2 runs"])
     assert fingerprint.compare(old, old) == ([], [])
 
 

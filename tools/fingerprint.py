@@ -16,9 +16,9 @@ record as a float64 array: the numbers, tuples and arrays of a run, the
 table of `trajectory.csv` and each number or list of numbers of
 `report.json`. --against reads records so written (say, by a copy of this
 script in a checkout of the parent commit) and exits 1 if a value both trees
-have differs, listing apart the values only one has; where the .npz beside
-the old records holds a differing value, or report.json's numbers, with the
-shape it has now, the line gives max |new - old| over them.
+have differs, listing apart the runs and the values only one has; where the
+.npz beside the old records holds a differing value, or report.json's
+numbers, with the shape it has now, the line gives max |new - old| over them.
 
 The runs (on `configs/reference_case.yaml` unless named otherwise):
 - `reference`: the run file as it is (t_end 200);
@@ -247,9 +247,12 @@ def compare(new: dict, old: dict, new_values: dict | None = None,
             old_values: dict | None = None) -> tuple[list[str], list[str]]:
     """(each run value both records hold that differs, as "run: value",
     followed by its max_delta where the {run: numbers} dicts give one; each
-    value only one side holds, with the number of runs that have it)."""
+    run only one side holds, by name, then each value only one side's runs
+    hold, with the number of runs that have it)."""
     new_values, old_values = new_values or {}, old_values or {}
     differs, one_sided = [], {}
+    runs = [f"run {name} only in the {'new' if name in new else 'old'} records"
+            for name in sorted(set(new) ^ set(old))]
     for name in sorted(set(new) & set(old)):
         a, b = new[name], old[name]
         for key in sorted(set(a) & set(b)):
@@ -259,8 +262,8 @@ def compare(new: dict, old: dict, new_values: dict | None = None,
         for key in set(a) ^ set(b):
             side = "new" if key in a else "old"
             one_sided[key, side] = one_sided.get((key, side), 0) + 1
-    return differs, [f"{key} only in the {side} records, in {count} runs"
-                     for (key, side), count in sorted(one_sided.items())]
+    return differs, runs + [f"{key} only in the {side} records, in {count} runs"
+                            for (key, side), count in sorted(one_sided.items())]
 
 
 def main(argv=None) -> int:
