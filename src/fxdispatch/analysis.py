@@ -90,6 +90,8 @@ class AssumptionReport(A2Report):
 
     @property
     def all_ok(self) -> bool:
+        """A1, remark 2 and A2, without the settling bound's premise tau1 > 0; `check`,
+        `bound` and `run` take their verdict from cli.evaluate_gates(config).all_ok."""
         return self.a1_ok and self.remark2_ok and self.a2_ok
 
 

@@ -5,40 +5,40 @@ the loss-weighted marginal costs H_i * lambda_i; the powers P are defined
 implicitly at every instant by P_i = consensus_term_i + D_i0 + P_Li(P),
 which keeps total generation equal to demand plus losses by construction.
 
-The integrator picks its own steps. While the consensus residual is large
-it takes classical Runge-Kutta steps (4 stages) whose width is set by error
+The integrator picks its own steps. While the consensus residual is large it
+takes classical Runge-Kutta steps (4 stages) whose width is set by error
 control: stage 1 is the state the step starts from and also closes the step
 before (first same as last), so the order-3 embedded solution with weights
 (1/6, 1/3, 1/3, 0, 1/6) on (k1, ..., k4, k1 of the next step) gives a free
 error estimate, and a step is accepted when it is within STEP_TOL (Hairer,
-Norsett & Wanner, Solving ODEs I, II.4). Each later stage solves the
-implicit power equation by a warm-started chord (simplified Newton)
-iteration (a stage whose solve stalls fails its step), whose balance
-residual is one folded expression with its constants stored. The RK4 tries
-of a call share one loss-Jacobian chord factor, formed again only once a
-solve shows it stale (one chord correction no longer reaches fp_tol, or the
-solve failed), as simplified Newton iterations reuse their Jacobian
-(Hairer & Wanner, Solving ODEs II, IV.8). A solved instant is one _Point
-(t, z, P, H lam with its factors, the disagreement, the residual and dz/dt),
-formed only by
+Norsett & Wanner, Solving ODEs I, II.4). Each later stage solves the implicit
+power equation by a warm-started chord (simplified Newton) iteration (a stage
+whose solve stalls fails its step), whose balance residual is one folded
+expression with its constants stored. Every power solve iterates on
+KronLossModel._newton_factor, (I - J(P))^-1 with J the loss Jacobian; the RK4
+tries of a call share one, formed again only once a solve shows it stale (one
+chord correction no longer reaches fp_tol, or the solve failed), as
+simplified Newton iterations reuse their Jacobian (Hairer & Wanner, Solving
+ODEs II, IV.8). A solved instant is one _Point (t, z, P, H lam with its
+factors, the disagreement, the residual and dz/dt), formed only by
 _Stepper.at: the point that ends a step, its dz/dt formed at the w(t + dt)
 the step used, starts the next, that dz/dt being the next step's k1 and an
-RK4 step's k5. Matrix products are ndarray.dot (see the comment after
-_amax). Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term chatters once
-g k1 h |r|^(mu - 1) is of order one at width h, g being the loop gain, so
-one rule, _chatter_width, bounds RK4's width at the disagreement r, and where
-that bound falls below dt the integrator takes linearly implicit,
-chattering-free steps of width dt instead (backward Euler on the consensus
-law, after Acary & Brogliato 2010 and Polyakov, Efimov & Brogliato 2019),
-which reach consensus to roundoff; once an undisturbed run is below
-settle_tol each implicit step doubles its width, so the settle window is
-confirmed in about ten steps. A failed step is retried narrower: an RK4 step
-at the error controller's width (a quarter of its width after a failed
-solve), an implicit step at half its width; only a failure below _MIN_STEP
-dt ends a run. The kind of step depends only on the state. One _Stepper per
-call holds the disturbance, the solver counters and both kinds of step, and
-carries both the public `step` (width dt, which adds the monitors) and `run`
-(which forms cost and loss once, over the emitted rows).
+RK4 step's k5. Matrix products are ndarray.dot (see the comment after _amax).
+Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term chatters once g k1 h
+|r|^(mu - 1) is of order one at width h, g being the loop gain, so one rule,
+_chatter_width, bounds RK4's width at the disagreement r, and where that
+bound falls below dt the integrator takes linearly implicit, chattering-free
+steps of width dt instead (backward Euler on the consensus law, after Acary &
+Brogliato 2010 and Polyakov, Efimov & Brogliato 2019), which reach consensus
+to roundoff; once an undisturbed run is below settle_tol each implicit step
+doubles its width, so the settle window is confirmed in about ten steps. A
+failed step is retried narrower: an RK4 step at the error controller's width
+(a quarter of its width after a failed solve), an implicit step at half its
+width; only a failure below _MIN_STEP dt ends a run. The kind of step depends
+only on the state. One _Stepper per call holds the disturbance, the solver
+counters and both kinds of step, and carries both the public `step` (width
+dt, which adds the monitors) and `run` (which forms cost and loss once, over
+the emitted rows).
 """
 
 from __future__ import annotations
@@ -232,14 +232,9 @@ class DispatchSystem:
         return total_demand(self.gens)
 
     @cached_property
-    def loss_jac0(self) -> np.ndarray:
-        """J0, the Jacobian of the generator losses at P = d0."""
-        return self.loss._jacobian(self.d0)
-
-    @cached_property
     def chord0(self) -> np.ndarray:
-        """A0 = (I - J0)^-1, the power solve's chord factor linearised at P = d0."""
-        return np.linalg.inv(np.eye(self.n) - self.loss_jac0)
+        """(I - J(d0))^-1, the power solve's Newton factor at P = d0."""
+        return self.loss._newton_factor(self.d0)
 
     @cached_property
     def loop_gain(self) -> float:
@@ -294,8 +289,8 @@ def _solve_power(z: np.ndarray, system: DispatchSystem, P: np.ndarray, A: np.nda
     """Solve P = -L z + d0 + P_L(P) from P; return (P, loss evaluations).
 
     Each of at most fp_max_iter chord iterations forms the balance residual
-    d = -L z + d0 + P_L(P) - P and moves P <- P + A d, with A close to
-    (I - J)^-1 and J the Jacobian of the generator losses. d is formed in
+    d = -L z + d0 + P_L(P) - P and moves P <- P + A d, with A the Newton
+    factor (I - J)^-1 at a nearby P, J the loss Jacobian. d is formed in
     one folded expression, base + P (B P + (B0 - 1)) with the per-solve
     constant base = -L z + (d0 + B00/N) (KronLossModel._losses_less_power).
     Once max|d| < fp_tol it returns P + d, whose balance residual is one
@@ -416,10 +411,10 @@ class _Stepper:
     from one DisturbanceSpec, None for none. solves and evals count the power
     solves and their loss evaluations (max_evals the most in one solve);
     newton_iters lists the Newton iterations of each implicit step that
-    succeeded. chord is the RK4 tries' pair (A, A (-L)), None until rk4 forms
-    it and again once a solve has found it stale; chord_factors counts the
-    pairs formed. ValueError unless the loop gain, which _chatter_width
-    divides by, is positive.
+    succeeded. chord is the RK4 tries' pair (A, A (-L)), A = (I - J(P))^-1,
+    None until rk4 forms it and again once a solve has found it stale;
+    chord_factors counts the pairs formed. ValueError unless the loop gain,
+    which _chatter_width divides by, is positive.
     """
 
     def __init__(self, system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None):
@@ -434,7 +429,6 @@ class _Stepper:
         self.newton_iters: list[int] = []
         self.chord: tuple[np.ndarray, np.ndarray] | None = None
         self.chord_factors = 0
-        self.eye = np.eye(system.n)
         #: the largest weighted degree, max diag(L)
         self.deg_max = -float(np.minimum.reduce(system.neg_laplacian.diagonal()))
 
@@ -471,8 +465,7 @@ class _Stepper:
         per stage; k4 is returned for the error estimate, and w(t + dt) (None
         in a quiet run) for the k5 that closes the step. The solves use the
         chord factor A and A (-L) of self.chord. A try that finds it None
-        forms it at p's P: (I - J(P))^-1 to first order about
-        system.chord0, A0 + A0 (J(P) - J0) A0. Later tries reuse it until a
+        forms it at p's P, A = (I - J(P))^-1. Later tries reuse it until a
         solve needs more than _FRESH_EVALS loss evaluations or fails, which
         sets it to None for the next try; the try itself goes on with A. A
         failed solve raises StepFailure naming the stage, t and dt.
@@ -480,8 +473,7 @@ class _Stepper:
         system, params, w_at = self.system, self.params, self.w_at
         t, z, P, k1 = p.t, p.z, p.P, p.k
         if self.chord is None:
-            a0 = system.chord0
-            A = a0 + a0.dot(system.loss._jacobian(P) - system.loss_jac0).dot(a0)
+            A = system.loss._newton_factor(P)
             self.chord = A, A.dot(system.neg_laplacian)
             self.chord_factors += 1
         A, AL = self.chord
@@ -520,15 +512,15 @@ class _Stepper:
         law linearised at P, so it has no chatter: exact consensus is its
         fixed point. Newton runs in s = sig(y)^mu, in which the equation is
         smooth at consensus, and solves with lstsq because M has the null
-        vector 1, starting from sig(r)^mu. (I - J(P))^-1 is formed once, for M
-        and as the chord factor of the one power solve at z + dz that then
-        restores the balance exactly. The Newton iterations go to
-        newton_iters once that solve has succeeded.
+        vector 1, starting from sig(r)^mu. The Newton factor (I - J(P))^-1 is
+        formed once, for M and as the chord factor of the one power solve at
+        z + dz that then restores the balance exactly. The Newton iterations
+        go to newton_iters once that solve has succeeded.
         """
         params = self.params
         k1, k2, mu, nu = params.k1, params.k2, params.mu, params.nu
         (lam, H, hl), P, r = p.h, p.P, p.r
-        jinv = np.linalg.inv(self.eye - self.system.loss._jacobian(P))
+        jinv = self.system.loss._newton_factor(P)
         M = _sensitivity(lam, H, self.system, jinv)
         w = self.w_at(p.t + dt)
         dtw = None if w is None else dt * w

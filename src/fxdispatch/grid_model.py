@@ -103,9 +103,10 @@ class KronLossModel:
         self.own_grad_jac = B + np.diag(self._diag)
         #: B00/N, the constant loss attributed to each generator
         self._b00_share = B00 / n
-        #: B0 - 1 and 1 + B0, the constants of _losses_less_power and _loss_factors
+        #: B0 - 1, 1 + B0 and I, the constants of _losses_less_power, _loss_factors and _newton_factor
         self._b0_less_one = B0 - 1.0
         self._one_plus_b0 = 1.0 + B0
+        self._eye = np.eye(n)
 
     def _check_len(self, P: np.ndarray) -> np.ndarray:
         P = np.asarray(P, dtype=float)
@@ -155,6 +156,10 @@ class KronLossModel:
         J = self.B * P[:, None]
         np.fill_diagonal(J, self._own_gradient(P))
         return J
+
+    def _newton_factor(self, P: np.ndarray) -> np.ndarray:
+        """(I - _jacobian(P))^-1, the Newton factor of every power solve."""
+        return np.linalg.inv(self._eye - self._jacobian(P))
 
 
 def total_cost(gens, P) -> float:

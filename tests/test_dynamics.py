@@ -486,6 +486,8 @@ class TestImplicitStep:
         assert (res.steps, res.rejected_steps) == (246, 3)
         # the chord factor goes stale on about half of the 214 RK4 tries
         assert 1 < res.chord_factors < (res.steps + res.rejected_steps) / 2
+        # 2.095 on the exact factor (I - J(P))^-1; its first-order update about d0 took 2.192
+        assert res.power_solve_iters[0] < 2.15
         assert res.switch_time < res.settle_time
         mean_iters, max_iters = res.implicit_newton_iters
         assert 0.0 < mean_iters <= max_iters <= 10
@@ -588,8 +590,8 @@ class TestWorkPerStep:
     @pytest.mark.parametrize("mu, expected", [
         (0.5, [(5.0089910775, 4.9839910775, 246, 5.0075), (4.6916834404, 4.6666834404, 224, 4.69025),
                (5.6795236420, 5.6555236420, 277, 5.67875)]),
-        (0.2, [(3.3775366885, 3.3595366885, 421, 3.376), (3.0503869351, 3.0323869351, 400, 3.049),
-               (4.0782828235, 4.0612828235, 461, 4.07725)]),
+        (0.2, [(3.3775378012, 3.3595378012, 421, 3.376), (3.0503958217, 3.0323958217, 400, 3.049),
+               (4.0782771309, 4.0612771309, 461, 4.07725)]),
     ])
     def test_verdicts_of_the_demand_splits(self, ref_system, mu, expected):
         # criterion 4's splits at the shipped dt: (settle_time, switch_time,
@@ -619,6 +621,29 @@ class TestWorkPerStep:
 class TestChordFactor:
     """RK4's tries share one chord factor, formed again after a try whose
     solve needed more than one chord correction or failed."""
+
+    @pytest.mark.parametrize("fleet", ["reference", "64 units"])
+    def test_one_newton_factor(self, ref_system, fleet, monkeypatch):
+        # (I - J(P))^-1 is formed by KronLossModel._newton_factor alone: chord0 is
+        # it at d0, and an RK4 try that needs a factor forms it at its own P
+        system = ref_system if fleet == "reference" else config_from_dict(ring_fleet_dict(64)).system()
+        loss, eye = system.loss, np.eye(system.n)
+        for P in (system.d0, system.d0 * np.random.default_rng(3).uniform(0.5, 1.5, system.n)):
+            assert np.array_equal(loss._newton_factor(P), np.linalg.inv(eye - loss._jacobian(P)))
+        assert np.array_equal(system.chord0, loss._newton_factor(system.d0))
+        factors, real = [], dynamics._solve_power
+
+        def recording(z, system, P, A, *tol):
+            factors.append(A)
+            return real(z, system, P, A, *tol)
+
+        monkeypatch.setattr(dynamics, "_solve_power", recording)
+        stepper = _Stepper(system, REF_PARAMS, None)
+        z = np.random.default_rng(4).normal(scale=0.1, size=system.n)
+        p = stepper.at(0.0, z, solve_power(z, system), None)
+        stepper.rk4(p, REF_PARAMS.dt)
+        assert stepper.chord_factors == 1 and len(factors) == 5
+        assert all(np.array_equal(A, loss._newton_factor(p.P)) for A in factors[1:])
 
     def test_failed_solve_forms_a_fresh_factor(self, monkeypatch):
         config = config_from_dict(benchmark_fleet_dict(1))

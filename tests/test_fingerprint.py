@@ -16,8 +16,8 @@ def test_reference_run_outputs_keep_their_bytes(tmp_path):
     # `fxdispatch run` on the reference case cut to --t-end 10
     fx, workloads = fingerprint.import_modules()
     rec = fingerprint.hashes(fingerprint.named_runs(fx, workloads, tmp_path)["cli/reference"]())
-    assert rec["run.report.json"] == "258683288cc13aa5eedd7fa5e5ce4eb0dcbfbcfe08c317f3269cd21a43e0dc26"
-    assert rec["run.trajectory.csv"] == "5eb9f957786cef29eefac833370807529972494827a5b5a539666ae844b606c8"
+    assert rec["run.report.json"] == "4d068e3b5612fcc91947873190be54bb5563bd27005fa6a9b3ad0ef7a25c14ba"
+    assert rec["run.trajectory.csv"] == "6849138e78f1a92c280f658634a20383e562bf6977991f3c5e2df2c265997f7a"
 
 
 def test_fleet_run_outputs_keep_their_bytes(tmp_path):
@@ -26,8 +26,8 @@ def test_fleet_run_outputs_keep_their_bytes(tmp_path):
     rec = fingerprint.named_runs(fx, workloads, tmp_path)["cli/fleet1"]()
     assert json.loads(rec["run.report.json"])["solver"]["chord_factors"] == 1
     rec = fingerprint.hashes(rec)
-    assert rec["run.report.json"] == "ab7568ecf0f4b52529d0b32942fa03c7a113060b85b591a232f3bc5217cf2760"
-    assert rec["run.trajectory.csv"] == "00f2b5bc71de95070ed357c6c9f9239731b00b884af00a096cfffc80c8887b4c"
+    assert rec["run.report.json"] == "3d406f2069f4b5509743acfbf840c7d53efeff12307e8b2d180ff85758406df4"
+    assert rec["run.trajectory.csv"] == "31726ed1c6e87a636a7d60e624a897cde6a78205ee037e5abffd6715e17d6c8d"
 
 
 def test_record_covers_fields_properties_and_nested_dataclasses():

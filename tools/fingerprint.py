@@ -173,6 +173,19 @@ def cli_record(fx, config_path: str, out_dir: pathlib.Path, t_end: float | None 
     return rec
 
 
+def calibration_runs(fx, ref) -> dict:
+    """{"split<i>/mu=<mu>,k1=<k1>": (system, params)}: acceptance criterion 4's
+    three demand splits of the reference config ref at dt 2.5e-4 and t_end 20,
+    for (mu, k1) = (0.5, 5), (0.2, 5) and (0.2, 20)."""
+    replace, runs = dataclasses.replace, {}
+    for i, shares in enumerate(SPLITS):
+        gens = tuple(replace(g, p0=s, d0=s) for g, s in zip(ref.generators, shares))
+        system = fx.dynamics.DispatchSystem(gens=gens, loss=ref.loss, top=ref.topology)
+        for mu, k1 in ((0.5, 5.0), (0.2, 5.0), (0.2, 20.0)):
+            runs[f"split{i}/mu={mu},k1={k1}"] = system, replace(ref.params, dt=2.5e-4, t_end=20.0, mu=mu, k1=k1)
+    return runs
+
+
 def named_runs(fx, workloads, work: pathlib.Path) -> dict:
     """{name: zero-argument callable returning the run's record}, in order."""
     run, replace = fx.dynamics.run, dataclasses.replace
@@ -181,15 +194,8 @@ def named_runs(fx, workloads, work: pathlib.Path) -> dict:
     quiet = replace(params, t_end=20.0)
     runs = {"reference": lambda: record(run(system, params, disturbance=ref.disturbance,
                                             stride=ref.output.stride))}
-
-    def split_system(shares):
-        gens = tuple(replace(g, p0=s, d0=s) for g, s in zip(ref.generators, shares))
-        return fx.dynamics.DispatchSystem(gens=gens, loss=ref.loss, top=ref.topology)
-
-    for i, shares in enumerate(SPLITS):
-        for mu, k1 in ((0.5, 5.0), (0.2, 5.0), (0.2, 20.0)):
-            p = replace(params, dt=2.5e-4, t_end=20.0, mu=mu, k1=k1)
-            runs[f"split{i}/mu={mu},k1={k1}"] = lambda s=shares, p=p: record(run(split_system(s), p))
+    for name, (split, p) in calibration_runs(fx, ref).items():
+        runs[name] = lambda s=split, p=p: record(run(s, p))
     runs["c7/quiet"] = lambda: record(run(system, quiet))
     noise = fx.dynamics.DisturbanceSpec(enabled=True, amplitude=0.5, seed=42)
     runs["c7/disturbed"] = lambda: record(run(system, quiet, disturbance=noise))
