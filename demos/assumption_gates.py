@@ -5,9 +5,11 @@ Standing-assumption gates
 Loads the shipped reference configuration and evaluates every gate the
 convergence analysis relies on: graph connectivity, the own-loss gradient
 condition, the coefficient-magnitude condition, and the eigenvalue
-condition coupling the loss matrix with cost convexity, and prints the
-verdict `fxdispatch check` gives, which also needs tau1 > 0. Then breaks the
-eigenvalue condition on purpose to show what a failing report looks like.
+condition coupling the loss matrix with cost convexity. Then prints the
+one verdict, `cli.Gates.all_ok`, which `fxdispatch check` exits on: every
+one of those gates and the settling bound's premise tau1 > 0 pass. Then
+breaks the eigenvalue condition on purpose to show what a failing report
+looks like.
 
 Run:  python3 demos/assumption_gates.py
 """

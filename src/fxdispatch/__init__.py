@@ -15,9 +15,7 @@ from .analysis import (
     build_s_matrix,
     check_a1,
     check_a2,
-    power_mean_check,
     settling_bound,
-    verify_lemma3_bounds,
 )
 from .config import RunConfig, load_config, save_config
 from .dynamics import (
@@ -49,6 +47,6 @@ from .oracle import (
     kkt_penalty_solution,
     solve_equilibrium,
 )
-from .topology import LocalTopology, SpectralSummary, check_connected, laplacian, path_topology, spectrum
+from .topology import LocalTopology, SpectralSummary, check_connected, laplacian, spectrum
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
-"""Assumption gates, curvature-matrix machinery, and the settling-time bound.
+"""Assumption gates and the settling-time bound.
 
-Everything here is a checkable consequence of the convergence analysis:
-the loss-coefficient magnitude conditions, the eigenvalue condition
-coupling loss coefficients with cost convexity, the element-wise bounds
-on the dispatch map's curvature matrices, and the closed-form upper
-bound on the time to reach consensus.
+Everything here is a checkable premise or consequence of the convergence
+analysis: the loss-coefficient magnitude conditions, the eigenvalue
+condition coupling loss coefficients with cost convexity, the curvature
+lower-bound matrix S whose smallest eigenvalue tau1 the bound needs, and
+the closed-form upper bound on the time to reach consensus. The verdict
+over these gates is `cli.Gates.all_ok`.
 """
 
 from __future__ import annotations
@@ -19,17 +20,11 @@ from .grid_model import (
     CostSummary,
     KronLossModel,
     _demand_shares,
-    cost_coefficients,
     cost_summary,
-    marginal_costs,
     total_demand,
-    weighted_cost_jacobian,
 )
 # imported by name: perfbench/spans.py patches analysis.jacobi_eigenvalues
 from .topology import LocalTopology, jacobi_eigenvalues
-
-#: roundoff slack for element-wise bound checks
-BOUND_SLACK = 1e-12
 
 
 @dataclass(frozen=True)
@@ -71,8 +66,9 @@ class AssumptionReport(A2Report):
 
     The fields hold the evidence: the A2 scalars it takes from A2Report,
     the per-generator A1 verdicts and the remark-2 row-sum verdict; a1_ok
-    (every generator passes A1), all_ok and A2Report's a2_value and a2_ok
-    are properties computed from it.
+    (every generator passes A1) and A2Report's a2_value and a2_ok are
+    properties computed from it. The verdict over every gate, tau1 > 0
+    included, is cli.Gates.all_ok.
     """
 
     a1_per_generator: tuple
@@ -87,12 +83,6 @@ class AssumptionReport(A2Report):
     @property
     def a1_ok(self) -> bool:
         return all(self.a1_per_generator)
-
-    @property
-    def all_ok(self) -> bool:
-        """A1, remark 2 and A2, without the settling bound's premise tau1 > 0; `check`,
-        `bound` and `run` take their verdict from cli.evaluate_gates(config).all_ok."""
-        return self.a1_ok and self.remark2_ok and self.a2_ok
 
 
 @dataclass(frozen=True)
@@ -118,24 +108,6 @@ class SettlingBound:
     @property
     def q(self) -> float:
         return (3.0 + self.nu) / 4.0
-
-
-@dataclass(frozen=True)
-class Lemma3Report:
-    """Element-wise curvature bounds R1-R5 evaluated at one power vector."""
-
-    r1: bool
-    r2: bool
-    r3: bool
-    r4: bool
-    r5: bool
-    grad_F: np.ndarray
-    grad_M: np.ndarray
-    Q: np.ndarray
-
-    @property
-    def all_ok(self) -> bool:
-        return self.r1 and self.r2 and self.r3 and self.r4 and self.r5
 
 
 def check_a1(model: KronLossModel, dbar: float) -> np.ndarray:
@@ -166,67 +138,6 @@ def build_s_matrix(model: KronLossModel, summary: CostSummary) -> SMatrix:
     return SMatrix(S=S, tau=jacobi_eigenvalues(S))
 
 
-def curvature_matrices(model: KronLossModel, gens, P):
-    """Analytic Jacobians of the loss-weighted marginal-cost maps at P.
-
-    Returns (grad_F, grad_M, Q): grad_F is the Jacobian of the
-    total-loss-gradient times marginal-cost product, grad_M the diagonal
-    Jacobian of the own-loss correction term, and Q = d(H lam)/dP, the
-    dynamics' K, equal to diag(2c) + 0.5 grad_F + grad_M.
-    """
-    P = np.asarray(P, dtype=float)
-    _, b, c = cost_coefficients(gens)
-    lam = marginal_costs(b, c, P)
-    dB = model._diag
-    grad_F = weighted_cost_jacobian(2.0 * model.B, c, lam, model.total_loss_gradient(P), 1.0)
-    grad_M = np.diag(dB * lam + (dB * P + model.B0 / 2.0) * (2.0 * c))
-    Q = weighted_cost_jacobian(model.own_grad_jac, c, lam, model._loss_factors(P), 1.0)
-    return grad_F, grad_M, Q
-
-
-def verify_lemma3_bounds(model: KronLossModel, gens, P) -> Lemma3Report:
-    """Check the element-wise and spectral bounds R1-R5 at a nonnegative P,
-    with the fleet's (sigma, delta) from cost_summary.
-
-    R5 pairs the sorted eigenvalues of S with the sorted diagonal matrix
-    sigma*(1+B_i0) and bounds each gap by the extreme eigenvalues of the
-    remaining perturbation delta*(B + diag(B_ii)); this is the Weyl
-    bound for the decomposition S actually admits (the diagonal of S
-    carries 2*B_ii, so the off-diagonal matrix B alone understates the
-    perturbation and its extreme eigenvalues alone would give a false
-    upper bound).
-    """
-    P = np.asarray(P, dtype=float)
-    if (P < 0).any():
-        raise AssumptionViolation("bounds are only claimed for nonnegative powers")
-    summary = cost_summary(gens)
-    sigma, delta = summary.sigma, summary.delta
-    B, B0, dB = model.B, model.B0, model._diag
-    grad_F, grad_M, Q = curvature_matrices(model, gens, P)
-    slack = BOUND_SLACK
-
-    off = ~np.eye(model.n, dtype=bool)
-    r1 = bool(
-        (np.diag(grad_F) >= 2.0 * dB * delta + B0 * sigma - slack).all()
-        and (grad_F[off] >= (2.0 * B * delta)[off] - slack).all()
-    )
-    r2 = bool((np.diag(grad_M) >= dB * delta + (B0 / 2.0) * sigma - slack).all())
-    r3 = bool(
-        (np.diag(Q) >= sigma + 2.0 * dB * delta + B0 * sigma - slack).all()
-        and (Q[off] >= (B * delta)[off] - slack).all()
-    )
-    sm = build_s_matrix(model, summary)
-    r4 = bool((sm.S <= Q + slack).all())
-
-    diag_sorted = np.sort(sigma * model._one_plus_b0)
-    gap = sm.tau - diag_sorted
-    pert_eig = delta * jacobi_eigenvalues(model.own_grad_jac)
-    lo, hi = float(pert_eig.min()), float(pert_eig.max())
-    r5 = bool(((gap >= lo - slack) & (gap <= hi + slack)).all())
-
-    return Lemma3Report(r1=r1, r2=r2, r3=r3, r4=r4, r5=r5, grad_F=grad_F, grad_M=grad_M, Q=Q)
-
-
 def settling_bound(params: AlgorithmParams, rho: float, tau1: float, phi2: float, n: int) -> SettlingBound:
     """Closed-form fixed-time settling estimate from gains and spectra.
 
@@ -244,26 +155,6 @@ def settling_bound(params: AlgorithmParams, rho: float, tau1: float, phi2: float
     alpha = k1 * base ** ((1.0 + mu) / 2.0) * 2.0 ** ((1.0 - mu) / 4.0)
     beta = k2 * n ** ((1.0 - nu) / 2.0) * base ** ((1.0 + nu) / 2.0) * 2.0 ** ((1.0 - nu) / 4.0)
     return SettlingBound(alpha=alpha, beta=beta, mu=mu, nu=nu)
-
-
-def power_mean_check(zeta, m: float) -> bool:
-    """Power-sum inequality for nonnegative entries.
-
-    sum z_i^m >= (sum z_i)^m for 0 < m <= 1, and
-    sum z_i^m >= N^(1-m) (sum z_i)^m for m > 1.
-    """
-    zeta = np.asarray(zeta, dtype=float)
-    if (zeta < 0).any():
-        raise ValueError("entries must be nonnegative")
-    if m <= 0:
-        raise ValueError("exponent must be positive")
-    lhs = float(np.sum(zeta**m))
-    total = float(np.sum(zeta))
-    if m <= 1:
-        rhs = total**m
-    else:
-        rhs = len(zeta) ** (1.0 - m) * total**m
-    return lhs >= rhs - 1e-12 * max(1.0, abs(rhs))
 
 
 def assemble_assumption_report(model: KronLossModel, gens, top: LocalTopology) -> AssumptionReport:

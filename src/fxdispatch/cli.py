@@ -29,16 +29,34 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
+def _fmt(x: float) -> str:
+    return f"{x:.10g}"
+
+
 @dataclass
 class Gates:
     report: AssumptionReport
     phi2: float
     tau1: float
 
+    def rows(self) -> list[tuple[str, bool, str]]:
+        """(name, ok, detail) of each gate `check` prints: the report's four and
+        the settling bound's premise tau1 > 0, which A2 on eig(B) implies only
+        for delta > 0."""
+        r = self.report
+        return [
+            ("connected", r.connected_ok, ""),
+            ("gradient_condition (A1)", r.a1_ok, ""),
+            ("coefficient_magnitude", r.remark2_ok, ""),
+            ("eigenvalue_condition (A2)", r.a2_ok, f"value={_fmt(r.a2_value)}"),
+            ("curvature_condition (tau1 > 0)", self.tau1 > 0, f"value={_fmt(self.tau1)}"),
+        ]
+
     @property
     def all_ok(self) -> bool:
-        """The report's gates and tau1 > 0, which A2 on eig(B) implies only for delta > 0."""
-        return self.report.all_ok and self.tau1 > 0
+        """Every row passes: the one verdict of `check`, `bound`, `run` and
+        report.json's assumptions.all_ok."""
+        return all(ok for _, ok, _ in self.rows())
 
 
 def evaluate_gates(config: RunConfig) -> Gates:
@@ -48,24 +66,17 @@ def evaluate_gates(config: RunConfig) -> Gates:
     return Gates(report=report, phi2=phi2, tau1=float(sm.tau[0]))
 
 
-def _fmt(x: float) -> str:
-    return f"{x:.10g}"
+def _print_gates(g: Gates) -> None:
+    r = g.report
+    for name, ok, extra in g.rows():
+        print(f"{name:36s} {'PASS' if ok else 'FAIL'}  {extra}")
+    print(f"sigma={_fmt(r.sigma)} delta={_fmt(r.delta)} rho={_fmt(r.rho)} b1={_fmt(r.b1)} "
+          f"bN={_fmt(r.bN)} tau1={_fmt(g.tau1)} phi2={_fmt(g.phi2)}")
 
 
 def cmd_check(config: RunConfig) -> int:
     g = evaluate_gates(config)
-    r = g.report
-    rows = [
-        ("connected", r.connected_ok, ""),
-        ("gradient_condition (A1)", r.a1_ok, ""),
-        ("coefficient_magnitude", r.remark2_ok, ""),
-        ("eigenvalue_condition (A2)", r.a2_ok, f"value={_fmt(r.a2_value)}"),
-        ("curvature_condition (tau1 > 0)", g.tau1 > 0, f"value={_fmt(g.tau1)}"),
-    ]
-    for name, ok, extra in rows:
-        print(f"{name:36s} {'PASS' if ok else 'FAIL'}  {extra}")
-    print(f"sigma={_fmt(r.sigma)} delta={_fmt(r.delta)} rho={_fmt(r.rho)} b1={_fmt(r.b1)} "
-          f"bN={_fmt(r.bN)} tau1={_fmt(g.tau1)} phi2={_fmt(g.phi2)}")
+    _print_gates(g)
     return EXIT_OK if g.all_ok else EXIT_VALIDATION
 
 
@@ -97,7 +108,7 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False) 
     g = evaluate_gates(config)
     if not g.all_ok and not force:
         print("assumption gates failed; refusing to run (use --force to override)")
-        cmd_check(config)
+        _print_gates(g)
         return EXIT_VALIDATION
 
     n = len(config.generators)

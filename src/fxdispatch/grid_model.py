@@ -203,7 +203,8 @@ def marginal_costs(b, c, P):
 def weighted_cost_jacobian(G, c, lam, w, dw) -> np.ndarray:
     """d(w lam)/dP at marginal costs lam, for weights w(g) of a loss gradient g of Jacobian
     G with dw = dw/dg: entry (i, j) is lam_i dw_i G_ij + delta_ij w_i 2 c_i. G = own_grad_jac,
-    w = H give d(H lam)/dP (K, Q); G = 2B, w = total_loss_gradient give grad_F."""
+    w = H give d(H lam)/dP, the dynamics' K; G = 2B, w = total_loss_gradient give
+    grad_F, which only the tests' Lemma-3 oracle forms (tests/lemma3.py)."""
     J = G * (lam * dw)[:, None]
     J[np.diag_indices(len(c))] += w * 2.0 * c
     return J

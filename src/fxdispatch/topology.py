@@ -112,7 +112,3 @@ def spectrum(top: LocalTopology) -> SpectralSummary:
         raise AssumptionViolation(f"graph is numerically disconnected (phi2={eig[1]:.3e})")
     return SpectralSummary(eigenvalues=tuple(float(e) for e in eig))
 
-
-def path_topology(n: int) -> LocalTopology:
-    """Unit-weight chain 0-1-...-(n-1), the reference local layer."""
-    return LocalTopology(n, [(i, i + 1, 1.0) for i in range(n - 1)])

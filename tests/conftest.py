@@ -4,7 +4,7 @@ import sys
 import numpy as np
 import pytest
 
-from fxdispatch import DispatchSystem, GeneratorSpec, KronLossModel, path_topology
+from fxdispatch import DispatchSystem, GeneratorSpec, KronLossModel, LocalTopology
 
 # Four-generator reference case (quadratic costs, B-loss model, demand 600 MW)
 REF_B = np.array([
@@ -25,6 +25,11 @@ REF_DEMAND = 600.0
 REF_EQUILIBRIUM = np.array([164.75601311, 171.72475982, 168.5977655, 135.8317408])
 REF_EQ_COST = 11080.832237274592
 REF_EQ_LOSS = 40.910279226665146
+
+
+def path_topology(n):
+    """Unit-weight chain 0-1-...-(n-1), the reference local layer."""
+    return LocalTopology(n, [(i, i + 1, 1.0) for i in range(n - 1)])
 
 
 def ring_fleet_dict(n):

@@ -19,14 +19,12 @@ from fxdispatch import (
     KronLossModel,
     brute_force_optimum,
     load_config,
-    power_mean_check,
     run,
     settling_bound,
     solve_equilibrium,
-    verify_lemma3_bounds,
 )
-from fxdispatch.analysis import curvature_matrices
 from fxdispatch.cli import evaluate_gates
+from tests.lemma3 import curvature_matrices, power_mean_check, verify_lemma3_bounds
 
 CONFIG_PATH = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference_case.yaml"
 

@@ -1,5 +1,6 @@
-"""The benchmark record, tools/bench_record.py: its counters on one short run
-and its reading of perfbench/run.py's output (the tool itself is not run)."""
+"""The benchmark record, tools/bench_record.py: its counters on one short run,
+its timing of the golden run (cut short) and its reading of perfbench/run.py's
+output (the tool itself is not run)."""
 
 import dataclasses
 import importlib.util
@@ -29,6 +30,26 @@ def test_counters_of_one_short_run():
     assert len(solves) == 1 + 4 * (result.steps + result.rejected_steps)
     assert rec["power_solve_iters"] == (pytest.approx(sum(solves) / len(solves), rel=1e-12), max(solves))
     assert json.loads(json.dumps(rec))["power_solves"] == len(solves)  # the record is plain JSON
+
+
+def test_golden_run_times_criterion_1s_run(monkeypatch):
+    # the run is cut to t_end 0.05 here; the record keeps the horizon it was asked for
+    fx, _ = bench_record.fingerprint.import_modules()
+    config = fx.config.load_config(str(bench_record.fingerprint.REFERENCE))
+    calls, real = [], fx.dynamics.run
+
+    def short(system, params, **kwargs):
+        calls.append((params, kwargs))
+        return real(system, dataclasses.replace(params, t_end=0.05), **kwargs)
+
+    monkeypatch.setattr(fx.dynamics, "run", short)
+    rec = bench_record.golden_run(fx)
+    eq = fx.oracle.solve_equilibrium(config.generators, config.loss, 600.0)
+    [(params, kwargs)] = calls
+    assert params == config.params and params.t_end == 200.0
+    assert kwargs == {"disturbance": config.disturbance, "c_star": eq.cost_star, "stride": 100}
+    assert set(rec) == {"wall_s", "t_end", "steps"} and rec["wall_s"] > 0.0 and rec["t_end"] == 200.0
+    assert rec["steps"] == real(config.system(), dataclasses.replace(params, t_end=0.05), **kwargs).steps
 
 
 def test_reads_medians_samples_and_stamps_of_each_workload():

@@ -501,7 +501,8 @@ class TestRun:
         # but tau1 = -0.04, so the gates fail and the bound is undefined
         config = config_from_dict(two_unit_negative_delta_dict())
         gates = evaluate_gates(config)
-        assert gates.report.all_ok and gates.tau1 == pytest.approx(-0.04) and not gates.all_ok
+        assert [ok for _, ok, _ in gates.rows()] == [True, True, True, True, False]
+        assert gates.tau1 == pytest.approx(-0.04) and not gates.all_ok
         code, text = run_cmd(cmd_run, config, out_dir=str(tmp_path))
         assert code == EXIT_VALIDATION and "curvature_condition" in text
         assert not (tmp_path / "report.json").exists()
@@ -574,9 +575,15 @@ def test_check_passes_iff_bound_does_over_negative_delta_fleets(tmp_path):
         d = negative_delta_fleet_dict(seed)
         path = tmp_path / f"fleet{seed}.json"
         path.write_text(json.dumps(d))
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            check, bound = (main([command, "--config", str(path)]) for command in ("check", "bound"))
+        printed = io.StringIO()
+        with contextlib.redirect_stderr(io.StringIO()):
+            with contextlib.redirect_stdout(printed):
+                check = main(["check", "--config", str(path)])
+            with contextlib.redirect_stdout(io.StringIO()):
+                bound = main(["bound", "--config", str(path)])
         assert (check == EXIT_OK) == (bound == EXIT_OK), seed
+        # one verdict: check exits 0 exactly when it prints no FAIL row
+        assert (check == EXIT_OK) == ("FAIL" not in printed.getvalue()), seed
         passed += check == EXIT_OK
         gates = evaluate_gates(config_from_dict(d))
         a2_only += gates.report.a2_ok and gates.tau1 <= 0

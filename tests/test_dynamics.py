@@ -14,7 +14,6 @@ from fxdispatch import (
     LocalTopology,
     SimulationState,
     StepFailure,
-    path_topology,
     run,
     sig_pow,
     solve_power,
@@ -38,7 +37,7 @@ from fxdispatch.dynamics import (
 )
 from fxdispatch.grid_model import marginal_costs, total_cost
 from fxdispatch.topology import laplacian
-from tests.conftest import REF_DEMAND, REF_P0, benchmark_fleet_dict, ring_fleet_dict
+from tests.conftest import REF_DEMAND, REF_P0, benchmark_fleet_dict, path_topology, ring_fleet_dict
 
 REF_PARAMS = AlgorithmParams(k1=5.0, k2=5.0, mu=0.5, nu=2.0)
 REF_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference_case.yaml"

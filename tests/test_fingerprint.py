@@ -64,11 +64,20 @@ def test_numbers_round_trip_and_give_max_abs_delta(tmp_path):
 
     moved = dict(rec, steps=5, P=np.array([1.25, np.inf]), **{
         "run.trajectory.csv": b"t,P1\n0,1.5\n0.1,nan\n0.2,1\n",
-        "run.report.json": b'{"a": {"b": [1, 2], "new": 7}, "e": true}'})
+        "run.report.json": b'{"a": {"b": [1, 2], "new": 7}, "e": false}'})
     new_values = fingerprint.numbers(moved)
     new, before = ({"r": fingerprint.hashes(r)} for r in (moved, rec))
-    # the CSV has another shape, so no magnitude; report.json's shared numbers give one
+    # the CSV has another shape, so no magnitude; report.json's shared numbers
+    # give one for each top-level section that differs
     assert fingerprint.compare(new, before, {"r": new_values}, {"r": old}) == (
-        ["r: P (max |Δ| 0.25)", "r: run.report.json (max |Δ| 0.5)", "r: run.trajectory.csv",
+        ["r: P (max |Δ| 0.25)", "r: run.report.json (max |Δ| a 0.5, e 1)", "r: run.trajectory.csv",
          "r: steps (max |Δ| 2)"], [])
     assert fingerprint.max_delta(new_values, old, "P") == 0.25
+    # a shift of 5 in one section does not hide one of 1e-7 in another; a
+    # section that differs only in shape gives its name alone
+    same = {"f.json.t": np.array(1.0)}
+    assert fingerprint.section_deltas(
+        {"f.json.solver.n": np.array(6.0), "f.json.P": np.array([1.0, 2.0 + 1e-7]), "f.json.rows": np.zeros(3),
+         **same},
+        {"f.json.solver.n": np.array(1.0), "f.json.P": np.array([1.0, 2.0]), "f.json.rows": np.zeros(2), **same},
+        "f.json") == ["P 1e-07", "rows", "solver 5"]

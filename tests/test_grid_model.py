@@ -11,12 +11,11 @@ from fxdispatch import (
     GeneratorSpec,
     KronLossModel,
     cost_summary,
-    path_topology,
     total_cost,
     total_demand,
 )
 from fxdispatch.grid_model import marginal_costs, weighted_cost_jacobian
-from tests.conftest import REF_COST, REF_P0
+from tests.conftest import REF_COST, REF_P0, path_topology
 
 
 def random_model(rng, n):

@@ -106,8 +106,6 @@ PUBLIC_PARAMETERS = {
     "kkt_penalty_solution": ("gens", "model", "d_total"),
     "laplacian": ("top",),
     "load_config": ("path",),
-    "path_topology": ("n",),
-    "power_mean_check": ("zeta", "m"),
     "run": ("system", "params", "disturbance", "z0", "c_star", "stride"),
     "save_config": ("config", "path"),
     "settling_bound": ("params", "rho", "tau1", "phi2", "n"),
@@ -118,7 +116,6 @@ PUBLIC_PARAMETERS = {
     "step": ("state", "system", "params"),
     "total_cost": ("gens", "P"),
     "total_demand": ("gens",),
-    "verify_lemma3_bounds": ("model", "gens", "P"),
 }
 
 

@@ -7,10 +7,10 @@ from fxdispatch import (
     LocalTopology,
     check_connected,
     laplacian,
-    path_topology,
     spectrum,
 )
 from fxdispatch.topology import jacobi_eigenvalues
+from tests.conftest import path_topology
 
 
 class TestConstruction:

@@ -8,7 +8,10 @@ Runs `perfbench/run.py --workload all --seed 1` and the tier-1 suite
 subprocesses. From run.py it keeps, per workload, the end-to-end medians of
 its last line, the samples of its `# wall_s:` and `# raw_wall_s:` lines and
 its `# env` stamp (which holds `nproc`); from tier-1, the wall time, exit code
-and summary line. Then it runs `dynamics.run` here and keeps the `RunResult`
+and summary line. It times acceptance criterion 1's golden run here: the
+reference case at its own t_end (200 s) and stride, with c_star from
+`solve_equilibrium`, which is solved before the clock starts. Then it runs
+`dynamics.run` here and keeps the `RunResult`
 counters steps, rejected_steps, switch_time, implicit_newton_iters,
 power_solve_iters and chord_factors, with the number of power solves, of:
 - `reference`: `configs/reference_case.yaml` to t_end 10;
@@ -83,6 +86,18 @@ def run_tier1() -> dict:
     return {"wall_s": wall, "exit_code": proc.returncode, "summary": lines[-1] if lines else ""}
 
 
+def golden_run(fx) -> dict:
+    """Wall time, horizon and step count of acceptance criterion 1's golden
+    run, timed as the criterion times it."""
+    config = fx.config.load_config(str(fingerprint.REFERENCE))
+    eq = fx.oracle.solve_equilibrium(config.generators, config.loss, sum(g.d0 for g in config.generators))
+    start = time.perf_counter()
+    result = fx.dynamics.run(config.system(), config.params, disturbance=config.disturbance,
+                             c_star=eq.cost_star, stride=config.output.stride)
+    wall = time.perf_counter() - start
+    return {"wall_s": wall, "t_end": config.params.t_end, "steps": result.steps}
+
+
 @contextlib.contextmanager
 def counted_solves(dynamics):
     """A list of the loss evaluations of each power solve the integrator makes
@@ -145,7 +160,7 @@ def main(argv=None) -> int:
     parser.add_argument("pr", help="the number in the file name, BENCH_<pr>.json")
     args = parser.parse_args(argv)
     fx, workloads = fingerprint.import_modules()
-    record = {"benchmark": run_benchmark(), "tier1": run_tier1(),
+    record = {"benchmark": run_benchmark(), "tier1": run_tier1(), "golden_run": golden_run(fx),
               "counters": record_counters(fx, workloads)}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")

@@ -17,8 +17,10 @@ table of `trajectory.csv` and each number or list of numbers of
 `report.json`. --against reads records so written (say, by a copy of this
 script in a checkout of the parent commit) and exits 1 if a value both trees
 have differs, listing apart the runs and the values only one has; where the
-.npz beside the old records holds a differing value, or report.json's
-numbers, with the shape it has now, the line gives max |new - old| over them.
+.npz beside the old records holds a differing value with the shape it has
+now, the line gives max |new - old| over it, and for report.json one such
+figure for each top-level section whose numbers differ, so that a large
+shift in one section does not hide a small one in another.
 
 The runs (on `configs/reference_case.yaml` unless named otherwise):
 - `reference`: the run file as it is (t_end 200);
@@ -149,6 +151,24 @@ def max_delta(new: dict[str, np.ndarray], old: dict[str, np.ndarray], key: str) 
     return max(deltas) if deltas else None
 
 
+def section_deltas(new: dict[str, np.ndarray], old: dict[str, np.ndarray], key: str) -> list[str]:
+    """"<section> <max_delta>" for each top-level section of the JSON file
+    named key whose numbers differ, in name order; a section whose numbers
+    differ only in shape or presence gives its name alone."""
+    sections: dict[str, list[str]] = {}
+    for name in new.keys() | old.keys():
+        if name.startswith(key + "."):
+            sections.setdefault(name[len(key) + 1:].split(".")[0], []).append(name)
+    out = []
+    for section, names in sorted(sections.items()):
+        same = all(name in new and name in old and new[name].shape == old[name].shape
+                   and np.array_equal(new[name], old[name], equal_nan=True) for name in names)
+        if not same:
+            delta = max_delta(new, old, f"{key}.{section}")
+            out.append(section if delta is None else f"{section} {delta:.3g}")
+    return out
+
+
 def digest(rec: dict[str, str]) -> str:
     return hashlib.sha256("".join(f"{k} {v}\n" for k, v in sorted(rec.items())).encode()).hexdigest()
 
@@ -252,7 +272,8 @@ def named_runs(fx, workloads, work: pathlib.Path) -> dict:
 def compare(new: dict, old: dict, new_values: dict | None = None,
             old_values: dict | None = None) -> tuple[list[str], list[str]]:
     """(each run value both records hold that differs, as "run: value",
-    followed by its max_delta where the {run: numbers} dicts give one; each
+    followed by its max_delta where the {run: numbers} dicts give one, and
+    for a JSON file by its section_deltas, one per top-level section; each
     run only one side holds, by name, then each value only one side's runs
     hold, with the number of runs that have it)."""
     new_values, old_values = new_values or {}, old_values or {}
@@ -263,8 +284,14 @@ def compare(new: dict, old: dict, new_values: dict | None = None,
         a, b = new[name], old[name]
         for key in sorted(set(a) & set(b)):
             if a[key] != b[key]:
-                delta = max_delta(new_values.get(name, {}), old_values.get(name, {}), key)
-                differs.append(f"{name}: {key}" + ("" if delta is None else f" (max |Δ| {delta:.3g})"))
+                args = new_values.get(name, {}), old_values.get(name, {}), key
+                if key.endswith(".json"):
+                    sections = section_deltas(*args)
+                    detail = ", ".join(sections) if sections else None
+                else:
+                    delta = max_delta(*args)
+                    detail = None if delta is None else f"{delta:.3g}"
+                differs.append(f"{name}: {key}" + ("" if detail is None else f" (max |Δ| {detail})"))
         for key in set(a) ^ set(b):
             side = "new" if key in a else "old"
             one_sided[key, side] = one_sided.get((key, side), 0) + 1
