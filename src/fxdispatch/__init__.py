@@ -13,8 +13,6 @@ from .analysis import (
     SMatrix,
     assemble_assumption_report,
     build_s_matrix,
-    check_a1,
-    check_a2,
     settling_bound,
 )
 from .config import RunConfig, load_config, save_config

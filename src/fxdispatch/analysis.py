@@ -10,7 +10,7 @@ over these gates is `cli.Gates.all_ok`.
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -36,12 +36,15 @@ class SMatrix:
 
 
 @dataclass(frozen=True)
-class A2Report:
-    """Eigenvalue condition on the loss matrix vs cost convexity.
+class AssumptionReport:
+    """Outcome of every standing-assumption gate for one configuration.
 
-    a2_value is (1+rho)*sigma + b1*delta for delta > 0, with b1 replaced
-    by bN for delta < 0; the condition holds iff the value is positive.
-    Both are properties computed from the fields.
+    The fields hold the evidence: rho = min B_i0, the extreme eigenvalues b1
+    and bN of B, sigma and delta of the costs, the per-generator A1 verdicts
+    and the remark-2 row-sum verdict. a1_ok (every generator passes A1),
+    a2_value ((1+rho)*sigma + b1*delta for delta > 0, with b1 replaced by bN
+    for delta < 0) and a2_ok (a2_value > 0) are properties computed from
+    it. The verdict over every gate, tau1 > 0 included, is cli.Gates.all_ok.
     """
 
     rho: float
@@ -49,6 +52,8 @@ class A2Report:
     bN: float
     sigma: float
     delta: float
+    a1_per_generator: tuple
+    remark2_ok: bool
 
     @property
     def a2_value(self) -> float:
@@ -58,21 +63,6 @@ class A2Report:
     @property
     def a2_ok(self) -> bool:
         return self.a2_value > 0
-
-
-@dataclass(frozen=True)
-class AssumptionReport(A2Report):
-    """Outcome of every standing-assumption gate for one configuration.
-
-    The fields hold the evidence: the A2 scalars it takes from A2Report,
-    the per-generator A1 verdicts and the remark-2 row-sum verdict; a1_ok
-    (every generator passes A1) and A2Report's a2_value and a2_ok are
-    properties computed from it. The verdict over every gate, tau1 > 0
-    included, is cli.Gates.all_ok.
-    """
-
-    a1_per_generator: tuple
-    remark2_ok: bool
 
     @property
     def connected_ok(self) -> bool:
@@ -110,27 +100,6 @@ class SettlingBound:
         return (3.0 + self.nu) / 4.0
 
 
-def check_a1(model: KronLossModel, dbar: float) -> np.ndarray:
-    """Sufficient per-generator condition keeping own-loss gradients below 1.
-
-    True for generator i iff sum_{j!=i} B_ij + 2 B_ii + B_i0/dbar < 1/dbar,
-    where dbar is the total demand; the sum is row i of the own-loss
-    gradient's Jacobian B + diag(B_ii). Guarantees dP_Li/dP_i < 1 whenever
-    every power stays below dbar.
-    """
-    if dbar <= 0:
-        raise AssumptionViolation(f"total demand must be positive, got {dbar}")
-    return model.own_grad_jac.sum(axis=1) + model.B0 / dbar < 1.0 / dbar
-
-
-def check_a2(model: KronLossModel, summary: CostSummary) -> A2Report:
-    """Positivity of (1+rho)*sigma + b_extreme*delta, the key eigenvalue gate;
-    summary.delta is nonzero, as CostSummary refuses zero."""
-    eig = jacobi_eigenvalues(model.B)
-    b1, bN = float(eig[0]), float(eig[-1])
-    return A2Report(rho=float(model.B0.min()), b1=b1, bN=bN, sigma=summary.sigma, delta=summary.delta)
-
-
 def build_s_matrix(model: KronLossModel, summary: CostSummary) -> SMatrix:
     """S = delta (B + diag(B_ii)) + diag((1+B_i0) sigma); tau sorted."""
     S = model.own_grad_jac * summary.delta
@@ -160,19 +129,21 @@ def settling_bound(params: AlgorithmParams, rho: float, tau1: float, phi2: float
 def assemble_assumption_report(model: KronLossModel, gens, top: LocalTopology) -> AssumptionReport:
     """Run every gate and collect the scalars the report prints.
 
-    The pointwise own-loss-gradient condition is evaluated at the demand
-    shares d0; the sufficient row-sum condition uses the total demand
-    dbar = sum d0. top is connected by construction; ValueError unless it
-    and model fit the fleet.
+    A1 is the own-loss gradient in [0, 1) at the demand shares d0. Remark 2
+    is the sufficient row-sum condition sum_{j!=i} B_ij + 2 B_ii + B_i0/dbar
+    < 1/dbar for every i, with dbar = sum d0 > 0; the sum is row i of the
+    own-loss gradient's Jacobian B + diag(B_ii), and the condition keeps
+    every dP_Li/dP_i below 1 while each power stays below dbar. top is
+    connected by construction; ValueError unless it and model fit the fleet.
     """
     _check_sizes(len(gens), model, top)
     summary = cost_summary(gens)
     dbar = total_demand(gens)
     own_grad = model.own_loss_gradient(_demand_shares(gens))
-    a1_per_gen = tuple(bool(0.0 <= g < 1.0) for g in own_grad)
-    remark2 = check_a1(model, dbar) if dbar > 0 else np.zeros(model.n, dtype=bool)
+    remark2 = dbar > 0 and bool((model.own_grad_jac.sum(axis=1) + model.B0 / dbar < 1.0 / dbar).all())
+    eig = jacobi_eigenvalues(model.B)
     return AssumptionReport(
-        a1_per_generator=a1_per_gen,
-        remark2_ok=bool(remark2.all()),
-        **asdict(check_a2(model, summary)),
+        rho=float(model.B0.min()), b1=float(eig[0]), bN=float(eig[-1]), sigma=summary.sigma,
+        delta=summary.delta, a1_per_generator=tuple(bool(0.0 <= g < 1.0) for g in own_grad),
+        remark2_ok=remark2,
     )

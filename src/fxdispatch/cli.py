@@ -39,24 +39,24 @@ class Gates:
     phi2: float
     tau1: float
 
-    def rows(self) -> list[tuple[str, bool, str]]:
-        """(name, ok, detail) of each gate `check` prints: the report's four and
-        the settling bound's premise tau1 > 0, which A2 on eig(B) implies only
-        for delta > 0."""
+    def rows(self) -> list[tuple[str, str, bool, str]]:
+        """(name, report.json key, ok, detail) of each gate `check` prints and
+        `run` reports: the report's four and the settling bound's premise
+        tau1 > 0, which A2 on eig(B) implies only for delta > 0."""
         r = self.report
         return [
-            ("connected", r.connected_ok, ""),
-            ("gradient_condition (A1)", r.a1_ok, ""),
-            ("coefficient_magnitude", r.remark2_ok, ""),
-            ("eigenvalue_condition (A2)", r.a2_ok, f"value={_fmt(r.a2_value)}"),
-            ("curvature_condition (tau1 > 0)", self.tau1 > 0, f"value={_fmt(self.tau1)}"),
+            ("connected", "connected_ok", r.connected_ok, ""),
+            ("gradient_condition (A1)", "a1_ok", r.a1_ok, ""),
+            ("coefficient_magnitude", "remark2_ok", r.remark2_ok, ""),
+            ("eigenvalue_condition (A2)", "a2_ok", r.a2_ok, f"value={_fmt(r.a2_value)}"),
+            ("curvature_condition (tau1 > 0)", "curvature_ok", self.tau1 > 0, f"value={_fmt(self.tau1)}"),
         ]
 
     @property
     def all_ok(self) -> bool:
         """Every row passes: the one verdict of `check`, `bound`, `run` and
         report.json's assumptions.all_ok."""
-        return all(ok for _, ok, _ in self.rows())
+        return all(ok for _, _, ok, _ in self.rows())
 
 
 def evaluate_gates(config: RunConfig) -> Gates:
@@ -68,7 +68,7 @@ def evaluate_gates(config: RunConfig) -> Gates:
 
 def _print_gates(g: Gates) -> None:
     r = g.report
-    for name, ok, extra in g.rows():
+    for name, _, ok, extra in g.rows():
         print(f"{name:36s} {'PASS' if ok else 'FAIL'}  {extra}")
     print(f"sigma={_fmt(r.sigma)} delta={_fmt(r.delta)} rho={_fmt(r.rho)} b1={_fmt(r.b1)} "
           f"bN={_fmt(r.bN)} tau1={_fmt(g.tau1)} phi2={_fmt(g.phi2)}")
@@ -149,10 +149,7 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False) 
         "settling_within_bound": within,
         "negative_power_seen": result.negative_power_seen,
         "assumptions": {
-            "connected_ok": g.report.connected_ok,
-            "a1_ok": g.report.a1_ok,
-            "remark2_ok": g.report.remark2_ok,
-            "a2_ok": g.report.a2_ok,
+            **{key: ok for _, key, ok, _ in g.rows()},
             "all_ok": g.all_ok,
             "sigma": g.report.sigma,
             "delta": g.report.delta,

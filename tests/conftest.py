@@ -79,15 +79,21 @@ def negative_delta_fleet_dict(seed):
     return _path_fleet_dict(gens, B)
 
 
-def benchmark_fleet_dict(seed):
-    """perfbench/workloads.py's fleet_dict(seed): the benchmark's seeded
-    64-unit fleet, at its t_end of 0.2 s."""
+def benchmark_workloads():
+    """The benchmark's perfbench/workloads.py, imported from this checkout
+    with perfbench/ on the path, as tools/fingerprint.py imports it."""
     perfbench = str(pathlib.Path(__file__).resolve().parent.parent / "perfbench")
     if perfbench not in sys.path:
         sys.path.insert(0, perfbench)
     import workloads
 
-    return workloads.fleet_dict(seed)
+    return workloads
+
+
+def benchmark_fleet_dict(seed):
+    """perfbench/workloads.py's fleet_dict(seed): the benchmark's seeded
+    64-unit fleet, at its t_end of 0.2 s."""
+    return benchmark_workloads().fleet_dict(seed)
 
 
 @pytest.fixture(scope="session")

@@ -12,8 +12,6 @@ from fxdispatch import (
     KronLossModel,
     assemble_assumption_report,
     build_s_matrix,
-    check_a1,
-    check_a2,
     cost_summary,
     settling_bound,
 )
@@ -45,45 +43,56 @@ def random_case(rng, n, scale=1e-3):
     return model, gens, P
 
 
-class TestCheckA1:
-    def test_reference_case_all_pass(self, ref_model):
-        assert check_a1(ref_model, REF_DEMAND).all()
+def lossless_case(dbar):
+    """Three lossless units with total demand dbar, sigma = 2c = 1 and delta = b = 1."""
+    model = KronLossModel(np.zeros((3, 3)), np.zeros(3), 0.0)
+    gens = tuple(GeneratorSpec(a=0.0, b=1.0, c=0.5, d0=dbar / 3.0) for _ in range(3))
+    return model, gens, path_topology(3)
+
+
+class TestRemark2:
+    def test_reference_case_all_pass(self, ref_model, ref_gens, ref_top):
+        assert sum(g.d0 for g in ref_gens) == REF_DEMAND
+        assert assemble_assumption_report(ref_model, ref_gens, ref_top).remark2_ok
 
     def test_lossless_passes(self):
-        model = KronLossModel(np.zeros((3, 3)), np.zeros(3), 0.0)
-        assert check_a1(model, 1.0).all()
-        assert check_a1(model, 1e6).all()
+        assert assemble_assumption_report(*lossless_case(1.0)).remark2_ok
+        assert assemble_assumption_report(*lossless_case(1e6)).remark2_ok
 
-    def test_scaled_coefficients_fail(self, ref_model):
+    def test_scaled_coefficients_fail(self, ref_model, ref_gens, ref_top):
         big = KronLossModel(ref_model.B * 1e4, ref_model.B0, ref_model.B00)
-        assert not check_a1(big, REF_DEMAND).all()
+        assert not assemble_assumption_report(big, ref_gens, ref_top).remark2_ok
 
-    def test_rejects_nonpositive_demand(self, ref_model):
-        with pytest.raises(AssumptionViolation):
-            check_a1(ref_model, 0.0)
+    def test_fails_without_positive_demand(self, ref_model, ref_gens, ref_top):
+        idle = tuple(dataclasses.replace(g, d0=0.0) for g in ref_gens)
+        assert not assemble_assumption_report(ref_model, idle, ref_top).remark2_ok
 
 
-class TestCheckA2:
-    def test_reference_case(self, ref_model):
-        rep = check_a2(ref_model, REF_SUMMARY)
+class TestA2:
+    def test_reference_case(self, ref_model, ref_gens, ref_top):
+        rep = assemble_assumption_report(ref_model, ref_gens, ref_top)
+        assert (rep.sigma, rep.delta) == (REF_SUMMARY.sigma, REF_SUMMARY.delta)
         assert rep.a2_ok
         assert rep.rho == pytest.approx(1.0e-3)
         assert rep.b1 == pytest.approx(-1.61e-5, abs=1e-7)
         assert rep.a2_value == pytest.approx(0.1641, abs=5e-4)
 
     def test_lossless_degenerate(self):
-        model = KronLossModel(np.zeros((3, 3)), np.zeros(3), 0.0)
-        rep = check_a2(model, CostSummary(sigma=1.0, delta=1.0))
+        rep = assemble_assumption_report(*lossless_case(1.0))
+        assert (rep.sigma, rep.delta) == (1.0, 1.0)
         assert rep.a2_value == pytest.approx(1.0)
 
-    def test_negative_delta_uses_largest_eigenvalue(self, ref_model):
-        rep = check_a2(ref_model, CostSummary(sigma=0.164, delta=-1.0))
+    def test_negative_delta_uses_largest_eigenvalue(self, ref_model, ref_gens, ref_top):
+        gens = tuple(dataclasses.replace(g, b=-1.0) for g in ref_gens)
+        rep = assemble_assumption_report(ref_model, gens, ref_top)
+        assert (rep.sigma, rep.delta) == (0.164, -1.0)
         expected = (1.0 + 1e-3) * 0.164 - np.linalg.eigvalsh(REF_B)[-1]
         assert rep.a2_value == pytest.approx(expected, rel=1e-10)
 
-    def test_zero_delta_rejected(self, ref_model):
+    def test_zero_delta_rejected(self, ref_model, ref_gens, ref_top):
+        gens = tuple(dataclasses.replace(g, b=0.0) for g in ref_gens)
         with pytest.raises(AssumptionViolation):
-            check_a2(ref_model, CostSummary(sigma=1.0, delta=0.0))
+            assemble_assumption_report(ref_model, gens, ref_top)
 
 
 class TestSMatrix:
@@ -262,7 +271,6 @@ class TestAssumptionReport:
         rng = np.random.default_rng(9)
         for _ in range(200):
             model, gens, _ = random_case(rng, int(rng.integers(2, 6)), scale=1e-2)
-            summary = cost_summary(gens)
-            rep = check_a2(model, summary)
+            rep = assemble_assumption_report(model, gens, path_topology(len(gens)))
             if rep.a2_ok:
-                assert build_s_matrix(model, summary).tau[0] > 0
+                assert build_s_matrix(model, cost_summary(gens)).tau[0] > 0

@@ -501,7 +501,7 @@ class TestRun:
         # but tau1 = -0.04, so the gates fail and the bound is undefined
         config = config_from_dict(two_unit_negative_delta_dict())
         gates = evaluate_gates(config)
-        assert [ok for _, ok, _ in gates.rows()] == [True, True, True, True, False]
+        assert [ok for _, _, ok, _ in gates.rows()] == [True, True, True, True, False]
         assert gates.tau1 == pytest.approx(-0.04) and not gates.all_ok
         code, text = run_cmd(cmd_run, config, out_dir=str(tmp_path))
         assert code == EXIT_VALIDATION and "curvature_condition" in text
@@ -511,6 +511,27 @@ class TestRun:
         assert code == EXIT_OK and report["settled"] is True
         assert report["assumptions"]["a2_ok"] is True and report["assumptions"]["all_ok"] is False
         assert report["settling_time_bound"] is None and report["settling_within_bound"] is None
+
+    def test_report_lists_the_verdict_of_every_row_check_prints(self, tmp_path):
+        # the shipped case passes every gate; the forced two-unit delta < 0 run fails tau1 > 0
+        two_units = tmp_path / "two_units.json"
+        two_units.write_text(json.dumps(two_unit_negative_delta_dict()))
+        for path in (CONFIG_PATH, two_units):
+            printed = io.StringIO()
+            with contextlib.redirect_stdout(printed):
+                main(["check", "--config", str(path)])
+            verdicts = [re.search(r" (PASS|FAIL)\b", line).group(1) == "PASS"
+                        for line in printed.getvalue().splitlines()[:-1]]
+            out = tmp_path / path.stem
+            with contextlib.redirect_stdout(io.StringIO()):
+                code = main(["run", "--config", str(path), "--out", str(out), "--t-end", "0.1", "--force"])
+            assert code == EXIT_OK
+            assumptions = json.loads((out / "report.json").read_text())["assumptions"]
+            gates = [key for key in assumptions if key.endswith("_ok") and key != "all_ok"]
+            assert gates == ["connected_ok", "a1_ok", "remark2_ok", "a2_ok", "curvature_ok"]
+            assert [assumptions[key] for key in gates] == verdicts
+            assert assumptions["all_ok"] is all(verdicts)
+        assert verdicts == [True, True, True, True, False]
 
     def test_negative_power_leaves_within_null(self, base_dict, tmp_path):
         # delta = min b bounds the marginal costs only on P >= 0; this run

@@ -16,7 +16,7 @@ def test_reference_run_outputs_keep_their_bytes(tmp_path):
     # `fxdispatch run` on the reference case cut to --t-end 10
     fx, workloads = fingerprint.import_modules()
     rec = fingerprint.hashes(fingerprint.named_runs(fx, workloads, tmp_path)["cli/reference"]())
-    assert rec["run.report.json"] == "4d068e3b5612fcc91947873190be54bb5563bd27005fa6a9b3ad0ef7a25c14ba"
+    assert rec["run.report.json"] == "520a428d141ba40069affd0f04a29e96ede44e7b29aba5b39b89ee070183018d"
     assert rec["run.trajectory.csv"] == "6849138e78f1a92c280f658634a20383e562bf6977991f3c5e2df2c265997f7a"
 
 
@@ -26,7 +26,7 @@ def test_fleet_run_outputs_keep_their_bytes(tmp_path):
     rec = fingerprint.named_runs(fx, workloads, tmp_path)["cli/fleet1"]()
     assert json.loads(rec["run.report.json"])["solver"]["chord_factors"] == 1
     rec = fingerprint.hashes(rec)
-    assert rec["run.report.json"] == "3d406f2069f4b5509743acfbf840c7d53efeff12307e8b2d180ff85758406df4"
+    assert rec["run.report.json"] == "016c75de238a2e5176d1b022996fc7f90bab908ab3ca7d38a50357fc6595d32a"
     assert rec["run.trajectory.csv"] == "31726ed1c6e87a636a7d60e624a897cde6a78205ee037e5abffd6715e17d6c8d"
 
 

@@ -90,7 +90,8 @@ def golden_run(fx) -> dict:
     """Wall time, horizon and step count of acceptance criterion 1's golden
     run, timed as the criterion times it."""
     config = fx.config.load_config(str(fingerprint.REFERENCE))
-    eq = fx.oracle.solve_equilibrium(config.generators, config.loss, sum(g.d0 for g in config.generators))
+    dbar = fx.grid_model.total_demand(config.generators)  # the total `fxdispatch run` solves at
+    eq = fx.oracle.solve_equilibrium(config.generators, config.loss, dbar)
     start = time.perf_counter()
     result = fx.dynamics.run(config.system(), config.params, disturbance=config.disturbance,
                              c_star=eq.cost_star, stride=config.output.stride)
