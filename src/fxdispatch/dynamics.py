@@ -13,8 +13,9 @@ before (first same as last), so the order-3 embedded solution with weights
 error estimate, and a step is accepted when it is within STEP_TOL (Hairer,
 Norsett & Wanner, Solving ODEs I, II.4). Each later stage solves the implicit
 power equation by a warm-started chord (simplified Newton) iteration (a stage
-whose solve stalls fails its step), whose balance residual is one folded
-expression with its constants stored. Every power solve iterates on
+whose solve stalls fails its step), whose balance residual d is one folded
+expression with its constants stored and which stops once ||d||_2 < fp_tol,
+one dot product per loss evaluation. Every power solve iterates on
 KronLossModel._newton_factor, (I - J(P))^-1 with J the loss Jacobian; the RK4
 tries of a call share one, formed again only once a solve shows it stale (one
 chord correction no longer reaches fp_tol, or the solve failed), as
@@ -30,8 +31,12 @@ _chatter_width, bounds RK4's width at the disagreement r, and where that
 bound falls below dt the integrator takes linearly implicit, chattering-free
 steps of width dt instead (backward Euler on the consensus law, after Acary &
 Brogliato 2010 and Polyakov, Efimov & Brogliato 2019), which reach consensus
-to roundoff; once an undisturbed run is below settle_tol each implicit step
-doubles its width, so the settle window is confirmed in about ten steps. A
+to roundoff. Their Newton systems are singular along 1 at consensus: each is
+solved by LU where a lower bound on its least singular value shows that
+lstsq would keep every singular value, and by lstsq's minimum-norm solution
+otherwise (_newton_step). Once an undisturbed run is below settle_tol each
+implicit step doubles its width, so the settle window is confirmed in about
+ten steps. A
 failed step is retried narrower: an RK4 step at the error controller's width
 (a quarter of its width after a failed solve), an implicit step at half its
 width; only a failure below _MIN_STEP dt ends a run. The kind of step depends
@@ -119,11 +124,11 @@ class AlgorithmParams:
     k1, k2: consensus gains (> 0); mu in (0, 1) and nu > 1 are the signed
     power exponents; dt: the first RK4 step and the implicit steps' width
     (s), steps turning implicit where _chatter_width is below it; t_end:
-    horizon (s); fp_tol: residual tolerance of the implicit power solve
-    (MW); fp_max_iter: cap on its chord iterations, a solve not converged
-    by then failing; settle_tol: consensus residual threshold; settle_window:
-    seconds the residual must stay below settle_tol before settling is
-    declared.
+    horizon (s); fp_tol: tolerance of the implicit power solve on the
+    2-norm of its balance residual (MW); fp_max_iter: cap on its chord
+    iterations, a solve not converged by then failing; settle_tol:
+    consensus residual threshold; settle_window: seconds the residual must
+    stay below settle_tol before settling is declared.
     """
 
     k1: float
@@ -240,8 +245,15 @@ class DispatchSystem:
     def loop_gain(self) -> float:
         """g = ||M||_inf at P = d0 (M from _sensitivity), the gain with which
         the disagreement answers the consensus law near consensus."""
-        M = _sensitivity(*_h_lambda(self.d0, self)[:2], self, self.chord0)
+        M = _sensitivity(*_h_lambda(self.d0, self)[:2], self, self.chord0)[1]
         return float(np.abs(M).sum(axis=1).max())
+
+    @cached_property
+    def _phi2(self) -> float:
+        """phi2, the second-least eigenvalue of the Laplacian L, for
+        _newton_gap; unlike topology.spectrum, it does not refuse a graph
+        whose phi2 is near 0, whose implicit steps then solve by lstsq."""
+        return float(np.linalg.eigvalsh(-self.neg_laplacian)[1])
 
 
 @dataclass
@@ -293,20 +305,21 @@ def _solve_power(z: np.ndarray, system: DispatchSystem, P: np.ndarray, A: np.nda
     factor (I - J)^-1 at a nearby P, J the loss Jacobian. d is formed in
     one folded expression, base + P (B P + (B0 - 1)) with the per-solve
     constant base = -L z + (d0 + B00/N) (KronLossModel._losses_less_power).
-    Once max|d| < fp_tol it returns P + d, whose balance residual is one
-    sweep below fp_tol. StepFailure after fp_max_iter iterations, or as soon
-    as max|d| stops shrinking or is not finite, so a diverging iterate stops
-    long before it overflows.
+    Once ||d||_2 < fp_tol, tested as d.d < fp_tol^2 in one call, it returns
+    P + d, whose balance residual is one sweep below fp_tol; as
+    ||d||_2 >= max|d|, every entry of d is below fp_tol too. StepFailure
+    after fp_max_iter iterations, or as soon as d.d stops shrinking or is
+    not finite, so a diverging iterate stops long before it overflows.
     """
     base = _disagreement(z, system) + system._d0_b00
     loss = system.loss
     folded = loss._losses_less_power
-    warm, last = P, math.inf
+    warm, last, tol2 = P, math.inf, fp_tol * fp_tol
     # every update builds a new array: the P passed in is never written to or returned
     for evals in range(1, fp_max_iter + 1):
         d = base + folded(P)
-        size = _amax(np.abs(d))
-        if size < fp_tol:
+        size = d.dot(d)
+        if size < tol2:
             return P + d, evals
         if not size < last:
             break
@@ -371,15 +384,60 @@ def make_state(t: float, z, system: DispatchSystem, params: AlgorithmParams | No
     return _state(t, z, solve_power(z, system, None, *fp), system)
 
 
-def _sensitivity(lam: np.ndarray, H: np.ndarray, system: DispatchSystem, jinv: np.ndarray) -> np.ndarray:
-    """M = L K (I - J)^-1 L at P, with which the disagreement r = -L (H lam)
-    moves with z as dr = M dz: K = d(H lam)/dP, J the Jacobian of the
-    generator losses and L the Laplacian; lam and H are those of _h_lambda
-    at P, and jinv is (I - J)^-1 there. Formed as (-L) K jinv (-L), equal
-    to it bit for bit."""
-    K = weighted_cost_jacobian(system.loss.own_grad_jac, system.c_coef, lam, H, 1.0)
+def _sensitivity(lam: np.ndarray, H: np.ndarray, system: DispatchSystem,
+                 jinv: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(C, M) at P: C = K (I - J)^-1, how H lam moves with the consensus
+    term -L z of the power equation, and M = L C L, with which the
+    disagreement r = -L (H lam) moves with z as dr = M dz. K = d(H lam)/dP,
+    J is the Jacobian of the generator losses and L the Laplacian; lam and H
+    are those of _h_lambda at P, and jinv is (I - J)^-1 there. M is formed
+    as (-L) C (-L), equal to L C L bit for bit."""
+    C = weighted_cost_jacobian(system.loss.own_grad_jac, system.c_coef, lam, H, 1.0).dot(jinv)
     neg_lap = system.neg_laplacian
-    return neg_lap.dot(K).dot(jinv).dot(neg_lap)
+    return C, neg_lap.dot(C).dot(neg_lap)
+
+
+def _newton_gap(C: np.ndarray, system: DispatchSystem, dt: float) -> float:
+    """gap = dt c phi2^2 / 2 for _newton_step's bound, with phi2 the
+    algebraic connectivity and c the Gershgorin lower bound on the
+    eigenvalues of C's symmetric part (C from _sensitivity): then
+    x' dt M x >= 2 gap |x - mean(x)|^2 for every x. 0.0 where c <= 0, for
+    which there is no such bound."""
+    S = C + C.T
+    diag = S.diagonal()
+    c = 0.5 * float(np.minimum.reduce(diag + np.abs(diag) - np.abs(S).sum(axis=1)))
+    return 0.5 * dt * c * system._phi2 ** 2 if c > 0.0 else 0.0
+
+
+def _newton_step(jac: np.ndarray, F: np.ndarray, D: np.ndarray, E: np.ndarray, k1: float,
+                 gap: float) -> np.ndarray:
+    """The implicit step's Newton update, jac^-1 F for jac = diag(D) + dt M
+    diag(E) (D >= 0 and E >= k1 from _Stepper.implicit): an LU solve where a
+    lower bound on jac's least singular value shows jac regular, else lstsq's
+    minimum-norm solution.
+
+    The bound: jac = (diag(Delta) + dt M) diag(E) with Delta = D / E >= 0.
+    Write a unit x as a multiple of 1 / sqrt(n) plus w orthogonal to 1; as
+    x' dt M x >= 2 gap |w|^2 (_newton_gap), minimising over w gives
+    sigma_min(jac) >= k1 mean(Delta gap / (Delta + gap)) in exact
+    arithmetic, for the jac formed exactly from the computed C. lstsq with
+    rcond=None drops the singular values below n eps sigma_max, and
+    sigma_max <= ||jac||_F, so jac is solved by LU only where the bound
+    exceeds 2 n eps ||jac||_F. The second n eps ||jac||_F is a margin for
+    the rounding in forming M and jac, not a proven bound on it: that
+    rounding scales with |L| |C| |L|, which exceeds |M| where L C L cancels.
+    TestNewtonStep checks the margin against the SVD, on constructed systems
+    and on whole runs. At s = 0, where jac is singular along 1, Delta = 0
+    and the bound is 0: such systems, and every one with gap = 0, go to
+    lstsq.
+    """
+    if gap > 0.0:
+        ratio = D / E
+        lower = k1 * gap / F.size * float(np.add.reduce(ratio / (ratio + gap)))
+        flat = jac.reshape(-1)
+        if lower * lower > (2.0 * F.size * _EPS) ** 2 * flat.dot(flat):
+            return np.linalg.solve(jac, F)
+    return np.linalg.lstsq(jac, F, rcond=None)[0]
 
 
 def _chatter_width(system: DispatchSystem, params: AlgorithmParams, r_max: float) -> float:
@@ -506,22 +564,33 @@ class _Stepper:
         """The linearly implicit advance from the point p over a step of
         width dt: (z', P', w(t + dt)).
 
-        With p's P, h and disagreement r, and M = _sensitivity at P, it solves
-        y = r + M dz, dz = -dt (k1 sig(y)^mu + k2 sig(y)^nu) + dt w(t + dt)
+        With p's P, h and disagreement r, and C, M = _sensitivity at P, it
+        solves y = r + M dz, dz = -dt (k1 sig(y)^mu + k2 sig(y)^nu) + dt w(t + dt)
         for the next disagreement y, which is backward Euler on the consensus
         law linearised at P, so it has no chatter: exact consensus is its
-        fixed point. Newton runs in s = sig(y)^mu, in which the equation is
-        smooth at consensus, and solves with lstsq because M has the null
-        vector 1, starting from sig(r)^mu. The Newton factor (I - J(P))^-1 is
-        formed once, for M and as the chord factor of the one power solve at
-        z + dz that then restores the balance exactly. The Newton iterations
-        go to newton_iters once that solve has succeeded.
+        fixed point. r is first made to sum to zero, as -L (H lam) does in
+        exact arithmetic: as 1' M = 0, sum(y) = sum(r), so a rounded sum of r
+        would set the mean of y, the direction along which the Newton matrix
+        is near-singular at consensus, and Newton started below that mean
+        overshoots it by orders of magnitude and needs tens of iterations to
+        come back. Newton runs in s = sig(y)^mu, in which the equation is
+        smooth at consensus, starting from sig(r)^mu. Its matrix
+        diag(D) + dt M diag(E) is built in place and solved by _newton_step:
+        by LU where its bound shows the matrix regular, else by lstsq's
+        minimum-norm solution, as M has the null vector 1 on both sides. The
+        Newton factor (I - J(P))^-1 is formed once, for M and as the chord
+        factor of the one power solve at z + dz that then restores the
+        balance exactly. The Newton iterations go to newton_iters once that
+        solve has succeeded.
         """
         params = self.params
         k1, k2, mu, nu = params.k1, params.k2, params.mu, params.nu
         (lam, H, hl), P, r = p.h, p.P, p.r
-        jinv = self.system.loss._newton_factor(P)
-        M = _sensitivity(lam, H, self.system, jinv)
+        r = r - np.add.reduce(r) / r.size
+        system = self.system
+        jinv = system.loss._newton_factor(P)
+        C, M = _sensitivity(lam, H, system, jinv)
+        dtM, gap, n = dt * M, _newton_gap(C, system, dt), system.n
         w = self.w_at(p.t + dt)
         dtw = None if w is None else dt * w
         f0 = _amax(np.abs(r if dtw is None else r + M.dot(dtw)))  # max|F| at s = 0
@@ -537,8 +606,11 @@ class _Stepper:
                 raise StepFailure(f"implicit step at t = {p.t:.9g} s, width {dt:.3g} s did not converge "
                                   f"in {_IMPLICIT_MAX_ITER} Newton iterations")
             a = np.abs(s)
-            jac = np.diag(a ** (1.0 / mu - 1.0) / mu) + dt * M * (k1 + k2 * nu / mu * a ** (nu / mu - 1.0))
-            s = s - np.linalg.lstsq(jac, F, rcond=None)[0]
+            D = a ** (1.0 / mu - 1.0) / mu
+            E = k1 + k2 * nu / mu * a ** (nu / mu - 1.0)
+            jac = dtM * E
+            jac.reshape(-1)[::n + 1] += D
+            s = s - _newton_step(jac, F, D, E, k1, gap)
         z_new = p.z + dz
         P_new = self.solve(z_new, P, jinv)[0]
         self.newton_iters.append(iters)

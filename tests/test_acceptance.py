@@ -24,6 +24,7 @@ from fxdispatch import (
     solve_equilibrium,
 )
 from fxdispatch.cli import evaluate_gates
+from fxdispatch.grid_model import total_demand
 from tests.lemma3 import curvature_matrices, power_mean_check, verify_lemma3_bounds
 
 CONFIG_PATH = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference_case.yaml"
@@ -45,7 +46,7 @@ def _conclude(num, checks):
 def golden():
     """The reference-configuration run: dt=1e-3, t_end=200, plus its oracle."""
     config = load_config(str(CONFIG_PATH))
-    eq = solve_equilibrium(config.generators, config.loss, sum(g.d0 for g in config.generators))
+    eq = solve_equilibrium(config.generators, config.loss, total_demand(config.generators))
     t0 = time.perf_counter()
     result = run(config.system(), config.params, disturbance=config.disturbance,
                  c_star=eq.cost_star, stride=config.output.stride)
@@ -88,7 +89,7 @@ def test_criterion_2_analysis_chain(golden):
 
 def test_criterion_3_constraint_invariant(golden):
     config, _, result, _ = golden
-    dbar = sum(g.d0 for g in config.generators)
+    dbar = total_demand(config.generators)
     drift = np.abs(result.trajectory.P.sum(axis=1) - dbar - result.trajectory.loss)
     _conclude(3, [
         ("|sum P - demand - loss| <= 4e-10 at every emitted step",

@@ -52,6 +52,24 @@ def test_golden_run_times_criterion_1s_run(monkeypatch):
     assert rec["steps"] == real(config.system(), dataclasses.replace(params, t_end=0.05), **kwargs).steps
 
 
+def test_settle_run_records_the_64_unit_fleet_to_t_end_200(monkeypatch):
+    # the run is cut to t_end 0.02 here, before any implicit step
+    fx, workloads = bench_record.fingerprint.import_modules()
+    calls, real = [], fx.dynamics.run
+
+    def short(system, params, **kwargs):
+        calls.append((system.n, params))
+        return real(system, dataclasses.replace(params, t_end=0.02), **kwargs)
+
+    monkeypatch.setattr(fx.dynamics, "run", short)
+    rec = bench_record.settle_run(fx, workloads)
+    config = fx.config.config_from_dict(workloads.fleet_dict(1), "fleet1")
+    assert calls == [(64, dataclasses.replace(config.params, t_end=200.0))]
+    assert set(rec) == {"wall_s", "settle_time", "power_solves", *bench_record.COUNTERS}
+    assert rec["wall_s"] > 0.0 and rec["settle_time"] is None and rec["switch_time"] is None
+    assert rec["power_solves"] == 1 + 4 * (rec["steps"] + rec["rejected_steps"])
+
+
 def test_reads_medians_samples_and_stamps_of_each_workload():
     env = {"python": "3.11.7", "numpy": "2.4.6", "nproc": 2}
     lines = []

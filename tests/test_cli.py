@@ -731,6 +731,18 @@ class TestMain:
         assert out.startswith("equilibrium solve failed: no descent after 30 halvings (residual ")
         assert "; best iterate: [" in out
 
+    def test_oracle_without_a_positive_demand_exits_1(self, base_dict, tmp_path, capsys):
+        # every d0 at -10 MW: the equilibrium solve would return every power negative
+        for gen in base_dict["generators"]:
+            gen["d0"] = -10.0
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(base_dict, sort_keys=False))
+        assert main(["oracle", "--config", str(path)]) == EXIT_VALIDATION
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == ("assumption violation: total demand is -40 MW; "
+                                "the oracle needs a positive total demand\n")
+
     def test_power_solve_failure_exits_2(self, base_dict, tmp_path, capsys):
         base_dict["params"]["fp_max_iter"] = 1
         path = tmp_path / "run.yaml"

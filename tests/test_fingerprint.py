@@ -16,8 +16,8 @@ def test_reference_run_outputs_keep_their_bytes(tmp_path):
     # `fxdispatch run` on the reference case cut to --t-end 10
     fx, workloads = fingerprint.import_modules()
     rec = fingerprint.hashes(fingerprint.named_runs(fx, workloads, tmp_path)["cli/reference"]())
-    assert rec["run.report.json"] == "520a428d141ba40069affd0f04a29e96ede44e7b29aba5b39b89ee070183018d"
-    assert rec["run.trajectory.csv"] == "6849138e78f1a92c280f658634a20383e562bf6977991f3c5e2df2c265997f7a"
+    assert rec["run.report.json"] == "3f4518636ae61b67775272e61d691c78f56e1472062bbe3c2a52db498af193be"
+    assert rec["run.trajectory.csv"] == "f82a92aa556e4a9f308704d36f4578b934d3d236ccbf52864acf9ae15ba965ea"
 
 
 def test_fleet_run_outputs_keep_their_bytes(tmp_path):
@@ -26,8 +26,8 @@ def test_fleet_run_outputs_keep_their_bytes(tmp_path):
     rec = fingerprint.named_runs(fx, workloads, tmp_path)["cli/fleet1"]()
     assert json.loads(rec["run.report.json"])["solver"]["chord_factors"] == 1
     rec = fingerprint.hashes(rec)
-    assert rec["run.report.json"] == "016c75de238a2e5176d1b022996fc7f90bab908ab3ca7d38a50357fc6595d32a"
-    assert rec["run.trajectory.csv"] == "31726ed1c6e87a636a7d60e624a897cde6a78205ee037e5abffd6715e17d6c8d"
+    assert rec["run.report.json"] == "ff393fceedd8d7342f1cda9649161940da0955116a8199d03e39c26ab9702c65"
+    assert rec["run.trajectory.csv"] == "615fa0e193b6488c41c01970d7859e8f3521fcc913a0d6918644092cddab0198"
 
 
 def test_record_covers_fields_properties_and_nested_dataclasses():

@@ -10,8 +10,10 @@ its last line, the samples of its `# wall_s:` and `# raw_wall_s:` lines and
 its `# env` stamp (which holds `nproc`); from tier-1, the wall time, exit code
 and summary line. It times acceptance criterion 1's golden run here: the
 reference case at its own t_end (200 s) and stride, with c_star from
-`solve_equilibrium`, which is solved before the clock starts. Then it runs
-`dynamics.run` here and keeps the `RunResult`
+`solve_equilibrium`, which is solved before the clock starts, and the
+benchmark's seed-1 64-unit fleet run to settling (t_end 200), whose wall
+time, settle time and counters it keeps; its implicit steps solve 64 x 64
+Newton systems. Then it runs `dynamics.run` here and keeps the `RunResult`
 counters steps, rejected_steps, switch_time, implicit_newton_iters,
 power_solve_iters and chord_factors, with the number of power solves, of:
 - `reference`: `configs/reference_case.yaml` to t_end 10;
@@ -99,6 +101,19 @@ def golden_run(fx) -> dict:
     return {"wall_s": wall, "t_end": config.params.t_end, "steps": result.steps}
 
 
+def settle_run(fx, workloads) -> dict:
+    """Wall time, settle time and counters (those of `counters`) of the
+    benchmark's seed-1 64-unit fleet run to t_end 200; the clock includes
+    the counting of the power solves."""
+    config = fx.config.config_from_dict(workloads.fleet_dict(1), "fleet1")
+    system, params = config.system(), dataclasses.replace(config.params, t_end=200.0)
+    with counted_solves(fx.dynamics) as solves:
+        start = time.perf_counter()
+        result = fx.dynamics.run(system, params)
+        wall = time.perf_counter() - start
+    return {"wall_s": wall, "settle_time": result.settle_time, **counters(result, len(solves))}
+
+
 @contextlib.contextmanager
 def counted_solves(dynamics):
     """A list of the loss evaluations of each power solve the integrator makes
@@ -162,7 +177,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     fx, workloads = fingerprint.import_modules()
     record = {"benchmark": run_benchmark(), "tier1": run_tier1(), "golden_run": golden_run(fx),
-              "counters": record_counters(fx, workloads)}
+              "settle_run": settle_run(fx, workloads), "counters": record_counters(fx, workloads)}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path}")

@@ -31,6 +31,8 @@ The runs (on `configs/reference_case.yaml` unless named otherwise):
 - `wide_dt/...`: test_wide_dt_settles' grid of mu, k1 and dt, t_end 20;
 - `sweep<k>`: the benchmark's 12 seed-1 sweep scenarios, stride 1;
 - `fleet<seed>`: the benchmark's 64-unit fleets of seeds 0-5, stride 1;
+- `fleet1/n=16`: the benchmark's seed-1 fleet of 16 units run to settling
+  (t_end 200, stride 1), whose implicit steps solve 16 x 16 Newton systems;
 - `step50`: 50 public step() calls from z = 0;
 - `cli/reference`, `cli/fleet1`: `check`, `bound`, `oracle` and `run` (the
   reference case cut to --t-end 10, fleet 1 at its own t_end);
@@ -232,6 +234,8 @@ def named_runs(fx, workloads, work: pathlib.Path) -> dict:
     for seed in range(6):
         config = fx.config.config_from_dict(workloads.fleet_dict(seed), f"fleet{seed}")
         runs[f"fleet{seed}"] = lambda c=config: record(run(c.system(), c.params, stride=1))
+    config = fx.config.config_from_dict(workloads.fleet_dict(1, n=16), "fleet1/n=16")
+    runs["fleet1/n=16"] = lambda c=config: record(run(c.system(), replace(c.params, t_end=200.0), stride=1))
 
     def steps():
         state, rec = fx.dynamics.make_state(0.0, np.zeros(system.n), system, params), {}
