@@ -14,17 +14,22 @@ error estimate, and a step is accepted when it is within STEP_TOL (Hairer,
 Norsett & Wanner, Solving ODEs I, II.4). Each later stage solves the implicit
 power equation by a warm-started chord (simplified Newton) iteration (a stage
 whose solve stalls fails its step), whose balance residual d is one folded
-expression with its constants stored and which stops once ||d||_2 < fp_tol,
-one dot product per loss evaluation. Every power solve iterates on
+expression with its constants stored and which stops once ||d||_2 is below
+its tolerance, one dot product per loss evaluation. There are two
+tolerances. Every solve whose P becomes a solved instant (a run's start, the
+end of each step) stops at fp_tol, so every point is balanced to fp_tol.
+The solves of RK4 stages 2 to 4, which only feed k2 to k4, stop at
+max(fp_tol, _STAGE_TOL), _STAGE_TOL being STEP_TOL/30: inner iterations
+stop at a fraction of the step's error tolerance, not at roundoff (Hairer &
+Wanner, Solving ODEs II, IV.8). Every power solve iterates on
 KronLossModel._newton_factor, (I - J(P))^-1 with J the loss Jacobian; the RK4
 tries of a call share one, formed again only once a solve shows it stale (one
-chord correction no longer reaches fp_tol, or the solve failed), as
-simplified Newton iterations reuse their Jacobian (Hairer & Wanner, Solving
-ODEs II, IV.8). A solved instant is one _Point (t, z, P, H lam with its
-factors, the disagreement, the residual and dz/dt), formed only by
-_Stepper.at: the point that ends a step, its dz/dt formed at the w(t + dt)
-the step used, starts the next, that dz/dt being the next step's k1 and an
-RK4 step's k5. Matrix products are ndarray.dot (see the comment after _amax).
+chord correction no longer reaches the solve's tolerance, or the solve
+failed), as simplified Newton iterations reuse their Jacobian (ibid.). A
+solved instant is one _Point (t, z, P, H lam with its factors, the
+disagreement, the residual and dz/dt), formed only by _Stepper.at: the point
+that ends a step, its dz/dt formed at the w(t + dt) the step used, starts the
+next, that dz/dt being the next step's k1 and an RK4 step's k5. Matrix products are ndarray.dot (see the comment after _amax).
 Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term chatters once g k1 h
 |r|^(mu - 1) is of order one at width h, g being the loop gain, so one rule,
 _chatter_width, bounds RK4's width at the disagreement r, and where that
@@ -89,6 +94,20 @@ _CHATTER_WIDTH = 2.4
 #: solves where 200 fixed steps make 801; at 3e-5 they are within 4.7e-5 MW
 #: in at most 577 solves; at 1e-4 the worst error grows to 2.4e-4 MW.
 STEP_TOL = 3e-5
+#: The balance tolerance (MW on ||d||_2) of the power solves of RK4 stages 2
+#: to 4, or fp_tol where that is larger. Those solves only feed k2 to k4, and
+#: an accepted step keeps dt ||dz'/dP|| near RK4's stability bound, so a stage
+#: error e moves z' by a few e: at STEP_TOL / 30, about a tenth of STEP_TOL.
+#: Measured against every stage at fp_tol on the reference run (t_end 10),
+#: criterion 4's nine calibration runs and the benchmark's 12 seed-1 sweep
+#: scenarios: at STEP_TOL / 3, 10, 30, 100 and 300 the sweep takes 1.90, 2.03,
+#: 2.11, 2.16 and 2.25 loss evaluations per solve (2.74 at fp_tol) and 397 to
+#: 410 chord factors (814), and its P at t_end moves by at most 2.4e-6,
+#: 2.4e-7, 1.7e-7, 1.5e-7 and 1.1e-7 MW; the reference run and the sweep take
+#: the same steps, the calibration runs at most 3 more accepted and 12 more
+#: rejected steps of 4 066. 10 would save 4% of the sweep's evaluations for
+#: three times the stage error.
+_STAGE_TOL = STEP_TOL / 30
 #: Widths are scaled by at most _GROWTH and at least _SHRINK per step (with the
 #: safety factor _SAFETY on the error-optimal scale); a step that fails at a
 #: width below _MIN_STEP dt ends the run.
@@ -125,8 +144,10 @@ class AlgorithmParams:
     power exponents; dt: the first RK4 step and the implicit steps' width
     (s), steps turning implicit where _chatter_width is below it; t_end:
     horizon (s); fp_tol: tolerance of the implicit power solve on the
-    2-norm of its balance residual (MW); fp_max_iter: cap on its chord
-    iterations, a solve not converged by then failing; settle_tol:
+    2-norm of its balance residual (MW) at every solved point (a run's
+    start, each step's end), while RK4 stages 2 to 4 stop at the larger of
+    fp_tol and STEP_TOL/30 (see the module docstring); fp_max_iter: cap on
+    its chord iterations, a solve not converged by then failing; settle_tol:
     consensus residual threshold; settle_window: seconds the residual must
     stay below settle_tol before settling is declared.
     """
@@ -466,7 +487,8 @@ class _Stepper:
     """The integrator of one step() or run() call.
 
     w_at (w(t) from _disturbance_fn) and quiet (no disturbance at all) come
-    from one DisturbanceSpec, None for none. solves and evals count the power
+    from one DisturbanceSpec, None for none. stage_tol is the tolerance of
+    the solves of RK4 stages 2 to 4. solves and evals count the power
     solves and their loss evaluations (max_evals the most in one solve);
     newton_iters lists the Newton iterations of each implicit step that
     succeeded. chord is the RK4 tries' pair (A, A (-L)), A = (I - J(P))^-1,
@@ -483,6 +505,7 @@ class _Stepper:
         self.system, self.params = system, params
         self.quiet = not spec.active
         self.w_at = _disturbance_fn(spec, system.n)
+        self.stage_tol = max(params.fp_tol, _STAGE_TOL)
         self.solves = self.evals = self.max_evals = 0
         self.newton_iters: list[int] = []
         self.chord: tuple[np.ndarray, np.ndarray] | None = None
@@ -504,10 +527,10 @@ class _Stepper:
         r = _disagreement(h[2], self.system)
         return _Point(t, z, P, h, r, _residual(h[2]), _z_dot(r, self.params, w))
 
-    def solve(self, z: np.ndarray, P: np.ndarray, A: np.ndarray) -> tuple[np.ndarray, int]:
-        """solve_power at z from P with chord factor A, counted: (P, loss
-        evaluations)."""
-        P, evals = _solve_power(z, self.system, P, A, self.params.fp_tol, self.params.fp_max_iter)
+    def solve(self, z: np.ndarray, P: np.ndarray, A: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
+        """solve_power at z from P with chord factor A to the balance
+        tolerance tol, counted: (P, loss evaluations)."""
+        P, evals = _solve_power(z, self.system, P, A, tol, self.params.fp_max_iter)
         self.solves += 1
         self.evals += evals
         self.max_evals = max(self.max_evals, evals)
@@ -521,9 +544,11 @@ class _Stepper:
         warm-start from the chord step off the stage before, P + A (-L)
         (z' - z), which needs no loss evaluation. Only P, r and dz are formed
         per stage; k4 is returned for the error estimate, and w(t + dt) (None
-        in a quiet run) for the k5 that closes the step. The solves use the
-        chord factor A and A (-L) of self.chord. A try that finds it None
-        forms it at p's P, A = (I - J(P))^-1. Later tries reuse it until a
+        in a quiet run) for the k5 that closes the step. Stages 2 to 4 solve
+        to stage_tol, the end-of-step solve, whose P starts the next point,
+        to fp_tol. The solves use the chord factor A and A (-L) of
+        self.chord. A try that finds it None forms it at p's P,
+        A = (I - J(P))^-1. Later tries reuse it until a
         solve needs more than _FRESH_EVALS loss evaluations or fails, which
         sets it to None for the next try; the try itself goes on with A. A
         failed solve raises StepFailure naming the stage, t and dt.
@@ -536,9 +561,9 @@ class _Stepper:
             self.chord_factors += 1
         A, AL = self.chord
 
-        def solve(stage, z, z_from, P_from):
+        def solve(stage, z, z_from, P_from, tol):
             try:
-                P, evals = self.solve(z, P_from + AL.dot(z - z_from), A)
+                P, evals = self.solve(z, P_from + AL.dot(z - z_from), A, tol)
             except StepFailure as e:
                 self.chord = None
                 raise StepFailure(f"RK4 {stage} at t = {t:.9g} s, width {dt:.3g} s: {e}") from e
@@ -547,7 +572,7 @@ class _Stepper:
             return P
 
         def deriv(stage, z, z_from, P_from, w):
-            P = solve(stage, z, z_from, P_from)
+            P = solve(stage, z, z_from, P_from, self.stage_tol)
             return _z_dot(_disagreement(_h_lambda(P, system)[2], system), params, w), P
 
         w_half, w_end = w_at(t + dt / 2.0), w_at(t + dt)
@@ -558,7 +583,7 @@ class _Stepper:
         z4 = z + dt * k3v
         k4v, P4 = deriv("stage 4", z4, z3, P3, w_end)
         z_new = z + dt / 6.0 * (k1 + 2.0 * k2v + 2.0 * k3v + k4v)
-        return z_new, solve("end-of-step solve", z_new, z4, P4), k4v, w_end
+        return z_new, solve("end-of-step solve", z_new, z4, P4, params.fp_tol), k4v, w_end
 
     def implicit(self, p: _Point, dt: float):
         """The linearly implicit advance from the point p over a step of
@@ -612,7 +637,7 @@ class _Stepper:
             jac.reshape(-1)[::n + 1] += D
             s = s - _newton_step(jac, F, D, E, k1, gap)
         z_new = p.z + dz
-        P_new = self.solve(z_new, P, jinv)[0]
+        P_new = self.solve(z_new, P, jinv, params.fp_tol)[0]
         self.newton_iters.append(iters)
         return z_new, P_new, w
 
@@ -642,8 +667,10 @@ def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams
     Stage 1 is the point at state's (t, z, P); _Stepper.at forms its H lam
     afresh from state.P, which for every state this library makes equals
     the state's own. Each later RK4 stage solves the implicit power equation
-    (warm-started from the stage before). As in run(), the width integrated
-    is t' - t as rounded, t' = t + dt. The returned state carries fresh
+    (warm-started from the stage before) to the larger of fp_tol and
+    STEP_TOL/30, and the returned state's P is solved to fp_tol, as every
+    point of run() is. As in run(), the width integrated is t' - t as
+    rounded, t' = t + dt. The returned state carries fresh
     monitors. StepFailure if the step fails (step() does not retry it);
     ValueError on a system with loop gain 0, such as one generator.
     """
@@ -750,7 +777,8 @@ def run(system: DispatchSystem, params: AlgorithmParams,
         raise ValueError(f"z0 has shape {z0.shape}; expected ({system.n},)")
     min_width = _MIN_STEP * params.dt
 
-    p = stepper.at(0.0, z0, stepper.solve(z0, system.d0, system.chord0)[0], stepper.w_at(0.0))
+    P0 = stepper.solve(z0, system.d0, system.chord0, params.fp_tol)[0]
+    p = stepper.at(0.0, z0, P0, stepper.w_at(0.0))
     rows = [p]
     low = p.P.copy()  # the elementwise least power so far
 
@@ -817,7 +845,7 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     P_rows = np.array([q.P for q in rows])
     cost = fleet_cost(system.cost_coef, P_rows)
     traj = Trajectory(t=np.array([q.t for q in rows]), z=np.array([q.z for q in rows]), P=P_rows,
-                      loss=np.array([system.loss.total_loss(q.P) for q in rows]), cost=cost,
+                      loss=system.loss.total_loss(P_rows), cost=cost,
                       residual=np.array([q.res for q in rows]), V=0.5 * (cost - c_star) ** 2)
     result = RunResult(
         trajectory=traj, terminal=terminal, settle_time=settle_time, c_star=float(c_star),

@@ -114,10 +114,21 @@ class KronLossModel:
             raise ConfigurationError(f"power vector length {P.shape} != {self.n}")
         return P
 
-    def total_loss(self, P) -> float:
-        """P'BP + B0'P + B00, the network-wide transmission loss in MW."""
-        P = self._check_len(P)
-        return float(P.dot(self.B).dot(P) + self.B0.dot(P) + self.B00)
+    def total_loss(self, P):
+        """P'BP + B0'P + B00, the network-wide transmission loss in MW, over
+        the last axis of P (one power vector per row), as fleet_cost sums:
+        a float for one vector, an array for a stack of them.
+
+        One expression serves both shapes, and a row's loss is the loss of
+        that vector alone bit for bit: P[..., None, :] @ B is a stack of
+        vector-matrix products, each the same BLAS call, where P.dot(B) on a
+        stack is one matrix product whose rows may differ from the vector's
+        own in the last bit."""
+        P = np.asarray(P, dtype=float)
+        if P.shape[-1:] != (self.n,):
+            raise ConfigurationError(f"power vectors of length {P.shape[-1:]} != {self.n}")
+        loss = np.add.reduce(P * (np.matmul(P[..., None, :], self.B)[..., 0, :] + self.B0), axis=-1) + self.B00
+        return float(loss) if P.ndim == 1 else loss
 
     def generator_losses(self, P) -> np.ndarray:
         """Loss attributed to each generator; the entries sum to total_loss."""

@@ -442,13 +442,15 @@ class TestRun:
         # trajectory's own arrays gives the same bytes
         for config in (reference_config, config_from_dict(ring_fleet_dict(64))):
             params = dataclasses.replace(config.params, t_end=min(config.params.t_end, 10.0))
-            traj = run(config.system(), params, stride=1).trajectory
+            result = run(config.system(), params, stride=1)
+            traj = result.trajectory
             n = traj.P.shape[1]
             rows = [",".join(f"{v:.12g}" for v in [traj.t[k], *traj.P[k], *traj.z[k], traj.loss[k],
                                                    traj.P[k].sum(), traj.cost[k], traj.residual[k], traj.V[k]])
                     for k in range(len(traj.t))]
             header, _, body = _csv_text(traj, n).partition("\n")
-            assert len(rows) > 50 and len(header.split(",")) == 2 * n + 6
+            # stride 1: a row at t = 0 and one per accepted step, however many
+            assert len(rows) == result.steps + 1 > 1 and len(header.split(",")) == 2 * n + 6
             assert body == "\n".join(rows) + "\n"
 
     def test_csv_text_of_special_values_matches_f_string_formatting(self):

@@ -274,6 +274,16 @@ class TestFusedOperators:
             assert np.all(np.abs(H - H_def) <= self.ULPS * H_def)
             assert np.all(np.abs(hl - H_def * lam) <= self.ULPS * H_def * lam)
 
+    def test_loss_rows_are_total_loss(self, system):
+        # run() forms the loss column in one total_loss call over the rows;
+        # each row is the loss of its own P alone, bit for bit, so the
+        # terminal state's loss is the last row's
+        res = run(system, dataclasses.replace(REF_PARAMS, t_end=0.02), stride=1)
+        assert len(res.trajectory.t) > 2
+        for P, loss in zip(res.trajectory.P, res.trajectory.loss):
+            assert loss == system.loss.total_loss(P)
+        assert res.terminal.loss == res.trajectory.loss[-1]
+
     def test_cost_rows_are_total_cost(self, system):
         # run() and the monitors evaluate the cost from the system's stored
         # coefficients, bit for bit as total_cost and as its formula from
@@ -695,10 +705,10 @@ class TestWorkPerStep:
         assert res.power_solve_iters == (pytest.approx(sum(recount) / len(recount), rel=1e-12), max(recount))
 
     @pytest.mark.parametrize("mu, expected", [
-        (0.5, [(5.0089910775, 4.9839910775, 246, 5.0075), (4.6916834404, 4.6666834404, 224, 4.69025),
-               (5.6795236420, 5.6555236420, 277, 5.67875)]),
-        (0.2, [(3.3775309267, 3.3595309267, 421, 3.376), (3.0503938936, 3.0323938936, 400, 3.049),
-               (4.0782801049, 4.0612801049, 461, 4.07725)]),
+        (0.5, [(5.0089910192, 4.9839910192, 246, 5.0075), (4.6916833981, 4.6666833981, 224, 4.69025),
+               (5.6795238564, 5.6555238564, 277, 5.67875)]),
+        (0.2, [(3.3775313182, 3.3595313182, 421, 3.376), (3.0504170350, 3.0324170350, 400, 3.049),
+               (4.0782750843, 4.0612750843, 461, 4.07725)]),
     ])
     def test_verdicts_of_the_demand_splits(self, ref_system, mu, expected):
         # criterion 4's splits at the shipped dt: (settle_time, switch_time,
@@ -725,6 +735,81 @@ class TestWorkPerStep:
         assert res.settled
         assert abs(res.settle_time - 1.21975) < 0.01  # fixed step at dt = 2.5e-4
         assert np.abs(res.terminal.P - FINE_TERMINAL).max() < 1e-9
+
+
+class TestStageTolerance:
+    """RK4 stages 2 to 4 solve the power equation to max(fp_tol, _STAGE_TOL);
+    every solve whose P becomes a point solves to fp_tol."""
+
+    def test_only_rk4_stages_2_to_4_solve_to_the_stage_tolerance(self, ref_system, monkeypatch):
+        # the reference case to t = 5.2 s, through rejected RK4 tries and the
+        # switch to implicit steps: a try's solves are its stages 2 to 4 and
+        # its end-of-step solve, in order (fewer if one fails); every other
+        # solve is run()'s first or an implicit step's
+        solves, tries, points = [], [], []
+        real_solve, real_rk4, real_at = dynamics._solve_power, _Stepper.rk4, _Stepper.at
+
+        def solve(z, system, P, A, tol, max_iter):
+            out = real_solve(z, system, P, A, tol, max_iter)
+            solves.append((tol, out[0]))
+            return out
+
+        def rk4(self, p, dt):
+            start = len(solves)
+            try:
+                return real_rk4(self, p, dt)
+            finally:
+                tries.append((start, len(solves)))
+
+        def at(self, t, z, P, w):
+            points.append(P)
+            return real_at(self, t, z, P, w)
+
+        monkeypatch.setattr(dynamics, "_solve_power", solve)
+        monkeypatch.setattr(_Stepper, "rk4", rk4)
+        monkeypatch.setattr(_Stepper, "at", at)
+        params = dataclasses.replace(REF_PARAMS, t_end=5.2)
+        res = run(ref_system, params)
+        stage, fp = dynamics._STAGE_TOL, params.fp_tol
+        assert stage == dynamics.STEP_TOL / 30 > fp and res.switch_time is not None
+        expected = [fp] * len(solves)
+        for start, end in tries:
+            expected[start:end] = ([stage] * 3 + [fp])[:end - start]
+        assert len(tries) > 200 and [tol for tol, _ in solves] == expected
+        # each point's P is the very array a solve at fp_tol returned
+        point_solves = {id(P) for tol, P in solves if tol == fp}
+        assert len(points) == 1 + res.steps + res.rejected_steps
+        assert all(id(P) in point_solves for P in points)
+
+    def test_a_looser_fp_tol_governs_the_stage_solves(self, ref_system, monkeypatch):
+        tols = []
+        real = dynamics._solve_power
+
+        def solve(z, system, P, A, tol, max_iter):
+            tols.append(tol)
+            return real(z, system, P, A, tol, max_iter)
+
+        monkeypatch.setattr(dynamics, "_solve_power", solve)
+        params = dataclasses.replace(REF_PARAMS, fp_tol=10.0 * dynamics._STAGE_TOL, t_end=0.5)
+        res = run(ref_system, params)
+        assert res.steps > 10 and set(tols) == {params.fp_tol}
+
+    @pytest.mark.parametrize("mu", [0.5, 0.2])
+    @pytest.mark.parametrize("t", [0.5, 4.0])
+    def test_one_try_is_within_a_tenth_of_step_tol_of_the_try_at_fp_tol(self, ref_system, mu, t):
+        # a stage error e moves z' by a few e; each try starts from the run's
+        # state at t with a fresh stepper, so that both form their chord
+        # factor at that point
+        params = dataclasses.replace(REF_PARAMS, mu=mu, t_end=t)
+        end = run(ref_system, params).terminal
+        p = _Stepper(ref_system, params, None).at(end.t, end.z, end.P, None)
+        cap = _Stepper(ref_system, params, None).kind(p.r)[1]
+        for width in (1e-3, 1e-2, cap):
+            loose, tight = _Stepper(ref_system, params, None), _Stepper(ref_system, params, None)
+            tight.stage_tol = params.fp_tol
+            assert loose.stage_tol == dynamics._STAGE_TOL
+            z_loose, z_tight = loose.rk4(p, width)[0], tight.rk4(p, width)[0]
+            assert np.abs(z_loose - z_tight).max() < dynamics.STEP_TOL / 10.0
 
 
 class TestChordFactor:

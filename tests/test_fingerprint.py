@@ -16,8 +16,8 @@ def test_reference_run_outputs_keep_their_bytes(tmp_path):
     # `fxdispatch run` on the reference case cut to --t-end 10
     fx, workloads = fingerprint.import_modules()
     rec = fingerprint.hashes(fingerprint.named_runs(fx, workloads, tmp_path)["cli/reference"]())
-    assert rec["run.report.json"] == "3f4518636ae61b67775272e61d691c78f56e1472062bbe3c2a52db498af193be"
-    assert rec["run.trajectory.csv"] == "f82a92aa556e4a9f308704d36f4578b934d3d236ccbf52864acf9ae15ba965ea"
+    assert rec["run.report.json"] == "52c9f8b9840c265a03a2467cdd44d157433612982e5fbffa82ea707fdfc4cc44"
+    assert rec["run.trajectory.csv"] == "004705a27a87fecf12e312ca615d6431aa3ce2cc5894a6890d5005323b6e187e"
 
 
 def test_fleet_run_outputs_keep_their_bytes(tmp_path):
@@ -26,8 +26,8 @@ def test_fleet_run_outputs_keep_their_bytes(tmp_path):
     rec = fingerprint.named_runs(fx, workloads, tmp_path)["cli/fleet1"]()
     assert json.loads(rec["run.report.json"])["solver"]["chord_factors"] == 1
     rec = fingerprint.hashes(rec)
-    assert rec["run.report.json"] == "ff393fceedd8d7342f1cda9649161940da0955116a8199d03e39c26ab9702c65"
-    assert rec["run.trajectory.csv"] == "615fa0e193b6488c41c01970d7859e8f3521fcc913a0d6918644092cddab0198"
+    assert rec["run.report.json"] == "9be1dde7e5a2802301f2ae6219ffe820292453b831afdb83347db9257541da5d"
+    assert rec["run.trajectory.csv"] == "45c08aa05ad8cd0ef5f83e047ddf832e19d5f550af95778bd4647085b5781e80"
 
 
 def test_record_covers_fields_properties_and_nested_dataclasses():

@@ -68,8 +68,26 @@ class TestTotalLoss:
         assert ref_model.total_loss(REF_P0) == pytest.approx(37.62501, abs=1e-9)
 
     def test_dimension_mismatch(self, ref_model):
-        with pytest.raises(ConfigurationError):
-            ref_model.total_loss(np.zeros(3))
+        for P in (np.zeros(3), np.zeros((5, 3)), np.zeros((4, 1)), 1.0):
+            with pytest.raises(ConfigurationError):
+                ref_model.total_loss(P)
+
+    @pytest.mark.parametrize("n, rows", [(4, 1), (4, 300), (64, 80)])
+    def test_stacked_vectors_give_each_vector_s_loss_bit_for_bit(self, n, rows):
+        # one power vector per row, as fleet_cost sums: row k's loss is the
+        # float of that vector alone, to the last bit, and within roundoff of
+        # the quadratic form as written
+        rng = np.random.default_rng(n)
+        B = rng.uniform(0.0, 1e-4, size=(n, n))
+        model = KronLossModel(B + B.T, rng.uniform(0.0, 1e-3, size=n), 2.0)
+        P = rng.uniform(0.0, 300.0, size=(rows, n))
+        losses = model.total_loss(P)
+        assert losses.shape == (rows,)
+        for vector, loss in zip(P, losses):
+            single = model.total_loss(vector)
+            assert type(single) is float and loss == single
+            assert single == pytest.approx(vector @ model.B @ vector + model.B0 @ vector + 2.0, rel=1e-14)
+        assert model.total_loss(P.reshape(1, rows, n)).tolist() == [losses.tolist()]
 
     def test_permutation_invariance(self, ref_model):
         rng = np.random.default_rng(7)
