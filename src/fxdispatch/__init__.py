@@ -24,7 +24,6 @@ from .dynamics import (
     SimulationState,
     StepFailure,
     run,
-    sig_pow,
     solve_power,
     step,
 )
@@ -45,6 +44,6 @@ from .oracle import (
     kkt_penalty_solution,
     solve_equilibrium,
 )
-from .topology import LocalTopology, SpectralSummary, check_connected, laplacian, spectrum
+from .topology import LocalTopology, SpectralSummary, spectrum
 
 __version__ = "0.1.0"

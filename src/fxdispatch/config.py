@@ -28,7 +28,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .dynamics import AlgorithmParams, DisturbanceSpec, DispatchSystem, _check_sizes
+from .dynamics import AlgorithmParams, DisturbanceSpec, DispatchSystem, _check_count, _check_sizes
 from .grid_model import ConfigurationError, GeneratorSpec, KronLossModel
 from .topology import LocalTopology
 
@@ -41,8 +41,7 @@ class OutputSpec:
     write_report: bool = True
 
     def __post_init__(self) -> None:
-        if self.stride < 1:
-            raise ConfigurationError("output stride must be >= 1")
+        _check_count("output stride", self.stride, 1)
 
 
 @dataclass(eq=False)

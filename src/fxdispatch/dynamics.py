@@ -63,7 +63,7 @@ import numpy as np
 
 from .grid_model import (KronLossModel, _demand_shares, cost_coefficients, fleet_cost, total_demand,
                          weighted_cost_jacobian)
-from .topology import LocalTopology, laplacian
+from .topology import LocalTopology
 
 logger = logging.getLogger(__name__)
 
@@ -129,6 +129,16 @@ _amax = np.maximum.reduce
 # call overhead is about half the operator's (numpy 2.4, timeit).
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValueError naming the field unless value is an integer >= least:
+    a bool is not one, nor is a value without __index__, which operator.index
+    refuses (2.5, and 2.0 too)."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
 class StepFailure(RuntimeError):
     """The implicit power equation or the Newton iteration of the implicit
     step failed to converge. run() retries every failed step narrower (an
@@ -175,8 +185,7 @@ class AlgorithmParams:
             raise ValueError("settle_tol must be positive")
         if not 0 <= self.settle_window < math.inf:
             raise ValueError("settle_window must be finite and >= 0")
-        if not self.fp_max_iter >= 1:
-            raise ValueError("fp_max_iter must be >= 1")
+        _check_count("fp_max_iter", self.fp_max_iter, 1)
 
 
 @dataclass(frozen=True)
@@ -200,8 +209,7 @@ class DisturbanceSpec:
             raise ValueError("amplitude must be >= 0")
         if self.amplitude == math.inf:
             raise ValueError("amplitude must be finite")
-        if self.seed < 0:
-            raise ValueError("seed must be >= 0")
+        _check_count("seed", self.seed, 0)
 
 
 def _disturbance_fn(spec: DisturbanceSpec, n: int):
@@ -250,7 +258,7 @@ class DispatchSystem:
         #: d0 + B00/N, the constant term of the power solve's folded residual
         self._d0_b00 = self.d0 + self.loss._b00_share
         #: -L, with which _disagreement forms sum_j a_ij (x_j - x_i) in one product
-        self.neg_laplacian = -laplacian(self.top)
+        self.neg_laplacian = -self.top.L
 
     @property
     def dbar(self) -> float:
@@ -268,13 +276,6 @@ class DispatchSystem:
         the disagreement answers the consensus law near consensus."""
         M = _sensitivity(*_h_lambda(self.d0, self)[:2], self, self.chord0)[1]
         return float(np.abs(M).sum(axis=1).max())
-
-    @cached_property
-    def _phi2(self) -> float:
-        """phi2, the second-least eigenvalue of the Laplacian L, for
-        _newton_gap; unlike topology.spectrum, it does not refuse a graph
-        whose phi2 is near 0, whose implicit steps then solve by lstsq."""
-        return float(np.linalg.eigvalsh(-self.neg_laplacian)[1])
 
 
 @dataclass
@@ -300,7 +301,7 @@ class SimulationState:
         return _residual(self.H * self.lam)
 
 
-def sig_pow(x, m: float):
+def _sig_pow(x, m: float):
     """Signed power |x|^m * sign(x), elementwise; zero at zero."""
     return np.copysign(np.abs(x) ** m, x)
 
@@ -377,7 +378,7 @@ def _disagreement(x: np.ndarray, system: DispatchSystem) -> np.ndarray:
 def _z_dot(r: np.ndarray, params: AlgorithmParams, w) -> np.ndarray:
     """dz_i/dt = -k1 sig(r_i)^mu - k2 sig(r_i)^nu + w_i at the disagreement
     r = -L (H lam); w is None in a quiet run. |r| is taken once and the sign
-    of r applied to the sum, which is sig_pow's value term by term."""
+    of r applied to the sum, which is _sig_pow's value term by term."""
     a = np.abs(r)
     dz = -np.copysign(params.k1 * a ** params.mu + params.k2 * a ** params.nu, r)
     return dz if w is None else dz + w
@@ -423,11 +424,12 @@ def _newton_gap(C: np.ndarray, system: DispatchSystem, dt: float) -> float:
     algebraic connectivity and c the Gershgorin lower bound on the
     eigenvalues of C's symmetric part (C from _sensitivity): then
     x' dt M x >= 2 gap |x - mean(x)|^2 for every x. 0.0 where c <= 0, for
-    which there is no such bound."""
+    which there is no such bound. phi2 is the topology's, which unlike
+    topology.spectrum does not refuse a phi2 near 0 (gap near 0: lstsq)."""
     S = C + C.T
     diag = S.diagonal()
     c = 0.5 * float(np.minimum.reduce(diag + np.abs(diag) - np.abs(S).sum(axis=1)))
-    return 0.5 * dt * c * system._phi2 ** 2 if c > 0.0 else 0.0
+    return 0.5 * dt * c * system.top.spectral_summary.phi2 ** 2 if c > 0.0 else 0.0
 
 
 def _newton_step(jac: np.ndarray, F: np.ndarray, D: np.ndarray, E: np.ndarray, k1: float,
@@ -620,11 +622,11 @@ class _Stepper:
         dtw = None if w is None else dt * w
         f0 = _amax(np.abs(r if dtw is None else r + M.dot(dtw)))  # max|F| at s = 0
         tol = max(_IMPLICIT_RTOL * f0, _EPS * self.deg_max * _amax(np.abs(hl)))
-        s = sig_pow(r, mu)
+        s = _sig_pow(r, mu)
         for iters in range(_IMPLICIT_MAX_ITER + 1):
-            law = k1 * s + k2 * sig_pow(s, nu / mu)
+            law = k1 * s + k2 * _sig_pow(s, nu / mu)
             dz = -dt * law if dtw is None else dtw - dt * law
-            F = sig_pow(s, 1.0 / mu) - r - M.dot(dz)
+            F = _sig_pow(s, 1.0 / mu) - r - M.dot(dz)
             if _amax(np.abs(F)) <= tol:
                 break
             if iters == _IMPLICIT_MAX_ITER:
@@ -769,8 +771,7 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     ends the run with status "step_failure". ValueError on a system with
     loop gain 0, such as one generator, or a z0 not of shape (n,).
     """
-    if stride < 1:
-        raise ValueError("stride must be >= 1")
+    _check_count("stride", stride, 1)
     stepper = _Stepper(system, params, disturbance)
     z0 = np.zeros(system.n) if z0 is None else np.asarray(z0, dtype=float)
     if z0.shape != (system.n,):

@@ -6,12 +6,13 @@ is represented implicitly. This module models the local layer over which
 marginal costs and auxiliary states are exchanged: a connected weighted
 undirected graph, its Laplacian, and the Laplacian eigenvalues, of which
 the second-smallest (algebraic connectivity) enters the settling-time
-bound.
+bound. A LocalTopology forms its Laplacian once and its spectrum once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -19,10 +20,14 @@ from .grid_model import AssumptionViolation, ConfigurationError
 
 
 class LocalTopology:
-    """Weighted undirected connected graph on nodes 0..n-1.
+    """Weighted undirected connected graph on nodes 0..n-1, with its
+    Laplacian L = D - A (row sums zero, off-diagonal -a_ij), read-only and
+    formed when first read.
 
-    Edges are (i, j, weight) with positive weights and no self-loops;
-    connectivity is enforced at construction (AssumptionViolation).
+    Edges are (i, j, weight) with positive weights and no self-loops.
+    Connectivity is enforced at construction (AssumptionViolation) by a
+    search, not by phi2 > tol: with weights of 1e6 and more, L of a graph of
+    two components can have a computed phi2 above any such tolerance.
     """
 
     def __init__(self, n: int, edges):
@@ -40,15 +45,33 @@ class LocalTopology:
             norm_edges.append((min(i, j), max(i, j), w))
         self.n = n
         self.edges = tuple(sorted(norm_edges))
-        if not check_connected(self):
+        adj: list[list[int]] = [[] for _ in range(n)]
+        for i, j, _ in self.edges:
+            adj[i].append(j)
+            adj[j].append(i)
+        seen, frontier = {0}, {0}  # breadth-first search from node 0
+        while frontier:
+            frontier = {v for u in frontier for v in adj[u]} - seen
+            seen |= frontier
+        if len(seen) < n:
             raise AssumptionViolation("local topology must be connected")
 
-    def adjacency(self) -> np.ndarray:
+    @cached_property
+    def L(self) -> np.ndarray:
+        """The Laplacian, formed once."""
         A = np.zeros((self.n, self.n))
         for i, j, w in self.edges:
             A[i, j] += w
             A[j, i] += w
-        return A
+        L = np.diag(A.sum(axis=1)) - A
+        L.flags.writeable = False
+        return L
+
+    @cached_property
+    def spectral_summary(self) -> SpectralSummary:
+        """L's ascending eigenvalues (jacobi_eigenvalues), formed once. Unlike
+        spectrum(), it does not refuse a graph whose phi2 is near 0."""
+        return SpectralSummary(eigenvalues=tuple(float(e) for e in jacobi_eigenvalues(self.L)))
 
 
 @dataclass(frozen=True)
@@ -61,29 +84,6 @@ class SpectralSummary:
     @property
     def phi2(self) -> float:
         return self.eigenvalues[1] if len(self.eigenvalues) > 1 else 0.0
-
-
-def check_connected(top: LocalTopology) -> bool:
-    """Breadth-first reachability from node 0."""
-    adj: list[list[int]] = [[] for _ in range(top.n)]
-    for i, j, _ in top.edges:
-        adj[i].append(j)
-        adj[j].append(i)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        u = frontier.pop()
-        for v in adj[u]:
-            if v not in seen:
-                seen.add(v)
-                frontier.append(v)
-    return len(seen) == top.n
-
-
-def laplacian(top: LocalTopology) -> np.ndarray:
-    """L = D - A: row sums zero, off-diagonal -a_ij, symmetric PSD."""
-    A = top.adjacency()
-    return np.diag(A.sum(axis=1)) - A
 
 
 def jacobi_eigenvalues(A) -> np.ndarray:
@@ -102,13 +102,12 @@ def jacobi_eigenvalues(A) -> np.ndarray:
 
 
 def spectrum(top: LocalTopology) -> SpectralSummary:
-    """Full ascending Laplacian spectrum (LAPACK, via numpy.linalg.eigvalsh).
+    """The full ascending Laplacian spectrum, top.spectral_summary.
 
     Raises AssumptionViolation when the second eigenvalue is numerically
     zero, which for a valid Laplacian means a disconnected graph.
     """
-    eig = jacobi_eigenvalues(laplacian(top))
-    if top.n > 1 and eig[1] <= 1e-10:
-        raise AssumptionViolation(f"graph is numerically disconnected (phi2={eig[1]:.3e})")
-    return SpectralSummary(eigenvalues=tuple(float(e) for e in eig))
-
+    summary = top.spectral_summary
+    if top.n > 1 and summary.phi2 <= 1e-10:
+        raise AssumptionViolation(f"graph is numerically disconnected (phi2={summary.phi2:.3e})")
+    return summary

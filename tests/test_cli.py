@@ -43,7 +43,6 @@ from fxdispatch.cli import (
 )
 from fxdispatch.config import OutputSpec, atomic_write_text, config_from_dict
 from fxdispatch.dynamics import Trajectory
-from fxdispatch.topology import laplacian
 from tests.conftest import negative_delta_fleet_dict, ring_fleet_dict, two_unit_negative_delta_dict
 
 CONFIG_PATH = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference_case.yaml"
@@ -649,7 +648,7 @@ class TestMain:
         config = config_from_dict(base_dict)
         sol = solve_equilibrium(config.generators, config.loss, 600.0)
         cons = sol.P_star - np.array([g.d0 for g in config.generators]) - config.loss.generator_losses(sol.P_star)
-        z_eq = -np.linalg.pinv(laplacian(config.topology)) @ cons
+        z_eq = -np.linalg.pinv(config.topology.L) @ cons
         base_dict["initial"] = {"z0": (z_eq + 0.03 * np.array([1.0, -1.0, 1.0, -1.0])).tolist()}
         path = tmp_path / "run.yaml"
         path.write_text(yaml.safe_dump(base_dict, sort_keys=False))
@@ -880,6 +879,13 @@ MALFORMED = [
     pytest.param(lambda d: d["loss"].update(b_matrix=[row[:3] for row in d["loss"]["b_matrix"]]),
                  r"loss: B must be square, got shape \(4, 3\)", id="four-by-three-loss"),
 ]
+
+
+@pytest.mark.parametrize("stride", [2.5, 2.0, True])
+def test_output_spec_refuses_a_stride_that_is_not_an_integer(stride):
+    # a run file's stride is read as an integer first; a library caller's is not
+    with pytest.raises(ValueError, match=f"output stride must be an integer, got {stride!r}"):
+        OutputSpec(stride=stride)
 
 
 class TestMalformedRunFile:

@@ -7,6 +7,7 @@ import pytest
 
 from fxdispatch import (
     AlgorithmParams,
+    AssumptionViolation,
     DispatchSystem,
     DisturbanceSpec,
     GeneratorSpec,
@@ -15,7 +16,6 @@ from fxdispatch import (
     SimulationState,
     StepFailure,
     run,
-    sig_pow,
     solve_power,
     solve_equilibrium,
     step,
@@ -31,6 +31,7 @@ from fxdispatch.dynamics import (
     _newton_gap,
     _residual,
     _sensitivity,
+    _sig_pow,
     _state,
     _Stepper,
     _width_scale,
@@ -38,7 +39,7 @@ from fxdispatch.dynamics import (
     make_state,
 )
 from fxdispatch.grid_model import marginal_costs, total_cost
-from fxdispatch.topology import laplacian
+from fxdispatch.topology import spectrum
 from tests.conftest import REF_DEMAND, REF_P0, benchmark_fleet_dict, path_topology, ring_fleet_dict
 
 REF_PARAMS = AlgorithmParams(k1=5.0, k2=5.0, mu=0.5, nu=2.0)
@@ -46,6 +47,15 @@ REF_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "refer
 #: Terminal P of the reference case (every demand split, mu = 0.5 and 0.2)
 #: from a fixed-step run at dt = 2.5e-4, to the last bit of the first split.
 FINE_TERMINAL = np.array([164.75601311044773, 171.72475981634753, 168.59776550240161, 135.8317407974683])
+
+
+def adjacency(top):
+    """The weighted adjacency matrix A of a topology, built from its edges."""
+    A = np.zeros((top.n, top.n))
+    for i, j, w in top.edges:
+        A[i, j] += w
+        A[j, i] += w
+    return A
 
 
 def lossless_pair(d=100.0, split=(100.0, 100.0)):
@@ -73,7 +83,7 @@ def equilibrium_z(system):
     """A z whose solved power is solve_equilibrium's consensus point."""
     sol = solve_equilibrium(system.gens, system.loss, REF_DEMAND)
     cons = sol.P_star - system.d0 - system.loss.generator_losses(sol.P_star)
-    return -np.linalg.pinv(laplacian(system.top)) @ cons
+    return -np.linalg.pinv(system.top.L) @ cons
 
 
 class TestParams:
@@ -98,7 +108,11 @@ class TestParams:
         ("settle_window", float("nan"), "settle_window must be finite and >= 0"),
         ("settle_window", float("inf"), "settle_window must be finite and >= 0"),
         ("fp_max_iter", 0, "fp_max_iter must be >= 1"),
-        ("fp_max_iter", float("nan"), "fp_max_iter must be >= 1"),
+        ("fp_max_iter", float("nan"), "fp_max_iter must be an integer, got nan"),
+        ("fp_max_iter", "7", "fp_max_iter must be an integer, got '7'"),
+        ("fp_max_iter", 2.5, "fp_max_iter must be an integer, got 2.5"),
+        ("fp_max_iter", 200.0, "fp_max_iter must be an integer, got 200.0"),
+        ("fp_max_iter", True, "fp_max_iter must be an integer, got True"),
     ])
     def test_rejects_out_of_range_solver_settings(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -110,28 +124,28 @@ class TestParams:
 
 class TestSigPow:
     def test_negative_base(self):
-        assert sig_pow(-4.0, 0.5) == -2.0
+        assert _sig_pow(-4.0, 0.5) == -2.0
 
     def test_zero(self):
         for m in [0.3, 0.5, 1.0, 2.0]:
-            assert sig_pow(0.0, m) == 0.0
+            assert _sig_pow(0.0, m) == 0.0
 
     def test_square(self):
-        assert sig_pow(3.0, 2.0) == 9.0
+        assert _sig_pow(3.0, 2.0) == 9.0
 
     def test_odd_symmetry(self):
         rng = np.random.default_rng(1)
         for _ in range(100):
             x, m = rng.normal(), rng.uniform(0.2, 3.0)
-            assert sig_pow(-x, m) == pytest.approx(-sig_pow(x, m), rel=1e-15)
+            assert _sig_pow(-x, m) == pytest.approx(-_sig_pow(x, m), rel=1e-15)
 
 
 class TestSolvePower:
     def test_lossless_is_explicit(self):
         system = lossless_pair(split=(120.0, 80.0))
         z = np.array([3.0, -1.0])
-        adjacency = system.top.adjacency()
-        cons = adjacency @ z - adjacency.sum(axis=1) * z
+        A = adjacency(system.top)
+        cons = A @ z - A.sum(axis=1) * z
         P = solve_power(z, system)
         assert P == pytest.approx(cons + system.d0, abs=1e-14)
 
@@ -174,7 +188,7 @@ class TestSolvePower:
         system = ref_system if fleet == "reference" else config_from_dict(ring_fleet_dict(64)).system()
         tol = AlgorithmParams.fp_tol
         rng = np.random.default_rng(7)
-        neg_lap = -laplacian(system.top)
+        neg_lap = -system.top.L
         for z in rng.normal(scale=10.0, size=(5, system.n)):
             from_d0 = solve_power(z, system)
             for warm in (system.d0, system.d0 * rng.uniform(0.5, 1.5, system.n)):
@@ -248,7 +262,7 @@ class TestFusedOperators:
                 for _ in range(50)]
 
     def test_disagreement_is_adjacency_minus_degree(self, system):
-        A = system.top.adjacency()
+        A = adjacency(system.top)
         deg = A.sum(axis=1)
         for x, _ in self.samples(system):
             scale = A @ np.abs(x) + deg * np.abs(x)
@@ -619,6 +633,30 @@ class TestNewtonStep:
                                                                      (False, "lstsq")}
 
 
+class TestOnePhi2:
+    """_newton_gap's phi2 is the topology's spectrum, the one topology.spectrum reads."""
+
+    def test_gap_uses_the_phi2_of_spectrum(self, ref_system):
+        lam, H, _ = _h_lambda(ref_system.d0, ref_system)
+        C = _sensitivity(lam, H, ref_system, ref_system.chord0)[0]
+        S = C + C.T
+        c = 0.5 * float(np.min(S.diagonal() + np.abs(S.diagonal()) - np.abs(S).sum(axis=1)))
+        dt = REF_PARAMS.dt
+        phi2 = spectrum(ref_system.top).phi2
+        assert c > 0.0 and phi2 == pytest.approx(2.0 - np.sqrt(2.0), abs=1e-12)
+        assert _newton_gap(C, ref_system, dt) == 0.5 * dt * c * phi2 ** 2
+
+    def test_a_graph_that_spectrum_refuses_still_gets_a_gap(self, ref_system):
+        # test_topology's numerically disconnected graph: connected, phi2 about 1e-12
+        weak = LocalTopology(4, [(0, 1, 1.0), (1, 2, 1e-12), (2, 3, 1.0)])
+        with pytest.raises(AssumptionViolation, match="numerically disconnected"):
+            spectrum(weak)
+        system = DispatchSystem(gens=ref_system.gens, loss=ref_system.loss, top=weak)
+        jac, D, E, gap = newton_system(system, REF_PARAMS, 0.1 * TestNewtonStep.SIGNS)
+        assert 0.0 <= gap < 1e-20
+        assert np.all(np.isfinite(dynamics._newton_step(jac, TestNewtonStep.F, D, E, REF_PARAMS.k1, gap)))
+
+
 def calls_per_try(ref_system, monkeypatch, names):
     """Run the reference case to t = 5.2 s, through rejected RK4 tries and the
     switch to implicit steps, and return per try of the advance but the last,
@@ -693,7 +731,7 @@ class TestWorkPerStep:
                 P = P + A @ d
 
         def recounting(z, system, P, A, fp_tol, fp_max_iter):
-            loss, base = system.loss, -laplacian(system.top) @ z + system.d0
+            loss, base = system.loss, -system.top.L @ z + system.d0
             folded = _disagreement(z, system) + system._d0_b00
             unfolded.append(count(P, A, fp_tol, fp_max_iter, lambda x: base + loss.generator_losses(x) - x))
             recount.append(count(P, A, fp_tol, fp_max_iter, lambda x: folded + loss._losses_less_power(x)))
@@ -918,11 +956,23 @@ class TestDisturbance:
         with pytest.raises(ValueError):
             DisturbanceSpec(kind="square")
 
+    @pytest.mark.parametrize("seed", [2.5, 42.0, True])
+    def test_rejects_a_seed_that_is_not_an_integer(self, seed):
+        with pytest.raises(ValueError, match=f"seed must be an integer, got {seed!r}"):
+            DisturbanceSpec(enabled=True, amplitude=0.5, seed=seed)
+
 
 class TestRun:
-    def test_rejects_zero_stride(self, ref_system):
-        with pytest.raises(ValueError, match="stride must be >= 1"):
-            run(ref_system, REF_PARAMS, stride=0)
+    @pytest.mark.parametrize("stride, message", [
+        (0, "stride must be >= 1"),
+        # 2.5 would write a row at each step count that is a multiple of 2.5
+        (2.5, "stride must be an integer, got 2.5"),
+        (2.0, "stride must be an integer, got 2.0"),
+        (True, "stride must be an integer, got True"),
+    ])
+    def test_rejects_a_bad_stride(self, ref_system, stride, message):
+        with pytest.raises(ValueError, match=message):
+            run(ref_system, REF_PARAMS, stride=stride)
 
     @pytest.mark.parametrize("z0, shape", [(1.0, r"\(\)"), (np.zeros((4, 1)), r"\(4, 1\)"),
                                            (np.zeros(2), r"\(2,\)")])

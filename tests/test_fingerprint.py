@@ -67,10 +67,12 @@ def test_numbers_round_trip_and_give_max_abs_delta(tmp_path):
         "run.report.json": b'{"a": {"b": [1, 2], "new": 7}, "e": false}'})
     new_values = fingerprint.numbers(moved)
     new, before = ({"r": fingerprint.hashes(r)} for r in (moved, rec))
-    # the CSV has another shape, so no magnitude; report.json's shared numbers
+    # the CSV has another row count, so both counts and a magnitude over the
+    # rows whose t (its first column) both hold; report.json's shared numbers
     # give one for each top-level section that differs
     assert fingerprint.compare(new, before, {"r": new_values}, {"r": old}) == (
-        ["r: P (max |Δ| 0.25)", "r: run.report.json (max |Δ| a 0.5, e 1)", "r: run.trajectory.csv",
+        ["r: P (max |Δ| 0.25)", "r: run.report.json (max |Δ| a 0.5, e 1)",
+         "r: run.trajectory.csv (3 rows, 2 before; max |Δ| 0 over the rows of shared t)",
          "r: steps (max |Δ| 2)"], [])
     assert fingerprint.max_delta(new_values, old, "P") == 0.25
     # a shift of 5 in one section does not hide one of 1e-7 in another; a
@@ -81,3 +83,14 @@ def test_numbers_round_trip_and_give_max_abs_delta(tmp_path):
          **same},
         {"f.json.solver.n": np.array(1.0), "f.json.P": np.array([1.0, 2.0]), "f.json.rows": np.zeros(2), **same},
         "f.json") == ["P 1e-07", "rows", "solver 5"]
+    # a trajectory value whose row count changed is compared at the t both
+    # runs hold, by trajectory.t; one without a t gives the counts alone
+    run_old = {"trajectory.t": np.array([0.0, 0.1]), "trajectory.P": np.array([[1.0, 2.0], [3.0, 4.0]]),
+               "counts": np.array([1.0, 3.0])}
+    run_new = {"trajectory.t": np.array([0.0, 0.05, 0.1]),
+               "trajectory.P": np.array([[1.0, 2.0], [9.0, 9.0], [3.0, 4.5]]), "counts": np.array([1.0])}
+    new, before = ({"r": fingerprint.hashes(r)} for r in (run_new, run_old))
+    assert fingerprint.compare(new, before, {"r": run_new}, {"r": run_old}) == (
+        ["r: counts (1 rows, 2 before)",
+         "r: trajectory.P (3 rows, 2 before; max |Δ| 0.5 over the rows of shared t)",
+         "r: trajectory.t (3 rows, 2 before; max |Δ| 0 over the rows of shared t)"], [])

@@ -115,15 +115,12 @@ PUBLIC_PARAMETERS = {
     "assemble_assumption_report": ("model", "gens", "top"),
     "brute_force_optimum": ("gens", "model", "d_total", "grid_step"),
     "build_s_matrix": ("model", "summary"),
-    "check_connected": ("top",),
     "cost_summary": ("gens",),
     "kkt_penalty_solution": ("gens", "model", "d_total"),
-    "laplacian": ("top",),
     "load_config": ("path",),
     "run": ("system", "params", "disturbance", "z0", "c_star", "stride"),
     "save_config": ("config", "path"),
     "settling_bound": ("params", "rho", "tau1", "phi2", "n"),
-    "sig_pow": ("x", "m"),
     "solve_equilibrium": ("gens", "model", "d_total"),
     "solve_power": ("z", "system", "prev_P", "fp_tol", "fp_max_iter"),
     "spectrum": ("top",),
@@ -149,6 +146,28 @@ def parameter_names(obj):
 def test_public_parameters():
     fx = importlib.import_module("fxdispatch")
     assert {name: parameter_names(getattr(fx, name)) for name in exported_names()} == PUBLIC_PARAMETERS
+
+
+#: the directories outside src/ whose code counts as a caller
+CALLER_DIRS = ("demos", "tools", "perfbench")
+
+
+def test_every_exported_function_has_a_caller_outside_the_tests():
+    # a function fxdispatch exports is named, as a word, in one of its other
+    # modules or under CALLER_DIRS; a class is exempt, as the type those
+    # functions take or return
+    fx = importlib.import_module("fxdispatch")
+    modules = {path: path.read_text() for path in PACKAGE.glob("*.py") if path.name != "__init__.py"}
+    elsewhere = [path.read_text() for folder in CALLER_DIRS for path in (ROOT / folder).rglob("*.py")]
+    uncalled = []
+    for name in exported_names():
+        obj = getattr(fx, name)
+        if inspect.isfunction(obj):
+            home = Path(inspect.getsourcefile(obj)).resolve()
+            texts = [text for path, text in modules.items() if path != home] + elsewhere
+            if not any(re.search(rf"\b{name}\b", text) for text in texts):
+                uncalled.append(name)
+    assert uncalled == []
 
 
 # the parameter names of every public function fxdispatch.cli defines, which

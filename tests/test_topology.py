@@ -5,10 +5,9 @@ from fxdispatch import (
     AssumptionViolation,
     ConfigurationError,
     LocalTopology,
-    check_connected,
-    laplacian,
     spectrum,
 )
+from fxdispatch import topology
 from fxdispatch.topology import jacobi_eigenvalues
 from tests.conftest import path_topology
 
@@ -33,11 +32,11 @@ class TestConstruction:
 
 class TestLaplacian:
     def test_two_node(self):
-        L = laplacian(path_topology(2))
+        L = path_topology(2).L
         assert np.array_equal(L, [[1.0, -1.0], [-1.0, 1.0]])
 
     def test_path_four(self):
-        L = laplacian(path_topology(4))
+        L = path_topology(4).L
         assert np.array_equal(np.diag(L), [1.0, 2.0, 2.0, 1.0])
         assert L[0, 1] == L[1, 2] == L[2, 3] == -1.0
         assert L[0, 2] == L[0, 3] == L[1, 3] == 0.0
@@ -49,15 +48,21 @@ class TestLaplacian:
             edges = [(i, i + 1, float(rng.uniform(0.1, 2.0))) for i in range(n - 1)]
             extra = [(int(i), int(j), float(rng.uniform(0.1, 2.0)))
                      for i in range(n) for j in range(i + 1, n) if rng.random() < 0.3]
-            L = laplacian(LocalTopology(n, edges + extra))
+            L = LocalTopology(n, edges + extra).L
             assert np.max(np.abs(L.sum(axis=1))) <= 1e-12
             assert np.array_equal(L, L.T)
+
+    def test_is_read_only_and_formed_once(self):
+        top = path_topology(3)
+        assert top.L is top.L
+        with pytest.raises(ValueError, match="read-only"):
+            top.L[0, 0] = 5.0
 
     def test_relabeling_permutes(self):
         top = LocalTopology(3, [(0, 1, 2.0), (1, 2, 3.0)])
         relabeled = LocalTopology(3, [(2, 1, 2.0), (1, 0, 3.0)])
         perm = [2, 1, 0]
-        assert np.array_equal(laplacian(relabeled), laplacian(top)[np.ix_(perm, perm)])
+        assert np.array_equal(relabeled.L, top.L[np.ix_(perm, perm)])
 
 
 class TestSpectrum:
@@ -94,16 +99,32 @@ class TestSpectrum:
             edges = [(i, i + 1, float(rng.uniform(0.1, 3.0))) for i in range(n - 1)]
             top = LocalTopology(n, edges)
             ours = np.array(spectrum(top).eigenvalues)
-            lapack = np.linalg.eigvalsh(laplacian(top))
+            lapack = np.linalg.eigvalsh(top.L)
             assert np.max(np.abs(ours - lapack)) <= 1e-10
+
+    def test_formed_once(self, monkeypatch):
+        calls = []
+        real = topology.jacobi_eigenvalues
+        monkeypatch.setattr(topology, "jacobi_eigenvalues", lambda A: calls.append(1) or real(A))
+        top = path_topology(4)
+        assert spectrum(top) is spectrum(top) is top.spectral_summary
+        assert len(calls) == 1
 
 
 class TestConnectivity:
     def test_path_connected(self):
-        assert check_connected(path_topology(5))
+        assert path_topology(5).n == 5
 
     def test_single_node(self):
-        assert check_connected(LocalTopology(1, []))
+        assert LocalTopology(1, []).n == 1
+
+    def test_heavy_two_component_graph_refused(self):
+        # a pair and a path of three: the second eigenvalue that eigvalsh
+        # computes for its L is about 6e-8 (numpy 2.4), above spectrum()'s
+        # 1e-10, so a test on phi2 would take it for connected
+        edges = [(0, 1, 1e6), (2, 3, 1e9), (3, 4, 1.1e9)]
+        with pytest.raises(AssumptionViolation, match="must be connected"):
+            LocalTopology(5, edges)
 
 
 class TestJacobiEigensolver:

@@ -27,6 +27,9 @@ bits of r), of:
 - `split<i>/mu=<mu>,k1=<k1>`: acceptance criterion 4's nine calibration
   runs (three demand splits, dt 2.5e-4, t_end 20);
 - `sweep<k>`: the benchmark's 12 seed-1 sweep scenarios;
+- `disturbed/amplitude=0.05`: the reference config under a disturbance of
+  amplitude 0.05 (seed 42) to t_end 20 (`fingerprint.disturbed_run`), which
+  hands over to implicit steps and never settles;
 - `fleet<seed>/t_end=<t>`: the benchmark's 64-unit fleets of seeds 0-5 at
   t_end 0.2 (their own) and 2.
 Each group of runs also gets its mean loss evaluations per power solve over
@@ -197,6 +200,7 @@ def counter_runs(fx, workloads) -> dict:
     for k, scenario in enumerate(workloads.sweep_scenarios(1)):
         config = workloads.scenario_config(fx, ref, scenario)
         runs[f"sweep{k}"] = "sweep", config.system(), config.params, config.disturbance
+    runs["disturbed/amplitude=0.05"] = ("disturbed", *fingerprint.disturbed_run(fx, ref))
     for t_end in FLEET_T_ENDS:
         for seed in range(6):
             config = fx.config.config_from_dict(workloads.fleet_dict(seed), f"fleet{seed}")

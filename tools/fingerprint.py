@@ -20,13 +20,17 @@ have differs, listing apart the runs and the values only one has; where the
 .npz beside the old records holds a differing value with the shape it has
 now, the line gives max |new - old| over it, and for report.json one such
 figure for each top-level section whose numbers differ, so that a large
-shift in one section does not hide a small one in another.
+shift in one section does not hide a small one in another. Where a value's
+row count changed, the line gives both counts and max |new - old| over the
+rows whose time both hold: a run's `trajectory.t`, or the first column of
+`trajectory.csv`.
 
 The runs (on `configs/reference_case.yaml` unless named otherwise):
 - `reference`: the run file as it is (t_end 200);
 - `split<i>/mu=<mu>,k1=<k1>`: acceptance criterion 4's three demand splits
   at dt 2.5e-4 and t_end 20, for (mu, k1) = (0.5, 5), (0.2, 5) and (0.2, 20);
 - `c7/quiet`, `c7/disturbed`: criterion 7 (t_end 20, amplitude 0.5, seed 42);
+- `disturbed/amplitude=0.05`: the run of `disturbed_run`, stride 1;
 - `z0=<s>`: z0 = s (1, -1, 1, -1) for s = 10, 60 and 100, t_end 20;
 - `wide_dt/...`: test_wide_dt_settles' grid of mu, k1 and dt, t_end 20;
 - `sweep<k>`: the benchmark's 12 seed-1 sweep scenarios, stride 1;
@@ -139,14 +143,41 @@ def load_numbers(path: pathlib.Path) -> dict[str, dict[str, np.ndarray]]:
     return values
 
 
+def row_times(values: dict[str, np.ndarray], name: str) -> np.ndarray | None:
+    """The time of each row of the array named name: the first column of a
+    CSV table, or the `t` beside a value of a trajectory; None if it has no
+    such time."""
+    a = values[name]
+    t = a[:, 0] if name.endswith(".csv") else values.get(name.rpartition(".")[0] + ".t")
+    return t if a.ndim and t is not None and t.shape == a.shape[:1] else None
+
+
+def shared_rows(new: dict[str, np.ndarray], old: dict[str, np.ndarray],
+                name: str) -> tuple[np.ndarray, np.ndarray] | None:
+    """The arrays named name in new and old; where their row counts differ,
+    only the rows whose time (row_times) both hold. None where one has no
+    such array, or they differ in another way."""
+    if name not in old:
+        return None
+    a, b = new[name], old[name]
+    if a.shape == b.shape:
+        return a, b
+    ta, tb = row_times(new, name), row_times(old, name)
+    if ta is None or tb is None or a.shape[1:] != b.shape[1:]:
+        return None
+    _, ia, ib = np.intersect1d(ta, tb, return_indices=True)
+    return a[ia], b[ib]
+
+
 def max_delta(new: dict[str, np.ndarray], old: dict[str, np.ndarray], key: str) -> float | None:
     """max |new - old| over the arrays named key or key.<...> that both hold
-    with one shape (equal values, infinities and nan included, count 0);
-    None if there are none."""
+    (equal values, infinities and nan included, count 0), over shared_rows
+    where their row counts differ; None if there are none."""
     deltas = []
-    for name, a in new.items():
-        b = old.get(name)
-        if (name == key or name.startswith(key + ".")) and b is not None and a.shape == b.shape:
+    for name in new:
+        pair = shared_rows(new, old, name) if name == key or name.startswith(key + ".") else None
+        if pair is not None:
+            a, b = pair
             with np.errstate(invalid="ignore"):
                 gap = np.where((a == b) | (np.isnan(a) & np.isnan(b)), 0.0, np.abs(a - b))
             deltas.append(float(np.max(gap, initial=0.0)))
@@ -208,6 +239,15 @@ def calibration_runs(fx, ref) -> dict:
     return runs
 
 
+def disturbed_run(fx, ref):
+    """(system, params, disturbance): the reference config ref to t_end 20
+    under a seeded disturbance of amplitude 0.05 (seed 42), which holds the
+    residual above settle_tol, so the run hands over to implicit steps and
+    never settles."""
+    noise = fx.dynamics.DisturbanceSpec(enabled=True, amplitude=0.05, seed=42)
+    return ref.system(), dataclasses.replace(ref.params, t_end=20.0), noise
+
+
 def named_runs(fx, workloads, work: pathlib.Path) -> dict:
     """{name: zero-argument callable returning the run's record}, in order."""
     run, replace = fx.dynamics.run, dataclasses.replace
@@ -221,6 +261,8 @@ def named_runs(fx, workloads, work: pathlib.Path) -> dict:
     runs["c7/quiet"] = lambda: record(run(system, quiet))
     noise = fx.dynamics.DisturbanceSpec(enabled=True, amplitude=0.5, seed=42)
     runs["c7/disturbed"] = lambda: record(run(system, quiet, disturbance=noise))
+    small = disturbed_run(fx, ref)
+    runs["disturbed/amplitude=0.05"] = lambda: record(run(small[0], small[1], disturbance=small[2], stride=1))
     for s in (10.0, 60.0, 100.0):
         runs[f"z0={s:g}"] = lambda s=s: record(run(system, quiet, z0=s * np.array([1.0, -1.0, 1.0, -1.0])))
     for mu, k1 in ((0.2, 5.0), (0.5, 5.0), (0.2, 20.0)):
@@ -273,6 +315,15 @@ def named_runs(fx, workloads, work: pathlib.Path) -> dict:
     return runs
 
 
+def row_counts(new: dict[str, np.ndarray], old: dict[str, np.ndarray], key: str) -> str | None:
+    """"<n> rows, <m> before" where the arrays named key hold different row
+    counts; None otherwise."""
+    a, b = new.get(key), old.get(key)
+    if a is None or b is None or not a.ndim or not b.ndim or len(a) == len(b):
+        return None
+    return f"{len(a)} rows, {len(b)} before"
+
+
 def compare(new: dict, old: dict, new_values: dict | None = None,
             old_values: dict | None = None) -> tuple[list[str], list[str]]:
     """(each run value both records hold that differs, as "run: value",
@@ -291,11 +342,14 @@ def compare(new: dict, old: dict, new_values: dict | None = None,
                 args = new_values.get(name, {}), old_values.get(name, {}), key
                 if key.endswith(".json"):
                     sections = section_deltas(*args)
-                    detail = ", ".join(sections) if sections else None
+                    detail = f"max |Δ| {', '.join(sections)}" if sections else None
                 else:
                     delta = max_delta(*args)
-                    detail = None if delta is None else f"{delta:.3g}"
-                differs.append(f"{name}: {key}" + ("" if detail is None else f" (max |Δ| {detail})"))
+                    detail = None if delta is None else f"max |Δ| {delta:.3g}"
+                    rows = row_counts(*args)
+                    if rows is not None:
+                        detail = rows if detail is None else f"{rows}; {detail} over the rows of shared t"
+                differs.append(f"{name}: {key}" + ("" if detail is None else f" ({detail})"))
         for key in set(a) ^ set(b):
             side = "new" if key in a else "old"
             one_sided[key, side] = one_sided.get((key, side), 0) + 1
