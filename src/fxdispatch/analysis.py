@@ -14,11 +14,12 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dynamics import AlgorithmParams, _check_sizes
+from .dynamics import AlgorithmParams
 from .grid_model import (
     AssumptionViolation,
     CostSummary,
     KronLossModel,
+    _check_sizes,
     _demand_shares,
     cost_summary,
     total_demand,

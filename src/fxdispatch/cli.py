@@ -120,7 +120,7 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False) 
     try:
         eq = oracle.solve_equilibrium(config.generators, config.loss, dbar)
         pf = oracle.kkt_penalty_solution(config.generators, config.loss, dbar)
-    except NewtonFailure:
+    except (NewtonFailure, AssumptionViolation):  # no oracle point: null in the report
         pass
 
     t0 = time.perf_counter()
@@ -205,8 +205,6 @@ def cmd_run(config: RunConfig, out_dir: str | None = None, force: bool = False) 
 
 def cmd_oracle(config: RunConfig) -> int:
     dbar = total_demand(config.generators)
-    if not dbar > 0.0:  # every "equilibrium" would have a negative power
-        raise AssumptionViolation(f"total demand is {_fmt(dbar)} MW; the oracle needs a positive total demand")
     try:
         eq = oracle.solve_equilibrium(config.generators, config.loss, dbar)
         pf = oracle.kkt_penalty_solution(config.generators, config.loss, dbar)

@@ -28,8 +28,8 @@ from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
 
-from .dynamics import AlgorithmParams, DisturbanceSpec, DispatchSystem, _check_count, _check_sizes
-from .grid_model import ConfigurationError, GeneratorSpec, KronLossModel
+from .dynamics import AlgorithmParams, DisturbanceSpec, DispatchSystem
+from .grid_model import ConfigurationError, GeneratorSpec, KronLossModel, _check_count, _check_sizes
 from .topology import LocalTopology
 
 

@@ -27,28 +27,31 @@ tries of a call share one, formed again only once a solve shows it stale (one
 chord correction no longer reaches the solve's tolerance, or the solve
 failed), as simplified Newton iterations reuse their Jacobian (ibid.). A
 solved instant is one _Point (t, z, P, H lam with its factors, the
-disagreement, the residual and dz/dt), formed only by _Stepper.at: the point
-that ends a step, its dz/dt formed at the w(t + dt) the step used, starts the
-next, that dz/dt being the next step's k1 and an RK4 step's k5. Matrix products are ndarray.dot (see the comment after _amax).
+disagreement, the residual and dz/dt), formed only by _Stepper.at. Each kind
+of step is one _Stepper method from a point p to a time t_new, of width
+dt = t_new - p.t, that returns (the point at t_new, err): the new point's
+dz/dt, formed at the w(p.t + dt) the step used, is an RK4 step's k5 and the
+next step's k1; an RK4 step's err is dt/6 max|k4 - k5|, and an implicit
+step's is 0.0, as it has no error estimate yet. Matrix products are
+ndarray.dot (see the comment after _amax).
 Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term chatters once g k1 h
 |r|^(mu - 1) is of order one at width h, g being the loop gain, so one rule,
-_chatter_width, bounds RK4's width at the disagreement r, and where that
-bound falls below dt the integrator takes linearly implicit, chattering-free
-steps of width dt instead (backward Euler on the consensus law, after Acary &
-Brogliato 2010 and Polyakov, Efimov & Brogliato 2019), which reach consensus
-to roundoff. Their Newton systems are singular along 1 at consensus: each is
-solved by LU where a lower bound on its least singular value shows that
-lstsq would keep every singular value, and by lstsq's minimum-norm solution
-otherwise (_newton_step). Once an undisturbed run is below settle_tol each
-implicit step doubles its width, so the settle window is confirmed in about
-ten steps. A
-failed step is retried narrower: an RK4 step at the error controller's width
-(a quarter of its width after a failed solve), an implicit step at half its
-width; only a failure below _MIN_STEP dt ends a run. The kind of step depends
-only on the state. One _Stepper per call holds the disturbance, the solver
-counters and both kinds of step, and carries both the public `step` (width
-dt, which adds the monitors) and `run` (which forms cost and loss once, over
-the emitted rows).
+the cap of _Stepper.kind, bounds RK4's width at the disagreement r, and where
+that cap falls below dt the integrator takes linearly implicit,
+chattering-free steps of width dt instead (backward Euler on the consensus
+law, after Acary & Brogliato 2010 and Polyakov, Efimov & Brogliato 2019),
+which reach consensus to roundoff. Their Newton systems are singular along 1
+at consensus: each is solved by LU where a lower bound on its least singular
+value shows that lstsq would keep every singular value, and by lstsq's
+minimum-norm solution otherwise (_newton_step). Once an undisturbed run is
+below settle_tol each implicit step doubles its width, so the settle window
+is confirmed in about ten steps. A failed step is retried narrower: an RK4
+step at the error controller's width (a quarter of its width after a failed
+solve), an implicit step at half its width; only a failure below _MIN_STEP dt
+ends a run. The kind of step depends only on the state. One _Stepper per call
+holds the disturbance, the solver counters and both kinds of step, and
+carries both the public `step` (width dt, which adds the monitors) and `run`
+(which forms cost and loss once, over the emitted rows).
 """
 
 from __future__ import annotations
@@ -61,8 +64,8 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid_model import (KronLossModel, _demand_shares, cost_coefficients, fleet_cost, total_demand,
-                         weighted_cost_jacobian)
+from .grid_model import (KronLossModel, _check_count, _check_sizes, _demand_shares, cost_coefficients,
+                         fleet_cost, total_demand, weighted_cost_jacobian)
 from .topology import LocalTopology
 
 logger = logging.getLogger(__name__)
@@ -77,7 +80,7 @@ _HAVE_NUMBA = False
 #: P = d0. Measured c is at most 0.134, 0.092, 0.061 and 0.028 at mu = 0.2,
 #: 0.35, 0.5 and 0.65, over k1 = 5 and 50, h = 1e-3 and 2e-3, the reference
 #: case with its link weights scaled by 0.3, 1 and 3 (g from 0.27 to 27) and a
-#: lossless pair. The width _chatter_width allows at max|r|, and the
+#: lossless pair. The width _Stepper.kind allows at max|r|, and the
 #: handover to implicit steps where it is below dt, scale with this constant:
 #: at 2.4 the floor of such a step is at most 0.40 max|r| for every c above,
 #: and the handover comes at least 2.5 times above RK4's floor at width dt.
@@ -129,16 +132,6 @@ _amax = np.maximum.reduce
 # call overhead is about half the operator's (numpy 2.4, timeit).
 
 
-def _check_count(name: str, value, least: int) -> None:
-    """Raise ValueError naming the field unless value is an integer >= least:
-    a bool is not one, nor is a value without __index__, which operator.index
-    refuses (2.5, and 2.0 too)."""
-    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    if value < least:
-        raise ValueError(f"{name} must be >= {least}")
-
-
 class StepFailure(RuntimeError):
     """The implicit power equation or the Newton iteration of the implicit
     step failed to converge. run() retries every failed step narrower (an
@@ -152,7 +145,7 @@ class AlgorithmParams:
 
     k1, k2: consensus gains (> 0); mu in (0, 1) and nu > 1 are the signed
     power exponents; dt: the first RK4 step and the implicit steps' width
-    (s), steps turning implicit where _chatter_width is below it; t_end:
+    (s), steps turning implicit where _Stepper.kind's cap is below it; t_end:
     horizon (s); fp_tol: tolerance of the implicit power solve on the
     2-norm of its balance residual (MW) at every solved point (a run's
     start, each step's end), while RK4 stages 2 to 4 stop at the larger of
@@ -226,14 +219,6 @@ def _disturbance_fn(spec: DisturbanceSpec, n: int):
     omega = rng.uniform(1.0, 2.0 * np.pi, size=n)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
     return lambda t: spec.amplitude * np.sin(omega * t + theta)
-
-
-def _check_sizes(n: int, loss: KronLossModel | None = None, top: LocalTopology | None = None) -> None:
-    """Raise ValueError unless the loss model and topology given fit n generators."""
-    if loss is not None and loss.n != n:
-        raise ValueError(f"{n} generators but loss matrix is {loss.n}x{loss.n}")
-    if top is not None and top.n != n:
-        raise ValueError(f"{n} generators but topology has {top.n} nodes")
 
 
 @dataclass
@@ -312,8 +297,10 @@ def solve_power(z, system: DispatchSystem, prev_P=None, fp_tol: float = Algorith
 
     Warm-started (from d0 without prev_P) chord iteration on the factor
     system.chord0 = (I - J(d0))^-1; see _solve_power. Raises StepFailure if
-    the iteration stalls or has not converged after fp_max_iter iterations.
+    the iteration stalls or has not converged after fp_max_iter iterations,
+    ValueError unless fp_max_iter is an integer >= 1.
     """
+    _check_count("fp_max_iter", fp_max_iter, 1)
     P = np.asarray(prev_P, dtype=float) if prev_P is not None else system.d0
     return _solve_power(np.asarray(z, dtype=float), system, P, system.chord0, fp_tol, fp_max_iter)[0]
 
@@ -463,13 +450,6 @@ def _newton_step(jac: np.ndarray, F: np.ndarray, D: np.ndarray, E: np.ndarray, k
     return np.linalg.lstsq(jac, F, rcond=None)[0]
 
 
-def _chatter_width(system: DispatchSystem, params: AlgorithmParams, r_max: float) -> float:
-    """The widest RK4 step that does not chatter at the disagreement
-    max|r| = r_max: _CHATTER_WIDTH r_max^(1 - mu) / (g k1), with
-    g = system.loop_gain. A step is linearly implicit where it is below dt."""
-    return _CHATTER_WIDTH * r_max ** (1.0 - params.mu) / (system.loop_gain * params.k1)
-
-
 class _Point(NamedTuple):
     """A solved instant: time t, state z, the solved power P, h = _h_lambda
     at P (lam, H, H lam), the disagreement r = -L (H lam), the consensus
@@ -496,7 +476,7 @@ class _Stepper:
     succeeded. chord is the RK4 tries' pair (A, A (-L)), A = (I - J(P))^-1,
     None until rk4 forms it and again once a solve has found it stale;
     chord_factors counts the pairs formed. ValueError unless the loop gain,
-    which _chatter_width divides by, is positive.
+    which kind divides by, is positive.
     """
 
     def __init__(self, system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None):
@@ -516,11 +496,13 @@ class _Stepper:
         self.deg_max = -float(np.minimum.reduce(system.neg_laplacian.diagonal()))
 
     def kind(self, r: np.ndarray) -> tuple[bool, float]:
-        """(implicit, cap) at the disagreement r: cap, _chatter_width at
-        max|r|, bounds the RK4 step's width, and the step is linearly
-        implicit where cap is below dt."""
-        cap = _chatter_width(self.system, self.params, float(_amax(np.abs(r))))
-        return cap < self.params.dt, cap
+        """(implicit, cap) at the disagreement r: cap, the widest RK4 step
+        that does not chatter there, _CHATTER_WIDTH max|r|^(1 - mu) / (g k1)
+        with g the loop gain, bounds the RK4 step's width, and the step is
+        linearly implicit where cap is below dt."""
+        params, r_max = self.params, float(_amax(np.abs(r)))
+        cap = _CHATTER_WIDTH * r_max ** (1.0 - params.mu) / (self.system.loop_gain * params.k1)
+        return cap < params.dt, cap
 
     def at(self, t: float, z: np.ndarray, P: np.ndarray, w) -> _Point:
         """The point at (t, z) with the solved power P there, its dz/dt formed
@@ -538,25 +520,28 @@ class _Stepper:
         self.max_evals = max(self.max_evals, evals)
         return P, evals
 
-    def rk4(self, p: _Point, dt: float):
-        """The RK4 advance from the point p over a step of width dt:
-        (z', P', k4, w(t + dt)).
+    def rk4(self, p: _Point, t_new: float) -> tuple[_Point, float]:
+        """The RK4 step from the point p to t_new, of width dt = t_new - p.t:
+        (the point at t_new, err).
 
         p's P and k give stage 1. Each later stage and the end-of-step solve
         warm-start from the chord step off the stage before, P + A (-L)
         (z' - z), which needs no loss evaluation. Only P, r and dz are formed
-        per stage; k4 is returned for the error estimate, and w(t + dt) (None
-        in a quiet run) for the k5 that closes the step. Stages 2 to 4 solve
-        to stage_tol, the end-of-step solve, whose P starts the next point,
-        to fp_tol. The solves use the chord factor A and A (-L) of
-        self.chord. A try that finds it None forms it at p's P,
-        A = (I - J(P))^-1. Later tries reuse it until a
-        solve needs more than _FRESH_EVALS loss evaluations or fails, which
-        sets it to None for the next try; the try itself goes on with A. A
-        failed solve raises StepFailure naming the stage, t and dt.
+        per stage. The new point's k, formed at w(t + dt) (None in a quiet
+        run), is k5, which closes the step and is the next step's k1. err is
+        dt/6 max|k4 - k5|, the distance to the order-3 solution with weights
+        (1/6, 1/3, 1/3, 0, 1/6) on (k1, ..., k5), which costs no solve and in
+        which w(t + dt) cancels. Stages 2 to 4 solve to stage_tol, the
+        end-of-step solve, whose P starts the new point, to fp_tol. The
+        solves use the chord factor A and A (-L) of self.chord. A try that
+        finds it None forms it at p's P, A = (I - J(P))^-1. Later tries reuse
+        it until a solve needs more than _FRESH_EVALS loss evaluations or
+        fails, which sets it to None for the next try; the try itself goes on
+        with A. A failed solve raises StepFailure naming the stage, t and dt.
         """
         system, params, w_at = self.system, self.params, self.w_at
         t, z, P, k1 = p.t, p.z, p.P, p.k
+        dt = t_new - t
         if self.chord is None:
             A = system.loss._newton_factor(P)
             self.chord = A, A.dot(system.neg_laplacian)
@@ -585,11 +570,14 @@ class _Stepper:
         z4 = z + dt * k3v
         k4v, P4 = deriv("stage 4", z4, z3, P3, w_end)
         z_new = z + dt / 6.0 * (k1 + 2.0 * k2v + 2.0 * k3v + k4v)
-        return z_new, solve("end-of-step solve", z_new, z4, P4, params.fp_tol), k4v, w_end
+        q = self.at(t_new, z_new, solve("end-of-step solve", z_new, z4, P4, params.fp_tol), w_end)
+        return q, dt / 6.0 * float(_amax(np.abs(k4v - q.k)))
 
-    def implicit(self, p: _Point, dt: float):
-        """The linearly implicit advance from the point p over a step of
-        width dt: (z', P', w(t + dt)).
+    def implicit(self, p: _Point, t_new: float) -> tuple[_Point, float]:
+        """The linearly implicit step from the point p to t_new, of width
+        dt = t_new - p.t: (the point at t_new, 0.0). err is 0.0, as this step
+        has no error estimate yet; the new point's k, formed at w(p.t + dt),
+        is the next step's k1.
 
         With p's P, h and disagreement r, and C, M = _sensitivity at P, it
         solves y = r + M dz, dz = -dt (k1 sig(y)^mu + k2 sig(y)^nu) + dt w(t + dt)
@@ -614,7 +602,7 @@ class _Stepper:
         k1, k2, mu, nu = params.k1, params.k2, params.mu, params.nu
         (lam, H, hl), P, r = p.h, p.P, p.r
         r = r - np.add.reduce(r) / r.size
-        system = self.system
+        system, dt = self.system, t_new - p.t
         jinv = system.loss._newton_factor(P)
         C, M = _sensitivity(lam, H, system, jinv)
         dtM, gap, n = dt * M, _newton_gap(C, system, dt), system.n
@@ -641,30 +629,13 @@ class _Stepper:
         z_new = p.z + dz
         P_new = self.solve(z_new, P, jinv, params.fp_tol)[0]
         self.newton_iters.append(iters)
-        return z_new, P_new, w
-
-    def advance(self, p: _Point, t_new: float, implicit: bool) -> tuple[_Point, float]:
-        """One step from the point p to t_new, of width dt = t_new - p.t,
-        implicit or RK4 as kind(p.r) decided: (the point at t_new, err).
-
-        The new point's k, formed at the w(t_new) the step used, is k5 and
-        the next step's k1. An RK4 step's err is dt/6 max|k4 - k5|, the
-        distance to the order-3 solution with weights (1/6, 1/3, 1/3, 0, 1/6)
-        on (k1, ..., k5), which costs no solve and in which w(t_new) cancels;
-        an implicit step's is 0.0."""
-        dt = t_new - p.t
-        if implicit:
-            z, P, w_end = self.implicit(p, dt)
-        else:
-            z, P, k4, w_end = self.rk4(p, dt)
-        q = self.at(t_new, z, P, w_end)
-        return q, 0.0 if implicit else dt / 6.0 * float(_amax(np.abs(k4 - q.k)))
+        return self.at(t_new, z_new, P_new, w), 0.0
 
 
 def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams) -> SimulationState:
     """One undisturbed step of width dt on z: classical 4-stage
-    Runge-Kutta, or the linearly implicit step where _chatter_width at the
-    disagreement of state.P is below dt; the kind is decided as in run().
+    Runge-Kutta, or the linearly implicit step where _Stepper.kind's cap at
+    the disagreement of state.P is below dt; the kind is decided as in run().
 
     Stage 1 is the point at state's (t, z, P); _Stepper.at forms its H lam
     afresh from state.P, which for every state this library makes equals
@@ -678,7 +649,7 @@ def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams
     """
     stepper = _Stepper(system, params, None)
     p = stepper.at(state.t, np.asarray(state.z, dtype=float), np.asarray(state.P, dtype=float), None)
-    p = stepper.advance(p, state.t + params.dt, stepper.kind(p.r)[0])[0]
+    p = (stepper.implicit if stepper.kind(p.r)[0] else stepper.rk4)(p, state.t + params.dt)[0]
     return _state(p.t, p.z, p.P, system, p.h)
 
 
@@ -753,7 +724,7 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     """Integrate the dispatch dynamics to t_end or sustained consensus.
 
     RK4 steps start at width dt and are then sized by error control, never
-    wider than _chatter_width: the width after an accepted step is scaled by
+    wider than _Stepper.kind's cap: the width after an accepted step is scaled by
     0.9 (err/STEP_TOL)^(-1/4) within [0.2, 4] (at most 1 after a
     rejection). Implicit steps have width dt, except that in an undisturbed
     settle window each doubles the width of the one before. The last step
@@ -799,7 +770,7 @@ def run(system: DispatchSystem, params: AlgorithmParams,
             t_new = window_end
         dt = t_new - p.t
         try:
-            out, err = stepper.advance(p, t_new, implicit)
+            out, err = (stepper.implicit if implicit else stepper.rk4)(p, t_new)
         except StepFailure as e:
             err, failure = None, e
         else:

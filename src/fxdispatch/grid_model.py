@@ -24,6 +24,24 @@ class AssumptionViolation(ValueError):
     """Raised when data breaks one of the algorithm's standing assumptions."""
 
 
+def _check_count(name: str, value, least: int) -> None:
+    """Raise ValueError naming the field unless value is an integer >= least:
+    a bool is not one, nor is a value without __index__, which operator.index
+    refuses (2.5, and 2.0 too)."""
+    if isinstance(value, bool) or not hasattr(type(value), "__index__"):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < least:
+        raise ValueError(f"{name} must be >= {least}")
+
+
+def _check_sizes(n: int, loss: KronLossModel | None = None, top: LocalTopology | None = None) -> None:
+    """Raise ValueError unless the loss model and topology given fit n generators."""
+    if loss is not None and loss.n != n:
+        raise ValueError(f"{n} generators but loss matrix is {loss.n}x{loss.n}")
+    if top is not None and top.n != n:
+        raise ValueError(f"{n} generators but topology has {top.n} nodes")
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """One generator: quadratic cost coefficients, the power p0, demand share.

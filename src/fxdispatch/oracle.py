@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_model import (KronLossModel, cost_coefficients, fleet_cost, marginal_costs, total_cost,
-                         weighted_cost_jacobian)
+from .grid_model import (AssumptionViolation, KronLossModel, cost_coefficients, fleet_cost, marginal_costs,
+                         total_cost, weighted_cost_jacobian)
 
 #: damped Newton's stop on max|residual|, its iteration cap and its step-halving cap
 _NEWTON_TOL, _NEWTON_MAX_ITER, _NEWTON_MAX_HALVINGS = 1e-12, 100, 30
@@ -76,8 +76,11 @@ def _solve_weighted(gens, model: KronLossModel, d_total: float, weight) -> Equil
     weight(P) returns (w, dw): the per-generator weights and their
     derivatives with respect to the own-loss gradient (see
     grid_model.weighted_cost_jacobian). Starts from a uniform demand split
-    and stops at max|residual| < _NEWTON_TOL.
+    and stops at max|residual| < _NEWTON_TOL. AssumptionViolation unless
+    d_total > 0: the point would have a negative power.
     """
+    if not d_total > 0.0:
+        raise AssumptionViolation(f"total demand is {d_total:.10g} MW; the oracle needs a positive total demand")
     n = len(gens)
     _, b, c = cost_coefficients(gens)
 

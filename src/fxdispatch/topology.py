@@ -16,7 +16,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .grid_model import AssumptionViolation, ConfigurationError
+from .grid_model import AssumptionViolation, ConfigurationError, _check_count
 
 
 class LocalTopology:
@@ -24,21 +24,24 @@ class LocalTopology:
     Laplacian L = D - A (row sums zero, off-diagonal -a_ij), read-only and
     formed when first read.
 
-    Edges are (i, j, weight) with positive weights and no self-loops.
-    Connectivity is enforced at construction (AssumptionViolation) by a
-    search, not by phi2 > tol: with weights of 1e6 and more, L of a graph of
-    two components can have a computed phi2 above any such tolerance.
+    n >= 1 and the endpoints i, j >= 0 of the edges (i, j, weight) are
+    integers (ValueError naming the field otherwise, as for 1.5 or True), the
+    weights positive, and there are no self-loops. Connectivity is enforced
+    at construction (AssumptionViolation) by a search, not by phi2 > tol:
+    with weights of 1e6 and more, L of a graph of two components can have a
+    computed phi2 above any such tolerance.
     """
 
     def __init__(self, n: int, edges):
-        if n < 1:
-            raise ConfigurationError("need at least one node")
+        _check_count("node count", n, 1)
         norm_edges = []
         for i, j, w in edges:
+            _check_count("edge endpoint", i, 0)
+            _check_count("edge endpoint", j, 0)
             i, j, w = int(i), int(j), float(w)
             if i == j:
                 raise ConfigurationError(f"self-loop at node {i}")
-            if not (0 <= i < n and 0 <= j < n):
+            if not (i < n and j < n):
                 raise ConfigurationError(f"edge ({i},{j}) outside node range 0..{n - 1}")
             if not 0 < w < np.inf:
                 raise ConfigurationError(f"edge ({i},{j}) weight must be finite and > 0, got {w}")

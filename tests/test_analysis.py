@@ -16,8 +16,10 @@ from fxdispatch import (
     settling_bound,
 )
 from fxdispatch import dynamics
+from fxdispatch.cli import evaluate_gates
+from fxdispatch.config import config_from_dict
 from fxdispatch.grid_model import marginal_costs
-from tests.conftest import REF_B, REF_DEMAND, REF_P0, path_topology
+from tests.conftest import REF_B, REF_DEMAND, REF_P0, benchmark_workloads, path_topology
 from tests.lemma3 import curvature_matrices, power_mean_check, verify_lemma3_bounds
 
 REF_SUMMARY = CostSummary(sigma=0.164, delta=1.21)
@@ -218,6 +220,37 @@ class TestSettlingBound:
     def test_nonpositive_phi2_rejected(self):
         with pytest.raises(AssumptionViolation, match=r"phi2=0\.0 <= 0"):
             settling_bound(self.PARAMS, 0.0, 1.0, 0.0, 1)
+
+
+class TestBoundOnSeededFleets:
+    """The paper's theorem as a property: a run whose fleet passes every
+    gate and whose powers stay >= 0 settles before the bound ts.
+
+    The benchmark's fleet_dict(seed, n = 6 + seed % 5) for seeds 0-11, run to
+    t_end 200 from z0 = 0 and from z0 = (1, -1, 1, ...): 24 runs. All 12
+    fleets pass the gates and no run sees a negative power; the runs settle
+    in 0.26-1.25 s against ts of 64-1 356 s. From z0 scaled by 10 or 100
+    every fleet drives a power negative, which is outside the theorem's
+    premise (delta = min b bounds the marginal costs only on P >= 0), so
+    those runs are not part of this property. A run that meets the premise
+    and does not settle before ts is a counterexample to the bound or to the
+    code: the assertion names it."""
+
+    @pytest.mark.parametrize("seed", range(12))
+    def test_runs_that_meet_the_premise_settle_before_ts(self, seed):
+        n = 6 + seed % 5
+        config = config_from_dict(benchmark_workloads().fleet_dict(seed, n=n))
+        gates = evaluate_gates(config)
+        # the seeded data meets the premise, so that the property is not vacuous
+        assert gates.all_ok, f"seed {seed}: the fleet fails a gate"
+        params = dataclasses.replace(config.params, t_end=200.0)
+        ts = settling_bound(params, gates.report.rho, gates.tau1, gates.phi2, n).ts
+        for z0 in (np.zeros(n), (-1.0) ** np.arange(n)):
+            res = dynamics.run(config.system(), params, z0=z0)
+            assert not res.negative_power_seen, f"seed {seed}, z0 {z0}: min P {res.min_power}"
+            assert res.settled and res.settle_time < ts, (
+                f"counterexample: seed {seed}, n {n}, z0 {z0}: settled {res.settled} at {res.settle_time}, "
+                f"ts {ts}")
 
 
 class TestPowerMean:

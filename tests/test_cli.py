@@ -571,6 +571,22 @@ class TestRun:
         last = (tmp_path / "trajectory.csv").read_text().splitlines()[-1]
         assert float(last.split(",")[-1]) == 0.0  # V = 0.5 (C - C*)^2 with C* the terminal cost
 
+    def test_forced_run_without_a_positive_demand_has_no_oracle_points(self, base_dict, tmp_path):
+        # every d0 at -10 MW fails A1 and remark 2; forced, the run goes on
+        # while the oracle refuses the demand, as `fxdispatch oracle` does
+        for gen in base_dict["generators"]:
+            gen["d0"] = -10.0
+        base_dict["params"]["t_end"] = 0.1
+        path = tmp_path / "run.json"
+        path.write_text(json.dumps(base_dict))
+        out = tmp_path / "out"
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["run", "--config", str(path), "--out", str(out), "--force"]) == EXIT_OK
+        report = json.loads((out / "report.json").read_text())
+        assert report["status"] == "ok" and report["assumptions"]["all_ok"] is False
+        assert set(report["oracle_gap"].values()) == {None}
+        assert report["negative_power_seen"] is True
+
     def test_penalty_failure_keeps_the_consensus_point(self, base_dict, tmp_path, monkeypatch):
         monkeypatch.setattr(oracle, "kkt_penalty_solution", self._fail)
         base_dict["params"]["t_end"] = 0.1
@@ -874,7 +890,7 @@ MALFORMED = [
     pytest.param(lambda d: d["loss"].pop("b_matrix"), "loss: missing key 'b_matrix'", id="missing-b-matrix"),
     pytest.param(lambda d: d["output"].update(stride=True), r"output\.stride: expected an integer, got True",
                  id="boolean-stride"),
-    pytest.param(lambda d: d.update(topology={"nodes": 0, "edges": []}), "topology: need at least one node",
+    pytest.param(lambda d: d.update(topology={"nodes": 0, "edges": []}), "topology: node count must be >= 1",
                  id="zero-nodes"),
     pytest.param(lambda d: d["loss"].update(b_matrix=[row[:3] for row in d["loss"]["b_matrix"]]),
                  r"loss: B must be square, got shape \(4, 3\)", id="four-by-three-loss"),

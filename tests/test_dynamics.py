@@ -24,7 +24,6 @@ from fxdispatch import dynamics
 from fxdispatch.config import config_from_dict, load_config
 from fxdispatch.dynamics import (
     _GROWTH,
-    _chatter_width,
     _disagreement,
     _disturbance_fn,
     _h_lambda,
@@ -70,13 +69,13 @@ def state_r(state, system):
 
 
 def disagreement(state, system):
-    """max |r| at a state, at which _chatter_width decides the kind of step."""
+    """max |r| at a state, at which _Stepper.kind decides the kind of step."""
     return float(np.abs(state_r(state, system)).max())
 
 
 def implicit_at(state, system, params):
     """Whether the step from a state is linearly implicit."""
-    return _chatter_width(system, params, disagreement(state, system)) < params.dt
+    return _Stepper(system, params, None).kind(state_r(state, system))[0]
 
 
 def equilibrium_z(system):
@@ -200,6 +199,15 @@ class TestSolvePower:
         # a solve away from d0 needs several chord iterations; one is not enough
         with pytest.raises(StepFailure, match="largest own-loss gradient at its warm start"):
             solve_power(np.array([1.0, -1.0, 1.0, -1.0]), ref_system, fp_max_iter=1)
+
+    @pytest.mark.parametrize("fp_max_iter, message", [
+        (2.5, "fp_max_iter must be an integer, got 2.5"),
+        (True, "fp_max_iter must be an integer, got True"),
+        (0, "fp_max_iter must be >= 1"),
+    ])
+    def test_refuses_an_fp_max_iter_that_is_not_a_count(self, ref_system, fp_max_iter, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            solve_power(np.zeros(4), ref_system, fp_max_iter=fp_max_iter)
 
     @pytest.mark.filterwarnings("ignore::RuntimeWarning")
     def test_infeasible_losses_raise(self):
@@ -345,16 +353,16 @@ class TestStep:
 
 def replay(system, params, disturbance, res, z0=None):
     """States at the row times of a stride-1 run, each advanced from the one
-    before through the stepper's advance, of the kind it decides, to the
-    next row time. Each point, its k1 included, is formed afresh at its
-    state, so the k5 that run() takes as the next k1 is checked against it."""
+    before by the stepper's step of the kind it decides to the next row
+    time. Each point, its k1 included, is formed afresh at its state, so the
+    k5 that run() takes as the next k1 is checked against it."""
     stepper = _Stepper(system, params, disturbance)
     z0 = np.zeros(system.n) if z0 is None else z0
     states = [make_state(0.0, z0, system, params=params)]
     for t_next in res.trajectory.t[1:]:
         s = states[-1]
         p = stepper.at(s.t, s.z, s.P, stepper.w_at(s.t))
-        out = stepper.advance(p, t_next, stepper.kind(p.r)[0])[0]
+        out = (stepper.implicit if stepper.kind(p.r)[0] else stepper.rk4)(p, t_next)[0]
         states.append(_state(t_next, out.z, out.P, system))
     return states
 
@@ -374,8 +382,8 @@ def assert_same_state(a, b):
 
 
 class TestRunMatchesStep:
-    """run() must reproduce its accepted steps, replayed through the advance
-    it shares with step(), bit for bit."""
+    """run() must reproduce its accepted steps, replayed through the step
+    methods it shares with step(), bit for bit."""
 
     @pytest.mark.parametrize("fleet, disturbance, t_end", [
         (None, None, 0.1),
@@ -448,13 +456,13 @@ def symmetric_lossy_pair():
 
 
 def implicit_step(system, params, disturbance=None):
-    """The implicit advance over width dt as a function of a state, returning
+    """The implicit step to t + dt as a function of a state, returning
     (z', P', Newton iterations): the stepper's point at the state starts the step."""
     stepper = _Stepper(system, params, disturbance)
 
     def advance(s):
-        z, P, _ = stepper.implicit(stepper.at(s.t, s.z, s.P, None), params.dt)
-        return z, P, stepper.newton_iters[-1]
+        q = stepper.implicit(stepper.at(s.t, s.z, s.P, None), s.t + params.dt)[0]
+        return q.z, q.P, stepper.newton_iters[-1]
     return advance
 
 
@@ -482,13 +490,13 @@ class TestImplicitStep:
         state = make_state(0.0, equilibrium_z(system), system, params=params)
         floor = []
         for k in range(400):
-            z, P = stepper.rk4(stepper.at(state.t, state.z, state.P, None), params.dt)[:2]
-            state = _state(state.t + params.dt, z, P, system)
+            q = stepper.rk4(stepper.at(state.t, state.z, state.P, None), state.t + params.dt)[0]
+            state = _state(q.t, q.z, q.P, system)
             if k >= 200:
                 floor.append(state)
         r_floor = [disagreement(s, system) for s in floor]
         assert 0.0 < max(r_floor)
-        assert _chatter_width(system, params, 2.5 * max(r_floor)) < params.dt
+        assert stepper.kind(np.array([2.5 * max(r_floor)]))[0]
         if (weight, k1, mu) == (1.0, 5.0, 0.5):
             dt2 = params.dt ** 2
             assert min(s.residual for s in floor) > params.settle_tol
@@ -659,7 +667,7 @@ class TestOnePhi2:
 
 def calls_per_try(ref_system, monkeypatch, names):
     """Run the reference case to t = 5.2 s, through rejected RK4 tries and the
-    switch to implicit steps, and return per try of the advance but the last,
+    switch to implicit steps, and return per try of a step method but the last,
     in order, its start time, its kind ("rk4" or "implicit"), whether it was
     accepted, and how often it called each of the dynamics functions named."""
     counts = dict.fromkeys(names, 0)
@@ -675,15 +683,19 @@ def calls_per_try(ref_system, monkeypatch, names):
     for name in names:
         monkeypatch.setattr(dynamics, name, counted(name))
     entries = []  # the counts when each try starts, its start time and kind
-    real_advance = dynamics._Stepper.advance
 
-    def counting_advance(self, p, t_new, implicit):
-        start = dict(counts)
-        out = real_advance(self, p, t_new, implicit)
-        entries.append((start, p.t, "implicit" if implicit else "rk4"))
-        return out
+    def counting(kind):
+        real = getattr(dynamics._Stepper, kind)
 
-    monkeypatch.setattr(dynamics._Stepper, "advance", counting_advance)
+        def counting_step(self, p, t_new):
+            start = dict(counts)
+            out = real(self, p, t_new)
+            entries.append((start, p.t, kind))
+            return out
+        return counting_step
+
+    for kind in ("rk4", "implicit"):
+        monkeypatch.setattr(dynamics._Stepper, kind, counting(kind))
     res = run(ref_system, dataclasses.replace(REF_PARAMS, t_end=5.2))
     assert len(entries) == res.steps + res.rejected_steps
     assert res.rejected_steps > 0 and 4.9 < res.switch_time < 5.0
@@ -792,10 +804,10 @@ class TestStageTolerance:
             solves.append((tol, out[0]))
             return out
 
-        def rk4(self, p, dt):
+        def rk4(self, p, t_new):
             start = len(solves)
             try:
-                return real_rk4(self, p, dt)
+                return real_rk4(self, p, t_new)
             finally:
                 tries.append((start, len(solves)))
 
@@ -846,7 +858,7 @@ class TestStageTolerance:
             loose, tight = _Stepper(ref_system, params, None), _Stepper(ref_system, params, None)
             tight.stage_tol = params.fp_tol
             assert loose.stage_tol == dynamics._STAGE_TOL
-            z_loose, z_tight = loose.rk4(p, width)[0], tight.rk4(p, width)[0]
+            z_loose, z_tight = loose.rk4(p, p.t + width)[0].z, tight.rk4(p, p.t + width)[0].z
             assert np.abs(z_loose - z_tight).max() < dynamics.STEP_TOL / 10.0
 
 
@@ -873,7 +885,7 @@ class TestChordFactor:
         stepper = _Stepper(system, REF_PARAMS, None)
         z = np.random.default_rng(4).normal(scale=0.1, size=system.n)
         p = stepper.at(0.0, z, solve_power(z, system), None)
-        stepper.rk4(p, REF_PARAMS.dt)
+        stepper.rk4(p, p.t + REF_PARAMS.dt)
         assert stepper.chord_factors == 1 and len(factors) == 5
         assert all(np.array_equal(A, loss._newton_factor(p.P)) for A in factors[1:])
 
@@ -1013,7 +1025,7 @@ class TestRun:
     @pytest.mark.parametrize("mu, k1", [(0.2, None), (0.5, None), (0.2, 20.0)], ids=["0.2", "0.5", "0.2,k1=20"])
     @pytest.mark.parametrize("dt", [0.1, 0.2])
     def test_wide_dt_settles(self, mu, k1, dt):
-        # RK4 capped at _chatter_width carries the run until the implicit steps
+        # RK4 capped by _Stepper.kind carries the run until the implicit steps
         # of width dt take over; were every step implicit from t = 0, Newton
         # would fail at t = dt for mu = 0.2. At mu = 0.2, k1 = 20 and dt = 0.2
         # the implicit steps of width dt fail in Newton; each is retried at
@@ -1025,7 +1037,7 @@ class TestRun:
         assert np.abs(res.terminal.P - FINE_TERMINAL).max() < 1e-9
 
     def test_one_generator_raises(self):
-        # the loop gain of one generator is 0, and _chatter_width divides by it
+        # the loop gain of one generator is 0, and _Stepper.kind divides by it
         gens = (GeneratorSpec(a=1.0, b=2.0, c=0.05, p0=100.0, d0=100.0),)
         system = DispatchSystem(gens=gens, loss=KronLossModel(np.zeros((1, 1)), np.zeros(1), 0.0),
                                 top=path_topology(1))
@@ -1154,11 +1166,11 @@ class TestErrorControl:
         real = dynamics._Stepper.implicit
         tries = []
 
-        def refusing(self, p, dt):
-            tries.append((p.t, dt))
-            if refuse(dt, tries[:-1]):
+        def refusing(self, p, t_new):
+            tries.append((p.t, t_new - p.t))
+            if refuse(t_new - p.t, tries[:-1]):
                 raise StepFailure("refused")
-            return real(self, p, dt)
+            return real(self, p, t_new)
 
         monkeypatch.setattr(dynamics._Stepper, "implicit", refusing)
         return tries

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from fxdispatch import (
+    AssumptionViolation,
     GeneratorSpec,
     KronLossModel,
     NewtonFailure,
@@ -161,6 +162,15 @@ class TestBruteForce:
     def test_rejects_bad_step(self):
         with pytest.raises(ValueError):
             brute_force_optimum(TWO_GENS, lossless(2), TWO_D, grid_step=0.0)
+
+
+@pytest.mark.parametrize("solver", [solve_equilibrium, kkt_penalty_solution])
+@pytest.mark.parametrize("d_total, shown", [(0.0, "0"), (-40.0, "-40"), (float("nan"), "nan")])
+def test_refuses_a_total_demand_that_is_not_positive(ref_gens, ref_model, solver, d_total, shown):
+    # every point balancing such a demand would have a negative power
+    with pytest.raises(AssumptionViolation,
+                       match=f"^total demand is {shown} MW; the oracle needs a positive total demand$"):
+        solver(ref_gens, ref_model, d_total)
 
 
 class TestPenaltyCoordination:

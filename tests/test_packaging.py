@@ -42,6 +42,34 @@ def test_runtime_dependencies_are_exactly_the_imports():
     assert declared_modules() == imported_third_party()
 
 
+def names_used_from_dynamics(path):
+    """The names a package module takes from fxdispatch.dynamics: those it
+    imports from .dynamics, and the attributes it reads off the module where
+    it imports the module itself."""
+    tree = ast.parse(path.read_text(), filename=str(path))
+    names, as_module = set(), False
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level == 1:
+            if node.module == "dynamics":
+                names.update(alias.name for alias in node.names)
+            elif node.module is None:
+                as_module |= any(alias.name == "dynamics" and alias.asname is None for alias in node.names)
+    if as_module:
+        names.update(node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)
+                     and isinstance(node.value, ast.Name) and node.value.id == "dynamics")
+    return names
+
+
+def test_modules_take_only_public_names_from_dynamics():
+    # the integrator module lends out no private helper; shared input checks
+    # live in grid_model, which every module can import without a cycle
+    used = {path.name: names_used_from_dynamics(path)
+            for path in PACKAGE.glob("*.py") if path.name != "dynamics.py"}
+    assert {"AlgorithmParams", "StepFailure", "run"} <= set().union(*used.values())
+    private = {name: sorted(n for n in names if n.startswith("_")) for name, names in used.items()}
+    assert {name: names for name, names in private.items() if names} == {}
+
+
 def benchmark_attributes():
     """(module, dotted name) of every fxdispatch attribute the benchmark uses:
     its tracer's TARGETS, each fx.<module>.<name> in its sources, and

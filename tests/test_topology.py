@@ -29,6 +29,23 @@ class TestConstruction:
         with pytest.raises(AssumptionViolation):
             LocalTopology(4, [(0, 1, 1.0), (2, 3, 1.0)])
 
+    @pytest.mark.parametrize("n, edges, message", [
+        (2, [(0, 1.5, 1.0)], "edge endpoint must be an integer, got 1.5"),
+        (2, [(True, 1, 1.0)], "edge endpoint must be an integer, got True"),
+        (2, [(0, -1, 1.0)], "edge endpoint must be >= 0"),
+        (2.5, [(0, 1, 1.0)], "node count must be an integer, got 2.5"),
+        (True, [], "node count must be an integer, got True"),
+        (0, [], "node count must be >= 1"),
+    ], ids=["fractional-endpoint", "boolean-endpoint", "negative-endpoint", "fractional-n", "boolean-n", "zero-n"])
+    def test_rejects_counts_that_are_not_integers(self, n, edges, message):
+        # an endpoint of 1.5 is refused, not truncated to the edge (0, 1)
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            LocalTopology(n, edges)
+
+    def test_accepts_numpy_integers(self):
+        top = LocalTopology(np.int64(2), [(np.int64(1), np.int32(0), 1.0)])
+        assert top.edges == ((0, 1, 1.0),) and all(type(v) is int for v in top.edges[0][:2])
+
 
 class TestLaplacian:
     def test_two_node(self):

@@ -159,8 +159,8 @@ def counted_newton(dynamics):
     (dynamics._Stepper.implicit wrapped, and restored after)."""
     steps, real = [], dynamics._Stepper.implicit
 
-    def counting(stepper, p, dt):
-        out = real(stepper, p, dt)
+    def counting(stepper, p, t_new):
+        out = real(stepper, p, t_new)
         roundoff = dynamics._EPS * stepper.deg_max * float(abs(p.h[2]).max())
         steps.append((float(abs(p.r).max()) > ROUNDOFF_FACTOR * roundoff, stepper.newton_iters[-1]))
         return out
