@@ -23,7 +23,6 @@ from __future__ import annotations
 import contextlib
 import json
 import os
-import tempfile
 from dataclasses import asdict, dataclass, field, fields, replace
 
 import numpy as np
@@ -239,10 +238,13 @@ def load_config(path: str) -> RunConfig:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file in the target directory, then rename."""
+    """Write via a temp file in the target directory, then rename. The temp
+    file is created with mode 0666 less the umask, as open(path, "w")
+    creates a file (tempfile.mkstemp would make it 0600)."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", text=True)
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}")
+    fd = os.open(tmp, os.O_CREAT | os.O_EXCL | os.O_WRONLY, 0o666)
     try:
         with os.fdopen(fd, "w") as fh:
             fh.write(text)

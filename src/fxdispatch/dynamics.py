@@ -265,25 +265,20 @@ class DispatchSystem:
 
 @dataclass
 class SimulationState:
-    """One instant of the simulation with its monitors; total_power and
-    residual are computed from P, H and lam."""
+    """One solved instant, a trajectory row: t, z, the solved power P, the
+    cost and loss at P, and the consensus residual _residual(H lam) at P;
+    total_power is computed from P."""
 
     t: float
     z: np.ndarray
     P: np.ndarray
-    lam: np.ndarray
-    H: np.ndarray
     cost: float
     loss: float
+    residual: float
 
     @property
     def total_power(self) -> float:
         return float(self.P.sum())
-
-    @property
-    def residual(self) -> float:
-        """The consensus residual, _residual of H lam."""
-        return _residual(self.H * self.lam)
 
 
 def _sig_pow(x, m: float):
@@ -371,18 +366,16 @@ def _z_dot(r: np.ndarray, params: AlgorithmParams, w) -> np.ndarray:
     return dz if w is None else dz + w
 
 
-def _state(t: float, z: np.ndarray, P: np.ndarray, system: DispatchSystem, h=None) -> SimulationState:
-    """Assemble all monitors at a solved (z, P); h is _h_lambda at P if
-    already formed."""
-    lam, H, _ = _h_lambda(P, system) if h is None else h
+def _state(t: float, z: np.ndarray, P: np.ndarray, system: DispatchSystem, residual: float) -> SimulationState:
+    """The state at a solved (z, P) whose consensus residual is residual,
+    with its cost and loss formed at P."""
     return SimulationState(
         t=t,
         z=np.asarray(z, dtype=float).copy(),
         P=P,
-        lam=lam,
-        H=H,
         cost=float(fleet_cost(system.cost_coef, P)),
         loss=system.loss.total_loss(P),
+        residual=residual,
     )
 
 
@@ -390,7 +383,8 @@ def make_state(t: float, z, system: DispatchSystem, params: AlgorithmParams | No
     """Solve the power equation at z from d0 and assemble all monitors; the
     solver settings are those of params, or their defaults without it."""
     fp = (params.fp_tol, params.fp_max_iter) if params else ()
-    return _state(t, z, solve_power(z, system, None, *fp), system)
+    P = solve_power(z, system, None, *fp)
+    return _state(t, z, P, system, _residual(_h_lambda(P, system)[2]))
 
 
 def _sensitivity(lam: np.ndarray, H: np.ndarray, system: DispatchSystem,
@@ -637,20 +631,17 @@ def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams
     Runge-Kutta, or the linearly implicit step where _Stepper.kind's cap at
     the disagreement of state.P is below dt; the kind is decided as in run().
 
-    Stage 1 is the point at state's (t, z, P); _Stepper.at forms its H lam
-    afresh from state.P, which for every state this library makes equals
-    the state's own. Each later RK4 stage solves the implicit power equation
-    (warm-started from the stage before) to the larger of fp_tol and
-    STEP_TOL/30, and the returned state's P is solved to fp_tol, as every
-    point of run() is. As in run(), the width integrated is t' - t as
-    rounded, t' = t + dt. The returned state carries fresh
-    monitors. StepFailure if the step fails (step() does not retry it);
-    ValueError on a system with loop gain 0, such as one generator.
+    Stage 1 is the point at state's (t, z, P). Each later RK4 stage solves
+    the implicit power equation (warm-started from the stage before) to the
+    larger of fp_tol and STEP_TOL/30. The returned state, its P solved to
+    fp_tol, is the row run() would emit at t' = t + dt as rounded, the width
+    integrated being t' - t. StepFailure if the step fails (step() does not
+    retry it); ValueError on a system with loop gain 0, such as one generator.
     """
     stepper = _Stepper(system, params, None)
     p = stepper.at(state.t, np.asarray(state.z, dtype=float), np.asarray(state.P, dtype=float), None)
     p = (stepper.implicit if stepper.kind(p.r)[0] else stepper.rk4)(p, state.t + params.dt)[0]
-    return _state(p.t, p.z, p.P, system, p.h)
+    return _state(p.t, p.z, p.P, system, p.res)
 
 
 @dataclass
@@ -668,8 +659,8 @@ class Trajectory:
 
 @dataclass
 class RunResult:
-    """A run's trajectory and terminal state, the evidence its verdicts are
-    computed from, and its solver counters.
+    """A run's trajectory, the evidence its verdicts are computed from, and
+    its solver counters; terminal is the last row, its arrays copies.
 
     settle_time is the start of the confirmed settle window (None if the
     run did not settle), min_power the least power at the initial point and
@@ -683,7 +674,6 @@ class RunResult:
     of RK4 chord factors formed."""
 
     trajectory: Trajectory
-    terminal: SimulationState
     settle_time: float | None
     c_star: float
     min_power: float
@@ -694,6 +684,13 @@ class RunResult:
     power_solve_iters: tuple[float, int] | None = None
     rejected_steps: int = 0
     chord_factors: int = 0
+
+    @property
+    def terminal(self) -> SimulationState:
+        traj = self.trajectory
+        return SimulationState(t=float(traj.t[-1]), z=traj.z[-1].copy(), P=traj.P[-1].copy(),
+                               cost=float(traj.cost[-1]), loss=float(traj.loss[-1]),
+                               residual=float(traj.residual[-1]))
 
     @property
     def settled(self) -> bool:
@@ -736,11 +733,12 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     Settling is declared when the consensus residual stays below
     settle_tol for settle_window seconds; the settling time recorded is
     the start of that window and integration stops once it is confirmed.
-    Every stride-th accepted step and the terminal state are trajectory
-    rows. The Lyapunov column is V = 0.5 (C - c_star)^2, with c_star
-    defaulting to the terminal cost. A step that fails below _MIN_STEP dt
-    ends the run with status "step_failure". ValueError on a system with
-    loop gain 0, such as one generator, or a z0 not of shape (n,).
+    Every stride-th accepted step and the last point are trajectory rows,
+    the last row being RunResult.terminal. The Lyapunov column is
+    V = 0.5 (C - c_star)^2, c_star defaulting to the last row's cost. A
+    step that fails below _MIN_STEP dt ends the run with status
+    "step_failure". ValueError on a system with loop gain 0, such as one
+    generator, or a z0 not of shape (n,).
     """
     _check_count("stride", stride, 1)
     stepper = _Stepper(system, params, disturbance)
@@ -812,15 +810,14 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     if steps % stride:
         rows.append(p)
     iters = stepper.newton_iters
-    terminal = _state(p.t, p.z, p.P, system, p.h)
-    c_star = terminal.cost if c_star is None else c_star
     P_rows = np.array([q.P for q in rows])
     cost = fleet_cost(system.cost_coef, P_rows)
+    c_star = cost[-1] if c_star is None else c_star
     traj = Trajectory(t=np.array([q.t for q in rows]), z=np.array([q.z for q in rows]), P=P_rows,
                       loss=system.loss.total_loss(P_rows), cost=cost,
                       residual=np.array([q.res for q in rows]), V=0.5 * (cost - c_star) ** 2)
     result = RunResult(
-        trajectory=traj, terminal=terminal, settle_time=settle_time, c_star=float(c_star),
+        trajectory=traj, settle_time=settle_time, c_star=float(c_star),
         min_power=float(np.minimum.reduce(low)), fail_step=fail_step, steps=steps, switch_time=switch_time,
         implicit_newton_iters=(sum(iters) / len(iters), max(iters)) if iters else None,
         power_solve_iters=(stepper.evals / stepper.solves, stepper.max_evals), rejected_steps=rejected,

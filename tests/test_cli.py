@@ -9,6 +9,7 @@ import math
 import os
 import pathlib
 import re
+import stat
 import subprocess
 import sys
 
@@ -289,6 +290,26 @@ class TestLoadConfig:
         with pytest.raises(OSError, match="rename refused"):
             atomic_write_text(str(tmp_path / "report.json"), "{}\n")
         assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("umask", [0o022, 0o077], ids=["022", "077"])
+    def test_written_files_get_the_mode_of_a_plain_open(self, tmp_path, umask):
+        # a new file, and one written over, get 0666 less the umask, as open(path, "w") gives
+        before = os.umask(umask)
+        try:
+            plain = tmp_path / "plain.json"
+            plain.write_text("{}\n")
+            new, old = tmp_path / "report.json", tmp_path / "trajectory.csv"
+            old.write_text("t\n")
+            old.chmod(0o600)
+            atomic_write_text(str(new), "{}\n")
+            atomic_write_text(str(old), "t,P0\n")
+        finally:
+            os.umask(before)
+        mode = 0o666 & ~umask
+        assert stat.S_IMODE(plain.stat().st_mode) == mode
+        assert stat.S_IMODE(new.stat().st_mode) == mode and stat.S_IMODE(old.stat().st_mode) == mode
+        assert old.read_text() == "t,P0\n"
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["plain.json", "report.json", "trajectory.csv"]
 
     @pytest.mark.parametrize("text", ["generators: [}{", '{"generators": ['], ids=["yaml", "json"])
     def test_parse_error_reported(self, text, tmp_path):

@@ -64,8 +64,13 @@ def lossless_pair(d=100.0, split=(100.0, 100.0)):
 
 
 def state_r(state, system):
-    """The disagreement r = -L (H lam) at a state."""
-    return _disagreement(state.H * state.lam, system)
+    """The disagreement r = -L (H lam) at a state, H lam formed from its P."""
+    return _disagreement(_h_lambda(state.P, system)[2], system)
+
+
+def state_at(t, z, P, system):
+    """The state at a solved (z, P), its residual formed afresh from P."""
+    return _state(t, z, P, system, _residual(_h_lambda(P, system)[2]))
 
 
 def disagreement(state, system):
@@ -230,13 +235,8 @@ class TestZDerivative:
         # H*lam = (0, 1) on a unit edge, k1 = k2 = 1:
         # r = (1, -1), dz = -(sig(r)^0.5 + sig(r)^2) = (-2, 2)
         system = lossless_pair()
-        state = SimulationState(
-            t=0.0, z=np.zeros(2), P=np.array([0.0, 1.0]),
-            lam=np.array([0.0, 1.0]), H=np.ones(2),
-            cost=0.0, loss=0.0,
-        )
         params = AlgorithmParams(k1=1.0, k2=1.0, mu=0.5, nu=2.0)
-        dz = _z_dot(state_r(state, system), params, None)
+        dz = _z_dot(_disagreement(np.array([0.0, 1.0]), system), params, None)
         assert dz == pytest.approx([-2.0, 2.0], abs=1e-15)
 
     def test_disturbance_none_equals_zero_vector(self, ref_system):
@@ -363,7 +363,7 @@ def replay(system, params, disturbance, res, z0=None):
         s = states[-1]
         p = stepper.at(s.t, s.z, s.P, stepper.w_at(s.t))
         out = (stepper.implicit if stepper.kind(p.r)[0] else stepper.rk4)(p, t_next)[0]
-        states.append(_state(t_next, out.z, out.P, system))
+        states.append(state_at(t_next, out.z, out.P, system))
     return states
 
 
@@ -491,7 +491,7 @@ class TestImplicitStep:
         floor = []
         for k in range(400):
             q = stepper.rk4(stepper.at(state.t, state.z, state.P, None), state.t + params.dt)[0]
-            state = _state(q.t, q.z, q.P, system)
+            state = state_at(q.t, q.z, q.P, system)
             if k >= 200:
                 floor.append(state)
         r_floor = [disagreement(s, system) for s in floor]
@@ -1058,7 +1058,42 @@ class TestRun:
         assert dataclasses.replace(res, min_power=-1e-9).negative_power_seen is True
         term = res.terminal
         assert term.total_power == float(term.P.sum())
-        assert term.residual == _residual(term.H * term.lam)
+        assert term.residual == _residual(_h_lambda(term.P, ref_system)[2]) == res.trajectory.residual[-1]
+
+    def test_terminal_is_the_last_row_on_every_exit(self, ref_system, monkeypatch):
+        params = dataclasses.replace(REF_PARAMS, t_end=0.05)
+        runs = {
+            "stride": run(ref_system, params, stride=7),
+            "settled": run(lossless_pair(split=(110.0, 90.0)),
+                           dataclasses.replace(REF_PARAMS, t_end=5.0, settle_window=0.05)),
+            "t_end=0": run(ref_system, dataclasses.replace(REF_PARAMS, t_end=0.0)),
+            "disturbed": run(ref_system, params, DisturbanceSpec(enabled=True, amplitude=0.5, seed=21)),
+        }
+        real = dynamics._solve_power
+
+        def only_at_z0(z, *args):  # every step fails, as in the test below
+            if z.any():
+                raise StepFailure("refused")
+            return real(z, *args)
+
+        with monkeypatch.context() as m:
+            m.setattr(dynamics, "_solve_power", only_at_z0)
+            runs["step_failure"] = run(ref_system, REF_PARAMS)
+        assert runs["stride"].steps % 7 != 0 and runs["settled"].settled
+        assert runs["step_failure"].status == "step_failure"
+        for name, res in runs.items():
+            traj, term = res.trajectory, res.terminal
+            row = {"t": traj.t, "z": traj.z, "P": traj.P, "cost": traj.cost, "loss": traj.loss,
+                   "residual": traj.residual}
+            assert [f.name for f in dataclasses.fields(SimulationState)] == list(row)
+            for field, column in row.items():
+                value = getattr(term, field)
+                assert type(value) is (np.ndarray if column.ndim == 2 else float), (name, field)
+                assert np.asarray(value).tobytes() == column[-1].tobytes(), (name, field)
+            before = traj.P.copy(), traj.z.copy()
+            term.P[:] = -1.0
+            term.z[:] = -1.0
+            assert np.array_equal(traj.P, before[0]) and np.array_equal(traj.z, before[1]), name
 
     def test_negative_power_between_rows_is_seen_at_any_stride(self, ref_system, caplog):
         # from this split a power dips to -11.32 MW at step 28, between the

@@ -35,8 +35,7 @@ def test_record_covers_fields_properties_and_nested_dataclasses():
     system = fx.config.load_config(str(fingerprint.REFERENCE)).system()
     state = fx.dynamics.make_state(0.0, [0.0] * system.n, system)
     rec = fingerprint.record(state, "s")
-    assert set(rec) == {f"s.{name}" for name in ("t", "z", "P", "lam", "H", "cost", "loss", "total_power",
-                                                 "residual")}
+    assert set(rec) == {f"s.{name}" for name in ("t", "z", "P", "cost", "loss", "residual", "total_power")}
 
 
 def test_compare_names_values_that_differ_or_are_one_sided():

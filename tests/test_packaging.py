@@ -132,12 +132,12 @@ PUBLIC_PARAMETERS = {
     "LocalTopology": ("n", "edges"),
     "NewtonFailure": ("msg", "best"),
     "RunConfig": ("generators", "loss", "topology", "params", "disturbance", "output", "z0"),
-    "RunResult": ("trajectory", "terminal", "settle_time", "c_star", "min_power", "fail_step", "steps",
+    "RunResult": ("trajectory", "settle_time", "c_star", "min_power", "fail_step", "steps",
                   "switch_time", "implicit_newton_iters", "power_solve_iters", "rejected_steps",
                   "chord_factors"),
     "SMatrix": ("S", "tau"),
     "SettlingBound": ("alpha", "beta", "mu", "nu"),
-    "SimulationState": ("t", "z", "P", "lam", "H", "cost", "loss"),
+    "SimulationState": ("t", "z", "P", "cost", "loss", "residual"),
     "SpectralSummary": ("eigenvalues",),
     "StepFailure": (),
     "assemble_assumption_report": ("model", "gens", "top"),
