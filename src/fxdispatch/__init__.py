@@ -10,7 +10,6 @@ independent equilibrium oracles for cross-validation.
 from .analysis import (
     AssumptionReport,
     SettlingBound,
-    SMatrix,
     assemble_assumption_report,
     build_s_matrix,
     settling_bound,
@@ -30,10 +29,8 @@ from .dynamics import (
 from .grid_model import (
     AssumptionViolation,
     ConfigurationError,
-    CostSummary,
     GeneratorSpec,
     KronLossModel,
-    cost_summary,
     total_cost,
     total_demand,
 )

@@ -5,7 +5,9 @@ analysis: the loss-coefficient magnitude conditions, the eigenvalue
 condition coupling loss coefficients with cost convexity, the curvature
 lower-bound matrix S whose smallest eigenvalue tau1 the bound needs, and
 the closed-form upper bound on the time to reach consensus. The verdict
-over these gates is `cli.Gates.all_ok`.
+over these gates is `cli.Gates.all_ok`. The cost constant delta = min b_i
+lower-bounds every marginal cost only for P >= 0, so a run that drives a
+power negative leaves the premise (the simulator warns and continues).
 """
 
 from __future__ import annotations
@@ -17,23 +19,13 @@ import numpy as np
 from .dynamics import AlgorithmParams
 from .grid_model import (
     AssumptionViolation,
-    CostSummary,
     KronLossModel,
     _check_sizes,
     _demand_shares,
-    cost_summary,
     total_demand,
 )
 # imported by name: perfbench/spans.py patches analysis.jacobi_eigenvalues
 from .topology import LocalTopology, jacobi_eigenvalues
-
-
-@dataclass(frozen=True)
-class SMatrix:
-    """Curvature lower-bound matrix S and its sorted eigenvalues tau."""
-
-    S: np.ndarray
-    tau: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -42,8 +34,9 @@ class AssumptionReport:
 
     The fields hold the evidence: rho = min B_i0, the extreme eigenvalues b1
     and bN of B, sigma and delta of the costs, the per-generator A1 verdicts
-    and the remark-2 row-sum verdict. a1_ok (every generator passes A1),
-    a2_value ((1+rho)*sigma + b1*delta for delta > 0, with b1 replaced by bN
+    and the remark-2 row-sum verdict; delta must be nonzero
+    (AssumptionViolation otherwise), as A2 takes its sign. a1_ok (every
+    generator passes A1), a2_value ((1+rho)*sigma + b1*delta for delta > 0, with b1 replaced by bN
     for delta < 0) and a2_ok (a2_value > 0) are properties computed from
     it. The verdict over every gate, tau1 > 0 included, is cli.Gates.all_ok.
     """
@@ -55,6 +48,10 @@ class AssumptionReport:
     delta: float
     a1_per_generator: tuple
     remark2_ok: bool
+
+    def __post_init__(self) -> None:
+        if self.delta == 0:
+            raise AssumptionViolation("marginal-cost lower bound delta must be nonzero")
 
     @property
     def a2_value(self) -> float:
@@ -101,11 +98,12 @@ class SettlingBound:
         return (3.0 + self.nu) / 4.0
 
 
-def build_s_matrix(model: KronLossModel, summary: CostSummary) -> SMatrix:
-    """S = delta (B + diag(B_ii)) + diag((1+B_i0) sigma); tau sorted."""
-    S = model.own_grad_jac * summary.delta
-    S[np.diag_indices(model.n)] += model._one_plus_b0 * summary.sigma
-    return SMatrix(S=S, tau=jacobi_eigenvalues(S))
+def build_s_matrix(model: KronLossModel, sigma: float, delta: float) -> np.ndarray:
+    """S = delta (B + diag(B_ii)) + diag((1+B_i0) sigma), the curvature
+    lower-bound matrix; the bound's tau1 is its least eigenvalue."""
+    S = model.own_grad_jac * delta
+    S[np.diag_indices(model.n)] += model._one_plus_b0 * sigma
+    return S
 
 
 def settling_bound(params: AlgorithmParams, rho: float, tau1: float, phi2: float, n: int) -> SettlingBound:
@@ -136,15 +134,16 @@ def assemble_assumption_report(model: KronLossModel, gens, top: LocalTopology) -
     own-loss gradient's Jacobian B + diag(B_ii), and the condition keeps
     every dP_Li/dP_i below 1 while each power stays below dbar. top is
     connected by construction; ValueError unless it and model fit the fleet.
+    sigma = 2 min c_i and delta = min b_i are formed here; delta
+    lower-bounds every marginal cost only for P >= 0.
     """
     _check_sizes(len(gens), model, top)
-    summary = cost_summary(gens)
     dbar = total_demand(gens)
     own_grad = model.own_loss_gradient(_demand_shares(gens))
     remark2 = dbar > 0 and bool((model.own_grad_jac.sum(axis=1) + model.B0 / dbar < 1.0 / dbar).all())
     eig = jacobi_eigenvalues(model.B)
     return AssumptionReport(
-        rho=float(model.B0.min()), b1=float(eig[0]), bN=float(eig[-1]), sigma=summary.sigma,
-        delta=summary.delta, a1_per_generator=tuple(bool(0.0 <= g < 1.0) for g in own_grad),
-        remark2_ok=remark2,
+        rho=float(model.B0.min()), b1=float(eig[0]), bN=float(eig[-1]),
+        sigma=2.0 * min(g.c for g in gens), delta=min(g.b for g in gens),
+        a1_per_generator=tuple(bool(0.0 <= g < 1.0) for g in own_grad), remark2_ok=remark2,
     )

@@ -20,7 +20,7 @@ import numpy as np
 from . import analysis, dynamics, oracle
 from .analysis import AssumptionReport, settling_bound
 from .config import RunConfig, atomic_write_text, load_config
-from .grid_model import AssumptionViolation, cost_summary, total_demand
+from .grid_model import AssumptionViolation, total_demand
 from .oracle import NewtonFailure
 from .topology import spectrum
 
@@ -33,8 +33,11 @@ def _fmt(x: float) -> str:
     return f"{x:.10g}"
 
 
-@dataclass
+@dataclass(frozen=True)
 class Gates:
+    """The gates of one run file: the assumption report, the algebraic
+    connectivity phi2 of its topology and tau1, the least eigenvalue of S."""
+
     report: AssumptionReport
     phi2: float
     tau1: float
@@ -62,8 +65,8 @@ class Gates:
 def evaluate_gates(config: RunConfig) -> Gates:
     report = analysis.assemble_assumption_report(config.loss, config.generators, config.topology)
     phi2 = spectrum(config.topology).phi2
-    sm = analysis.build_s_matrix(config.loss, cost_summary(config.generators))
-    return Gates(report=report, phi2=phi2, tau1=float(sm.tau[0]))
+    S = analysis.build_s_matrix(config.loss, report.sigma, report.delta)
+    return Gates(report=report, phi2=phi2, tau1=float(analysis.jacobi_eigenvalues(S)[0]))
 
 
 def _print_gates(g: Gates) -> None:

@@ -489,6 +489,11 @@ class _Stepper:
         #: the largest weighted degree, max diag(L)
         self.deg_max = -float(np.minimum.reduce(system.neg_laplacian.diagonal()))
 
+    def roundoff(self, hl: np.ndarray) -> float:
+        """eps deg_max max|H lam| at H lam = hl, the roundoff of the
+        disagreement -L (H lam): the floor of the implicit step's Newton tolerance."""
+        return float(_EPS * self.deg_max * _amax(np.abs(hl)))
+
     def kind(self, r: np.ndarray) -> tuple[bool, float]:
         """(implicit, cap) at the disagreement r: cap, the widest RK4 step
         that does not chatter there, _CHATTER_WIDTH max|r|^(1 - mu) / (g k1)
@@ -603,7 +608,7 @@ class _Stepper:
         w = self.w_at(p.t + dt)
         dtw = None if w is None else dt * w
         f0 = _amax(np.abs(r if dtw is None else r + M.dot(dtw)))  # max|F| at s = 0
-        tol = max(_IMPLICIT_RTOL * f0, _EPS * self.deg_max * _amax(np.abs(hl)))
+        tol = max(_IMPLICIT_RTOL * f0, self.roundoff(hl))
         s = _sig_pow(r, mu)
         for iters in range(_IMPLICIT_MAX_ITER + 1):
             law = k1 * s + k2 * _sig_pow(s, nu / mu)
@@ -646,7 +651,8 @@ def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams
 
 @dataclass
 class Trajectory:
-    """Strided simulation history, with the Lyapunov column V = 0.5 (C - C*)^2."""
+    """Strided simulation history and the reference cost c_star, from which
+    the Lyapunov column V = 0.5 (C - c_star)^2 is computed."""
 
     t: np.ndarray
     z: np.ndarray
@@ -654,7 +660,11 @@ class Trajectory:
     loss: np.ndarray
     cost: np.ndarray
     residual: np.ndarray
-    V: np.ndarray
+    c_star: float
+
+    @property
+    def V(self) -> np.ndarray:
+        return 0.5 * (self.cost - self.c_star) ** 2
 
 
 @dataclass
@@ -675,7 +685,6 @@ class RunResult:
 
     trajectory: Trajectory
     settle_time: float | None
-    c_star: float
     min_power: float
     fail_step: int | None = None
     steps: int = 0
@@ -815,10 +824,10 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     c_star = cost[-1] if c_star is None else c_star
     traj = Trajectory(t=np.array([q.t for q in rows]), z=np.array([q.z for q in rows]), P=P_rows,
                       loss=system.loss.total_loss(P_rows), cost=cost,
-                      residual=np.array([q.res for q in rows]), V=0.5 * (cost - c_star) ** 2)
+                      residual=np.array([q.res for q in rows]), c_star=float(c_star))
     result = RunResult(
-        trajectory=traj, settle_time=settle_time, c_star=float(c_star),
-        min_power=float(np.minimum.reduce(low)), fail_step=fail_step, steps=steps, switch_time=switch_time,
+        trajectory=traj, settle_time=settle_time, min_power=float(np.minimum.reduce(low)),
+        fail_step=fail_step, steps=steps, switch_time=switch_time,
         implicit_newton_iters=(sum(iters) / len(iters), max(iters)) if iters else None,
         power_solve_iters=(stepper.evals / stepper.solves, stepper.max_evals), rejected_steps=rejected,
         chord_factors=stepper.chord_factors,

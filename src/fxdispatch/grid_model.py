@@ -70,23 +70,6 @@ class GeneratorSpec:
             raise ConfigurationError(f"initial power must be >= 0, got p0={self.p0}")
 
 
-@dataclass(frozen=True)
-class CostSummary:
-    """Convexity constants of a generator fleet.
-
-    sigma: uniform lower bound on cost curvature; delta: uniform lower
-    bound on marginal cost over nonnegative power, which must be nonzero
-    (AssumptionViolation otherwise): A2 takes its sign.
-    """
-
-    sigma: float
-    delta: float
-
-    def __post_init__(self) -> None:
-        if self.delta == 0:
-            raise AssumptionViolation("marginal-cost lower bound delta must be nonzero")
-
-
 class KronLossModel:
     """Quadratic loss surface with symmetric coefficient matrix B.
 
@@ -116,9 +99,8 @@ class KronLossModel:
         self.B0 = B0
         self.B00 = B00
         self.n = n
-        self._diag = np.diag(B).copy()
         #: Jacobian of own_loss_gradient, B + diag(B_ii); constant, as the loss is quadratic
-        self.own_grad_jac = B + np.diag(self._diag)
+        self.own_grad_jac = B + np.diag(np.diag(B))
         #: B00/N, the constant loss attributed to each generator
         self._b00_share = B00 / n
         #: B0 - 1, 1 + B0 and I, the constants of _losses_less_power, _loss_factors and _newton_factor
@@ -237,15 +219,3 @@ def weighted_cost_jacobian(G, c, lam, w, dw) -> np.ndarray:
     J = G * (lam * dw)[:, None]
     J[np.diag_indices(len(c))] += w * 2.0 * c
     return J
-
-
-def cost_summary(gens) -> CostSummary:
-    """Extract (sigma, delta) = (2 min c_i, min b_i) from a fleet.
-
-    delta = min b_i lower-bounds every marginal cost only on P >= 0; the
-    simulator warns (but continues) if a transient drives powers negative.
-    CostSummary raises AssumptionViolation if delta is zero.
-    """
-    if not gens:
-        raise ConfigurationError("need at least one generator")
-    return CostSummary(sigma=2.0 * min(g.c for g in gens), delta=min(g.b for g in gens))

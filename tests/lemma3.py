@@ -1,11 +1,14 @@
 """Lemma-3 test oracle: the element-wise curvature bounds R1-R5 and the
 power-mean inequalities of the convergence analysis.
 
-The settling-time bound needs only S and its smallest eigenvalue tau1
-(`fxdispatch.analysis.build_s_matrix`), so the library gates on those.
-These checks of the lemma's intermediate claims have callers only in the
-tests: acceptance criterion 6, `tests/test_analysis.py` and the check that
-`dynamics._sensitivity`'s K is this module's Q.
+The settling-time bound needs only S (`fxdispatch.analysis.build_s_matrix`)
+and its smallest eigenvalue tau1, so the library gates on those. These
+checks of the lemma's intermediate claims have callers only in the tests:
+acceptance criterion 6, `tests/test_analysis.py` and the check that
+`dynamics._sensitivity`'s K is this module's Q. They form the fleet's
+sigma = 2 min c_i and delta = min b_i from `cost_coefficients` with the
+expressions `assemble_assumption_report` uses, and take S's eigenvalues from
+`jacobi_eigenvalues`, as the CLI does.
 """
 
 from __future__ import annotations
@@ -14,16 +17,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from fxdispatch.analysis import build_s_matrix
+from fxdispatch.analysis import build_s_matrix, jacobi_eigenvalues
 from fxdispatch.grid_model import (
     AssumptionViolation,
     KronLossModel,
     cost_coefficients,
-    cost_summary,
     marginal_costs,
     weighted_cost_jacobian,
 )
-from fxdispatch.topology import jacobi_eigenvalues
 
 #: roundoff slack for element-wise bound checks
 BOUND_SLACK = 1e-12
@@ -58,7 +59,7 @@ def curvature_matrices(model: KronLossModel, gens, P):
     P = np.asarray(P, dtype=float)
     _, b, c = cost_coefficients(gens)
     lam = marginal_costs(b, c, P)
-    dB = model._diag
+    dB = np.diag(model.B)
     grad_F = weighted_cost_jacobian(2.0 * model.B, c, lam, model.total_loss_gradient(P), 1.0)
     grad_M = np.diag(dB * lam + (dB * P + model.B0 / 2.0) * (2.0 * c))
     Q = weighted_cost_jacobian(model.own_grad_jac, c, lam, model._loss_factors(P), 1.0)
@@ -67,7 +68,7 @@ def curvature_matrices(model: KronLossModel, gens, P):
 
 def verify_lemma3_bounds(model: KronLossModel, gens, P) -> Lemma3Report:
     """Check the element-wise and spectral bounds R1-R5 at a nonnegative P,
-    with the fleet's (sigma, delta) from cost_summary.
+    with the fleet's sigma = 2 min c_i and delta = min b_i.
 
     R5 pairs the sorted eigenvalues of S with the sorted diagonal matrix
     sigma*(1+B_i0) and bounds each gap by the extreme eigenvalues of the
@@ -80,9 +81,9 @@ def verify_lemma3_bounds(model: KronLossModel, gens, P) -> Lemma3Report:
     P = np.asarray(P, dtype=float)
     if (P < 0).any():
         raise AssumptionViolation("bounds are only claimed for nonnegative powers")
-    summary = cost_summary(gens)
-    sigma, delta = summary.sigma, summary.delta
-    B, B0, dB = model.B, model.B0, model._diag
+    _, b, c = cost_coefficients(gens)
+    sigma, delta = 2.0 * min(c), min(b)
+    B, B0, dB = model.B, model.B0, np.diag(model.B)
     grad_F, grad_M, Q = curvature_matrices(model, gens, P)
     slack = BOUND_SLACK
 
@@ -96,11 +97,11 @@ def verify_lemma3_bounds(model: KronLossModel, gens, P) -> Lemma3Report:
         (np.diag(Q) >= sigma + 2.0 * dB * delta + B0 * sigma - slack).all()
         and (Q[off] >= (B * delta)[off] - slack).all()
     )
-    sm = build_s_matrix(model, summary)
-    r4 = bool((sm.S <= Q + slack).all())
+    S = build_s_matrix(model, sigma, delta)
+    r4 = bool((S <= Q + slack).all())
 
     diag_sorted = np.sort(sigma * model._one_plus_b0)
-    gap = sm.tau - diag_sorted
+    gap = jacobi_eigenvalues(S) - diag_sorted
     pert_eig = delta * jacobi_eigenvalues(model.own_grad_jac)
     lo, hi = float(pert_eig.min()), float(pert_eig.max())
     r5 = bool(((gap >= lo - slack) & (gap <= hi + slack)).all())

@@ -5,24 +5,25 @@ import pytest
 
 from fxdispatch import (
     AlgorithmParams,
+    AssumptionReport,
     AssumptionViolation,
-    CostSummary,
     DispatchSystem,
     GeneratorSpec,
     KronLossModel,
     assemble_assumption_report,
     build_s_matrix,
-    cost_summary,
     settling_bound,
 )
-from fxdispatch import dynamics
+from fxdispatch import analysis, dynamics
+from fxdispatch.analysis import jacobi_eigenvalues
 from fxdispatch.cli import evaluate_gates
 from fxdispatch.config import config_from_dict
 from fxdispatch.grid_model import marginal_costs
-from tests.conftest import REF_B, REF_DEMAND, REF_P0, benchmark_workloads, path_topology
+from tests.conftest import REF_B, REF_DEMAND, REF_P0, benchmark_workloads, path_topology, ring_fleet_dict
 from tests.lemma3 import curvature_matrices, power_mean_check, verify_lemma3_bounds
 
-REF_SUMMARY = CostSummary(sigma=0.164, delta=1.21)
+#: the reference fleet's sigma = 2 min c_i and delta = min b_i
+REF_SIGMA, REF_DELTA = 0.164, 1.21
 
 # S matrix printed for the reference case (4 decimal places)
 REF_S_4DP = np.array([
@@ -73,7 +74,7 @@ class TestRemark2:
 class TestA2:
     def test_reference_case(self, ref_model, ref_gens, ref_top):
         rep = assemble_assumption_report(ref_model, ref_gens, ref_top)
-        assert (rep.sigma, rep.delta) == (REF_SUMMARY.sigma, REF_SUMMARY.delta)
+        assert (rep.sigma, rep.delta) == (REF_SIGMA, REF_DELTA)
         assert rep.a2_ok
         assert rep.rho == pytest.approx(1.0e-3)
         assert rep.b1 == pytest.approx(-1.61e-5, abs=1e-7)
@@ -97,25 +98,68 @@ class TestA2:
             assemble_assumption_report(ref_model, gens, ref_top)
 
 
+class TestCostConstants:
+    """sigma = 2 min c_i and delta = min b_i, formed by the assembler and held,
+    with delta != 0 checked, by AssumptionReport."""
+
+    def test_reference_fleet(self, ref_model, ref_gens, ref_top):
+        rep = assemble_assumption_report(ref_model, ref_gens, ref_top)
+        assert (rep.sigma, rep.delta) == (pytest.approx(0.164), 1.21)
+
+    def test_singleton(self):
+        model = KronLossModel(np.zeros((1, 1)), np.zeros(1), 0.0)
+        rep = assemble_assumption_report(model, [GeneratorSpec(a=0.0, b=1.0, c=1.0)], path_topology(1))
+        assert (rep.sigma, rep.delta) == (2.0, 1.0)
+
+    def test_min_over_modified_fleet(self, ref_model, ref_gens, ref_top):
+        gens = list(ref_gens)
+        gens[3] = GeneratorSpec(a=78.0, b=0.9, c=0.105)
+        assert assemble_assumption_report(ref_model, gens, ref_top).delta == pytest.approx(0.9)
+
+    def test_zero_delta_rejected(self):
+        message = "^marginal-cost lower bound delta must be nonzero$"
+        model = KronLossModel(np.zeros((1, 1)), np.zeros(1), 0.0)
+        with pytest.raises(AssumptionViolation, match=message):
+            assemble_assumption_report(model, [GeneratorSpec(a=0.0, b=0.0, c=1.0)], path_topology(1))
+        with pytest.raises(AssumptionViolation, match=message):
+            AssumptionReport(rho=0.0, b1=0.0, bN=0.0, sigma=1.0, delta=0.0, a1_per_generator=(True,),
+                             remark2_ok=True)
+
+    def test_empty_rejected(self, ref_model, ref_top):
+        with pytest.raises(ValueError, match="^0 generators but loss matrix is 4x4$"):
+            assemble_assumption_report(ref_model, [], ref_top)
+
+
 class TestSMatrix:
     def test_reference_matrix_and_tau1(self, ref_model):
-        sm = build_s_matrix(ref_model, REF_SUMMARY)
-        assert np.max(np.abs(sm.S - REF_S_4DP)) < 5e-5
-        assert sm.tau[0] == pytest.approx(0.1644, abs=5e-4)
+        S = build_s_matrix(ref_model, REF_SIGMA, REF_DELTA)
+        assert np.max(np.abs(S - REF_S_4DP)) < 5e-5
+        assert jacobi_eigenvalues(S)[0] == pytest.approx(0.1644, abs=5e-4)
 
     def test_lossless_is_scaled_identity(self):
         model = KronLossModel(np.zeros((3, 3)), np.zeros(3), 0.0)
-        sm = build_s_matrix(model, CostSummary(sigma=0.7, delta=2.0))
-        assert np.array_equal(sm.S, 0.7 * np.eye(3))
-        assert sm.tau == pytest.approx([0.7, 0.7, 0.7])
+        S = build_s_matrix(model, 0.7, 2.0)
+        assert np.array_equal(S, 0.7 * np.eye(3))
+        assert jacobi_eigenvalues(S) == pytest.approx([0.7, 0.7, 0.7])
 
     def test_two_by_two_closed_form(self):
         beta, gamma, sigma, delta = 2e-4, 5e-5, 0.3, 1.5
         model = KronLossModel(np.array([[beta, gamma], [gamma, beta]]), np.zeros(2), 0.0)
-        sm = build_s_matrix(model, CostSummary(sigma=sigma, delta=delta))
+        S = build_s_matrix(model, sigma, delta)
         expected = np.sort([sigma + 2 * beta * delta - gamma * delta,
                             sigma + 2 * beta * delta + gamma * delta])
-        assert sm.tau == pytest.approx(expected, rel=1e-12)
+        assert jacobi_eigenvalues(S) == pytest.approx(expected, rel=1e-12)
+
+    def test_gates_decompose_b_and_s_once_each(self, monkeypatch):
+        # the benchmark's traced eigenvalue counts read these calls
+        config = config_from_dict(ring_fleet_dict(5))
+        seen, real = [], analysis.jacobi_eigenvalues
+        monkeypatch.setattr(analysis, "jacobi_eigenvalues", lambda A: seen.append(np.array(A)) or real(A))
+        gates = evaluate_gates(config)
+        S = build_s_matrix(config.loss, gates.report.sigma, gates.report.delta)
+        assert len(seen) == 2
+        assert np.array_equal(seen[0], config.loss.B) and np.array_equal(seen[1], S)
+        assert gates.tau1 == float(real(S)[0])
 
 
 class TestLemma3Bounds:
@@ -306,4 +350,4 @@ class TestAssumptionReport:
             model, gens, _ = random_case(rng, int(rng.integers(2, 6)), scale=1e-2)
             rep = assemble_assumption_report(model, gens, path_topology(len(gens)))
             if rep.a2_ok:
-                assert build_s_matrix(model, cost_summary(gens)).tau[0] > 0
+                assert jacobi_eigenvalues(build_s_matrix(model, rep.sigma, rep.delta))[0] > 0

@@ -480,11 +480,13 @@ class TestRun:
         # and the sum raises no overflow or invalid-value warning
         traj = Trajectory(t=col, z=np.stack([-col, np.roll(col, 1)], axis=1),
                           P=np.stack([col, np.zeros_like(col)], axis=1), loss=-col, cost=col[::-1],
-                          residual=np.abs(col), V=np.roll(col, 3))
-        table = np.column_stack((traj.t, traj.P, traj.z, traj.loss, traj.P.sum(axis=1), traj.cost,
-                                 traj.residual, traj.V))
+                          residual=np.abs(col), c_star=1.0)
+        # V = 0.5 (C - 1)^2 is 0.5, inf and nan; 1.797e308 - 1 squares past the largest float
+        with np.errstate(over="ignore"):
+            table = np.column_stack((traj.t, traj.P, traj.z, traj.loss, traj.P.sum(axis=1), traj.cost,
+                                     traj.residual, traj.V))
+            body = _csv_text(traj, 2).partition("\n")[2]
         rows = [",".join(f"{v:.12g}" for v in row) for row in table.tolist()]
-        body = _csv_text(traj, 2).partition("\n")[2]
         assert body == "\n".join(rows) + "\n"
         assert {"nan", "inf", "-inf", "-0"} <= set(body.replace("\n", ",").split(","))
 

@@ -1261,9 +1261,9 @@ class TestLyapunov:
         # c_star defaults to the terminal cost, so V is 0 at the terminal row
         res = run(ref_system, self.PARAMS, stride=10)
         assert res.trajectory.t[-1] == res.terminal.t
-        assert res.c_star == res.terminal.cost
+        assert res.trajectory.c_star == res.terminal.cost
         assert res.trajectory.V[-1] == 0.0
-        assert np.array_equal(res.trajectory.V, 0.5 * (res.trajectory.cost - res.c_star) ** 2)
+        assert np.array_equal(res.trajectory.V, 0.5 * (res.trajectory.cost - res.trajectory.c_star) ** 2)
 
     def test_cost_gap_two(self, ref_system):
         c0 = make_state(0.0, np.zeros(4), ref_system).cost

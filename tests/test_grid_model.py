@@ -5,12 +5,9 @@ from hypothesis import strategies as st
 
 from fxdispatch import (
     ConfigurationError,
-    AssumptionViolation,
-    CostSummary,
     DispatchSystem,
     GeneratorSpec,
     KronLossModel,
-    cost_summary,
     total_cost,
     total_demand,
 )
@@ -261,28 +258,3 @@ class TestWeightedCostJacobian:
             fd = (w_lam(P + e) - w_lam(P - e)) / (2 * h)
             assert fd == pytest.approx(J[:, j], rel=1e-6, abs=1e-9)
 
-
-class TestCostSummary:
-    def test_reference_fleet(self, ref_gens):
-        s = cost_summary(ref_gens)
-        assert s == CostSummary(sigma=pytest.approx(0.164), delta=1.21)
-
-    def test_singleton(self):
-        s = cost_summary([GeneratorSpec(a=0.0, b=1.0, c=1.0)])
-        assert (s.sigma, s.delta) == (2.0, 1.0)
-
-    def test_min_over_modified_fleet(self, ref_gens):
-        gens = list(ref_gens)
-        gens[3] = GeneratorSpec(a=78.0, b=0.9, c=0.105)
-        assert cost_summary(gens).delta == pytest.approx(0.9)
-
-    def test_zero_delta_rejected(self):
-        message = "^marginal-cost lower bound delta must be nonzero$"
-        with pytest.raises(AssumptionViolation, match=message):
-            cost_summary([GeneratorSpec(a=0.0, b=0.0, c=1.0)])
-        with pytest.raises(AssumptionViolation, match=message):
-            CostSummary(sigma=1.0, delta=0.0)
-
-    def test_empty_rejected(self):
-        with pytest.raises(ConfigurationError):
-            cost_summary([])

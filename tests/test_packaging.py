@@ -122,7 +122,6 @@ PUBLIC_PARAMETERS = {
     "AssumptionReport": ("rho", "b1", "bN", "sigma", "delta", "a1_per_generator", "remark2_ok"),
     "AssumptionViolation": (),
     "ConfigurationError": (),
-    "CostSummary": ("sigma", "delta"),
     "DispatchSystem": ("gens", "loss", "top"),
     "DisturbanceSpec": ("enabled", "amplitude", "seed", "kind"),
     "EquilibriumSolution": ("P_star", "mu_star", "cost_star", "loss_star", "constraint_residual",
@@ -132,18 +131,16 @@ PUBLIC_PARAMETERS = {
     "LocalTopology": ("n", "edges"),
     "NewtonFailure": ("msg", "best"),
     "RunConfig": ("generators", "loss", "topology", "params", "disturbance", "output", "z0"),
-    "RunResult": ("trajectory", "settle_time", "c_star", "min_power", "fail_step", "steps",
+    "RunResult": ("trajectory", "settle_time", "min_power", "fail_step", "steps",
                   "switch_time", "implicit_newton_iters", "power_solve_iters", "rejected_steps",
                   "chord_factors"),
-    "SMatrix": ("S", "tau"),
     "SettlingBound": ("alpha", "beta", "mu", "nu"),
     "SimulationState": ("t", "z", "P", "cost", "loss", "residual"),
     "SpectralSummary": ("eigenvalues",),
     "StepFailure": (),
     "assemble_assumption_report": ("model", "gens", "top"),
     "brute_force_optimum": ("gens", "model", "d_total", "grid_step"),
-    "build_s_matrix": ("model", "summary"),
-    "cost_summary": ("gens",),
+    "build_s_matrix": ("model", "sigma", "delta"),
     "kkt_penalty_solution": ("gens", "model", "d_total"),
     "load_config": ("path",),
     "run": ("system", "params", "disturbance", "z0", "c_star", "stride"),

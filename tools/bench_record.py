@@ -155,14 +155,15 @@ def counted_solves(dynamics):
 def counted_newton(dynamics):
     """A list of (above, Newton iterations) of each implicit step that
     succeeds while the block runs, above saying whether the step's starting
-    max|r| is above ROUNDOFF_FACTOR eps deg_max max|H lam|
-    (dynamics._Stepper.implicit wrapped, and restored after)."""
+    max|r| is above ROUNDOFF_FACTOR times its roundoff term
+    (dynamics._Stepper.roundoff; dynamics._Stepper.implicit wrapped, and
+    restored after)."""
     steps, real = [], dynamics._Stepper.implicit
 
     def counting(stepper, p, t_new):
         out = real(stepper, p, t_new)
-        roundoff = dynamics._EPS * stepper.deg_max * float(abs(p.h[2]).max())
-        steps.append((float(abs(p.r).max()) > ROUNDOFF_FACTOR * roundoff, stepper.newton_iters[-1]))
+        steps.append((float(abs(p.r).max()) > ROUNDOFF_FACTOR * stepper.roundoff(p.h[2]),
+                      stepper.newton_iters[-1]))
         return out
 
     dynamics._Stepper.implicit = counting
