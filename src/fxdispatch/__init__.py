@@ -41,6 +41,6 @@ from .oracle import (
     kkt_penalty_solution,
     solve_equilibrium,
 )
-from .topology import LocalTopology, SpectralSummary, spectrum
+from .topology import LocalTopology, spectrum
 
 __version__ = "0.1.0"

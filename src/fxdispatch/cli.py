@@ -64,7 +64,7 @@ class Gates:
 
 def evaluate_gates(config: RunConfig) -> Gates:
     report = analysis.assemble_assumption_report(config.loss, config.generators, config.topology)
-    phi2 = spectrum(config.topology).phi2
+    phi2 = spectrum(config.topology)
     S = analysis.build_s_matrix(config.loss, report.sigma, report.delta)
     return Gates(report=report, phi2=phi2, tau1=float(analysis.jacobi_eigenvalues(S)[0]))
 

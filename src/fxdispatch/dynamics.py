@@ -151,8 +151,8 @@ class AlgorithmParams:
     start, each step's end), while RK4 stages 2 to 4 stop at the larger of
     fp_tol and STEP_TOL/30 (see the module docstring); fp_max_iter: cap on
     its chord iterations, a solve not converged by then failing; settle_tol:
-    consensus residual threshold; settle_window: seconds the residual must
-    stay below settle_tol before settling is declared.
+    consensus residual threshold (finite, > 0); settle_window: seconds the
+    residual must stay below settle_tol before settling is declared.
     """
 
     k1: float
@@ -169,13 +169,11 @@ class AlgorithmParams:
     def __post_init__(self) -> None:
         if not (0 < self.mu < 1 < self.nu < math.inf):
             raise ValueError(f"need 0 < mu < 1 < nu < inf, got mu={self.mu}, nu={self.nu}")
-        for name in ("k1", "k2", "dt", "fp_tol"):
+        for name in ("k1", "k2", "dt", "fp_tol", "settle_tol"):
             if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
                 raise ValueError(f"{name} must be {'finite' if getattr(self, name) == math.inf else 'positive'}")
         if not 0 <= self.t_end < math.inf:
             raise ValueError("t_end must be finite and >= 0")
-        if not self.settle_tol > 0:
-            raise ValueError("settle_tol must be positive")
         if not 0 <= self.settle_window < math.inf:
             raise ValueError("settle_window must be finite and >= 0")
         _check_count("fp_max_iter", self.fp_max_iter, 1)
@@ -293,11 +291,20 @@ def solve_power(z, system: DispatchSystem, prev_P=None, fp_tol: float = Algorith
     Warm-started (from d0 without prev_P) chord iteration on the factor
     system.chord0 = (I - J(d0))^-1; see _solve_power. Raises StepFailure if
     the iteration stalls or has not converged after fp_max_iter iterations,
-    ValueError unless fp_max_iter is an integer >= 1.
+    ValueError unless fp_max_iter is an integer >= 1 and z (and prev_P, if
+    given) of shape (n,).
     """
     _check_count("fp_max_iter", fp_max_iter, 1)
-    P = np.asarray(prev_P, dtype=float) if prev_P is not None else system.d0
-    return _solve_power(np.asarray(z, dtype=float), system, P, system.chord0, fp_tol, fp_max_iter)[0]
+    P = _vector("prev_P", prev_P, system.n) if prev_P is not None else system.d0
+    return _solve_power(_vector("z", z, system.n), system, P, system.chord0, fp_tol, fp_max_iter)[0]
+
+
+def _vector(name: str, x, n: int) -> np.ndarray:
+    """x as a float array; ValueError unless its shape is (n,)."""
+    v = np.asarray(x, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{name} has shape {v.shape}; expected ({n},)")
+    return v
 
 
 def _solve_power(z: np.ndarray, system: DispatchSystem, P: np.ndarray, A: np.ndarray,
@@ -405,12 +412,12 @@ def _newton_gap(C: np.ndarray, system: DispatchSystem, dt: float) -> float:
     algebraic connectivity and c the Gershgorin lower bound on the
     eigenvalues of C's symmetric part (C from _sensitivity): then
     x' dt M x >= 2 gap |x - mean(x)|^2 for every x. 0.0 where c <= 0, for
-    which there is no such bound. phi2 is the topology's, which unlike
+    which there is no such bound. phi2 is top.phi2, which unlike
     topology.spectrum does not refuse a phi2 near 0 (gap near 0: lstsq)."""
     S = C + C.T
     diag = S.diagonal()
     c = 0.5 * float(np.minimum.reduce(diag + np.abs(diag) - np.abs(S).sum(axis=1)))
-    return 0.5 * dt * c * system.top.spectral_summary.phi2 ** 2 if c > 0.0 else 0.0
+    return 0.5 * dt * c * system.top.phi2 ** 2 if c > 0.0 else 0.0
 
 
 def _newton_step(jac: np.ndarray, F: np.ndarray, D: np.ndarray, E: np.ndarray, k1: float,
@@ -641,10 +648,11 @@ def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams
     larger of fp_tol and STEP_TOL/30. The returned state, its P solved to
     fp_tol, is the row run() would emit at t' = t + dt as rounded, the width
     integrated being t' - t. StepFailure if the step fails (step() does not
-    retry it); ValueError on a system with loop gain 0, such as one generator.
+    retry it); ValueError on a system with loop gain 0, such as one generator,
+    or a state whose z or P is not of shape (n,).
     """
     stepper = _Stepper(system, params, None)
-    p = stepper.at(state.t, np.asarray(state.z, dtype=float), np.asarray(state.P, dtype=float), None)
+    p = stepper.at(state.t, _vector("state.z", state.z, system.n), _vector("state.P", state.P, system.n), None)
     p = (stepper.implicit if stepper.kind(p.r)[0] else stepper.rk4)(p, state.t + params.dt)[0]
     return _state(p.t, p.z, p.P, system, p.res)
 
@@ -751,9 +759,7 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     """
     _check_count("stride", stride, 1)
     stepper = _Stepper(system, params, disturbance)
-    z0 = np.zeros(system.n) if z0 is None else np.asarray(z0, dtype=float)
-    if z0.shape != (system.n,):
-        raise ValueError(f"z0 has shape {z0.shape}; expected ({system.n},)")
+    z0 = np.zeros(system.n) if z0 is None else _vector("z0", z0, system.n)
     min_width = _MIN_STEP * params.dt
 
     P0 = stepper.solve(z0, system.d0, system.chord0, params.fp_tol)[0]

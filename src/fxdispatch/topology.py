@@ -11,7 +11,6 @@ bound. A LocalTopology forms its Laplacian once and its spectrum once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -29,7 +28,7 @@ class LocalTopology:
     weights positive, and there are no self-loops. Connectivity is enforced
     at construction (AssumptionViolation) by a search, not by phi2 > tol:
     with weights of 1e6 and more, L of a graph of two components can have a
-    computed phi2 above any such tolerance.
+    computed phi2 (6e-8) above an absolute tolerance such as 1e-10.
     """
 
     def __init__(self, n: int, edges):
@@ -71,22 +70,15 @@ class LocalTopology:
         return L
 
     @cached_property
-    def spectral_summary(self) -> SpectralSummary:
-        """L's ascending eigenvalues (jacobi_eigenvalues), formed once. Unlike
-        spectrum(), it does not refuse a graph whose phi2 is near 0."""
-        return SpectralSummary(eigenvalues=tuple(float(e) for e in jacobi_eigenvalues(self.L)))
-
-
-@dataclass(frozen=True)
-class SpectralSummary:
-    """Sorted Laplacian eigenvalues; the algebraic connectivity phi2, the
-    second of them (0.0 for one node), is computed from them."""
-
-    eigenvalues: tuple
+    def eigenvalues(self) -> tuple:
+        """L's ascending eigenvalues (jacobi_eigenvalues), formed once."""
+        return tuple(float(e) for e in jacobi_eigenvalues(self.L))
 
     @property
     def phi2(self) -> float:
-        return self.eigenvalues[1] if len(self.eigenvalues) > 1 else 0.0
+        """The algebraic connectivity, the second eigenvalue (0.0 for one
+        node). Unlike spectrum(), it does not refuse a phi2 near 0."""
+        return self.eigenvalues[1] if self.n > 1 else 0.0
 
 
 def jacobi_eigenvalues(A) -> np.ndarray:
@@ -104,13 +96,13 @@ def jacobi_eigenvalues(A) -> np.ndarray:
     return np.linalg.eigvalsh(A)
 
 
-def spectrum(top: LocalTopology) -> SpectralSummary:
-    """The full ascending Laplacian spectrum, top.spectral_summary.
-
-    Raises AssumptionViolation when the second eigenvalue is numerically
-    zero, which for a valid Laplacian means a disconnected graph.
+def spectrum(top: LocalTopology) -> float:
+    """The algebraic connectivity top.phi2, refused (AssumptionViolation)
+    where phi2 <= n * eps * lambda_max, the eigensolver's roundoff: such a
+    phi2 does not tell a connected graph from a disconnected one.
+    perfbench/spans.py patches this name in topology and cli.
     """
-    summary = top.spectral_summary
-    if top.n > 1 and summary.phi2 <= 1e-10:
-        raise AssumptionViolation(f"graph is numerically disconnected (phi2={summary.phi2:.3e})")
-    return summary
+    phi2 = top.phi2
+    if top.n > 1 and phi2 <= top.n * np.finfo(float).eps * top.eigenvalues[-1]:
+        raise AssumptionViolation(f"graph is numerically disconnected (phi2={phi2:.3e})")
+    return phi2

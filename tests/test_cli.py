@@ -411,6 +411,23 @@ class TestBound:
         assert "assumption violation" not in out + err
 
 
+class TestWeakTopology:
+    def test_path_of_weight_1e_11_passes_check_bound_and_run(self, base_dict, tmp_path, capsys):
+        # phi2 = (2 - sqrt 2) 1e-11, far above the eigensolver's roundoff of 3e-26:
+        # a connected graph with a huge but finite settling bound
+        base_dict["topology"]["edges"] = [[i, i + 1, 1e-11] for i in range(3)]
+        path = tmp_path / "weak.json"
+        path.write_text(json.dumps(base_dict))
+        assert main(["check", "--config", str(path)]) == EXIT_OK
+        assert capsys.readouterr().out.rstrip().endswith("phi2=5.857864376e-12")
+        assert main(["bound", "--config", str(path)]) == EXIT_OK
+        ts = float(capsys.readouterr().out.split("settling_time_bound_s=")[1].split()[0])
+        assert ts == pytest.approx(1.418e35, rel=1e-3)
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out), "--t-end", "0.01"]) == EXIT_OK
+        assert json.loads((out / "report.json").read_text())["spectra"]["phi2"] == pytest.approx(5.858e-12, rel=1e-4)
+
+
 class TestRun:
     def test_zero_horizon_single_row(self, base_dict, tmp_path):
         base_dict["params"]["t_end"] = 0.0

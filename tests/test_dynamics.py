@@ -108,6 +108,7 @@ class TestParams:
     @pytest.mark.parametrize("field, value, message", [
         ("settle_tol", 0.0, "settle_tol must be positive"),
         ("settle_tol", float("nan"), "settle_tol must be positive"),
+        ("settle_tol", float("inf"), "settle_tol must be finite"),
         ("settle_window", -1.0, "settle_window must be finite and >= 0"),
         ("settle_window", float("nan"), "settle_window must be finite and >= 0"),
         ("settle_window", float("inf"), "settle_window must be finite and >= 0"),
@@ -642,7 +643,7 @@ class TestNewtonStep:
 
 
 class TestOnePhi2:
-    """_newton_gap's phi2 is the topology's spectrum, the one topology.spectrum reads."""
+    """_newton_gap's phi2 is top.phi2, the one topology.spectrum returns."""
 
     def test_gap_uses_the_phi2_of_spectrum(self, ref_system):
         lam, H, _ = _h_lambda(ref_system.d0, ref_system)
@@ -650,13 +651,13 @@ class TestOnePhi2:
         S = C + C.T
         c = 0.5 * float(np.min(S.diagonal() + np.abs(S.diagonal()) - np.abs(S).sum(axis=1)))
         dt = REF_PARAMS.dt
-        phi2 = spectrum(ref_system.top).phi2
+        phi2 = spectrum(ref_system.top)
         assert c > 0.0 and phi2 == pytest.approx(2.0 - np.sqrt(2.0), abs=1e-12)
         assert _newton_gap(C, ref_system, dt) == 0.5 * dt * c * phi2 ** 2
 
     def test_a_graph_that_spectrum_refuses_still_gets_a_gap(self, ref_system):
-        # test_topology's numerically disconnected graph: connected, phi2 about 1e-12
-        weak = LocalTopology(4, [(0, 1, 1.0), (1, 2, 1e-12), (2, 3, 1.0)])
+        # test_topology's numerically disconnected graph: connected, computed phi2 0.0
+        weak = LocalTopology(4, [(0, 1, 1e6), (1, 2, 1e-12), (2, 3, 1e6)])
         with pytest.raises(AssumptionViolation, match="numerically disconnected"):
             spectrum(weak)
         system = DispatchSystem(gens=ref_system.gens, loss=ref_system.loss, top=weak)
@@ -991,6 +992,19 @@ class TestRun:
     def test_rejects_z0_not_of_shape_n(self, ref_system, z0, shape):
         with pytest.raises(ValueError, match=rf"z0 has shape {shape}; expected \(4,\)"):
             run(ref_system, REF_PARAMS, z0=z0)
+
+    @pytest.mark.parametrize("entry, name, shape", [
+        (lambda system: solve_power(np.zeros(5), system), "z", r"\(5,\)"),
+        (lambda system: solve_power(np.zeros(4), system, prev_P=np.zeros((2, 2))), "prev_P", r"\(2, 2\)"),
+        (lambda system: make_state(0.0, np.zeros(3), system), "z", r"\(3,\)"),
+        (lambda system: step(dataclasses.replace(make_state(0.0, np.zeros(4), system), z=np.zeros(3)),
+                             system, REF_PARAMS), "state.z", r"\(3,\)"),
+        (lambda system: step(dataclasses.replace(make_state(0.0, np.zeros(4), system), P=1.0),
+                             system, REF_PARAMS), "state.P", r"\(\)"),
+    ], ids=["solve_power-z", "solve_power-prev_P", "make_state-z", "step-z", "step-P"])
+    def test_single_step_entries_reject_vectors_not_of_shape_n(self, ref_system, entry, name, shape):
+        with pytest.raises(ValueError, match=rf"^{name} has shape {shape}; expected \(4,\)$"):
+            entry(ref_system)
 
     def test_zero_horizon_single_row(self, ref_system):
         params = dataclasses.replace(REF_PARAMS, t_end=0.0)

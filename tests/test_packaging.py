@@ -136,7 +136,6 @@ PUBLIC_PARAMETERS = {
                   "chord_factors"),
     "SettlingBound": ("alpha", "beta", "mu", "nu"),
     "SimulationState": ("t", "z", "P", "cost", "loss", "residual"),
-    "SpectralSummary": ("eigenvalues",),
     "StepFailure": (),
     "assemble_assumption_report": ("model", "gens", "top"),
     "brute_force_optimum": ("gens", "model", "d_total", "grid_step"),

@@ -85,29 +85,41 @@ class TestLaplacian:
 class TestSpectrum:
     def test_path_four_connectivity(self):
         # closed form: 2 - 2 cos(pi/4) = 2 - sqrt(2)
-        assert spectrum(path_topology(4)).phi2 == pytest.approx(2.0 - np.sqrt(2.0), abs=1e-10)
+        assert spectrum(path_topology(4)) == pytest.approx(2.0 - np.sqrt(2.0), abs=1e-10)
 
     def test_reference_local_layer(self, ref_top):
-        assert spectrum(ref_top).phi2 == pytest.approx(0.5858, abs=1e-4)
+        assert spectrum(ref_top) == pytest.approx(0.5858, abs=1e-4)
 
     def test_complete_graph(self):
         k4 = LocalTopology(4, [(i, j, 1.0) for i in range(4) for j in range(i + 1, 4)])
-        assert spectrum(k4).eigenvalues == pytest.approx((0.0, 4.0, 4.0, 4.0), abs=1e-10)
+        assert k4.eigenvalues == pytest.approx((0.0, 4.0, 4.0, 4.0), abs=1e-10)
 
     def test_zero_eigenvalue_and_psd(self):
-        s = spectrum(path_topology(6))
-        assert abs(s.eigenvalues[0]) <= 1e-10
-        assert min(s.eigenvalues) >= -1e-10
+        eigenvalues = path_topology(6).eigenvalues
+        assert abs(eigenvalues[0]) <= 1e-10
+        assert min(eigenvalues) >= -1e-10
 
     def test_one_node_has_phi2_zero(self):
-        s = spectrum(LocalTopology(1, []))
-        assert s.eigenvalues == (0.0,) and s.phi2 == 0.0
+        top = LocalTopology(1, [])
+        assert top.eigenvalues == (0.0,) and top.phi2 == 0.0 and spectrum(top) == 0.0
 
     def test_disconnected_raises(self):
-        # connected, but its second eigenvalue is numerically zero
-        top = LocalTopology(4, [(0, 1, 1.0), (1, 2, 1e-12), (2, 3, 1.0)])
-        with pytest.raises(AssumptionViolation, match="numerically disconnected"):
+        # connected, but its second eigenvalue, about 1e-12, is below the
+        # eigensolver's roundoff 4 eps 2e6 = 1.8e-9: eigvalsh computes 0.0
+        top = LocalTopology(4, [(0, 1, 1e6), (1, 2, 1e-12), (2, 3, 1e6)])
+        assert top.phi2 == 0.0
+        with pytest.raises(AssumptionViolation, match=r"numerically disconnected \(phi2=0\.000e\+00\)"):
             spectrum(top)
+
+    @pytest.mark.parametrize("weights, phi2", [
+        # phi2 = (2 - sqrt 2) 1e-11 against the roundoff 4 eps lambda_max = 3e-26
+        ((1e-11, 1e-11, 1e-11), 5.857864376e-12),
+        # phi2 = 1.000e-12 against 1.8e-15
+        ((1.0, 1e-12, 1.0), 1.000044450e-12),
+    ], ids=["path-of-weight-1e-11", "weak-middle-edge"])
+    def test_small_phi2_above_roundoff_accepted(self, weights, phi2):
+        top = LocalTopology(4, [(i, i + 1, w) for i, w in enumerate(weights)])
+        assert spectrum(top) == pytest.approx(phi2, rel=1e-9)
 
     def test_matches_lapack(self):
         rng = np.random.default_rng(11)
@@ -115,7 +127,7 @@ class TestSpectrum:
             n = int(rng.integers(2, 10))
             edges = [(i, i + 1, float(rng.uniform(0.1, 3.0))) for i in range(n - 1)]
             top = LocalTopology(n, edges)
-            ours = np.array(spectrum(top).eigenvalues)
+            ours = np.array(top.eigenvalues)
             lapack = np.linalg.eigvalsh(top.L)
             assert np.max(np.abs(ours - lapack)) <= 1e-10
 
@@ -124,7 +136,8 @@ class TestSpectrum:
         real = topology.jacobi_eigenvalues
         monkeypatch.setattr(topology, "jacobi_eigenvalues", lambda A: calls.append(1) or real(A))
         top = path_topology(4)
-        assert spectrum(top) is spectrum(top) is top.spectral_summary
+        assert spectrum(top) == top.phi2 == top.eigenvalues[1]
+        assert top.eigenvalues is top.eigenvalues
         assert len(calls) == 1
 
 
@@ -137,8 +150,9 @@ class TestConnectivity:
 
     def test_heavy_two_component_graph_refused(self):
         # a pair and a path of three: the second eigenvalue that eigvalsh
-        # computes for its L is about 6e-8 (numpy 2.4), above spectrum()'s
-        # 1e-10, so a test on phi2 would take it for connected
+        # computes for its L is about 6e-8 (numpy 2.4), above an absolute
+        # tolerance such as 1e-10 and below only spectrum()'s roundoff
+        # n eps lambda_max = 3.5e-6; the search refuses it at construction
         edges = [(0, 1, 1e6), (2, 3, 1e9), (3, 4, 1.1e9)]
         with pytest.raises(AssumptionViolation, match="must be connected"):
             LocalTopology(5, edges)
