@@ -115,9 +115,9 @@ def settling_bound(params: AlgorithmParams, rho: float, tau1: float, phi2: float
     phi2 > 0 (connectivity; a one-node spectrum has phi2 = 0).
     """
     k1, k2, mu, nu = params.k1, params.k2, params.mu, params.nu
-    if tau1 <= 0:
+    if not tau1 > 0:
         raise AssumptionViolation(f"tau1={tau1} <= 0: curvature condition failed, bound undefined")
-    if phi2 <= 0:
+    if not phi2 > 0:
         raise AssumptionViolation(f"phi2={phi2} <= 0: graph disconnected, bound undefined")
     base = (1.0 + rho) * tau1 * phi2**2
     alpha = k1 * base ** ((1.0 + mu) / 2.0) * 2.0 ** ((1.0 - mu) / 4.0)

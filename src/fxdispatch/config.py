@@ -27,7 +27,7 @@ from dataclasses import asdict, dataclass, field, fields, replace
 import numpy as np
 
 from .dynamics import AlgorithmParams, DisturbanceSpec, DispatchSystem
-from .grid_model import ConfigurationError, GeneratorSpec, KronLossModel, _check_count, _check_sizes
+from .grid_model import ConfigurationError, GeneratorSpec, KronLossModel, _check_count, _check_sizes, _vector
 from .topology import LocalTopology
 
 
@@ -192,8 +192,8 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
     if not all("d0" in raw for raw in gens_sec):
         with _errors(path, "generators"):
             own = loss.generator_losses(np.array([g.p0 for g in gens]))
-        gens = [g if "d0" in raw else replace(g, d0=float(g.p0 - own[k]))
-                for k, (g, raw) in enumerate(zip(gens, gens_sec))]
+            gens = [g if "d0" in raw else replace(g, d0=float(g.p0 - own[k]))
+                    for k, (g, raw) in enumerate(zip(gens, gens_sec))]
 
     topo_sec = _mapping(data.get("topology"), ("nodes", "edges"), "topology", path)
     with _errors(path, "topology.nodes"):
@@ -210,11 +210,10 @@ def config_from_dict(data: dict, path: str = "<config>") -> RunConfig:
 
     init_sec = _mapping(data.get("initial") or {}, ("z0",), "initial", path)
     with _errors(path, "initial"):
-        z0 = tuple(_as_float(v) for v in init_sec["z0"]) if "z0" in init_sec else None
+        z0 = tuple(_vector("z0", _floats(init_sec["z0"]), len(gens)).tolist()) if "z0" in init_sec else None
+        # refused here, so that check and bound, which never reach run(), refuse it too
         if z0 is not None and not np.isfinite(z0).all():
             raise ValueError("z0 must be finite")
-        if z0 is not None and len(z0) != len(gens):
-            raise ValueError(f"z0 has length {len(z0)}, expected {len(gens)}")
 
     return RunConfig(generators=tuple(gens), loss=loss, topology=topology,
                      params=params, disturbance=disturbance, output=output, z0=z0)

@@ -64,7 +64,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .grid_model import (KronLossModel, _check_count, _check_sizes, _demand_shares, cost_coefficients,
+from .grid_model import (KronLossModel, _check_count, _check_sizes, _demand_shares, _vector, cost_coefficients,
                          fleet_cost, total_demand, weighted_cost_jacobian)
 from .topology import LocalTopology
 
@@ -297,14 +297,6 @@ def solve_power(z, system: DispatchSystem, prev_P=None, fp_tol: float = Algorith
     _check_count("fp_max_iter", fp_max_iter, 1)
     P = _vector("prev_P", prev_P, system.n) if prev_P is not None else system.d0
     return _solve_power(_vector("z", z, system.n), system, P, system.chord0, fp_tol, fp_max_iter)[0]
-
-
-def _vector(name: str, x, n: int) -> np.ndarray:
-    """x as a float array; ValueError unless its shape is (n,)."""
-    v = np.asarray(x, dtype=float)
-    if v.shape != (n,):
-        raise ValueError(f"{name} has shape {v.shape}; expected ({n},)")
-    return v
 
 
 def _solve_power(z: np.ndarray, system: DispatchSystem, P: np.ndarray, A: np.ndarray,

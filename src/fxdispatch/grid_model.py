@@ -42,6 +42,15 @@ def _check_sizes(n: int, loss: KronLossModel | None = None, top: LocalTopology |
         raise ValueError(f"{n} generators but topology has {top.n} nodes")
 
 
+def _vector(name: str, x, n: int) -> np.ndarray:
+    """x as a float array; ValueError unless its shape is (n,). Finiteness is
+    not checked: np.isfinite(x).all() would cost more than a generator_losses call."""
+    v = np.asarray(x, dtype=float)
+    if v.shape != (n,):
+        raise ValueError(f"{name} has shape {v.shape}; expected ({n},)")
+    return v
+
+
 @dataclass(frozen=True)
 class GeneratorSpec:
     """One generator: quadratic cost coefficients, the power p0, demand share.
@@ -86,6 +95,8 @@ class KronLossModel:
         if B.ndim != 2 or B.shape[0] != B.shape[1]:
             raise ConfigurationError(f"B must be square, got shape {B.shape}")
         n = B.shape[0]
+        if n == 0:
+            raise ConfigurationError(f"B must be at least 1x1, got shape {B.shape}")
         if B0.shape != (n,):
             raise ConfigurationError(f"B0 length {B0.shape} does not match B ({n}x{n})")
         if not (np.isfinite(B).all() and np.isfinite(B0).all() and np.isfinite(B00)):
@@ -108,12 +119,6 @@ class KronLossModel:
         self._one_plus_b0 = 1.0 + B0
         self._eye = np.eye(n)
 
-    def _check_len(self, P: np.ndarray) -> np.ndarray:
-        P = np.asarray(P, dtype=float)
-        if P.shape != (self.n,):
-            raise ConfigurationError(f"power vector length {P.shape} != {self.n}")
-        return P
-
     def total_loss(self, P):
         """P'BP + B0'P + B00, the network-wide transmission loss in MW, over
         the last axis of P (one power vector per row), as fleet_cost sums:
@@ -126,13 +131,13 @@ class KronLossModel:
         own in the last bit."""
         P = np.asarray(P, dtype=float)
         if P.shape[-1:] != (self.n,):
-            raise ConfigurationError(f"power vectors of length {P.shape[-1:]} != {self.n}")
+            raise ValueError(f"P has shape {P.shape}; expected (..., {self.n})")
         loss = np.add.reduce(P * (np.matmul(P[..., None, :], self.B)[..., 0, :] + self.B0), axis=-1) + self.B00
         return float(loss) if P.ndim == 1 else loss
 
     def generator_losses(self, P) -> np.ndarray:
         """Loss attributed to each generator; the entries sum to total_loss."""
-        P = self._check_len(P)
+        P = _vector("P", P, self.n)
         return P * (self.B.dot(P) + self.B0) + self._b00_share
 
     def _losses_less_power(self, P: np.ndarray) -> np.ndarray:
@@ -143,7 +148,7 @@ class KronLossModel:
 
     def total_loss_gradient(self, P) -> np.ndarray:
         """Gradient of the total loss: entry i is 2 sum_j B_ij P_j + B_i0."""
-        P = self._check_len(P)
+        P = _vector("P", P, self.n)
         return 2.0 * (self.B @ P) + self.B0
 
     def own_loss_gradient(self, P) -> np.ndarray:
@@ -151,7 +156,7 @@ class KronLossModel:
 
         1 + this is the loss-augmentation factor H.
         """
-        return self._own_gradient(self._check_len(P))
+        return self._own_gradient(_vector("P", P, self.n))
 
     def _own_gradient(self, P: np.ndarray) -> np.ndarray:
         # unchecked own_loss_gradient for the integrator's inner loop
@@ -175,10 +180,7 @@ class KronLossModel:
 
 def total_cost(gens, P) -> float:
     """sum_i C_i(P_i), the fleet's generation cost in $/h."""
-    P = np.asarray(P, dtype=float)
-    if len(gens) != P.shape[0]:
-        raise ConfigurationError(f"{len(gens)} generators but {P.shape[0]} powers")
-    return float(fleet_cost(cost_coefficients(gens), P))
+    return float(fleet_cost(cost_coefficients(gens), _vector("P", P, len(gens))))
 
 
 def cost_coefficients(gens) -> np.ndarray:

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_model import (AssumptionViolation, KronLossModel, cost_coefficients, fleet_cost, marginal_costs,
-                         total_cost, weighted_cost_jacobian)
+from .grid_model import (AssumptionViolation, KronLossModel, _check_sizes, cost_coefficients, fleet_cost,
+                         marginal_costs, total_cost, weighted_cost_jacobian)
 
 #: damped Newton's stop on max|residual|, its iteration cap and its step-halving cap
 _NEWTON_TOL, _NEWTON_MAX_ITER, _NEWTON_MAX_HALVINGS = 1e-12, 100, 30
@@ -76,9 +76,11 @@ def _solve_weighted(gens, model: KronLossModel, d_total: float, weight) -> Equil
     weight(P) returns (w, dw): the per-generator weights and their
     derivatives with respect to the own-loss gradient (see
     grid_model.weighted_cost_jacobian). Starts from a uniform demand split
-    and stops at max|residual| < _NEWTON_TOL. AssumptionViolation unless
-    d_total > 0: the point would have a negative power.
+    and stops at max|residual| < _NEWTON_TOL. ValueError unless model fits
+    the fleet; AssumptionViolation unless d_total > 0: the point would have
+    a negative power.
     """
+    _check_sizes(len(gens), model)
     if not d_total > 0.0:
         raise AssumptionViolation(f"total demand is {d_total:.10g} MW; the oracle needs a positive total demand")
     n = len(gens)
@@ -142,11 +144,13 @@ def brute_force_optimum(gens, model: KronLossModel, d_total: float, grid_step: f
     x = 2C / ((1 - b) + sqrt((1 - b)^2 - 4aC)), the smaller root, with no
     branch at a = 0. Returns the cheapest point with x finite and >= 0 (the
     first in scan order on a tie), or None; with N = 1, the root itself.
+    ValueError unless model fits the fleet and grid_step > 0.
     """
     n = len(gens)
+    _check_sizes(n, model)
     if n > 3:
         raise ValueError("brute-force scan is limited to 3 generators")
-    if grid_step <= 0:
+    if not grid_step > 0:
         raise ValueError("grid_step must be positive")
     grid = np.arange(0.0, 1.5 * d_total + grid_step / 2, grid_step)
     heads = ([np.empty((1, 0))] if n == 1 else [grid[:, None]] if n == 2

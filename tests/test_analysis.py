@@ -257,13 +257,15 @@ class TestSettlingBound:
         assert settling_bound(self.PARAMS, 1e-3, 0.18, 0.5858, 4).ts < base
         assert settling_bound(self.PARAMS, 1e-3, 0.1644, 0.7, 4).ts < base
 
-    def test_nonpositive_tau1_rejected(self):
-        with pytest.raises(AssumptionViolation):
-            settling_bound(self.PARAMS, 1e-3, 0.0, 0.5858, 4)
+    @pytest.mark.parametrize("tau1", [0.0, float("nan")])
+    def test_nonpositive_tau1_rejected(self, tau1):
+        with pytest.raises(AssumptionViolation, match=rf"^tau1={tau1} <= 0: curvature condition failed"):
+            settling_bound(self.PARAMS, 1e-3, tau1, 0.5858, 4)
 
-    def test_nonpositive_phi2_rejected(self):
-        with pytest.raises(AssumptionViolation, match=r"phi2=0\.0 <= 0"):
-            settling_bound(self.PARAMS, 0.0, 1.0, 0.0, 1)
+    @pytest.mark.parametrize("phi2", [0.0, float("nan")])
+    def test_nonpositive_phi2_rejected(self, phi2):
+        with pytest.raises(AssumptionViolation, match=rf"^phi2={phi2} <= 0: graph disconnected"):
+            settling_bound(self.PARAMS, 0.0, 1.0, phi2, 1)
 
 
 class TestBoundOnSeededFleets:

@@ -893,8 +893,8 @@ MALFORMED = [
                  "disturbance: seed must be >= 0", id="negative-seed"),
     pytest.param(lambda d: d.update(initial={"z0": [float("nan"), 0.0, 0.0, 0.0]}), "initial: z0 must be finite",
                  id="nan-z0"),
-    pytest.param(lambda d: d.update(initial={"z0": [0.0, 0.0, 0.0]}), "initial: z0 has length 3, expected 4",
-                 id="short-z0"),
+    pytest.param(lambda d: d.update(initial={"z0": [0.0, 0.0, 0.0]}),
+                 r"initial: z0 has shape \(3,\); expected \(4,\)", id="short-z0"),
     pytest.param(lambda d: d["topology"].update(nodes=5, edges=d["topology"]["edges"] + [[3, 4, 1.0]]),
                  "topology: 4 generators but topology has 5 nodes", id="connected-five-node-topology"),
     pytest.param(lambda d: d["loss"].update(b_matrix=[row[:3] for row in d["loss"]["b_matrix"][:3]],
@@ -961,3 +961,13 @@ class TestMalformedRunFile:
         assert captured.out == ""
         assert captured.err.startswith(f"config error: {path}: ")
         assert "Traceback" not in captured.err
+
+    def test_a_refused_derived_d0_names_the_file_and_section(self, base_dict, tmp_path, capsys):
+        # p0^2 overflows, so the share derived as p0 - P_Li(p0) is -inf
+        base_dict["generators"][0]["p0"] = 1.0e160
+        del base_dict["generators"][0]["d0"]
+        path = tmp_path / "run.yaml"
+        path.write_text(yaml.safe_dump(base_dict, sort_keys=False))
+        with np.errstate(over="ignore"):
+            assert main(["check", "--config", str(path)]) == EXIT_VALIDATION
+        assert capsys.readouterr().err == f"config error: {path}: generators: d0 must be finite, got d0=-inf\n"

@@ -1001,7 +1001,12 @@ class TestRun:
                              system, REF_PARAMS), "state.z", r"\(3,\)"),
         (lambda system: step(dataclasses.replace(make_state(0.0, np.zeros(4), system), P=1.0),
                              system, REF_PARAMS), "state.P", r"\(\)"),
-    ], ids=["solve_power-z", "solve_power-prev_P", "make_state-z", "step-z", "step-P"])
+        (lambda system: system.loss.generator_losses(np.zeros(3)), "P", r"\(3,\)"),
+        (lambda system: system.loss.own_loss_gradient(np.zeros(3)), "P", r"\(3,\)"),
+        (lambda system: system.loss.total_loss_gradient(np.zeros(3)), "P", r"\(3,\)"),
+        (lambda system: total_cost(system.gens, np.zeros(3)), "P", r"\(3,\)"),
+    ], ids=["solve_power-z", "solve_power-prev_P", "make_state-z", "step-z", "step-P", "generator_losses",
+            "own_loss_gradient", "total_loss_gradient", "total_cost"])
     def test_single_step_entries_reject_vectors_not_of_shape_n(self, ref_system, entry, name, shape):
         with pytest.raises(ValueError, match=rf"^{name} has shape {shape}; expected \(4,\)$"):
             entry(ref_system)

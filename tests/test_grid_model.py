@@ -51,6 +51,11 @@ class TestLossModelConstruction:
         with pytest.raises(ConfigurationError):
             KronLossModel(np.eye(3) * 1e-4, np.zeros(2), 0.0)
 
+    def test_rejects_an_empty_matrix(self):
+        # B00 / n would divide by zero
+        with pytest.raises(ConfigurationError, match=r"^B must be at least 1x1, got shape \(0, 0\)$"):
+            KronLossModel(np.zeros((0, 0)), np.zeros(0), 0.0)
+
 
 class TestTotalLoss:
     def test_zero_power_gives_constant_term(self, ref_model):
@@ -64,10 +69,12 @@ class TestTotalLoss:
         # frozen from a one-line scalar evaluation of the quadratic form
         assert ref_model.total_loss(REF_P0) == pytest.approx(37.62501, abs=1e-9)
 
-    def test_dimension_mismatch(self, ref_model):
-        for P in (np.zeros(3), np.zeros((5, 3)), np.zeros((4, 1)), 1.0):
-            with pytest.raises(ConfigurationError):
-                ref_model.total_loss(P)
+    @pytest.mark.parametrize("P, shape", [(np.zeros(3), r"\(3,\)"), (np.zeros((5, 3)), r"\(5, 3\)"),
+                                          (np.zeros((2, 3)), r"\(2, 3\)"), (np.zeros((4, 1)), r"\(4, 1\)"),
+                                          (1.0, r"\(\)")], ids=["3", "5x3", "2x3", "4x1", "scalar"])
+    def test_dimension_mismatch(self, ref_model, P, shape):
+        with pytest.raises(ValueError, match=rf"^P has shape {shape}; expected \(\.\.\., 4\)$"):
+            ref_model.total_loss(P)
 
     @pytest.mark.parametrize("n, rows", [(4, 1), (4, 300), (64, 80)])
     def test_stacked_vectors_give_each_vector_s_loss_bit_for_bit(self, n, rows):
@@ -204,7 +211,7 @@ class TestCosts:
         assert total_cost([g], [1.0]) == pytest.approx(9.0)
 
     def test_total_cost_rejects_a_power_count_that_does_not_match(self, ref_gens):
-        with pytest.raises(ConfigurationError, match="4 generators but 3 powers"):
+        with pytest.raises(ValueError, match=r"^P has shape \(3,\); expected \(4,\)$"):
             total_cost(ref_gens, [1.0, 2.0, 3.0])
 
 

@@ -159,9 +159,10 @@ class TestBruteForce:
         with pytest.raises(ValueError):
             brute_force_optimum(ref_gens, ref_model, REF_DEMAND, grid_step=1.0)
 
-    def test_rejects_bad_step(self):
-        with pytest.raises(ValueError):
-            brute_force_optimum(TWO_GENS, lossless(2), TWO_D, grid_step=0.0)
+    @pytest.mark.parametrize("grid_step", [0.0, -1.0, float("nan")])
+    def test_rejects_bad_step(self, grid_step):
+        with pytest.raises(ValueError, match="^grid_step must be positive$"):
+            brute_force_optimum(TWO_GENS, lossless(2), TWO_D, grid_step=grid_step)
 
 
 @pytest.mark.parametrize("solver", [solve_equilibrium, kkt_penalty_solution])

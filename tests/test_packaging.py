@@ -172,6 +172,22 @@ def test_public_parameters():
     assert {name: parameter_names(getattr(fx, name)) for name in exported_names()} == PUBLIC_PARAMETERS
 
 
+def test_every_entry_taking_a_fleet_and_a_loss_model_refuses_a_size_mismatch(ref_gens, ref_model, ref_top):
+    # every exported callable with a gens and a model or loss parameter, called
+    # with keywords from one table: a later one that skips grid_model._check_sizes
+    # fails here without a case of its own
+    fx = importlib.import_module("fxdispatch")
+    values = {"gens": ref_gens[:2], "model": ref_model, "loss": ref_model, "top": ref_top,
+              "d_total": 100.0, "grid_step": 1.0}
+    entries = [name for name, params in PUBLIC_PARAMETERS.items()
+               if "gens" in params and {"model", "loss"} & set(params)]
+    assert {"DispatchSystem", "assemble_assumption_report", "solve_equilibrium", "kkt_penalty_solution",
+            "brute_force_optimum"} <= set(entries)
+    for name in entries:
+        with pytest.raises(ValueError, match=r"^2 generators but loss matrix is 4x4$"):
+            getattr(fx, name)(**{param: values[param] for param in PUBLIC_PARAMETERS[name]})
+
+
 #: the directories outside src/ whose code counts as a caller
 CALLER_DIRS = ("demos", "tools", "perfbench")
 
