@@ -2,9 +2,11 @@
 
 A run file is JSON or YAML. `save_config` writes JSON, which is also valid
 YAML; `load_config` tries JSON first and imports PyYAML to parse the file
-only if it is not JSON, so a saved file loads without PyYAML and a
-hand-written YAML file loads as before. B and B0 are converted in bulk:
-one pass over their elements' types, then one array each.
+only if it is not JSON, so a saved file and the shipped reference case
+(JSON text whose every number PyYAML reads as the same float) load
+without PyYAML, and a hand-written YAML file loads as before. B and B0
+are converted in bulk: one pass over their elements' types, then one array
+each.
 
 A run file has sections `generators`, `loss`, `topology`, `params`,
 `disturbance`, `output`, and optionally `initial`. Powers are MW, costs

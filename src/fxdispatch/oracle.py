@@ -144,14 +144,17 @@ def brute_force_optimum(gens, model: KronLossModel, d_total: float, grid_step: f
     x = 2C / ((1 - b) + sqrt((1 - b)^2 - 4aC)), the smaller root, with no
     branch at a = 0. Returns the cheapest point with x finite and >= 0 (the
     first in scan order on a tie), or None; with N = 1, the root itself.
-    ValueError unless model fits the fleet and grid_step > 0.
+    ValueError unless model fits the fleet, d_total is finite and grid_step
+    is finite and > 0; a negative d_total has no grid point and gives None.
     """
     n = len(gens)
     _check_sizes(n, model)
     if n > 3:
         raise ValueError("brute-force scan is limited to 3 generators")
-    if not grid_step > 0:
-        raise ValueError("grid_step must be positive")
+    if not np.isfinite(d_total):
+        raise ValueError("d_total must be finite")
+    if not 0 < grid_step < np.inf:  # also rejects NaN
+        raise ValueError(f"grid_step must be {'finite' if grid_step == np.inf else 'positive'}")
     grid = np.arange(0.0, 1.5 * d_total + grid_step / 2, grid_step)
     heads = ([np.empty((1, 0))] if n == 1 else [grid[:, None]] if n == 2
              else (np.column_stack([np.full_like(grid, p1), grid]) for p1 in grid))

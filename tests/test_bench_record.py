@@ -58,16 +58,17 @@ def test_newton_iterations_above_roundoff_leave_out_the_steps_at_roundoff():
 
 
 def test_against_compares_counters_and_medians_of_two_records():
-    def record(walls, steps, evals, chord, settle_steps):
+    def record(walls, setups, rss, steps, evals, chord, settle_steps):
         run = {"steps": steps, "rejected_steps": 3, "power_solves": 4 * steps, "power_solve_iters": [evals, 7],
                "chord_factors": chord}
-        return {"benchmark": {"reference_run": {"medians": {"wall_s": sorted(walls)[len(walls) // 2]},
-                                                "wall_s": walls}},
+        medians = {"wall_s": sorted(walls)[len(walls) // 2], "setup_s": sorted(setups)[len(setups) // 2],
+                   "peak_rss_mb": rss}
+        return {"benchmark": {"reference_run": {"medians": medians, "wall_s": walls, "setup_s": setups}},
                 "counters": {"runs": {"reference": run, f"sweep{steps}": run}},
                 "settle_run": {**run, "steps": settle_steps}}
 
-    old = record([0.05, 0.06, 0.07, 0.08, 0.09], 246, 2.131, 103, 7467)
-    new = record([0.045, 0.05, 0.055, 0.06, 0.065], 247, 1.689, 27, 7467)
+    old = record([0.05, 0.06, 0.07, 0.08, 0.09], [0.2, 0.205, 0.21, 0.215, 0.22], 38.5, 246, 2.131, 103, 7467)
+    new = record([0.045, 0.05, 0.055, 0.06, 0.065], [0.17, 0.175, 0.18, 0.185, 0.19], 37.5, 247, 1.689, 27, 7467)
     assert bench_record.compare(new, old) == [
         "reference: steps 246 -> 247 (+1), rejected 3 -> 3 (+0), solves 984 -> 988 (+4), "
         "evals/solve 2.131 -> 1.689 (-0.442), chord factors 103 -> 27 (-76)",
@@ -75,9 +76,15 @@ def test_against_compares_counters_and_medians_of_two_records():
         "evals/solve 2.131 -> 1.689 (-0.442), chord factors 103 -> 27 (-76)",
         # quartiles of the older samples by statistics.quantiles: 0.055 and 0.085
         "reference_run: wall_s median 0.07 -> 0.055 s, ratio 0.786; older IQR 0.055-0.085 s (42.9% of its median)",
+        # quartiles 0.2025 and 0.2175
+        "reference_run: setup_s median 0.21 -> 0.18 s, ratio 0.857; older IQR 0.2025-0.2175 s (7.1% of its median)",
+        "reference_run: peak_rss_mb median 38.5 -> 37.5 MB, ratio 0.974",
         "only in the new record: sweep247",
         "only in the older record: sweep246",
     ]
+    # a record without setup_s samples, such as BENCH_32.json, compares the median alone
+    del old["benchmark"]["reference_run"]["setup_s"]
+    assert "reference_run: setup_s median 0.21 -> 0.18 s, ratio 0.857" in bench_record.compare(new, old)
     # a record without a settle run, such as BENCH_28.json, compares the runs it has
     del old["settle_run"]
     assert not any(line.startswith("settle_run") for line in bench_record.compare(new, old))
@@ -129,13 +136,14 @@ def test_reads_medians_samples_and_stamps_of_each_workload():
     lines = []
     for name, walls, raw in (("reference_run", [0.06, 0.07], [0.061]), ("large_fleet", [0.08, 0.09], [0.081])):
         lines += [f"# env {json.dumps(env)}", f"# {name} seed=1 trace=0 attempted=3 failed=0",
-                  f"# wall_s: {walls}", f"# raw_wall_s: {raw}", "# setup_s: [0.3]", f"wall_s {walls[0]}", "{}"]
+                  f"# wall_s: {walls}", f"# raw_wall_s: {raw}", "# setup_s: [0.3]", "# raw_setup_s: [0.28]",
+                  f"wall_s {walls[0]}", "{}"]
     metrics = {"reference_run.wall_s": {"value": 0.065, "unit": "s"},
                "large_fleet.peak_rss_mb": {"value": 60.0, "unit": "MB"}}
     lines.append(json.dumps({"correct": True, "attempted": 6, "failed": 0, "metrics": metrics}))
     assert bench_record.parse_run_output("\n".join(lines) + "\n") == {
         "reference_run": {"env": env, "medians": {"wall_s": 0.065}, "wall_s": [0.06, 0.07],
-                          "raw_wall_s": [0.061]},
+                          "raw_wall_s": [0.061], "setup_s": [0.3], "raw_setup_s": [0.28]},
         "large_fleet": {"env": env, "medians": {"peak_rss_mb": 60.0}, "wall_s": [0.08, 0.09],
-                        "raw_wall_s": [0.081]},
+                        "raw_wall_s": [0.081], "setup_s": [0.3], "raw_setup_s": [0.28]},
     }

@@ -47,6 +47,8 @@ from fxdispatch.dynamics import Trajectory
 from tests.conftest import negative_delta_fleet_dict, ring_fleet_dict, two_unit_negative_delta_dict
 
 CONFIG_PATH = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference_case.yaml"
+#: the reference case as hand-written YAML, which only PyYAML parses
+YAML_PATH = pathlib.Path(__file__).resolve().parent / "data" / "reference_case.yaml"
 
 
 @pytest.fixture(scope="session")
@@ -153,7 +155,7 @@ class TestLoadConfig:
     def test_libyaml_loader_parses_like_the_python_loader(self, tmp_path):
         fleet = tmp_path / "fleet.yaml"
         save_config(config_from_dict(ring_fleet_dict(64)), str(fleet))
-        for path in (CONFIG_PATH, fleet):
+        for path in (YAML_PATH, CONFIG_PATH, fleet):
             text = path.read_text()
             assert yaml.load(text, Loader=yaml.CSafeLoader) == yaml.load(text, Loader=yaml.SafeLoader)
 
@@ -191,11 +193,37 @@ class TestLoadConfig:
                 "    print('yaml' in sys.modules)\n")
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(
             filter(None, [str(CONFIG_PATH.parents[1] / "src"), os.environ.get("PYTHONPATH")])))
-        proc = subprocess.run([sys.executable, "-c", code, str(path), str(CONFIG_PATH)], env=env,
-                              capture_output=True, text=True, timeout=60)
+        proc = subprocess.run([sys.executable, "-c", code, str(path), str(CONFIG_PATH), str(YAML_PATH)],
+                              env=env, capture_output=True, text=True, timeout=60)
         assert proc.returncode == 0, proc.stderr
-        # the hand-written YAML file then imports it
-        assert proc.stdout == "False\nTrue\n"
+        # the shipped case is JSON text; the hand-written YAML file then imports it
+        assert proc.stdout == "False\nFalse\nTrue\n"
+
+    def test_commands_on_the_shipped_case_never_import_yaml(self, tmp_path):
+        code = ("import contextlib, io, sys\n"
+                "from fxdispatch.cli import main\n"
+                "config, out = sys.argv[1:]\n"
+                "seen = []\n"
+                "for argv in (['check'], ['bound'], ['oracle'], ['run', '--out', out, '--t-end', '0.1']):\n"
+                "    with contextlib.redirect_stdout(io.StringIO()):\n"
+                "        code = main([*argv, '--config', config])\n"
+                "    seen.append((argv[0], code, 'yaml' in sys.modules))\n"
+                "print(*(f'{name} {code} {imported}' for name, code, imported in seen), sep='\\n')\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [str(CONFIG_PATH.parents[1] / "src"), os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code, str(CONFIG_PATH), str(tmp_path / "out")], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.splitlines() == [f"{name} {EXIT_OK} False" for name in ("check", "bound", "oracle", "run")]
+        assert (tmp_path / "out" / "report.json").is_file()
+
+    def test_shipped_case_is_json_that_yaml_reads_alike(self, reference_config):
+        text = CONFIG_PATH.read_text()
+        assert json.loads(text) == reference_config.to_dict()
+        assert yaml.safe_load(text) == json.loads(text)
+
+    def test_shipped_case_holds_the_hand_written_yaml_case(self, reference_config):
+        assert load_config(str(YAML_PATH)) == reference_config
 
     def test_fleet_sized_file_loads_as_the_per_value_conversion(self, tmp_path):
         config = config_from_dict(ring_fleet_dict(64))
@@ -237,7 +265,7 @@ class TestLoadConfig:
             config_from_dict(data, "fleet.json")
 
     def test_shipped_yaml_loads_through_the_fallback(self, monkeypatch):
-        expected = config_from_dict(yaml.safe_load(CONFIG_PATH.read_text()))
+        expected = config_from_dict(yaml.safe_load(YAML_PATH.read_text()))
         calls = []
         yaml_load = yaml.load
 
@@ -246,12 +274,21 @@ class TestLoadConfig:
             return yaml_load(*args, **kwargs)
 
         monkeypatch.setattr(yaml, "load", counted)
-        assert load_config(str(CONFIG_PATH)) == expected
+        assert load_config(str(YAML_PATH)) == expected
         assert len(calls) == 1
 
     def test_falls_back_to_the_python_loader_without_libyaml(self, reference_config, monkeypatch):
+        loaders, yaml_load = [], yaml.load
+
+        def recorded(stream, Loader):
+            loaders.append(Loader)
+            return yaml_load(stream, Loader=Loader)
+
         monkeypatch.delattr(yaml, "CSafeLoader")
-        assert load_config(str(CONFIG_PATH)) == reference_config
+        monkeypatch.setattr(yaml, "load", recorded)
+        assert load_config(str(YAML_PATH)) == reference_config
+        # the file is not JSON, so the loader really ran
+        assert loaders == [yaml.SafeLoader]
 
     @pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
     def test_json_non_finite_tokens_rejected(self, base_dict, token, tmp_path):

@@ -164,6 +164,17 @@ class TestBruteForce:
         with pytest.raises(ValueError, match="^grid_step must be positive$"):
             brute_force_optimum(TWO_GENS, lossless(2), TWO_D, grid_step=grid_step)
 
+    def test_rejects_an_infinite_step(self):
+        with pytest.raises(ValueError, match="^grid_step must be finite$"):
+            brute_force_optimum(TWO_GENS, lossless(2), TWO_D, grid_step=float("inf"))
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("d_total", [float("nan"), float("inf"), -float("inf")])
+    def test_rejects_a_demand_that_is_not_finite(self, n, d_total):
+        gens = TWO_GENS[:n]
+        with pytest.raises(ValueError, match="^d_total must be finite$"):
+            brute_force_optimum(gens, lossless(n), d_total, grid_step=0.1)
+
 
 @pytest.mark.parametrize("solver", [solve_equilibrium, kkt_penalty_solution])
 @pytest.mark.parametrize("d_total, shown", [(0.0, "0"), (-40.0, "-40"), (float("nan"), "nan")])

@@ -6,8 +6,9 @@ integrator's counters of one checkout, in one BENCH_<pr>.json.
 Runs `perfbench/run.py --workload all --seed 1` and the tier-1 suite
 (`python -m pytest -q` with this checkout's `src/` on PYTHONPATH) as
 subprocesses. From run.py it keeps, per workload, the end-to-end medians of
-its last line, the samples of its `# wall_s:` and `# raw_wall_s:` lines and
-its `# env` stamp (which holds `nproc`); from tier-1, the wall time, exit code
+its last line, the samples of its `# wall_s:`, `# raw_wall_s:`, `# setup_s:`
+and `# raw_setup_s:` lines and its `# env` stamp (which holds `nproc`); from
+tier-1, the wall time, exit code
 and summary line. It times acceptance criterion 1's golden run here: the
 reference case at its own t_end (200 s) and stride, with c_star from
 `solve_equilibrium`, which is solved before the clock starts, and the
@@ -38,8 +39,10 @@ counters check a claim about the work per step where wall times are noisy.
 The file goes to the checkout's root. --against an older record then prints,
 per counter run both records hold (and the settle run), the change in steps,
 rejected steps, power solves, loss evaluations per solve and chord factors,
-and per workload the ratio of the median `wall_s` to the older one beside
-the older record's interquartile range of `wall_s`.
+and per workload the ratio of the median `wall_s` and of the median `setup_s`
+to the older one, each beside the older record's interquartile range of its
+samples where it holds them (an older record may hold only the median of
+`setup_s`), and the ratio of `peak_rss_mb`.
 """
 
 from __future__ import annotations
@@ -63,6 +66,8 @@ FLEET_T_ENDS = (0.2, 2.0)
 #: Newton iterations are counted over implicit steps whose starting max|r| is
 #: above this many times the roundoff term of the Newton tolerance
 ROUNDOFF_FACTOR = 10.0
+#: the `# <name>: [...]` sample lines of run.py kept per workload
+SAMPLES = ("wall_s", "raw_wall_s", "setup_s", "raw_setup_s")
 
 _spec = importlib.util.spec_from_file_location("fingerprint", ROOT / "tools" / "fingerprint.py")
 fingerprint = importlib.util.module_from_spec(_spec)
@@ -80,7 +85,7 @@ def parse_run_output(text: str) -> dict:
             env = json.loads(line[len("# env "):])
         elif line.startswith("# ") and " seed=" in line:
             current = out.setdefault(line[2:].split()[0], {"env": env, "medians": {}})
-        elif current is not None and line.startswith(("# wall_s: ", "# raw_wall_s: ")):
+        elif current is not None and line.startswith(tuple(f"# {name}: " for name in SAMPLES)):
             name, values = line[2:].split(": ", 1)
             current[name] = json.loads(values)
     for key, metric in json.loads(text.strip().splitlines()[-1])["metrics"].items():
@@ -237,12 +242,24 @@ def _counted_runs(record: dict) -> dict:
     return runs
 
 
+def _median_ratio(name: str, unit: str, old: dict, new: dict) -> str:
+    """'<name> median old -> new <unit>, ratio r', then the interquartile
+    range of old's samples of name where old holds them."""
+    a, b = old["medians"][name], new["medians"][name]
+    text = f"{name} median {a:.4g} -> {b:.4g} {unit}, ratio {b / a:.3f}"
+    if name not in old:
+        return text
+    q1, _, q3 = statistics.quantiles(old[name], n=4)
+    return f"{text}; older IQR {q1:.4g}-{q3:.4g} {unit} ({(q3 - q1) / a:.1%} of its median)"
+
+
 def compare(new: dict, old: dict) -> list[str]:
     """Lines comparing the record new with the older record old: per counter
     run both hold, and for the settle run if both have one, the change in
     steps, rejected steps, power solves, mean loss evaluations per solve and
-    chord factors; per workload both hold, the median wall_s of new over
-    old's beside the interquartile range of old's wall_s samples; then the
+    chord factors; per workload both hold, the median wall_s and setup_s of
+    new over old's, each beside the interquartile range of old's samples
+    where old holds them, and the peak_rss_mb of new over old's; then the
     runs only one of them holds."""
     lines = []
     new_runs, old_runs = _counted_runs(new), _counted_runs(old)
@@ -255,11 +272,8 @@ def compare(new: dict, old: dict) -> list[str]:
                      f"{_change(a['chord_factors'], b['chord_factors'])}")
     for workload in [w for w in new["benchmark"] if w in old["benchmark"]]:
         a, b = old["benchmark"][workload], new["benchmark"][workload]
-        q1, _, q3 = statistics.quantiles(a["wall_s"], n=4)
-        ratio = b["medians"]["wall_s"] / a["medians"]["wall_s"]
-        lines.append(f"{workload}: wall_s median {a['medians']['wall_s']:.4g} -> {b['medians']['wall_s']:.4g} s, "
-                     f"ratio {ratio:.3f}; older IQR {q1:.4g}-{q3:.4g} s ({(q3 - q1) / a['medians']['wall_s']:.1%} "
-                     f"of its median)")
+        lines += [f"{workload}: {_median_ratio(name, unit, a, b)}"
+                  for name, unit in (("wall_s", "s"), ("setup_s", "s"), ("peak_rss_mb", "MB"))]
     for label, names in (("only in the new record", [n for n in new_runs if n not in old_runs]),
                          ("only in the older record", [n for n in old_runs if n not in new_runs])):
         if names:
