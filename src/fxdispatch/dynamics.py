@@ -13,9 +13,7 @@ before (first same as last), so the order-3 embedded solution with weights
 error estimate, and a step is accepted when it is within STEP_TOL (Hairer,
 Norsett & Wanner, Solving ODEs I, II.4). Each later stage solves the implicit
 power equation by a warm-started chord (simplified Newton) iteration (a stage
-whose solve stalls fails its step), whose balance residual d is one folded
-expression with its constants stored and which stops once ||d||_2 is below
-its tolerance, one dot product per loss evaluation. There are two
+whose solve stalls fails its step; see _solve_power). There are two
 tolerances. Every solve whose P becomes a solved instant (a run's start, the
 end of each step) stops at fp_tol, so every point is balanced to fp_tol.
 The solves of RK4 stages 2 to 4, which only feed k2 to k4, stop at
@@ -32,8 +30,9 @@ of step is one _Stepper method from a point p to a time t_new, of width
 dt = t_new - p.t, that returns (the point at t_new, err): the new point's
 dz/dt, formed at the w(p.t + dt) the step used, is an RK4 step's k5 and the
 next step's k1; an RK4 step's err is dt/6 max|k4 - k5|, and an implicit
-step's is 0.0, as it has no error estimate yet. Matrix products are
-ndarray.dot (see the comment after _amax).
+step's is 0.0, as it has no error estimate yet. A try costs its NumPy calls'
+overhead (0.4 us each with array operands, 0.6 us with a Python float); its
+reductions stay in NumPy, as Python-level ones lose at large n (see _amax).
 Explicit RK4 on the non-Lipschitz k1 sig(r)^mu term chatters once g k1 h
 |r|^(mu - 1) is of order one at width h, g being the loop gain, so one rule,
 the cap of _Stepper.kind, bounds RK4's width at the disagreement r, and where
@@ -45,10 +44,9 @@ at consensus: each is solved by LU where a lower bound on its least singular
 value shows that lstsq would keep every singular value, and by lstsq's
 minimum-norm solution otherwise (_newton_step). Once an undisturbed run is
 below settle_tol each implicit step doubles its width, so the settle window
-is confirmed in about ten steps. A failed step is retried narrower: an RK4
-step at the error controller's width (a quarter of its width after a failed
-solve), an implicit step at half its width; only a failure below _MIN_STEP dt
-ends a run. The kind of step depends only on the state. One _Stepper per call
+is confirmed in about ten steps. A failed step is retried narrower (see run);
+only a failure below _MIN_STEP dt ends a run. The kind of step depends only on
+the state. One _Stepper per call
 holds the disturbance, the solver counters and both kinds of step, and
 carries both the public `step` (width dt, which adds the monitors) and `run`
 (which forms cost and loss once, over the emitted rows).
@@ -58,7 +56,7 @@ from __future__ import annotations
 
 import logging
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from typing import NamedTuple
 
@@ -127,16 +125,20 @@ _FRESH_EVALS = 2
 _EPS = float(np.finfo(float).eps)
 #: max over a 1-D array, without ndarray.max()'s Python-level wrapper
 _amax = np.maximum.reduce
-# Matrix products on the integration path are written A.dot(x), not A @ x: both
-# make the same BLAS call and give the same bits, but at n = 4 the method's
-# call overhead is about half the operator's (numpy 2.4, timeit).
+# An RK4 try on 4-vectors is about 140 NumPy calls whose overhead is its cost
+# (numpy 2.4.6, 2-core x86-64, timeit): 0.37 us a call with array operands,
+# 0.59 us with a Python float, 0.71 us for unary minus (np.negative 0.38). So H
+# and lam are one product, the gains are arrays, 2 k is k + k, and A.dot(x) is
+# A @ x at about half its overhead, with the same BLAS call and bits. Reductions
+# stay in NumPy: max(map(abs, x.tolist())) beats np.abs and _amax at n = 4
+# (0.5 against 1.5 us), not at n = 64 (3.5 against 1.6 us), where in _residual,
+# kind and rk4's err it made the 64-unit fleets 4% slower.
 
 
 class StepFailure(RuntimeError):
     """The implicit power equation or the Newton iteration of the implicit
-    step failed to converge. run() retries every failed step narrower (an
-    implicit one at half its width) and ends only when a step narrower than
-    _MIN_STEP dt fails; step() raises it."""
+    step failed to converge. run() retries a failed step narrower and ends
+    only when one narrower than _MIN_STEP dt fails; step() raises it."""
 
 
 @dataclass(frozen=True)
@@ -146,13 +148,12 @@ class AlgorithmParams:
     k1, k2: consensus gains (> 0); mu in (0, 1) and nu > 1 are the signed
     power exponents; dt: the first RK4 step and the implicit steps' width
     (s), steps turning implicit where _Stepper.kind's cap is below it; t_end:
-    horizon (s); fp_tol: tolerance of the implicit power solve on the
-    2-norm of its balance residual (MW) at every solved point (a run's
-    start, each step's end), while RK4 stages 2 to 4 stop at the larger of
-    fp_tol and STEP_TOL/30 (see the module docstring); fp_max_iter: cap on
-    its chord iterations, a solve not converged by then failing; settle_tol:
-    consensus residual threshold (finite, > 0); settle_window: seconds the
-    residual must stay below settle_tol before settling is declared.
+    horizon (s); fp_tol: the power solve's tolerance on the 2-norm of its
+    balance residual (MW) at every solved point (RK4 stages 2 to 4 stop at
+    max(fp_tol, STEP_TOL/30)); fp_max_iter: cap on its chord iterations, a
+    solve not converged by then failing; settle_tol: consensus residual
+    threshold (finite, > 0); settle_window: seconds the residual must stay
+    below settle_tol before settling is declared.
     """
 
     k1: float
@@ -172,10 +173,9 @@ class AlgorithmParams:
         for name in ("k1", "k2", "dt", "fp_tol", "settle_tol"):
             if not 0 < getattr(self, name) < math.inf:  # also rejects NaN
                 raise ValueError(f"{name} must be {'finite' if getattr(self, name) == math.inf else 'positive'}")
-        if not 0 <= self.t_end < math.inf:
-            raise ValueError("t_end must be finite and >= 0")
-        if not 0 <= self.settle_window < math.inf:
-            raise ValueError("settle_window must be finite and >= 0")
+        for name in ("t_end", "settle_window"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
         _check_count("fp_max_iter", self.fp_max_iter, 1)
 
 
@@ -196,10 +196,8 @@ class DisturbanceSpec:
     def __post_init__(self) -> None:
         if self.kind != "sinusoid":
             raise ValueError(f"unknown disturbance kind {self.kind!r}")
-        if not self.amplitude >= 0:
-            raise ValueError("amplitude must be >= 0")
-        if self.amplitude == math.inf:
-            raise ValueError("amplitude must be finite")
+        if not 0 <= self.amplitude < math.inf:  # also rejects NaN
+            raise ValueError(f"amplitude must be {'finite' if self.amplitude == math.inf else '>= 0'}")
         _check_count("seed", self.seed, 0)
 
 
@@ -216,7 +214,8 @@ def _disturbance_fn(spec: DisturbanceSpec, n: int):
     rng = np.random.default_rng(spec.seed)
     omega = rng.uniform(1.0, 2.0 * np.pi, size=n)
     theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-    return lambda t: spec.amplitude * np.sin(omega * t + theta)
+    amplitude = np.full(n, spec.amplitude)  # an array operand, as for the gains of _Stepper
+    return lambda t: amplitude * np.sin(omega * t + theta)
 
 
 @dataclass
@@ -235,8 +234,9 @@ class DispatchSystem:
         #: cost coefficients as rows (a, b, c); see grid_model.cost_coefficients
         self.cost_coef = cost_coefficients(self.gens)
         _, self.b_coef, self.c_coef = self.cost_coef
-        #: 2c, the slope of the marginal costs
-        self.two_c = 2.0 * self.c_coef
+        #: the (2n x n) stack [G; diag(2c)] and [1 + B0; b], G = own_grad_jac: _h_lambda's product and add
+        self._hl_jac = np.vstack([self.loss.own_grad_jac, np.diag(2.0 * self.c_coef)])
+        self._hl_const = np.concatenate([self.loss._one_plus_b0, self.b_coef])
         self.d0 = _demand_shares(self.gens)
         #: d0 + B00/N, the constant term of the power solve's folded residual
         self._d0_b00 = self.d0 + self.loss._b00_share
@@ -336,11 +336,12 @@ def _solve_power(z: np.ndarray, system: DispatchSystem, P: np.ndarray, A: np.nda
 def _h_lambda(P: np.ndarray, system: DispatchSystem):
     """Marginal costs lam, loss factors H = 1 + own-loss gradient, and H * lam.
 
-    lam is grid_model.marginal_costs, 2cP + b, with 2c stored on the system;
-    H is formed as G P + (1 + B0), G = B + diag(B_ii) and 1 + B0 stored on
-    the loss model (KronLossModel._loss_factors)."""
-    lam = system.two_c * P + system.b_coef
-    H = system.loss._loss_factors(P)
+    [H; lam] = [G; diag(2c)] P + [1 + B0; b], G = B + diag(B_ii), both stored
+    on the system: lam is grid_model.marginal_costs bit for bit, H is
+    KronLossModel._loss_factors within its last bit (the taller product
+    may sum a row of G P in another order)."""
+    hl = system._hl_jac.dot(P) + system._hl_const
+    H, lam = hl[:system.n], hl[system.n:]
     return lam, H, H * lam
 
 
@@ -356,12 +357,13 @@ def _disagreement(x: np.ndarray, system: DispatchSystem) -> np.ndarray:
     return system.neg_laplacian.dot(x)
 
 
-def _z_dot(r: np.ndarray, params: AlgorithmParams, w) -> np.ndarray:
+def _z_dot(r: np.ndarray, gains, w) -> np.ndarray:
     """dz_i/dt = -k1 sig(r_i)^mu - k2 sig(r_i)^nu + w_i at the disagreement
-    r = -L (H lam); w is None in a quiet run. |r| is taken once and the sign
-    of r applied to the sum, which is _sig_pow's value term by term."""
+    r = -L (H lam), the gains read from gains (AlgorithmParams, or _Stepper,
+    whose k1 and k2 are arrays); w is None in a quiet run. |r| is taken once
+    and the sign of r applied to the sum, _sig_pow's value term by term."""
     a = np.abs(r)
-    dz = -np.copysign(params.k1 * a ** params.mu + params.k2 * a ** params.nu, r)
+    dz = np.negative(np.copysign(gains.k1 * a ** gains.mu + gains.k2 * a ** gains.nu, r))
     return dz if w is None else dz + w
 
 
@@ -467,9 +469,9 @@ class _Stepper:
     solves and their loss evaluations (max_evals the most in one solve);
     newton_iters lists the Newton iterations of each implicit step that
     succeeded. chord is the RK4 tries' pair (A, A (-L)), A = (I - J(P))^-1,
-    None until rk4 forms it and again once a solve has found it stale;
-    chord_factors counts the pairs formed. ValueError unless the loop gain,
-    which kind divides by, is positive.
+    formed afresh by a try that finds it stale, at first and once a solve
+    has found it so; chord_factors counts the pairs formed. k1, k2, mu and
+    nu are _z_dot's gains. ValueError unless the loop gain is positive.
     """
 
     def __init__(self, system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None):
@@ -483,8 +485,9 @@ class _Stepper:
         self.stage_tol = max(params.fp_tol, _STAGE_TOL)
         self.solves = self.evals = self.max_evals = 0
         self.newton_iters: list[int] = []
-        self.chord: tuple[np.ndarray, np.ndarray] | None = None
-        self.chord_factors = 0
+        self.chord, self.stale, self.chord_factors = None, True, 0
+        self.k1, self.k2 = np.full(system.n, params.k1), np.full(system.n, params.k2)
+        self.mu, self.nu = params.mu, params.nu
         #: the largest weighted degree, max diag(L)
         self.deg_max = -float(np.minimum.reduce(system.neg_laplacian.diagonal()))
 
@@ -507,7 +510,7 @@ class _Stepper:
         at the disturbance w (None for none)."""
         h = _h_lambda(P, self.system)
         r = _disagreement(h[2], self.system)
-        return _Point(t, z, P, h, r, _residual(h[2]), _z_dot(r, self.params, w))
+        return _Point(t, z, P, h, r, _residual(h[2]), _z_dot(r, self, w))
 
     def solve(self, z: np.ndarray, P: np.ndarray, A: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
         """solve_power at z from P with chord factor A to the balance
@@ -522,54 +525,50 @@ class _Stepper:
         """The RK4 step from the point p to t_new, of width dt = t_new - p.t:
         (the point at t_new, err).
 
-        p's P and k give stage 1. Each later stage and the end-of-step solve
-        warm-start from the chord step off the stage before, P + A (-L)
-        (z' - z), which needs no loss evaluation. Only P, r and dz are formed
-        per stage. The new point's k, formed at w(t + dt) (None in a quiet
-        run), is k5, which closes the step and is the next step's k1. err is
+        p's P and k give stage 1, and each later stage and the end-of-step
+        solve is one stage call. The new point's k, formed at w(t + dt), is
+        k5, which closes the step and is the next step's k1. err is
         dt/6 max|k4 - k5|, the distance to the order-3 solution with weights
-        (1/6, 1/3, 1/3, 0, 1/6) on (k1, ..., k5), which costs no solve and in
-        which w(t + dt) cancels. Stages 2 to 4 solve to stage_tol, the
-        end-of-step solve, whose P starts the new point, to fp_tol. The
-        solves use the chord factor A and A (-L) of self.chord. A try that
-        finds it None forms it at p's P, A = (I - J(P))^-1. Later tries reuse
-        it until a solve needs more than _FRESH_EVALS loss evaluations or
-        fails, which sets it to None for the next try; the try itself goes on
-        with A. A failed solve raises StepFailure naming the stage, t and dt.
+        (1/6, 1/3, 1/3, 0, 1/6) on (k1, ..., k5), in which w(t + dt) cancels.
+        A stale chord is formed afresh at p's P first.
         """
-        system, params, w_at = self.system, self.params, self.w_at
         t, z, P, k1 = p.t, p.z, p.P, p.k
         dt = t_new - t
-        if self.chord is None:
-            A = system.loss._newton_factor(P)
-            self.chord = A, A.dot(system.neg_laplacian)
+        if self.stale:
+            A = self.system.loss._newton_factor(P)
+            self.chord, self.stale = (A, A.dot(self.system.neg_laplacian)), False
             self.chord_factors += 1
-        A, AL = self.chord
-
-        def solve(stage, z, z_from, P_from, tol):
-            try:
-                P, evals = self.solve(z, P_from + AL.dot(z - z_from), A, tol)
-            except StepFailure as e:
-                self.chord = None
-                raise StepFailure(f"RK4 {stage} at t = {t:.9g} s, width {dt:.3g} s: {e}") from e
-            if evals > _FRESH_EVALS:
-                self.chord = None
-            return P
-
-        def deriv(stage, z, z_from, P_from, w):
-            P = solve(stage, z, z_from, P_from, self.stage_tol)
-            return _z_dot(_disagreement(_h_lambda(P, system)[2], system), params, w), P
-
-        w_half, w_end = w_at(t + dt / 2.0), w_at(t + dt)
+        w_half, w_end = self.w_at(t + dt / 2.0), self.w_at(t + dt)
         z2 = z + dt / 2.0 * k1
-        k2v, P2 = deriv("stage 2", z2, z, P, w_half)
-        z3 = z + dt / 2.0 * k2v
-        k3v, P3 = deriv("stage 3", z3, z2, P2, w_half)
-        z4 = z + dt * k3v
-        k4v, P4 = deriv("stage 4", z4, z3, P3, w_end)
-        z_new = z + dt / 6.0 * (k1 + 2.0 * k2v + 2.0 * k3v + k4v)
-        q = self.at(t_new, z_new, solve("end-of-step solve", z_new, z4, P4, params.fp_tol), w_end)
-        return q, dt / 6.0 * float(_amax(np.abs(k4v - q.k)))
+        P2, k2 = self.stage("stage 2", p, dt, z2, z, P, w_half)
+        z3 = z + dt / 2.0 * k2
+        P3, k3 = self.stage("stage 3", p, dt, z3, z2, P2, w_half)
+        z4 = z + dt * k3
+        P4, k4 = self.stage("stage 4", p, dt, z4, z3, P3, w_end)
+        z_new = z + dt / 6.0 * (k1 + (k2 + k2) + (k3 + k3) + k4)
+        q = self.stage("end-of-step solve", p, dt, z_new, z4, P4, w_end, t_new)
+        return q, dt / 6.0 * float(_amax(np.abs(k4 - q.k)))
+
+    def stage(self, name: str, p: _Point, dt: float, z: np.ndarray, z_from: np.ndarray, P_from: np.ndarray, w,
+              t_new: float | None = None):
+        """RK4 stage name (2 to 4) of the try from p of width dt: (P, dz/dt
+        at the disturbance w) at z, P solved to stage_tol; or, given t_new,
+        the end-of-step solve, to fp_tol, and the point at (t_new, z). The
+        solve warm-starts from the chord step P_from + A (-L) (z - z_from),
+        (A, A (-L)) being self.chord; one that needs more than _FRESH_EVALS
+        loss evaluations, or fails, marks the chord stale for the next try,
+        and a failure raises StepFailure naming the stage, t and dt."""
+        A, AL = self.chord
+        tol = self.stage_tol if t_new is None else self.params.fp_tol
+        try:
+            P, evals = self.solve(z, P_from + AL.dot(z - z_from), A, tol)
+        except StepFailure as e:
+            self.stale = True
+            raise StepFailure(f"RK4 {name} at t = {p.t:.9g} s, width {dt:.3g} s: {e}") from e
+        self.stale |= evals > _FRESH_EVALS
+        if t_new is not None:
+            return self.at(t_new, z, P, w)
+        return P, _z_dot(_disagreement(_h_lambda(P, self.system)[2], self.system), self, w)
 
     def implicit(self, p: _Point, t_new: float) -> tuple[_Point, float]:
         """The linearly implicit step from the point p to t_new, of width
@@ -588,13 +587,11 @@ class _Stepper:
         overshoots it by orders of magnitude and needs tens of iterations to
         come back. Newton runs in s = sig(y)^mu, in which the equation is
         smooth at consensus, starting from sig(r)^mu. Its matrix
-        diag(D) + dt M diag(E) is built in place and solved by _newton_step:
-        by LU where its bound shows the matrix regular, else by lstsq's
-        minimum-norm solution, as M has the null vector 1 on both sides. The
-        Newton factor (I - J(P))^-1 is formed once, for M and as the chord
-        factor of the one power solve at z + dz that then restores the
-        balance exactly. The Newton iterations go to newton_iters once that
-        solve has succeeded.
+        diag(D) + dt M diag(E) is built in place and solved by _newton_step,
+        as M has the null vector 1 on both sides. The Newton factor
+        (I - J(P))^-1 is formed once, for M and as the chord factor of the
+        one power solve at z + dz that then restores the balance exactly. The
+        Newton iterations go to newton_iters once that solve has succeeded.
         """
         params = self.params
         k1, k2, mu, nu = params.k1, params.k2, params.mu, params.nu
@@ -635,13 +632,11 @@ def step(state: SimulationState, system: DispatchSystem, params: AlgorithmParams
     Runge-Kutta, or the linearly implicit step where _Stepper.kind's cap at
     the disagreement of state.P is below dt; the kind is decided as in run().
 
-    Stage 1 is the point at state's (t, z, P). Each later RK4 stage solves
-    the implicit power equation (warm-started from the stage before) to the
-    larger of fp_tol and STEP_TOL/30. The returned state, its P solved to
-    fp_tol, is the row run() would emit at t' = t + dt as rounded, the width
-    integrated being t' - t. StepFailure if the step fails (step() does not
-    retry it); ValueError on a system with loop gain 0, such as one generator,
-    or a state whose z or P is not of shape (n,).
+    Stage 1 is the point at state's (t, z, P). The returned state, its P
+    solved to fp_tol, is the row run() would emit at t' = t + dt as rounded,
+    the width integrated being t' - t. StepFailure if the step fails (step()
+    does not retry it); ValueError on a system with loop gain 0, such as one
+    generator, or a state whose z or P is not of shape (n,).
     """
     stepper = _Stepper(system, params, None)
     p = stepper.at(state.t, _vector("state.z", state.z, system.n), _vector("state.P", state.P, system.n), None)
@@ -677,11 +672,11 @@ class RunResult:
     at every accepted step, in a trajectory row or not, and fail_step the
     number of accepted steps before a step failed (None if none did); the
     verdicts settled, negative_power_seen and status are properties of
-    these. The counters: accepted and rejected steps, the time of the first implicit
-    step (None if RK4 did every step), the mean and max Newton iterations of
-    the implicit steps (None if there were none), the mean and max loss
-    evaluations per power solve over every solve of the run, and the number
-    of RK4 chord factors formed."""
+    these. The counters: accepted and rejected steps, the time of the first
+    implicit step (None if RK4 did every step), the mean and max Newton
+    iterations of the implicit steps (None if there were none), the mean and
+    max loss evaluations per power solve of the run, and the RK4 chord
+    factors formed."""
 
     trajectory: Trajectory
     settle_time: float | None
@@ -730,14 +725,13 @@ def run(system: DispatchSystem, params: AlgorithmParams,
     """Integrate the dispatch dynamics to t_end or sustained consensus.
 
     RK4 steps start at width dt and are then sized by error control, never
-    wider than _Stepper.kind's cap: the width after an accepted step is scaled by
-    0.9 (err/STEP_TOL)^(-1/4) within [0.2, 4] (at most 1 after a
-    rejection). Implicit steps have width dt, except that in an undisturbed
-    settle window each doubles the width of the one before. The last step
-    lands on t_end. A step whose error estimate exceeds STEP_TOL, or whose
-    solve fails, is rejected and retried narrower: an RK4 step at the
-    controller's width (a quarter of its width after a failed solve), an
-    implicit step at half its width.
+    wider than _Stepper.kind's cap: the width after an accepted step is
+    scaled by _width_scale(err), at most 1 after a rejection. Implicit steps
+    have width dt, except that in an undisturbed settle window each doubles
+    the width of the one before. The last step lands on t_end. A step whose
+    error estimate exceeds STEP_TOL, or whose solve fails, is rejected and
+    retried narrower: an RK4 step at the controller's width (a quarter of its
+    width after a failed solve), an implicit step at half its width.
 
     Settling is declared when the consensus residual stays below
     settle_tol for settle_window seconds; the settling time recorded is

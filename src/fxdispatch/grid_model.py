@@ -219,5 +219,5 @@ def weighted_cost_jacobian(G, c, lam, w, dw) -> np.ndarray:
     w = H give d(H lam)/dP, the dynamics' K; G = 2B, w = total_loss_gradient give
     grad_F, which only the tests' Lemma-3 oracle forms (tests/lemma3.py)."""
     J = G * (lam * dw)[:, None]
-    J[np.diag_indices(len(c))] += w * 2.0 * c
+    J.reshape(-1)[::len(c) + 1] += w * 2.0 * c  # the diagonal, as a strided view of the new array
     return J

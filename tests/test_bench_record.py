@@ -1,7 +1,8 @@
 """The benchmark record, tools/bench_record.py: its counters on one short run,
 its count of Newton iterations above roundoff, its timing of the golden run
-(cut short), its reading of perfbench/run.py's output and its comparison of
-two records (the tool itself is not run)."""
+(cut short) and of the cost per try (on short runs), its reading of
+perfbench/run.py's output and its comparison of two records (the tool itself
+is not run)."""
 
 import dataclasses
 import importlib.util
@@ -58,22 +59,28 @@ def test_newton_iterations_above_roundoff_leave_out_the_steps_at_roundoff():
 
 
 def test_against_compares_counters_and_medians_of_two_records():
-    def record(walls, setups, rss, steps, evals, chord, settle_steps):
+    def record(walls, setups, rss, steps, evals, chord, settle_steps, sweep_passes):
         run = {"steps": steps, "rejected_steps": 3, "power_solves": 4 * steps, "power_solve_iters": [evals, 7],
                "chord_factors": chord}
         medians = {"wall_s": sorted(walls)[len(walls) // 2], "setup_s": sorted(setups)[len(setups) // 2],
                    "peak_rss_mb": rss}
+        per_try = [s / 800 * 1e6 for s in sweep_passes]
+        tries = {"tries": 800, "us_per_try": per_try, "medians": {"us_per_try": sorted(per_try)[2]}}
         return {"benchmark": {"reference_run": {"medians": medians, "wall_s": walls, "setup_s": setups}},
                 "counters": {"runs": {"reference": run, f"sweep{steps}": run}},
-                "settle_run": {**run, "steps": settle_steps}}
+                "settle_run": {**run, "steps": settle_steps}, "us_per_try": {"sweep": tries}}
 
-    old = record([0.05, 0.06, 0.07, 0.08, 0.09], [0.2, 0.205, 0.21, 0.215, 0.22], 38.5, 246, 2.131, 103, 7467)
-    new = record([0.045, 0.05, 0.055, 0.06, 0.065], [0.17, 0.175, 0.18, 0.185, 0.19], 37.5, 247, 1.689, 27, 7467)
+    old = record([0.05, 0.06, 0.07, 0.08, 0.09], [0.2, 0.205, 0.21, 0.215, 0.22], 38.5, 246, 2.131, 103, 7467,
+                 [0.072, 0.076, 0.08, 0.084, 0.088])
+    new = record([0.045, 0.05, 0.055, 0.06, 0.065], [0.17, 0.175, 0.18, 0.185, 0.19], 37.5, 247, 1.689, 27, 7467,
+                 [0.068, 0.07, 0.072, 0.074, 0.076])
     assert bench_record.compare(new, old) == [
         "reference: steps 246 -> 247 (+1), rejected 3 -> 3 (+0), solves 984 -> 988 (+4), "
         "evals/solve 2.131 -> 1.689 (-0.442), chord factors 103 -> 27 (-76)",
         "settle_run: steps 7467 -> 7467 (+0), rejected 3 -> 3 (+0), solves 984 -> 988 (+4), "
         "evals/solve 2.131 -> 1.689 (-0.442), chord factors 103 -> 27 (-76)",
+        # 0.08 s over 800 tries against 0.072 s; quartiles of the older passes 0.074 and 0.086 s
+        "sweep: us_per_try median 100 -> 90 us, ratio 0.900; older IQR 92.5-107.5 us (15.0% of its median)",
         # quartiles of the older samples by statistics.quantiles: 0.055 and 0.085
         "reference_run: wall_s median 0.07 -> 0.055 s, ratio 0.786; older IQR 0.055-0.085 s (42.9% of its median)",
         # quartiles 0.2025 and 0.2175
@@ -88,6 +95,45 @@ def test_against_compares_counters_and_medians_of_two_records():
     # a record without a settle run, such as BENCH_28.json, compares the runs it has
     del old["settle_run"]
     assert not any(line.startswith("settle_run") for line in bench_record.compare(new, old))
+    # nor is a cost per try compared with a record without one, such as BENCH_39.json, or a group it lacks
+    new["us_per_try"]["reference"] = new["us_per_try"]["sweep"]
+    assert [line for line in bench_record.compare(new, old) if "us_per_try" in line] == [
+        "sweep: us_per_try median 100 -> 90 us, ratio 0.900; older IQR 92.5-107.5 us (15.0% of its median)"]
+    del old["us_per_try"]
+    assert not any("us_per_try" in line for line in bench_record.compare(new, old))
+
+
+def test_cost_per_try_is_the_median_pass_over_the_tries(monkeypatch):
+    # the timed groups' runs cut to t_end 0.01; the other groups are not run
+    fx, workloads = bench_record.fingerprint.import_modules()
+    real_runs, runs = bench_record.counter_runs, []
+
+    def short_runs(fx, workloads):
+        return {name: (group, system, dataclasses.replace(params, t_end=0.01), disturbance)
+                for name, (group, system, params, disturbance) in real_runs(fx, workloads).items()}
+
+    def counted(system, params, **kwargs):
+        runs.append(system.n)
+        return real(system, params, **kwargs)
+
+    real = fx.dynamics.run
+    monkeypatch.setattr(bench_record, "counter_runs", short_runs)
+    monkeypatch.setattr(fx.dynamics, "run", counted)
+    rec = bench_record.cost_per_try(fx, workloads, repeats=3)
+    assert list(rec) == ["reference", "sweep", "fleets/t_end=0.2"]
+    # one untimed pass and three timed ones over 1 reference run, 12 sweep runs and 6 fleets
+    assert runs == ([4] + [4] * 12 + [64] * 6) * 4
+    for group, names in (("reference", ["reference"]), ("sweep", [f"sweep{k}" for k in range(12)])):
+        config = {name: real_runs(fx, workloads)[name] for name in names}
+        tries = 0
+        for _, system, params, disturbance in config.values():
+            result = real(system, dataclasses.replace(params, t_end=0.01), disturbance=disturbance)
+            tries += result.steps + result.rejected_steps
+        assert rec[group]["tries"] == tries
+    for entry in rec.values():
+        assert len(entry["raw_pass_s"]) == len(entry["us_per_try"]) == 3 and min(entry["us_per_try"]) > 0.0
+        assert entry["medians"] == {"us_per_try": sorted(entry["us_per_try"])[1]}
+    assert json.loads(json.dumps(rec)) == rec  # the record is plain JSON
 
 
 def test_golden_run_times_criterion_1s_run(monkeypatch):

@@ -39,7 +39,7 @@ from fxdispatch.dynamics import (
 )
 from fxdispatch.grid_model import marginal_costs, total_cost
 from fxdispatch.topology import spectrum
-from tests.conftest import REF_DEMAND, REF_P0, benchmark_fleet_dict, path_topology, ring_fleet_dict
+from tests.conftest import REF_DEMAND, REF_P0, benchmark_fleet_dict, benchmark_workloads, path_topology, ring_fleet_dict
 
 REF_PARAMS = AlgorithmParams(k1=5.0, k2=5.0, mu=0.5, nu=2.0)
 REF_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference_case.yaml"
@@ -261,8 +261,12 @@ class TestFusedOperators:
 
     ULPS = 4.0 * np.finfo(float).eps
 
-    @pytest.fixture(params=["reference", "64 units"])
+    @pytest.fixture(params=["reference", "64 units", "fleet_dict n=33", "fleet_dict n=64"])
     def system(self, request, ref_system):
+        # fleet_dict's fleets of 33 and 64 units: at n = 33 the stacked product
+        # [G; diag(2c)] P of _h_lambda moves H's last bit for some P, never lam's
+        if request.param.startswith("fleet_dict"):
+            return config_from_dict(benchmark_workloads().fleet_dict(1, n=int(request.param.split("=")[1]))).system()
         return ref_system if request.param == "reference" else config_from_dict(ring_fleet_dict(64)).system()
 
     def samples(self, system):

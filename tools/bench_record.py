@@ -36,13 +36,21 @@ bits of r), of:
 Each group of runs also gets its mean loss evaluations per power solve over
 all of its solves. The counters do not drift with the CPU, so two records'
 counters check a claim about the work per step where wall times are noisy.
+The integrator's cost per try (`us_per_try`) is timed on the groups
+`reference`, `sweep` and `fleets/t_end=0.2`: per group, the wall time of
+`dynamics.run` over its runs, TRY_REPEATS in-process passes interleaved
+over the groups, each scaled to the reference CPU by perfbench's
+calibration slices as run.py scales `wall_s`, and the median pass divided
+by the group's steps plus rejected steps, in microseconds.
 The file goes to the checkout's root. --against an older record then prints,
 per counter run both records hold (and the settle run), the change in steps,
-rejected steps, power solves, loss evaluations per solve and chord factors,
-and per workload the ratio of the median `wall_s` and of the median `setup_s`
-to the older one, each beside the older record's interquartile range of its
-samples where it holds them (an older record may hold only the median of
-`setup_s`), and the ratio of `peak_rss_mb`.
+rejected steps, power solves, loss evaluations per solve and chord factors;
+per group both hold, the ratio of the cost per try to the older one beside
+the older record's interquartile range; and per workload the ratio of the
+median `wall_s` and of the median `setup_s` to the older one, each beside
+the older record's interquartile range of its samples where it holds them
+(an older record may hold only the median of `setup_s`), and the ratio of
+`peak_rss_mb`.
 """
 
 from __future__ import annotations
@@ -68,10 +76,16 @@ FLEET_T_ENDS = (0.2, 2.0)
 ROUNDOFF_FACTOR = 10.0
 #: the `# <name>: [...]` sample lines of run.py kept per workload
 SAMPLES = ("wall_s", "raw_wall_s", "setup_s", "raw_setup_s")
+#: the counter groups whose cost per try is timed, and the in-process passes over each
+TRY_GROUPS = ("reference", "sweep", "fleets/t_end=0.2")
+TRY_REPEATS = 11
 
 _spec = importlib.util.spec_from_file_location("fingerprint", ROOT / "tools" / "fingerprint.py")
 fingerprint = importlib.util.module_from_spec(_spec)
 _spec.loader.exec_module(fingerprint)
+_spec = importlib.util.spec_from_file_location("calibrate", ROOT / "perfbench" / "calibrate.py")
+calibrate = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(calibrate)
 
 
 def parse_run_output(text: str) -> dict:
@@ -229,6 +243,35 @@ def record_counters(fx, workloads) -> dict:
     return {"runs": records, "mean_evals_per_solve": means}
 
 
+def cost_per_try(fx, workloads, repeats: int = TRY_REPEATS) -> dict:
+    """{group: {"tries", "raw_pass_s", "us_per_try", "medians"}} for each of
+    TRY_GROUPS: the group's steps plus rejected steps over its counter runs,
+    counted in one untimed pass; the raw wall times of `repeats` passes of
+    `dynamics.run` over them, the groups taking turns pass by pass; each
+    pass scaled to the reference CPU (calibrate.Sampler) and divided by the
+    tries, in microseconds; and {"us_per_try": the median of those}, laid
+    out as a workload's samples and medians are."""
+    groups = {group: [] for group in TRY_GROUPS}
+    for group, *run in counter_runs(fx, workloads).values():
+        if group in groups:
+            groups[group].append(run)
+
+    def one_pass(runs):
+        return [fx.dynamics.run(system, params, disturbance=disturbance) for system, params, disturbance in runs]
+
+    tries = {group: sum(r.steps + r.rejected_steps for r in one_pass(runs)) for group, runs in groups.items()}
+    raw, per_try = {group: [] for group in groups}, {group: [] for group in groups}
+    for _ in range(repeats):
+        for group, runs in groups.items():
+            start = time.perf_counter()
+            with calibrate.Sampler() as sampler:
+                one_pass(runs)
+            raw[group].append(time.perf_counter() - start)
+            per_try[group].append(sampler.scaled(raw[group][-1]) / tries[group] * 1e6)
+    return {group: {"tries": tries[group], "raw_pass_s": raw[group], "us_per_try": per_try[group],
+                    "medians": {"us_per_try": statistics.median(per_try[group])}} for group in groups}
+
+
 def _change(old, new, digits: int = 0) -> str:
     """'old -> new (+delta)'."""
     return f"{old:.{digits}f} -> {new:.{digits}f} ({new - old:+.{digits}f})"
@@ -257,10 +300,11 @@ def compare(new: dict, old: dict) -> list[str]:
     """Lines comparing the record new with the older record old: per counter
     run both hold, and for the settle run if both have one, the change in
     steps, rejected steps, power solves, mean loss evaluations per solve and
-    chord factors; per workload both hold, the median wall_s and setup_s of
-    new over old's, each beside the interquartile range of old's samples
-    where old holds them, and the peak_rss_mb of new over old's; then the
-    runs only one of them holds."""
+    chord factors; per group both time, the cost per try of new over old's
+    beside the interquartile range of old's; per workload both hold, the
+    median wall_s and setup_s of new over old's, each beside the
+    interquartile range of old's samples where old holds them, and the
+    peak_rss_mb of new over old's; then the runs only one of them holds."""
     lines = []
     new_runs, old_runs = _counted_runs(new), _counted_runs(old)
     for name in [n for n in new_runs if n in old_runs]:
@@ -270,6 +314,9 @@ def compare(new: dict, old: dict) -> list[str]:
                      f"{_change(a['power_solves'], b['power_solves'])}, evals/solve "
                      f"{_change(a['power_solve_iters'][0], b['power_solve_iters'][0], 3)}, chord factors "
                      f"{_change(a['chord_factors'], b['chord_factors'])}")
+    old_tries, new_tries = old.get("us_per_try", {}), new.get("us_per_try", {})
+    lines += [f"{group}: {_median_ratio('us_per_try', 'us', old_tries[group], new_tries[group])}"
+              for group in new_tries if group in old_tries]
     for workload in [w for w in new["benchmark"] if w in old["benchmark"]]:
         a, b = old["benchmark"][workload], new["benchmark"][workload]
         lines += [f"{workload}: {_median_ratio(name, unit, a, b)}"
@@ -289,7 +336,8 @@ def main(argv=None) -> int:
     old = json.loads(args.against.read_text()) if args.against else None
     fx, workloads = fingerprint.import_modules()
     record = {"benchmark": run_benchmark(), "tier1": run_tier1(), "golden_run": golden_run(fx),
-              "settle_run": settle_run(fx, workloads), "counters": record_counters(fx, workloads)}
+              "settle_run": settle_run(fx, workloads), "counters": record_counters(fx, workloads),
+              "us_per_try": cost_per_try(fx, workloads)}
     path = ROOT / f"BENCH_{args.pr}.json"
     path.write_text(json.dumps(record, indent=1) + "\n")
     print(f"wrote {path}")
