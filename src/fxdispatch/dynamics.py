@@ -46,10 +46,10 @@ minimum-norm solution otherwise (_newton_step). Once an undisturbed run is
 below settle_tol each implicit step doubles its width, so the settle window
 is confirmed in about ten steps. A failed step is retried narrower (see run);
 only a failure below _MIN_STEP dt ends a run. The kind of step depends only on
-the state. One _Stepper per call
-holds the disturbance, the solver counters and both kinds of step, and
-carries both the public `step` (width dt, which adds the monitors) and `run`
-(which forms cost and loss once, over the emitted rows).
+the state. One _Stepper per call holds the disturbance, the solver counters
+and both kinds of step, and carries both the public `step` (width dt, which
+adds the monitors) and `run` (which forms cost and loss once, over the emitted
+rows).
 """
 
 from __future__ import annotations
@@ -357,13 +357,12 @@ def _disagreement(x: np.ndarray, system: DispatchSystem) -> np.ndarray:
     return system.neg_laplacian.dot(x)
 
 
-def _z_dot(r: np.ndarray, gains, w) -> np.ndarray:
+def _z_dot(r: np.ndarray, k1, k2, mu: float, nu: float, w) -> np.ndarray:
     """dz_i/dt = -k1 sig(r_i)^mu - k2 sig(r_i)^nu + w_i at the disagreement
-    r = -L (H lam), the gains read from gains (AlgorithmParams, or _Stepper,
-    whose k1 and k2 are arrays); w is None in a quiet run. |r| is taken once
-    and the sign of r applied to the sum, _sig_pow's value term by term."""
+    r = -L (H lam); k1 and k2 are floats or arrays, w None in a quiet run. |r|
+    is taken once and r's sign applied to the sum, _sig_pow's value per term."""
     a = np.abs(r)
-    dz = np.negative(np.copysign(gains.k1 * a ** gains.mu + gains.k2 * a ** gains.nu, r))
+    dz = np.negative(np.copysign(k1 * a ** mu + k2 * a ** nu, r))
     return dz if w is None else dz + w
 
 
@@ -469,9 +468,9 @@ class _Stepper:
     solves and their loss evaluations (max_evals the most in one solve);
     newton_iters lists the Newton iterations of each implicit step that
     succeeded. chord is the RK4 tries' pair (A, A (-L)), A = (I - J(P))^-1,
-    formed afresh by a try that finds it stale, at first and once a solve
-    has found it so; chord_factors counts the pairs formed. k1, k2, mu and
-    nu are _z_dot's gains. ValueError unless the loop gain is positive.
+    None until rk4 forms it and again once a solve has found it stale;
+    chord_factors counts the pairs formed. k1 and k2 are the gains as
+    arrays, _z_dot's operands. ValueError unless the loop gain is positive.
     """
 
     def __init__(self, system: DispatchSystem, params: AlgorithmParams, disturbance: DisturbanceSpec | None):
@@ -484,10 +483,8 @@ class _Stepper:
         self.w_at = _disturbance_fn(spec, system.n)
         self.stage_tol = max(params.fp_tol, _STAGE_TOL)
         self.solves = self.evals = self.max_evals = 0
-        self.newton_iters: list[int] = []
-        self.chord, self.stale, self.chord_factors = None, True, 0
+        self.newton_iters, self.chord, self.chord_factors = [], None, 0
         self.k1, self.k2 = np.full(system.n, params.k1), np.full(system.n, params.k2)
-        self.mu, self.nu = params.mu, params.nu
         #: the largest weighted degree, max diag(L)
         self.deg_max = -float(np.minimum.reduce(system.neg_laplacian.diagonal()))
 
@@ -510,7 +507,11 @@ class _Stepper:
         at the disturbance w (None for none)."""
         h = _h_lambda(P, self.system)
         r = _disagreement(h[2], self.system)
-        return _Point(t, z, P, h, r, _residual(h[2]), _z_dot(r, self, w))
+        return _Point(t, z, P, h, r, _residual(h[2]), self.slope(r, w))
+
+    def slope(self, r: np.ndarray, w) -> np.ndarray:
+        """dz/dt by _z_dot at the disagreement r and the disturbance w."""
+        return _z_dot(r, self.k1, self.k2, self.params.mu, self.params.nu, w)
 
     def solve(self, z: np.ndarray, P: np.ndarray, A: np.ndarray, tol: float) -> tuple[np.ndarray, int]:
         """solve_power at z from P with chord factor A to the balance
@@ -525,50 +526,50 @@ class _Stepper:
         """The RK4 step from the point p to t_new, of width dt = t_new - p.t:
         (the point at t_new, err).
 
-        p's P and k give stage 1, and each later stage and the end-of-step
-        solve is one stage call. The new point's k, formed at w(t + dt), is
-        k5, which closes the step and is the next step's k1. err is
+        p's P and k give stage 1; stages 2 to 4 solve to stage_tol, the
+        end-of-step solve to fp_tol. The new point's k, formed at w(t + dt),
+        is k5, which closes the step and is the next step's k1. err is
         dt/6 max|k4 - k5|, the distance to the order-3 solution with weights
         (1/6, 1/3, 1/3, 0, 1/6) on (k1, ..., k5), in which w(t + dt) cancels.
-        A stale chord is formed afresh at p's P first.
+        A try that finds chord None forms it at p's P first.
         """
         t, z, P, k1 = p.t, p.z, p.P, p.k
         dt = t_new - t
-        if self.stale:
+        if self.chord is None:
             A = self.system.loss._newton_factor(P)
-            self.chord, self.stale = (A, A.dot(self.system.neg_laplacian)), False
+            self.chord = A, A.dot(self.system.neg_laplacian)
             self.chord_factors += 1
+        chord, tol, system = self.chord, self.stage_tol, self.system
         w_half, w_end = self.w_at(t + dt / 2.0), self.w_at(t + dt)
         z2 = z + dt / 2.0 * k1
-        P2, k2 = self.stage("stage 2", p, dt, z2, z, P, w_half)
+        P2 = self.stage("stage 2", p, dt, chord, z2, z, P, tol)
+        k2 = self.slope(_disagreement(_h_lambda(P2, system)[2], system), w_half)
         z3 = z + dt / 2.0 * k2
-        P3, k3 = self.stage("stage 3", p, dt, z3, z2, P2, w_half)
+        P3 = self.stage("stage 3", p, dt, chord, z3, z2, P2, tol)
+        k3 = self.slope(_disagreement(_h_lambda(P3, system)[2], system), w_half)
         z4 = z + dt * k3
-        P4, k4 = self.stage("stage 4", p, dt, z4, z3, P3, w_end)
+        P4 = self.stage("stage 4", p, dt, chord, z4, z3, P3, tol)
+        k4 = self.slope(_disagreement(_h_lambda(P4, system)[2], system), w_end)
         z_new = z + dt / 6.0 * (k1 + (k2 + k2) + (k3 + k3) + k4)
-        q = self.stage("end-of-step solve", p, dt, z_new, z4, P4, w_end, t_new)
+        P_new = self.stage("end-of-step solve", p, dt, chord, z_new, z4, P4, self.params.fp_tol)
+        q = self.at(t_new, z_new, P_new, w_end)
         return q, dt / 6.0 * float(_amax(np.abs(k4 - q.k)))
 
-    def stage(self, name: str, p: _Point, dt: float, z: np.ndarray, z_from: np.ndarray, P_from: np.ndarray, w,
-              t_new: float | None = None):
-        """RK4 stage name (2 to 4) of the try from p of width dt: (P, dz/dt
-        at the disturbance w) at z, P solved to stage_tol; or, given t_new,
-        the end-of-step solve, to fp_tol, and the point at (t_new, z). The
-        solve warm-starts from the chord step P_from + A (-L) (z - z_from),
-        (A, A (-L)) being self.chord; one that needs more than _FRESH_EVALS
-        loss evaluations, or fails, marks the chord stale for the next try,
-        and a failure raises StepFailure naming the stage, t and dt."""
-        A, AL = self.chord
-        tol = self.stage_tol if t_new is None else self.params.fp_tol
+    def stage(self, name: str, p: _Point, dt: float, chord: tuple[np.ndarray, np.ndarray], z: np.ndarray,
+              z_from: np.ndarray, P_from: np.ndarray, tol: float) -> np.ndarray:
+        """P at z to tol, RK4 stage name's counted solve in the try from p of
+        width dt, started at P_from + A (-L) (z - z_from), chord = (A, A (-L)).
+        Over _FRESH_EVALS loss evaluations, or a failure, sets self.chord to
+        None for the next try; a failure raises StepFailure naming name, t, dt."""
+        A, AL = chord
         try:
             P, evals = self.solve(z, P_from + AL.dot(z - z_from), A, tol)
         except StepFailure as e:
-            self.stale = True
+            self.chord = None
             raise StepFailure(f"RK4 {name} at t = {p.t:.9g} s, width {dt:.3g} s: {e}") from e
-        self.stale |= evals > _FRESH_EVALS
-        if t_new is not None:
-            return self.at(t_new, z, P, w)
-        return P, _z_dot(_disagreement(_h_lambda(P, self.system)[2], self.system), self, w)
+        if evals > _FRESH_EVALS:
+            self.chord = None
+        return P
 
     def implicit(self, p: _Point, t_new: float) -> tuple[_Point, float]:
         """The linearly implicit step from the point p to t_new, of width

@@ -17,8 +17,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .grid_model import (AssumptionViolation, KronLossModel, _check_sizes, cost_coefficients, marginal_costs,
-                         total_cost, weighted_cost_jacobian)
+from .grid_model import (AssumptionViolation, KronLossModel, _check_sizes, cost_coefficients, fleet_cost,
+                         marginal_costs, total_cost, weighted_cost_jacobian)
 
 #: damped Newton's stop on max|residual|, its iteration cap and its step-halving cap
 _NEWTON_TOL, _NEWTON_MAX_ITER, _NEWTON_MAX_HALVINGS = 1e-12, 100, 30
@@ -142,13 +142,12 @@ def brute_force_optimum(gens, model: KronLossModel, d_total: float, grid_step: f
     + P_L(p, x) exactly: a x^2 + (b - 1) x + C = 0 with a = B_NN, b = 2
     B_N,:N-1 p + B0_N and C = d_total - sum p + p'B_pp p + B0_p p + B00, so
     x = 2C / ((1 - b) + sqrt((1 - b)^2 - 4aC)), the smaller root, with no
-    branch at a = 0. The fleet is scanned as three units (f, g, x), a missing
-    first unit pinned at 0 with no cost or loss; terms in the scanned g alone
-    are formed once, those in the slice's f once a slice. Returns the
-    cheapest point with x finite and >= 0 (the first in scan order on a
-    tie), or None; with N = 1, the root itself. ValueError unless model fits
-    the fleet, d_total is finite and grid_step is finite and > 0; a negative
-    d_total has no grid point and gives None.
+    branch at a = 0. Every fleet is scanned as units (f, g, x), missing ones
+    pinned at 0 with no cost or loss; g's terms are formed once, f's once a
+    slice. Returns the cheapest point with x finite and >= 0 (the first in
+    scan order on a tie), or None; with N = 1, the root itself. ValueError
+    unless model fits the fleet, d_total is finite and grid_step is finite
+    and > 0; a negative d_total has no grid point and gives None.
     """
     n = len(gens)
     _check_sizes(n, model)
@@ -161,17 +160,17 @@ def brute_force_optimum(gens, model: KronLossModel, d_total: float, grid_step: f
     grid = np.arange(0.0, 1.5 * d_total + grid_step / 2, grid_step)
     pad = 3 - n
     B, B0 = np.pad(model.B, (pad, 0)), np.pad(model.B0, (pad, 0))
-    cf, cg, cx = np.pad(cost_coefficients(gens), ((0, 0), (pad, 0))).T  # (a, b, c) of units f, g and x
+    abc = np.pad(cost_coefficients(gens), ((0, 0), (pad, 0)))  # columns f, g and x; each unit's cost by fleet_cost
     g = grid if n > 1 else np.zeros(1)
     b_g, C_g = 2.0 * B[2, 1] * g + B0[2], g * (B[1, 1] * g + (B0[1] - 1.0))
-    cost_g = cg[2] * g * g + cg[1] * g + cg[0]  # fleet_cost's term, as for f and x below
+    cost_g = fleet_cost(abc[:, 1:2], g[:, None])
     best, best_cost = None, np.inf
     for f in (grid if n == 3 else (0.0,)):
         one_less_b = 1.0 - (2.0 * B[2, 0] * f + b_g)
         C = (d_total + model.B00 + f * (B[0, 0] * f + (B0[0] - 1.0))) + 2.0 * B[0, 1] * f * g + C_g
         with np.errstate(all="ignore"):
             x = 2.0 * C / (one_less_b + np.sqrt(one_less_b * one_less_b - 4.0 * B[2, 2] * C))
-            cost = (cf[2] * f * f + cf[1] * f + cf[0] + cost_g) + (cx[2] * x * x + cx[1] * x + cx[0])
+            cost = (fleet_cost(abc[:, :1], f) + cost_g) + fleet_cost(abc[:, 2:], x[:, None])
         cost = np.where(np.isfinite(x) & (x >= 0.0), cost, np.inf)
         if cost.min(initial=np.inf) < best_cost:
             i = int(np.argmin(cost))

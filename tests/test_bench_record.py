@@ -119,7 +119,8 @@ def test_cost_per_try_is_the_median_pass_over_the_tries(monkeypatch):
     real = fx.dynamics.run
     monkeypatch.setattr(bench_record, "counter_runs", short_runs)
     monkeypatch.setattr(fx.dynamics, "run", counted)
-    rec = bench_record.cost_per_try(fx, workloads, repeats=3)
+    monkeypatch.setattr(bench_record, "TRY_REPEATS", 3)
+    rec = bench_record.cost_per_try(fx, workloads)
     assert list(rec) == ["reference", "sweep", "fleets/t_end=0.2"]
     # one untimed pass and three timed ones over 1 reference run, 12 sweep runs and 6 fleets
     assert runs == ([4] + [4] * 12 + [64] * 6) * 4

@@ -42,6 +42,8 @@ from fxdispatch.topology import spectrum
 from tests.conftest import REF_DEMAND, REF_P0, benchmark_fleet_dict, benchmark_workloads, path_topology, ring_fleet_dict
 
 REF_PARAMS = AlgorithmParams(k1=5.0, k2=5.0, mu=0.5, nu=2.0)
+#: the gains k1, k2, mu and nu of REF_PARAMS, as _z_dot takes them
+REF_GAINS = (REF_PARAMS.k1, REF_PARAMS.k2, REF_PARAMS.mu, REF_PARAMS.nu)
 REF_CONFIG = pathlib.Path(__file__).resolve().parent.parent / "configs" / "reference_case.yaml"
 #: Terminal P of the reference case (every demand split, mu = 0.5 and 0.2)
 #: from a fixed-step run at dt = 2.5e-4, to the last bit of the first split.
@@ -229,28 +231,27 @@ class TestZDerivative:
     def test_zero_at_consensus(self):
         system = lossless_pair(split=(100.0, 100.0))
         state = make_state(0.0, np.zeros(2), system)
-        dz = _z_dot(state_r(state, system), REF_PARAMS, None)
+        dz = _z_dot(state_r(state, system), *REF_GAINS, None)
         assert np.array_equal(dz, np.zeros(2))
 
     def test_two_node_hand_case(self):
         # H*lam = (0, 1) on a unit edge, k1 = k2 = 1:
         # r = (1, -1), dz = -(sig(r)^0.5 + sig(r)^2) = (-2, 2)
         system = lossless_pair()
-        params = AlgorithmParams(k1=1.0, k2=1.0, mu=0.5, nu=2.0)
-        dz = _z_dot(_disagreement(np.array([0.0, 1.0]), system), params, None)
+        dz = _z_dot(_disagreement(np.array([0.0, 1.0]), system), 1.0, 1.0, 0.5, 2.0, None)  # k1, k2, mu, nu
         assert dz == pytest.approx([-2.0, 2.0], abs=1e-15)
 
     def test_disturbance_none_equals_zero_vector(self, ref_system):
         state = make_state(0.0, np.zeros(4), ref_system)
-        a = _z_dot(state_r(state, ref_system), REF_PARAMS, None)
-        b = _z_dot(state_r(state, ref_system), REF_PARAMS, np.zeros(4))
+        a = _z_dot(state_r(state, ref_system), *REF_GAINS, None)
+        b = _z_dot(state_r(state, ref_system), *REF_GAINS, np.zeros(4))
         assert np.array_equal(a, b)
 
     def test_disturbance_adds(self, ref_system):
         state = make_state(0.0, np.zeros(4), ref_system)
         w = np.array([0.1, -0.2, 0.3, 0.0])
-        a = _z_dot(state_r(state, ref_system), REF_PARAMS, None)
-        b = _z_dot(state_r(state, ref_system), REF_PARAMS, w)
+        a = _z_dot(state_r(state, ref_system), *REF_GAINS, None)
+        b = _z_dot(state_r(state, ref_system), *REF_GAINS, w)
         assert b == pytest.approx(a + w, abs=1e-15)
 
 
@@ -923,9 +924,9 @@ def disturbances_added(system, disturbance, monkeypatch):
     seen = []
     real = dynamics._z_dot
 
-    def recording(r, params, w):
+    def recording(r, k1, k2, mu, nu, w):
         seen.append(w)
-        return real(r, params, w)
+        return real(r, k1, k2, mu, nu, w)
 
     monkeypatch.setattr(dynamics, "_z_dot", recording)
     run(system, dataclasses.replace(REF_PARAMS, t_end=0.05), disturbance=disturbance)

@@ -243,10 +243,10 @@ def record_counters(fx, workloads) -> dict:
     return {"runs": records, "mean_evals_per_solve": means}
 
 
-def cost_per_try(fx, workloads, repeats: int = TRY_REPEATS) -> dict:
+def cost_per_try(fx, workloads) -> dict:
     """{group: {"tries", "raw_pass_s", "us_per_try", "medians"}} for each of
     TRY_GROUPS: the group's steps plus rejected steps over its counter runs,
-    counted in one untimed pass; the raw wall times of `repeats` passes of
+    counted in one untimed pass; the raw wall times of TRY_REPEATS passes of
     `dynamics.run` over them, the groups taking turns pass by pass; each
     pass scaled to the reference CPU (calibrate.Sampler) and divided by the
     tries, in microseconds; and {"us_per_try": the median of those}, laid
@@ -261,7 +261,7 @@ def cost_per_try(fx, workloads, repeats: int = TRY_REPEATS) -> dict:
 
     tries = {group: sum(r.steps + r.rejected_steps for r in one_pass(runs)) for group, runs in groups.items()}
     raw, per_try = {group: [] for group in groups}, {group: [] for group in groups}
-    for _ in range(repeats):
+    for _ in range(TRY_REPEATS):
         for group, runs in groups.items():
             start = time.perf_counter()
             with calibrate.Sampler() as sampler:
